@@ -5,7 +5,8 @@ Tabular scans emit CSV, scalar reports JSON, plot data TSV.  Every file
 output gets a run-manifest JSON written next to it; reruns with the same
 manifest reproduce the bytes exactly.
 
-Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
+Exit codes: 0 success, 2 usage, validation or out-of-memory error, 3
+numerical failure.
 """
 from __future__ import annotations
 
@@ -155,7 +156,9 @@ def cmd_scaling(args) -> int:
                 h = build_model(spec)
                 cut = Bipartition.contiguous(k)
                 if spec.kind == "MajumdarGhosh":
-                    e, _, _ = maximize_cooled_entropy(h, cut, seed=args.seed)
+                    e, _, _ = maximize_cooled_entropy(
+                        h, cut, seed=args.seed, cap=args.dense_cap
+                    )
                     lo, up = mg_bounds(k, n)
                     lower, upper = f"{lo:.12g}", f"{up:.12g}"
                 else:
@@ -177,7 +180,7 @@ def cmd_cool(args) -> int:
     n = build_model(spec).num_sites
     ks = parse_range(args.k) if args.k else [n // 2]
     cuts = [Bipartition.contiguous(k) for k in ks]
-    reports = cooled_entropy_scan(spec, initial, thresholds, cuts)
+    reports = cooled_entropy_scan(spec, initial, thresholds, cuts, cap=args.dense_cap)
     _emit(args, reports_to_csv(reports))
     return 0
 
@@ -370,12 +373,13 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if args.dense_cap is not None:
-        os.environ["FRUSTRA_DENSE_CAP"] = str(args.dense_cap)
     try:
         return args.func(args)
     except (ValidationError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return USAGE_ERROR
     except (InternalConsistencyError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

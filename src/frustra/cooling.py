@@ -116,7 +116,7 @@ def cool(
     keep = dec.eigenvalues <= thr
     if not np.any(keep):
         raise OrthogonalInitialStateError("no eigenstates at or below threshold")
-    v = dec.eigenvectors[:, keep]
+    v = dec.columns(keep)
     coeffs = v.conj().T @ initial.amplitudes
     z = float(np.vdot(coeffs, coeffs).real)
     if z < _Z_FLOOR:
@@ -180,18 +180,18 @@ def reports_to_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cooled_entropy_scan(spec, initial, thresholds, cuts) -> list:
+def cooled_entropy_scan(spec, initial, thresholds, cuts, cap: int | None = None) -> list:
     """Cool once per threshold and report the block entropy for every cut.
 
     Rows come out ordered by (threshold index, cut index), so output is
-    deterministic.
+    deterministic.  ``cap`` is the dense site cap passed to ``cool``.
     """
     from .models import build_model
 
     h = build_model(spec)
     out = []
     for thr in thresholds:
-        cooled = cool(h, initial, thr)
+        cooled = cool(h, initial, thr, cap=cap)
         for cut in cuts:
             cut.validate(h.num_sites)
             e = block_entropy(cooled.state, cut)
@@ -215,12 +215,14 @@ def maximize_cooled_entropy(
     seed: int = 0,
     restarts: int = 8,
     maxiter: int = 3000,
+    cap: int | None = None,
 ):
     """Maximize the cooled block entropy over product initial states.
 
     Each site's local state is parametrized by two angles; Nelder-Mead with
     seeded random restarts searches the product family.  Returns the best
-    (entropy, CooledState, initial StateVector) triple found.
+    (entropy, CooledState, initial StateVector) triple found.  ``cap`` is
+    the dense site cap.
     """
     from scipy.optimize import minimize
 
@@ -229,7 +231,7 @@ def maximize_cooled_entropy(
     rng = np.random.default_rng(seed)
 
     # diagonalize once; the search loop only needs the ground-space basis
-    ground = diagonalize(h).ground_manifold()
+    ground = diagonalize(h, cap=cap).ground_manifold()
 
     def make_initial(x):
         per_site = []
@@ -260,5 +262,5 @@ def maximize_cooled_entropy(
             best_val = -res.fun
             best_x = res.x
     initial = make_initial(best_x)
-    cooled = cool(h, initial)
+    cooled = cool(h, initial, cap=cap)
     return best_val, cooled, initial

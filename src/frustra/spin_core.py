@@ -51,14 +51,9 @@ def dense_cap(override: int | None = None) -> int:
     return DEFAULT_DENSE_CAP
 
 
-# 16-bit lookup table for vectorized popcount on basis-index arrays.
-_POPCOUNT16 = np.array([bin(x).count("1") for x in range(1 << 16)], dtype=np.int64)
-
-
 def popcount(idx: np.ndarray) -> np.ndarray:
-    """Population count of each entry of an integer array (up to 32 bits)."""
-    idx = np.asarray(idx, dtype=np.int64)
-    return _POPCOUNT16[idx & 0xFFFF] + _POPCOUNT16[(idx >> 16) & 0xFFFF]
+    """Population count of each entry of a nonnegative integer array (as uint8)."""
+    return np.bitwise_count(np.asarray(idx, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -140,6 +135,29 @@ def _term_masks(string: str):
     return mx, my, mz
 
 
+def _matrix_elements(op: "PauliOperator", cols: np.ndarray):
+    """Yield ``(flip, values)`` with ``values[j] = <cols[j] ^ flip| op |cols[j]>``.
+
+    A Pauli string with masks (mx, my, mz) maps |b> to
+    i^#Y (-1)^popcount(b & (my | mz)) |b ^ (mx | my)>.  Terms that flip the
+    same bits reach the same matrix elements, so each flip mask yields one
+    array summed over its terms in term order.  The arrays are float64
+    unless some term has an odd number of Y letters.
+    """
+    dtype = float if op.is_real() else complex
+    groups: dict[int, list] = {}
+    for coeff, string in op.terms:
+        mx, my, mz = _term_masks(string)
+        ny = bin(my).count("1")
+        weight = coeff * (-1.0) ** (ny // 2) * (1j if ny % 2 else 1.0)
+        groups.setdefault(mx | my, []).append((weight, my | mz))
+    for flip, group in groups.items():
+        values = np.zeros(len(cols), dtype)
+        for weight, mask in group:
+            values += weight * (1.0 - 2.0 * (popcount(cols & mask) & 1))
+        yield flip, values
+
+
 @dataclass(frozen=True)
 class PauliOperator:
     """A Hermitian operator given as a real-weighted sum of Pauli strings.
@@ -180,6 +198,11 @@ class PauliOperator:
                 return c
         return 0.0
 
+    def is_real(self) -> bool:
+        """True when every term has an even number of Y letters, so that
+        every matrix element is real."""
+        return all(s.count("Y") % 2 == 0 for _, s in self.terms)
+
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """Matrix-free action H @ psi on a dense amplitude array."""
         psi = np.asarray(psi, dtype=complex)
@@ -188,12 +211,8 @@ class PauliOperator:
             raise ValidationError("state dimension mismatch")
         idx = np.arange(dim)
         out = np.zeros(dim, dtype=complex)
-        for coeff, string in self.terms:
-            mx, my, mz = _term_masks(string)
-            flip = mx | my
-            sign = 1.0 - 2.0 * (popcount(idx & (my | mz)) & 1)
-            phase = (1j) ** bin(my).count("1")
-            out[idx ^ flip] += coeff * phase * sign * psi
+        for flip, values in _matrix_elements(self, idx):
+            out[idx ^ flip] += values * psi
         return out
 
     def diagonal(self) -> np.ndarray:
@@ -253,18 +272,30 @@ class PauliOperator:
         return PauliOperator(n, tuple(terms))
 
 
-@dataclass
 class SpectralDecomposition:
-    """Full spectrum of a Hamiltonian: ascending eigenvalues and eigenvectors.
+    """Full spectrum of a Hamiltonian, held as separately diagonalized blocks.
 
-    ``eigenvectors`` holds one eigenvector per column.  Eigenvalues closer
-    than ``degeneracy_tol`` belong to the same manifold.
+    Each entry of ``blocks`` is ``(basis, values, vectors)``: the basis
+    indices the block spans, its ascending eigenvalues, and its
+    eigenvectors over those indices, one per column.  ``eigenvalues`` is the
+    merged spectrum in ascending order; ``columns`` embeds the eigenvectors
+    at chosen positions of it in the full space.  Eigenvalues closer than
+    ``degeneracy_tol`` belong to the same manifold.  The default tolerance
+    is 1e-9 times the spectral range, which absorbs floating-point noise
+    without merging distinct manifolds of the exactly degenerate models
+    treated here.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    degeneracy_tol: float
-    num_sites: int
+    def __init__(self, blocks, num_sites: int, degeneracy_tol: float | None = None):
+        self.blocks = tuple(blocks)
+        self.num_sites = num_sites
+        vals = np.concatenate([values for _, values, _ in self.blocks])
+        self._order = np.argsort(vals, kind="stable")
+        self.eigenvalues = vals[self._order]
+        if degeneracy_tol is None:
+            spread = float(self.eigenvalues[-1] - self.eigenvalues[0]) if len(vals) > 1 else 1.0
+            degeneracy_tol = 1e-9 * max(spread, 1.0)
+        self.degeneracy_tol = degeneracy_tol
 
     def manifolds(self):
         """Yield (energy, start, stop) slices of degenerate manifolds."""
@@ -277,35 +308,74 @@ class SpectralDecomposition:
                 start = i
         return out
 
+    def columns(self, select) -> np.ndarray:
+        """Eigenvectors at positions ``select`` (a slice, mask or index
+        array) of ``eigenvalues``, embedded in the full space, one per column."""
+        picked = self._order[select]
+        starts = np.cumsum([0] + [len(values) for _, values, _ in self.blocks])
+        owner = np.searchsorted(starts, picked, side="right") - 1
+        dtype = np.result_type(*(vectors for _, _, vectors in self.blocks))
+        out = np.zeros((1 << self.num_sites, len(picked)), dtype)
+        for b in np.unique(owner):
+            basis, _, vectors = self.blocks[b]
+            sel = np.flatnonzero(owner == b)
+            out[np.ix_(basis, sel)] = vectors[:, picked[sel] - starts[b]]
+        return out
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Every eigenvector as one 2^n x 2^n array, built on each read."""
+        return self.columns(slice(None))
+
     def ground_manifold(self) -> np.ndarray:
         """Columns spanning the ground manifold."""
         _, start, stop = self.manifolds()[0]
-        return self.eigenvectors[:, start:stop]
-
-    def eigenstate(self, i: int) -> StateVector:
-        return StateVector(self.num_sites, self.eigenvectors[:, i])
+        return self.columns(slice(start, stop))
 
 
-def build_dense(op: PauliOperator, cap: int | None = None) -> np.ndarray:
-    """Dense Hermitian matrix of a PauliOperator.
-
-    Refuses to build matrices beyond the dense site cap; see ``dense_cap``.
-    """
+def _check_dense_cap(op: PauliOperator, cap: int | None) -> None:
     limit = dense_cap(cap)
     if op.num_sites > limit:
         raise SizeLimitError(
             f"{op.num_sites} sites exceeds the dense limit of {limit}"
         )
-    dim = 1 << op.num_sites
-    idx = np.arange(dim)
-    h = np.zeros((dim, dim), dtype=complex)
-    for coeff, string in op.terms:
-        mx, my, mz = _term_masks(string)
-        flip = mx | my
-        sign = 1.0 - 2.0 * (popcount(idx & (my | mz)) & 1)
-        phase = (1j) ** bin(my).count("1")
-        h[idx ^ flip, idx] += coeff * phase * sign
+
+
+def _block(op: PauliOperator, basis: np.ndarray) -> np.ndarray:
+    """Matrix of ``op`` on the span of the ascending indices ``basis``;
+    every nonzero element must stay in the span."""
+    h = np.zeros((len(basis), len(basis)), dtype=float if op.is_real() else complex)
+    for flip, values in _matrix_elements(op, basis):
+        nz = np.flatnonzero(values)
+        h[np.searchsorted(basis, basis[nz] ^ flip), nz] = values[nz]
     return h
+
+
+def _sector_bases(op: PauliOperator) -> list:
+    """Ascending basis indices of the blocks of ``op``: one per popcount
+    (total S^z) when every summed matrix element between different
+    popcounts is exactly zero, else one block holding the whole space.
+
+    The check is on summed elements, not term by term: XX alone couples
+    |00> and |11>, while in XX + YY those elements cancel.
+    """
+    idx = np.arange(1 << op.num_sites)
+    pop = popcount(idx)
+    for flip, values in _matrix_elements(op, idx):
+        if np.any(values[popcount(idx ^ flip) != pop]):
+            return [idx]
+    counts = np.bincount(pop, minlength=op.num_sites + 1)
+    return np.split(np.argsort(pop, kind="stable"), np.cumsum(counts)[:-1])
+
+
+def build_dense(op: PauliOperator, cap: int | None = None) -> np.ndarray:
+    """Dense Hermitian matrix of a PauliOperator, float64 when
+    ``op.is_real()`` and complex otherwise.
+
+    Refuses to build matrices beyond the dense site cap; see ``dense_cap``.
+    """
+    _check_dense_cap(op, cap)
+    return _block(op, np.arange(1 << op.num_sites))
 
 
 def diagonalize(
@@ -313,18 +383,17 @@ def diagonalize(
     degeneracy_tol: float | None = None,
     cap: int | None = None,
 ) -> SpectralDecomposition:
-    """Full dense diagonalization with degenerate-manifold bookkeeping.
+    """Full diagonalization, one total-S^z sector at a time.
 
-    The default degeneracy tolerance is 1e-9 times the spectral range,
-    which absorbs floating-point noise without merging distinct manifolds
-    of the exactly degenerate models treated here.
+    Each sector block (or the single whole-space block when ``op`` does not
+    conserve S^z) is built from the Pauli terms, in float64 unless some
+    term has an odd number of Y letters, and passed to ``eigh``, so an
+    operator that conserves S^z never forms a 2^n x 2^n matrix.  Refuses
+    operators beyond the dense site cap; see ``dense_cap``.
     """
-    h = build_dense(op, cap=cap)
-    vals, vecs = np.linalg.eigh(h)
-    if degeneracy_tol is None:
-        spread = float(vals[-1] - vals[0]) if len(vals) > 1 else 1.0
-        degeneracy_tol = 1e-9 * max(spread, 1.0)
-    return SpectralDecomposition(vals, vecs, degeneracy_tol, op.num_sites)
+    _check_dense_cap(op, cap)
+    blocks = [(basis, *np.linalg.eigh(_block(op, basis))) for basis in _sector_bases(op)]
+    return SpectralDecomposition(blocks, op.num_sites, degeneracy_tol)
 
 
 def _split_indices(num_sites: int, cut: Bipartition):

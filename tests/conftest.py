@@ -2,6 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests replay the same examples on every run and never time out
+# on a slow machine; pytest --hypothesis-profile selects another profile.
+settings.register_profile(
+    "tier1", derandomize=True, max_examples=40, deadline=None, database=None
+)
+settings.load_profile("tier1")
 
 
 def _single_bond_entropy(n, k):

@@ -199,3 +199,30 @@ def test_no_partial_output_on_error(tmp_path):
     )
     assert code == 2
     assert not out.exists()
+
+
+def test_dense_cap_flag_applies_to_its_own_call_only(tmp_path, monkeypatch):
+    # setenv records the variable as absent, so it is removed after the test
+    monkeypatch.setenv("FRUSTRA_DENSE_CAP", "14")
+    monkeypatch.delenv("FRUSTRA_DENSE_CAP")
+    args = ["cool", "--model", "mg", "--n", "6", "--k", "2"]
+    assert run(args + ["--dense-cap", "4", "--output", str(tmp_path / "a.csv")]) == 2
+    assert "FRUSTRA_DENSE_CAP" not in os.environ
+    assert run(args + ["--output", str(tmp_path / "b.csv")]) == 0
+    scan = ["scaling", "--model", "mg", "--n", "6", "--k", "2", "--source", "ed"]
+    assert run(scan + ["--dense-cap", "4"]) == 2
+
+
+def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
+    import frustra.cooling
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(frustra.cooling, "diagonalize", out_of_memory)
+    out = tmp_path / "mg.csv"
+    code = run(["cool", "--model", "mg", "--n", "6", "--k", "2", "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()

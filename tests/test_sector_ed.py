@@ -1,0 +1,201 @@
+"""Differential tests of the per-sector diagonalization.
+
+The reference builds every operator from 2x2 Pauli matrices with np.kron
+(site 0 is the least significant bit, so it is the rightmost factor) and
+diagonalizes it with one dense complex eigh.
+"""
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from frustra.cooling import cool, cooled_entropy_scan
+from frustra.models import (
+    ModelSpec,
+    build_heisenberg_gas,
+    build_ising_gas,
+    build_mg_chain,
+    build_single_bond_ising,
+    default_initial_state,
+    mg_dimer_states,
+    rvb_sector_hamiltonian,
+)
+from frustra.spin_core import (
+    Bipartition,
+    PauliOperator,
+    StateVector,
+    block_entropy,
+    diagonalize,
+    product_state,
+)
+
+PAULI = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1.0, -1.0]).astype(complex),
+}
+
+
+def reference_matrix(op):
+    dim = 1 << op.num_sites
+    h = np.zeros((dim, dim), dtype=complex)
+    for coeff, string in op.terms:
+        term = np.eye(1)
+        for letter in string:
+            term = np.kron(PAULI[letter], term)
+        h += coeff * term
+    return h
+
+
+def reference_ground(op):
+    """Reference eigenvalues, ground projector and the gap above it."""
+    vals, vecs = np.linalg.eigh(reference_matrix(op))
+    tol = 1e-9 * max(vals[-1] - vals[0], 1.0)
+    ground = vecs[:, vals <= vals[0] + tol]
+    above = vals[vals > vals[0] + tol]
+    gap = above[0] - vals[0] if len(above) else np.inf
+    return vals, ground @ ground.conj().T, gap
+
+
+def heisenberg_ring(n, j):
+    terms = []
+    for i in range(n):
+        a, b = sorted((i, (i + 1) % n))
+        for p in "XYZ":
+            s = ["I"] * n
+            s[a] = s[b] = p
+            terms.append((j, "".join(s)))
+    return PauliOperator(n, tuple(terms))
+
+
+def generic_product_state(n, seed=0):
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.2, 1.3, n)
+    ph = rng.uniform(0, 2 * np.pi, n)
+    return product_state([(np.cos(a), np.exp(1j * b) * np.sin(a)) for a, b in zip(t, ph)])
+
+
+MODELS = {
+    "ising-gas-m2": build_ising_gas(2, 0.0),
+    "ising-gas-m3-field": build_ising_gas(3, 1.0 / 3.0),
+    "ising-gas-m4-field": build_ising_gas(4, 0.5),
+    "heisenberg-gas-m2": build_heisenberg_gas(2),
+    "heisenberg-gas-m3": build_heisenberg_gas(3),
+    "heisenberg-gas-m4": build_heisenberg_gas(4),
+    "mg-m2": build_mg_chain(2),
+    "mg-m3": build_mg_chain(3),
+    "mg-m4": build_mg_chain(4),
+    "single-bond-m2": build_single_bond_ising(2),
+    "single-bond-m4": build_single_bond_ising(4),
+    "rvb-labels-4-2": rvb_sector_hamiltonian(4, 2),
+    "rvb-labels-7-3": rvb_sector_hamiltonian(7, 3),
+    "ferro-heisenberg-ring-6": heisenberg_ring(6, -1.0),
+    "ferro-heisenberg-ring-8": heisenberg_ring(8, -1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_models_match_reference(name):
+    op = MODELS[name]
+    vals, proj, _ = reference_ground(op)
+    dec = diagonalize(op)
+    assert len(dec.blocks) == op.num_sites + 1
+    np.testing.assert_allclose(dec.eigenvalues, vals, rtol=0, atol=1e-10)
+
+    initial = generic_product_state(op.num_sites)
+    want = proj @ initial.amplitudes
+    want /= np.linalg.norm(want)
+    got = cool(op, initial).state
+    assert abs(np.vdot(want, got.amplitudes)) ** 2 >= 1 - 1e-10
+
+
+def test_ferromagnetic_ring_ground_spans_every_sector():
+    op = MODELS["ferro-heisenberg-ring-8"]
+    ground = diagonalize(op).ground_manifold()
+    assert ground.shape[1] == 9
+    weight = np.sum(np.abs(ground) ** 2, axis=1)
+    pop = np.array([bin(b).count("1") for b in range(256)])
+    assert all(weight[pop == s].sum() == pytest.approx(1.0) for s in range(9))
+
+
+def test_cross_sector_check_uses_summed_elements():
+    xx = PauliOperator(2, ((1.0, "XX"),))
+    assert len(diagonalize(xx).blocks) == 1
+    assert len(diagonalize(xx + PauliOperator(2, ((1.0, "YY"),))).blocks) == 3
+    # an odd Y count makes the matrix complex
+    xy = PauliOperator(2, ((1.0, "XY"), (-1.0, "YX")))
+    dec = diagonalize(xy)
+    assert len(dec.blocks) == 3
+    assert np.iscomplexobj(dec.eigenvectors)
+    np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(reference_matrix(xy)),
+                               atol=1e-12)
+
+
+coefficients = st.integers(-4, 4).map(lambda k: k / 2.0)
+
+
+@st.composite
+def bond_sums(draw):
+    """S^z-conserving operators: XX+YY and ZZ bonds plus Z fields."""
+    n = draw(st.integers(2, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    terms = []
+    for i, j in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6)):
+        jxy, jz = draw(coefficients), draw(coefficients)
+        for p, c in (("X", jxy), ("Y", jxy), ("Z", jz)):
+            s = ["I"] * n
+            s[i] = s[j] = p
+            terms.append((c, "".join(s)))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        s = ["I"] * n
+        s[i] = "Z"
+        terms.append((draw(coefficients), "".join(s)))
+    return PauliOperator(n, tuple(terms))
+
+
+@st.composite
+def pauli_sums(draw):
+    """General strings: most leak between sectors, some are complex."""
+    n = draw(st.integers(2, 6))
+    strings = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    terms = draw(st.lists(st.tuples(coefficients, strings), min_size=1, max_size=8))
+    return PauliOperator(n, tuple(terms))
+
+
+def check_against_reference(op):
+    assume(op.terms)
+    vals, proj, gap = reference_ground(op)
+    assume(gap > 1e-6)
+    dec = diagonalize(op)
+    np.testing.assert_allclose(dec.eigenvalues, vals, rtol=0, atol=1e-10)
+    ground = dec.ground_manifold()
+    np.testing.assert_allclose(ground @ ground.conj().T, proj, rtol=0, atol=1e-9)
+    return dec
+
+
+@given(bond_sums())
+def test_bond_sums_match_reference(op):
+    dec = check_against_reference(op)
+    assert len(dec.blocks) == op.num_sites + 1
+
+
+@given(pauli_sums())
+def test_pauli_sums_match_reference(op):
+    check_against_reference(op)
+
+
+def test_mg_ring_n12_matches_dimer_projection():
+    spec = ModelSpec(kind="MajumdarGhosh", m=6)
+    initial = default_initial_state(spec)
+    gp, gm = mg_dimer_states(6)
+    q, _ = np.linalg.qr(np.stack([gp.amplitudes, gm.amplitudes], axis=1))
+    coeffs = q.conj().T @ initial.amplitudes
+    z = float(np.vdot(coeffs, coeffs).real)
+    oracle = StateVector(12, (q @ coeffs) / np.sqrt(z))
+    cuts = [Bipartition.contiguous(k) for k in range(1, 12)]
+    reports = cooled_entropy_scan(spec, initial, ["ground"], cuts)
+    for cut, report in zip(cuts, reports):
+        assert report.entropy == pytest.approx(block_entropy(oracle, cut), abs=1e-9)
+        assert report.z == pytest.approx(z, abs=1e-12)

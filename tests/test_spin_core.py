@@ -13,6 +13,7 @@ from frustra.spin_core import (
     build_dense,
     diagonalize,
     partial_trace,
+    popcount,
     product_state,
     von_neumann_entropy,
 )
@@ -183,3 +184,9 @@ def test_basis_state():
     st = basis_state(3, 5)
     assert st.amplitudes[5] == 1.0
     assert st.norm == pytest.approx(1.0)
+
+
+def test_popcount_matches_bin_count():
+    idx = np.random.default_rng(7).integers(0, 1 << 40, size=2000)
+    want = [bin(int(x)).count("1") for x in idx]
+    assert popcount(idx).tolist() == want
