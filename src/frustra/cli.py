@@ -177,8 +177,7 @@ def cmd_cool(args) -> int:
     spec = _spec_from_args(args)
     initial = default_initial_state(spec)
     thresholds = [GROUND] if args.threshold is None else [float(args.threshold)]
-    n = build_model(spec).num_sites
-    ks = parse_range(args.k) if args.k else [n // 2]
+    ks = parse_range(args.k) if args.k else [initial.num_sites // 2]
     cuts = [Bipartition.contiguous(k) for k in ks]
     reports = cooled_entropy_scan(spec, initial, thresholds, cuts, cap=args.dense_cap)
     _emit(args, reports_to_csv(reports))

@@ -17,6 +17,7 @@ import numpy as np
 from .spin_core import (
     StateVector,
     ValidationError,
+    schmidt_weights,
     shannon_entropy,
 )
 
@@ -194,8 +195,8 @@ class RVBState:
 
     ``c`` is the coefficient matrix over the orthonormalized system label l
     (vertical plaquettes among the k system plaquettes) and environment
-    label r.  Its squared singular values give the block entropy in the
-    plaquette-label space.
+    label r.  Its Schmidt weights (squared singular values) give the block
+    entropy in the plaquette-label space.
     """
 
     m2: int
@@ -204,7 +205,7 @@ class RVBState:
     c: np.ndarray
 
     def entropy(self) -> float:
-        p = np.linalg.svd(self.c, compute_uv=False) ** 2
+        p = schmidt_weights(self.c)
         p = p / p.sum()
         return shannon_entropy(p)
 
@@ -287,7 +288,7 @@ def rvb_cut_plaquette_entropy(m2: int, d: float) -> float:
     # index basis 4-spin vector as [top, bottom] with top = bits 0,1
     el = np.stack([e0.reshape(4, 4, order="F"), e1.reshape(4, 4, order="F")])
     a = np.einsum("lr,ltb->tbr", state.c, el).reshape(4, -1)
-    p = np.linalg.svd(a, compute_uv=False) ** 2
+    p = schmidt_weights(a)
     p = p / p.sum()
     return shannon_entropy(p)
 

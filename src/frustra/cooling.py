@@ -64,24 +64,54 @@ def _group_energies(vals: np.ndarray, tol: float):
     return groups
 
 
-def _cool_diagonal(h: PauliOperator, initial: StateVector, threshold, tol):
-    diag = h.diagonal()
-    e0 = float(diag.min())
-    if tol is None:
-        spread = float(diag.max() - e0)
-        tol = 1e-9 * max(spread, 1.0)
-    thr = e0 + tol if threshold == GROUND else float(threshold)
-    mask = diag <= thr
-    amps = np.where(mask, initial.amplitudes, 0.0)
-    z = float(np.vdot(amps, amps).real)
+def _default_tol(energies: np.ndarray) -> float:
+    return 1e-9 * max(float(energies.max() - energies.min()), 1.0)
+
+
+def _level_threshold(energies: np.ndarray, tol: float, count: int) -> float:
+    """Threshold just above the ``count``-th lowest manifold of the sorted
+    ``energies``, or above the highest one when there are fewer."""
+    levels = _group_energies(energies, tol)
+    return levels[min(count, len(levels)) - 1][0] + tol
+
+
+def _check_initial(h: PauliOperator, initial: StateVector) -> None:
+    if not initial.is_normalized(tol=1e-10):
+        raise ValidationError("initial state must be normalized")
+    if h.num_sites != initial.num_sites:
+        raise ValidationError("operator and state site counts differ")
+
+
+def _renormalize(amps: np.ndarray, z: float, num_sites: int, thr, kept, tol) -> CooledState:
+    """Renormalize projected amplitudes of squared norm ``z`` and fix the phase."""
     if z < _Z_FLOOR:
         raise OrthogonalInitialStateError(
             "initial state has no support below the threshold"
         )
     amps = _fix_phase(amps / np.sqrt(z))
-    kept = np.sort(diag[mask])
     manifolds = tuple(_group_energies(kept, tol))
-    return CooledState(StateVector(h.num_sites, amps), thr, z, manifolds)
+    return CooledState(StateVector(num_sites, amps), thr, z, manifolds)
+
+
+def _project_diagonal(diag: np.ndarray, initial: StateVector, thr: float, tol: float):
+    """Keep the basis states of energy ``diag`` at or below ``thr``."""
+    mask = diag <= thr
+    amps = np.where(mask, initial.amplitudes, 0.0)
+    z = float(np.vdot(amps, amps).real)
+    return _renormalize(amps, z, initial.num_sites, thr, np.sort(diag[mask]), tol)
+
+
+def _project_spectral(dec, initial: StateVector, thr: float):
+    """Project onto the eigenvectors of ``dec`` at or below ``thr``."""
+    keep = dec.eigenvalues <= thr
+    if not np.any(keep):
+        raise OrthogonalInitialStateError("no eigenstates at or below threshold")
+    v = dec.columns(keep)
+    coeffs = v.conj().T @ initial.amplitudes
+    z = float(np.vdot(coeffs, coeffs).real)
+    return _renormalize(
+        v @ coeffs, z, initial.num_sites, thr, dec.eigenvalues[keep], dec.degeneracy_tol
+    )
 
 
 def cool(
@@ -100,32 +130,19 @@ def cool(
     norm.  The global phase is fixed by making the largest amplitude real
     positive, so repeated runs serialize identically.
     """
-    if not initial.is_normalized(tol=1e-10):
-        raise ValidationError("initial state must be normalized")
-    if h.num_sites != initial.num_sites:
-        raise ValidationError("operator and state site counts differ")
+    _check_initial(h, initial)
     if h.is_diagonal():
-        return _cool_diagonal(h, initial, threshold, degeneracy_tol)
-
+        diag = h.diagonal()
+        tol = _default_tol(diag) if degeneracy_tol is None else degeneracy_tol
+        thr = float(diag.min()) + tol if threshold == GROUND else float(threshold)
+        return _project_diagonal(diag, initial, thr, tol)
     dec = diagonalize(h, degeneracy_tol=degeneracy_tol, cap=cap)
     thr = (
         float(dec.eigenvalues[0]) + dec.degeneracy_tol
         if threshold == GROUND
         else float(threshold)
     )
-    keep = dec.eigenvalues <= thr
-    if not np.any(keep):
-        raise OrthogonalInitialStateError("no eigenstates at or below threshold")
-    v = dec.columns(keep)
-    coeffs = v.conj().T @ initial.amplitudes
-    z = float(np.vdot(coeffs, coeffs).real)
-    if z < _Z_FLOOR:
-        raise OrthogonalInitialStateError(
-            "initial state has no support below the threshold"
-        )
-    amps = _fix_phase((v @ coeffs) / np.sqrt(z))
-    manifolds = tuple(_group_energies(dec.eigenvalues[keep], dec.degeneracy_tol))
-    return CooledState(StateVector(h.num_sites, amps), thr, z, manifolds)
+    return _project_spectral(dec, initial, thr)
 
 
 def cool_excited(
@@ -138,19 +155,15 @@ def cool_excited(
     """Cool into the span of the lowest ``manifold_count`` energy manifolds."""
     if manifold_count < 1:
         raise ValidationError("manifold_count must be >= 1")
+    _check_initial(h, initial)
     if h.is_diagonal():
         diag = h.diagonal()
-        tol = degeneracy_tol
-        if tol is None:
-            tol = 1e-9 * max(float(diag.max() - diag.min()), 1.0)
-        levels = _group_energies(np.sort(diag), tol)
-    else:
-        dec = diagonalize(h, degeneracy_tol=degeneracy_tol, cap=cap)
-        tol = dec.degeneracy_tol
-        levels = _group_energies(dec.eigenvalues, tol)
-    idx = min(manifold_count, len(levels)) - 1
-    threshold = levels[idx][0] + tol
-    return cool(h, initial, threshold, degeneracy_tol=tol, cap=cap)
+        tol = _default_tol(diag) if degeneracy_tol is None else degeneracy_tol
+        thr = _level_threshold(np.sort(diag), tol, manifold_count)
+        return _project_diagonal(diag, initial, thr, tol)
+    dec = diagonalize(h, degeneracy_tol=degeneracy_tol, cap=cap)
+    thr = _level_threshold(dec.eigenvalues, dec.degeneracy_tol, manifold_count)
+    return _project_spectral(dec, initial, thr)
 
 
 @dataclass(frozen=True)
@@ -234,11 +247,8 @@ def maximize_cooled_entropy(
     ground = diagonalize(h, cap=cap).ground_manifold()
 
     def make_initial(x):
-        per_site = []
-        for i in range(n):
-            t, ph = x[2 * i], x[2 * i + 1]
-            per_site.append((np.cos(t), np.exp(1j * ph) * np.sin(t)))
-        return product_state(per_site)
+        t, ph = x[0::2], x[1::2]
+        return product_state(np.stack([np.cos(t), np.exp(1j * ph) * np.sin(t)], axis=1))
 
     def objective(x):
         coeffs = ground.conj().T @ make_initial(x).amplitudes

@@ -56,10 +56,6 @@ class ModelSpec:
         if self.kind == "ShastrySutherland" and (self.j1 <= 0 or self.j2 <= 0):
             raise ValidationError("ShastrySutherland requires J1, J2 > 0")
 
-    def lambda_on_grid(self) -> bool:
-        """True when 2*m*lambda is an integer (cooled-state requirement)."""
-        return abs(2 * self.m * self.lam - round(2 * self.m * self.lam)) < 1e-9
-
     def to_json(self) -> str:
         d = asdict(self)
         d["lambda"] = d.pop("lam")
@@ -217,42 +213,6 @@ def build_shastry_sutherland(L: int, j1: float, j2: float) -> PauliOperator:
         key = (min(a, b), max(a, b))
         for p in "XYZ":
             terms.append((j2, _two_site_term(n, key[0], key[1], p)))
-    return PauliOperator(n, tuple(terms))
-
-
-def build_j1j2j3(L: int, j1: float, j2: float, j3: float) -> PauliOperator:
-    """Microscopic J1-J2-J3 square-lattice Heisenberg model (PBC).
-
-    J1 couples nearest neighbours, J2 the diagonals, J3 sites two lattice
-    spacings apart along a row or column.  This builder documents one
-    reading of the coupling geometry; quantitative plaquette work happens
-    in the effective plaquette basis instead (see closed_forms).
-    """
-    if L < 4:
-        raise ValidationError("L must be at least 4")
-    n = L * L
-
-    def site(x, y):
-        return (x % L) + L * (y % L)
-
-    couplings = []
-    for x in range(L):
-        for y in range(L):
-            couplings.append((j1, site(x, y), site(x + 1, y)))
-            couplings.append((j1, site(x, y), site(x, y + 1)))
-            couplings.append((j2, site(x, y), site(x + 1, y + 1)))
-            couplings.append((j2, site(x, y), site(x + 1, y - 1)))
-            couplings.append((j3, site(x, y), site(x + 2, y)))
-            couplings.append((j3, site(x, y), site(x, y + 2)))
-    terms = []
-    seen = set()
-    for c, a, b in couplings:
-        key = (min(a, b), max(a, b))
-        if key in seen or c == 0.0:
-            continue
-        seen.add(key)
-        for p in "XYZ":
-            terms.append((c, _two_site_term(n, key[0], key[1], p)))
     return PauliOperator(n, tuple(terms))
 
 

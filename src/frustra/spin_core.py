@@ -191,13 +191,6 @@ class PauliOperator:
         """True when every term contains only I and Z letters."""
         return all(set(s) <= {"I", "Z"} for _, s in self.terms)
 
-    def identity_coefficient(self) -> float:
-        ident = "I" * self.num_sites
-        for c, s in self.terms:
-            if s == ident:
-                return c
-        return 0.0
-
     def is_real(self) -> bool:
         """True when every term has an even number of Y letters, so that
         every matrix element is real."""
@@ -396,27 +389,36 @@ def diagonalize(
     return SpectralDecomposition(blocks, op.num_sites, degeneracy_tol)
 
 
-def _split_indices(num_sites: int, cut: Bipartition):
-    """Vectorized basis-index split into (system, environment) sub-indices."""
-    cut.validate(num_sites)
-    sys_sites = cut.system_sites
-    env_sites = [s for s in range(num_sites) if s not in set(sys_sites)]
-    idx = np.arange(1 << num_sites)
-    sys_idx = np.zeros_like(idx)
-    for j, s in enumerate(sys_sites):
-        sys_idx |= ((idx >> s) & 1) << j
-    env_idx = np.zeros_like(idx)
-    for j, s in enumerate(env_sites):
-        env_idx |= ((idx >> s) & 1) << j
-    return sys_idx, env_idx, len(sys_sites), len(env_sites)
-
-
 def schmidt_matrix(state: StateVector, cut: Bipartition) -> np.ndarray:
-    """Amplitudes rearranged into a (system x environment) matrix."""
-    sys_idx, env_idx, ns, ne = _split_indices(state.num_sites, cut)
-    a = np.zeros((1 << ns, 1 << ne), dtype=complex)
-    a[sys_idx, env_idx] = state.amplitudes
-    return a
+    """Amplitudes rearranged into a (system x environment) matrix.
+
+    Row bit j is ``cut.system_sites[j]``; column bits are the environment
+    sites in ascending order.  Site s is axis n-1-s of the amplitudes
+    reshaped to (2,)*n, so the split is one transpose, and a cut of sites
+    0..k-1 is a view of the amplitudes.
+    """
+    n = state.num_sites
+    cut.validate(n)
+    system = set(cut.system_sites)
+    env = [s for s in range(n) if s not in system]
+    axes = [n - 1 - s for s in reversed(cut.system_sites)]
+    axes += [n - 1 - s for s in reversed(env)]
+    tensor = state.amplitudes.reshape((2,) * n).transpose(axes)
+    return tensor.reshape(1 << len(cut.system_sites), 1 << len(env))
+
+
+def schmidt_weights(a: np.ndarray) -> np.ndarray:
+    """Squared singular values of ``a``, ascending: the eigenvalues of the
+    Gram matrix of its smaller side."""
+    gram = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
+    return np.linalg.eigvalsh(gram)
+
+
+def _entropy_bits(p: np.ndarray) -> float:
+    """-sum p log2 p over the entries clipped to [0, 1], with 0 log 0 := 0."""
+    p = np.clip(p, 0.0, 1.0)
+    nz = p[p > 0]
+    return max(float(-np.sum(nz * np.log2(nz))), 0.0)
 
 
 def partial_trace(state: StateVector, cut: Bipartition) -> np.ndarray:
@@ -436,27 +438,19 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     p = np.linalg.eigvalsh(rho)
     if p.min() < -1e-12:
         raise ValidationError("density matrix is not positive semidefinite")
-    p = np.clip(p, 0.0, 1.0)
-    nz = p[p > 0]
-    s = float(-np.sum(nz * np.log2(nz)))
-    return max(s, 0.0)
+    return _entropy_bits(p)
 
 
 def block_entropy(state: StateVector, cut: Bipartition) -> float:
     """Entanglement entropy across a bipartition, in bits.
 
-    Computed from the singular values of the Schmidt matrix, which avoids
-    forming the reduced density matrix when the environment is large.
+    Computed from the Schmidt weights (``schmidt_weights``), which never
+    forms a matrix larger than the smaller side of the cut squared.
     """
     a = schmidt_matrix(state, cut)
-    n = np.linalg.norm(a)
-    if abs(n - 1.0) > 1e-8:
+    if abs(state.norm - 1.0) > 1e-8:
         raise ValidationError("state must be normalized")
-    p = np.linalg.svd(a, compute_uv=False) ** 2
-    p = np.clip(p, 0.0, 1.0)
-    nz = p[p > 0]
-    s = float(-np.sum(nz * np.log2(nz)))
-    return max(s, 0.0)
+    return _entropy_bits(schmidt_weights(a))
 
 
 def shannon_entropy(weights) -> float:
@@ -464,23 +458,27 @@ def shannon_entropy(weights) -> float:
     p = np.asarray(weights, dtype=float)
     if abs(p.sum() - 1.0) > 1e-8:
         raise ValidationError("weights must sum to 1")
-    nz = p[p > 0]
-    return max(float(-np.sum(nz * np.log2(nz))), 0.0)
+    return _entropy_bits(p)
 
 
 def product_state(per_site) -> StateVector:
     """Normalized tensor product of single-site amplitude pairs.
 
-    ``per_site[i]`` gives (amplitude of |0>, amplitude of |1>) for site i.
+    ``per_site[i]`` gives (amplitude of |0>, amplitude of |1>) for site i;
+    an (n, 2) array works as well as a list of pairs.
     """
     psi = np.array([1.0 + 0j])
     for i, pair in enumerate(per_site):
-        v = np.asarray(pair, dtype=complex)
-        if v.shape != (2,) or np.linalg.norm(v) < 1e-14:
+        try:
+            v = np.asarray(pair, dtype=complex)
+        except ValueError as exc:
+            raise ValidationError(f"site {i} local state is malformed") from exc
+        norm = np.linalg.norm(v)
+        if v.shape != (2,) or norm < 1e-14:
             raise ValidationError(f"site {i} local state is zero or malformed")
-        v = v / np.linalg.norm(v)
+        v = v / norm
         # site i becomes bit i: the new factor is the more significant bit
-        psi = np.kron(v, psi)
+        psi = (v[:, None] * psi).ravel()
     return StateVector(len(per_site), psi)
 
 

@@ -111,6 +111,25 @@ def test_cool_subcommand(tmp_path):
     assert len(lines) == 4
 
 
+def test_cool_builds_hamiltonian_once(tmp_path, monkeypatch):
+    import frustra.cli as cli
+    import frustra.models as models
+
+    calls = []
+    build_model = models.build_model
+
+    def counting(spec):
+        calls.append(spec)
+        return build_model(spec)
+
+    monkeypatch.setattr(models, "build_model", counting)
+    monkeypatch.setattr(cli, "build_model", counting)
+    out = tmp_path / "cool.csv"
+    assert run(["cool", "--model", "mg", "--n", "6", "--k", "2", "--output", str(out)]) == 0
+    assert len(calls) == 1
+    assert len(read(out).strip().splitlines()) == 2
+
+
 @pytest.mark.parametrize(
     "argv,f",
     [

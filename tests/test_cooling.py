@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import frustra.cooling
 from frustra.spin_core import (
     Bipartition,
     OrthogonalInitialStateError,
+    PauliOperator,
     StateVector,
     basis_state,
     block_entropy,
+    diagonalize,
     product_state,
 )
 from frustra.models import (
@@ -119,6 +122,46 @@ def test_cool_excited_all_manifolds_returns_initial():
     cooled = cool_excited(h, init, 99)
     assert cooled.state.fidelity(init) >= 1 - 1e-12
     assert cooled.z == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "h,initial",
+    [
+        (build_mg_chain(3), default_initial_state(ModelSpec(kind="MajumdarGhosh", m=3))),
+        (build_ising_gas(3, 0.0), uniform_state(6)),
+    ],
+    ids=["mg-ring", "ising-gas"],
+)
+def test_cool_excited_computes_spectrum_once(monkeypatch, h, initial):
+    if h.is_diagonal():
+        energies = h.diagonal()
+        tol = 1e-9 * max(energies.max() - energies.min(), 1.0)
+        thr = float(energies[energies > energies.min() + tol].min()) + tol
+    else:
+        dec = diagonalize(h)
+        thr = dec.manifolds()[1][0] + dec.degeneracy_tol
+    expected = cool(h, initial, thr)
+
+    calls = {"diagonalize": 0, "diagonal": 0}
+    diagonal = PauliOperator.diagonal
+
+    def counting_diagonalize(*args, **kwargs):
+        calls["diagonalize"] += 1
+        return diagonalize(*args, **kwargs)
+
+    def counting_diagonal(self):
+        calls["diagonal"] += 1
+        return diagonal(self)
+
+    monkeypatch.setattr(frustra.cooling, "diagonalize", counting_diagonalize)
+    monkeypatch.setattr(PauliOperator, "diagonal", counting_diagonal)
+    got = cool_excited(h, initial, 2)
+    assert calls == ({"diagonalize": 0, "diagonal": 1} if h.is_diagonal()
+                     else {"diagonalize": 1, "diagonal": 0})
+    assert got.threshold == thr
+    assert np.array_equal(got.state.amplitudes, expected.state.amplitudes)
+    assert got.z == expected.z
+    assert got.manifold_dims == expected.manifold_dims
 
 
 def test_case1_cooled_matches_dicke_construction():

@@ -1,0 +1,136 @@
+"""Differential and property tests of the state layer: the Schmidt split,
+block entropy and product states.
+
+The references are the direct forms: a Schmidt matrix filled one basis
+index at a time, entropies from a full SVD, product states by np.kron.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from frustra.spin_core import (
+    Bipartition,
+    StateVector,
+    ValidationError,
+    block_entropy,
+    product_state,
+    schmidt_matrix,
+)
+
+
+def reference_schmidt(state, sites):
+    """Row bit j is sites[j]; column bits are the other sites, ascending."""
+    n = state.num_sites
+    env = [s for s in range(n) if s not in sites]
+    a = np.zeros((1 << len(sites), 1 << len(env)), dtype=complex)
+    for b in range(1 << n):
+        row = sum(((b >> s) & 1) << j for j, s in enumerate(sites))
+        col = sum(((b >> s) & 1) << j for j, s in enumerate(env))
+        a[row, col] = state.amplitudes[b]
+    return a
+
+
+def reference_entropy(state, sites):
+    p = np.linalg.svd(reference_schmidt(state, sites), compute_uv=False) ** 2
+    p = p[p > 0]
+    return max(float(-np.sum(p * np.log2(p))), 0.0)
+
+
+def reference_product(per_site):
+    psi = np.ones(1, dtype=complex)
+    for pair in per_site:
+        v = np.asarray(pair, dtype=complex)
+        psi = np.kron(v / np.linalg.norm(v), psi)
+    return psi
+
+
+@st.composite
+def states_and_cuts(draw):
+    """A random normalized state on 2..8 sites and an ordered cut whose
+    sites are in arbitrary order and need not be contiguous."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(1, n - 1))
+    return StateVector(n, amps / np.linalg.norm(amps)), tuple(order[:k])
+
+
+@given(states_and_cuts())
+def test_schmidt_matrix_matches_index_loop(case):
+    state, sites = case
+    got = schmidt_matrix(state, Bipartition(sites))
+    assert np.array_equal(got, reference_schmidt(state, sites))
+
+
+@given(states_and_cuts())
+def test_block_entropy_matches_svd(case):
+    state, sites = case
+    got = block_entropy(state, Bipartition(sites))
+    assert got == pytest.approx(reference_entropy(state, sites), abs=1e-12)
+
+
+@given(states_and_cuts(), st.randoms(use_true_random=False))
+def test_entropy_of_complement_and_reordered_cut(case, random):
+    state, sites = case
+    e = block_entropy(state, Bipartition(sites))
+    complement = [s for s in range(state.num_sites) if s not in sites]
+    random.shuffle(complement)
+    shuffled = random.sample(sites, len(sites))
+    assert block_entropy(state, Bipartition(complement)) == pytest.approx(e, abs=1e-12)
+    assert block_entropy(state, Bipartition(shuffled)) == pytest.approx(e, abs=1e-12)
+
+
+site_pairs = st.tuples(
+    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+).filter(lambda v: math.hypot(abs(v[0]), abs(v[1])) > 1e-3)
+
+
+@given(st.lists(site_pairs, min_size=1, max_size=8))
+def test_product_state_matches_kron(per_site):
+    got = product_state(per_site)
+    np.testing.assert_allclose(got.amplitudes, reference_product(per_site), rtol=0, atol=1e-15)
+    as_array = product_state(np.array(per_site, dtype=complex))
+    np.testing.assert_allclose(as_array.amplitudes, got.amplitudes, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(0, 0), (1,), (1, 0, 0), (1, (0, 1)), "ab"],
+    ids=["zero", "short", "long", "ragged", "text"],
+)
+def test_product_state_rejects_bad_site(bad):
+    with pytest.raises(ValidationError, match="site 2"):
+        product_state([(1, 0), (0, 1), bad, (1, 1)])
+
+
+def _singlet_times_product(n, i, j):
+    """Singlet on sites i, j; every other site in |0>."""
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[1 << j] = 1 / math.sqrt(2)
+    amps[1 << i] = -1 / math.sqrt(2)
+    return StateVector(n, amps)
+
+
+def _ghz(n):
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0] = amps[-1] = 1 / math.sqrt(2)
+    return StateVector(n, amps)
+
+
+@given(states_and_cuts(), st.data())
+def test_known_states_have_whole_bit_entropies(case, data):
+    state, sites = case
+    n = state.num_sites
+    cut = Bipartition(sites)
+    rng = np.random.default_rng(n)
+    product = product_state(rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))
+    i, j = data.draw(st.permutations(range(n)))[:2]
+    singlet = _singlet_times_product(n, i, j)
+    assert block_entropy(product, cut) == pytest.approx(0.0, abs=1e-12)
+    assert block_entropy(_ghz(n), cut) == pytest.approx(1.0, abs=1e-12)
+    split = (i in sites) != (j in sites)
+    assert block_entropy(singlet, cut) == pytest.approx(float(split), abs=1e-12)
