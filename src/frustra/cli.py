@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -30,7 +29,6 @@ from .models import ModelSpec, build_model, default_initial_state
 from .cooling import (
     GROUND,
     cool,
-    cool_excited,
     cooled_entropy_scan,
     maximize_cooled_entropy,
     reports_to_csv,
@@ -89,12 +87,8 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(args, text: str, outputs: dict | None = None) -> None:
-    """Write the payload to --output (plus manifest) or stdout."""
-    if args.output is None:
-        sys.stdout.write(text)
-        return
-    _atomic_write(args.output, text)
+def _write_manifest(args, path: str, outputs: dict) -> None:
+    """Write the run manifest: subcommand, parameters, outputs, seed, version."""
     manifest = {
         "subcommand": args.command,
         "parameters": {
@@ -102,11 +96,20 @@ def _emit(args, text: str, outputs: dict | None = None) -> None:
             for k, v in sorted(vars(args).items())
             if k not in ("command", "func") and v is not None
         },
-        "outputs": outputs or {"main": os.path.abspath(args.output)},
+        "outputs": outputs,
         "seed": args.seed,
         "version": __version__,
     }
-    _atomic_write(args.output + ".manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+
+def _emit(args, text: str) -> None:
+    """Write the payload to --output (plus manifest) or stdout."""
+    if args.output is None:
+        sys.stdout.write(text)
+        return
+    _atomic_write(args.output, text)
+    _write_manifest(args, args.output + ".manifest.json", {"main": os.path.abspath(args.output)})
 
 
 def _spec_from_args(args) -> ModelSpec:
@@ -231,17 +234,7 @@ def cmd_fig1(args) -> int:
         path = os.path.join(outdir, f"fig1_{shape}.tsv")
         _atomic_write(path, curve_to_tsv(curve))
         outputs[shape] = os.path.abspath(path)
-    manifest = {
-        "subcommand": "fig1",
-        "parameters": {"d_min": args.d_min, "d_max": args.d_max, "d_step": args.d_step},
-        "outputs": outputs,
-        "seed": args.seed,
-        "version": __version__,
-    }
-    _atomic_write(
-        os.path.join(outdir, "fig1.manifest.json"),
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-    )
+    _write_manifest(args, os.path.join(outdir, "fig1.manifest.json"), outputs)
     return 0
 
 
@@ -295,8 +288,6 @@ def cmd_bounds_check(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="output file (default stdout)")
-    p.add_argument("--format", default=None, choices=["csv", "json", "tsv"],
-                   help="output format (informational; each command has a native format)")
     p.add_argument("--dense-cap", type=int, default=None, dest="dense_cap")
     p.add_argument("--seed", type=int, default=0)
 

@@ -7,7 +7,6 @@ big-integer arithmetic is used where feasible, switching to log-space
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -248,24 +247,10 @@ def _plaquette_pair_states():
     horizontal singlet pair |HH>; e1 completes |VV> to an orthonormal pair
     via e1 = (2|VV> - |HH>)/sqrt(3), using <HH|VV> = 1/2.
     """
+    from .models import dimer_product_state
 
-    def dimer4(pairs):
-        v = np.zeros(16, dtype=complex)
-        for choice in itertools.product((0, 1), repeat=2):
-            idx = 0
-            amp = 1.0
-            for (i, j), c in zip(pairs, choice):
-                if c == 0:
-                    idx |= 1 << j
-                    amp *= 1.0 / math.sqrt(2.0)
-                else:
-                    idx |= 1 << i
-                    amp *= -1.0 / math.sqrt(2.0)
-            v[idx] += amp
-        return v
-
-    hh = dimer4([(0, 1), (2, 3)])
-    vv = dimer4([(0, 2), (1, 3)])
+    hh = dimer_product_state(4, [(0, 1), (2, 3)]).amplitudes
+    vv = dimer_product_state(4, [(0, 2), (1, 3)]).amplitudes
     e0 = hh
     e1 = (2.0 * vv - hh) / math.sqrt(3.0)
     return e0, e1

@@ -19,7 +19,9 @@ from .spin_core import (
     StateVector,
     ValidationError,
     block_entropy,
+    degeneracy_tol,
     diagonalize,
+    manifolds,
     product_state,
 )
 
@@ -47,34 +49,6 @@ class CooledState:
         return sum(d for _, d in self.manifold_dims)
 
 
-def _fix_phase(amps: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude amplitude real and positive."""
-    i = int(np.argmax(np.abs(amps)))
-    ph = amps[i] / abs(amps[i])
-    return amps / ph
-
-
-def _group_energies(vals: np.ndarray, tol: float):
-    groups = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[start] > tol:
-            groups.append((float(vals[start]), i - start))
-            start = i
-    return groups
-
-
-def _default_tol(energies: np.ndarray) -> float:
-    return 1e-9 * max(float(energies.max() - energies.min()), 1.0)
-
-
-def _level_threshold(energies: np.ndarray, tol: float, count: int) -> float:
-    """Threshold just above the ``count``-th lowest manifold of the sorted
-    ``energies``, or above the highest one when there are fewer."""
-    levels = _group_energies(energies, tol)
-    return levels[min(count, len(levels)) - 1][0] + tol
-
-
 def _check_initial(h: PauliOperator, initial: StateVector) -> None:
     if not initial.is_normalized(tol=1e-10):
         raise ValidationError("initial state must be normalized")
@@ -82,43 +56,69 @@ def _check_initial(h: PauliOperator, initial: StateVector) -> None:
         raise ValidationError("operator and state site counts differ")
 
 
-def _renormalize(amps: np.ndarray, z: float, num_sites: int, thr, kept, tol) -> CooledState:
-    """Renormalize projected amplitudes of squared norm ``z`` and fix the phase."""
+def _spectrum(h: PauliOperator, cap: int | None):
+    """The ascending energies of ``h``, their degeneracy tolerance, and
+    ``projector(thr)``: a map from amplitudes to ``(projected amplitudes,
+    z)`` for the span of the eigenstates at or below ``thr``.
+
+    I/Z-only operators project by mask on the diagonal and never build
+    eigenvectors; others go through ``diagonalize`` and embed the kept
+    eigenvectors once per threshold.
+    """
+    if h.is_diagonal():
+        diag = h.diagonal()
+        energies = np.sort(diag)
+
+        def projector(thr):
+            mask = diag <= thr
+
+            def project(amps):
+                kept = np.where(mask, amps, 0.0)
+                return kept, float(np.vdot(kept, kept).real)
+
+            return project
+
+    else:
+        dec = diagonalize(h, cap=cap)
+        energies = dec.eigenvalues
+
+        def projector(thr):
+            v = dec.columns(energies <= thr)
+
+            def project(amps):
+                coeffs = v.conj().T @ amps
+                return v @ coeffs, float(np.vdot(coeffs, coeffs).real)
+
+            return project
+
+    return energies, degeneracy_tol(energies), projector
+
+
+def _threshold(threshold, energies: np.ndarray, tol: float) -> float:
+    """An absolute threshold, or the top of the ground manifold for GROUND."""
+    return float(energies[0]) + tol if threshold == GROUND else float(threshold)
+
+
+def _finish(project, initial: StateVector, thr: float, energies, tol) -> CooledState:
+    """Project ``initial``, renormalize, and make the largest amplitude
+    real and positive; the retained manifolds are the energies up to ``thr``."""
+    amps, z = project(initial.amplitudes)
     if z < _Z_FLOOR:
         raise OrthogonalInitialStateError(
             "initial state has no support below the threshold"
         )
-    amps = _fix_phase(amps / np.sqrt(z))
-    manifolds = tuple(_group_energies(kept, tol))
-    return CooledState(StateVector(num_sites, amps), thr, z, manifolds)
-
-
-def _project_diagonal(diag: np.ndarray, initial: StateVector, thr: float, tol: float):
-    """Keep the basis states of energy ``diag`` at or below ``thr``."""
-    mask = diag <= thr
-    amps = np.where(mask, initial.amplitudes, 0.0)
-    z = float(np.vdot(amps, amps).real)
-    return _renormalize(amps, z, initial.num_sites, thr, np.sort(diag[mask]), tol)
-
-
-def _project_spectral(dec, initial: StateVector, thr: float):
-    """Project onto the eigenvectors of ``dec`` at or below ``thr``."""
-    keep = dec.eigenvalues <= thr
-    if not np.any(keep):
-        raise OrthogonalInitialStateError("no eigenstates at or below threshold")
-    v = dec.columns(keep)
-    coeffs = v.conj().T @ initial.amplitudes
-    z = float(np.vdot(coeffs, coeffs).real)
-    return _renormalize(
-        v @ coeffs, z, initial.num_sites, thr, dec.eigenvalues[keep], dec.degeneracy_tol
-    )
+    amps = amps / np.sqrt(z)
+    top = amps[np.argmax(np.abs(amps))]
+    amps = amps / (top / abs(top))
+    kept = energies[: np.searchsorted(energies, thr, side="right")]
+    dims = tuple((e, stop - start) for e, start, stop in manifolds(kept, tol))
+    return CooledState(StateVector(initial.num_sites, amps), thr, z, dims)
 
 
 def cool(
     h: PauliOperator,
     initial: StateVector,
     threshold=GROUND,
-    degeneracy_tol: float | None = None,
     cap: int | None = None,
 ) -> CooledState:
     """Project ``initial`` onto the eigenspaces of ``h`` at or below the
@@ -128,42 +128,30 @@ def cool(
     which selects the ground manifold only.  Raises
     OrthogonalInitialStateError when the projection has (numerically) zero
     norm.  The global phase is fixed by making the largest amplitude real
-    positive, so repeated runs serialize identically.
+    positive, so repeated runs serialize identically.  ``cap`` is the dense
+    site cap.
     """
     _check_initial(h, initial)
-    if h.is_diagonal():
-        diag = h.diagonal()
-        tol = _default_tol(diag) if degeneracy_tol is None else degeneracy_tol
-        thr = float(diag.min()) + tol if threshold == GROUND else float(threshold)
-        return _project_diagonal(diag, initial, thr, tol)
-    dec = diagonalize(h, degeneracy_tol=degeneracy_tol, cap=cap)
-    thr = (
-        float(dec.eigenvalues[0]) + dec.degeneracy_tol
-        if threshold == GROUND
-        else float(threshold)
-    )
-    return _project_spectral(dec, initial, thr)
+    energies, tol, projector = _spectrum(h, cap)
+    thr = _threshold(threshold, energies, tol)
+    return _finish(projector(thr), initial, thr, energies, tol)
 
 
 def cool_excited(
     h: PauliOperator,
     initial: StateVector,
     manifold_count: int,
-    degeneracy_tol: float | None = None,
     cap: int | None = None,
 ) -> CooledState:
-    """Cool into the span of the lowest ``manifold_count`` energy manifolds."""
+    """Cool into the span of the lowest ``manifold_count`` energy manifolds
+    (all of them when there are fewer)."""
     if manifold_count < 1:
         raise ValidationError("manifold_count must be >= 1")
     _check_initial(h, initial)
-    if h.is_diagonal():
-        diag = h.diagonal()
-        tol = _default_tol(diag) if degeneracy_tol is None else degeneracy_tol
-        thr = _level_threshold(np.sort(diag), tol, manifold_count)
-        return _project_diagonal(diag, initial, thr, tol)
-    dec = diagonalize(h, degeneracy_tol=degeneracy_tol, cap=cap)
-    thr = _level_threshold(dec.eigenvalues, dec.degeneracy_tol, manifold_count)
-    return _project_spectral(dec, initial, thr)
+    energies, tol, projector = _spectrum(h, cap)
+    levels = manifolds(energies, tol)
+    thr = levels[min(manifold_count, len(levels)) - 1][0] + tol
+    return _finish(projector(thr), initial, thr, energies, tol)
 
 
 @dataclass(frozen=True)
@@ -194,17 +182,21 @@ def reports_to_csv(reports) -> str:
 
 
 def cooled_entropy_scan(spec, initial, thresholds, cuts, cap: int | None = None) -> list:
-    """Cool once per threshold and report the block entropy for every cut.
+    """Cool once per threshold, from one spectrum, and report the block
+    entropy for every cut.
 
     Rows come out ordered by (threshold index, cut index), so output is
-    deterministic.  ``cap`` is the dense site cap passed to ``cool``.
+    deterministic.  ``cap`` is the dense site cap.
     """
     from .models import build_model
 
     h = build_model(spec)
+    _check_initial(h, initial)
+    energies, tol, projector = _spectrum(h, cap)
     out = []
-    for thr in thresholds:
-        cooled = cool(h, initial, thr, cap=cap)
+    for threshold in thresholds:
+        thr = _threshold(threshold, energies, tol)
+        cooled = _finish(projector(thr), initial, thr, energies, tol)
         for cut in cuts:
             cut.validate(h.num_sites)
             e = block_entropy(cooled.state, cut)
@@ -243,20 +235,19 @@ def maximize_cooled_entropy(
     cut.validate(n)
     rng = np.random.default_rng(seed)
 
-    # diagonalize once; the search loop only needs the ground-space basis
-    ground = diagonalize(h, cap=cap).ground_manifold()
+    energies, tol, projector = _spectrum(h, cap)
+    thr = _threshold(GROUND, energies, tol)
+    ground = projector(thr)
 
     def make_initial(x):
         t, ph = x[0::2], x[1::2]
         return product_state(np.stack([np.cos(t), np.exp(1j * ph) * np.sin(t)], axis=1))
 
     def objective(x):
-        coeffs = ground.conj().T @ make_initial(x).amplitudes
-        z = float(np.vdot(coeffs, coeffs).real)
+        amps, z = ground(make_initial(x).amplitudes)
         if z < _Z_FLOOR:
             return 0.0
-        projected = StateVector(n, (ground @ coeffs) / np.sqrt(z))
-        return -block_entropy(projected, cut)
+        return -block_entropy(StateVector(n, amps / np.sqrt(z)), cut)
 
     best_val = -1.0
     best_x = None
@@ -272,5 +263,4 @@ def maximize_cooled_entropy(
             best_val = -res.fun
             best_x = res.x
     initial = make_initial(best_x)
-    cooled = cool(h, initial, cap=cap)
-    return best_val, cooled, initial
+    return best_val, _finish(ground, initial, thr, energies, tol), initial

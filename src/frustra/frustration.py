@@ -13,11 +13,11 @@ the positive-energy terms are the frustrated ones, and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spin_core import PauliOperator, ValidationError, popcount
+from .spin_core import PauliOperator, ValidationError, _term_masks, popcount
 
 ENUMERATION_CAP = 24
 _CHUNK = 1 << 16
@@ -87,10 +87,7 @@ def _term_energy_table(op: PauliOperator, configs: np.ndarray) -> np.ndarray:
     """Energies of every Z-term in every configuration: shape (nconf, nterms)."""
     cols = []
     for coeff, s in op.terms:
-        mask = 0
-        for i, ch in enumerate(s):
-            if ch == "Z":
-                mask |= 1 << i
+        _, _, mask = _term_masks(s)
         cols.append(coeff * (1.0 - 2.0 * (popcount(configs & mask) & 1)))
     return np.stack(cols, axis=1)
 
@@ -117,7 +114,6 @@ def frustration_degree(
         raise ValidationError("Ising limit has no terms")
 
     dim = 1 << h.num_sites
-    e_min = np.inf
     totals = np.empty(dim)
     for start in range(0, dim, _CHUNK):
         configs = np.arange(start, min(start + _CHUNK, dim))
@@ -178,10 +174,4 @@ def frustration_degree_model(spec) -> FrustrationReport:
         closed = MG_FRUSTRATION
     elif spec.kind == "ShastrySutherland":
         closed = shastry_sutherland_frustration_formula(spec.j1, spec.j2)
-    return FrustrationReport(
-        value=rep.value,
-        num_ground_configs=rep.num_ground_configs,
-        per_config_ratios=rep.per_config_ratios,
-        mode=rep.mode,
-        closed_form=closed,
-    )
+    return replace(rep, closed_form=closed)

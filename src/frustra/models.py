@@ -41,7 +41,6 @@ class ModelSpec:
     lam: float = 0.0
     j1: float = 1.0
     j2: float = 0.0
-    j3: float = 0.0
     flipped_bond: int = -1
     sign: str = "frustrated"
 
@@ -169,6 +168,11 @@ def build_ferromagnetic_ring(m: int, j: float = 1.0) -> PauliOperator:
     return PauliOperator(n, tuple(terms))
 
 
+def _site(L: int, x: int, y: int) -> int:
+    """Index x + L*y of lattice site (x, y) on the L x L torus."""
+    return (x % L) + L * (y % L)
+
+
 def shastry_sutherland_diagonals(L: int):
     """The two families of dimer diagonals on an L x L lattice with PBC.
 
@@ -178,14 +182,11 @@ def shastry_sutherland_diagonals(L: int):
     if L % 2 != 0 or L < 4:
         raise ValidationError("L must be even and at least 4")
 
-    def site(x, y):
-        return (x % L) + L * (y % L)
-
     pairs = []
     for i in range(L // 2):
         for jj in range(L // 2):
-            pairs.append((site(2 * i, 2 * jj), site(2 * i + 1, 2 * jj + 1)))
-            pairs.append((site(2 * i, 2 * jj + 1), site(2 * i - 1, 2 * jj + 2)))
+            pairs.append((_site(L, 2 * i, 2 * jj), _site(L, 2 * i + 1, 2 * jj + 1)))
+            pairs.append((_site(L, 2 * i, 2 * jj + 1), _site(L, 2 * i - 1, 2 * jj + 2)))
     return pairs
 
 
@@ -194,15 +195,12 @@ def build_shastry_sutherland(L: int, j1: float, j2: float) -> PauliOperator:
     pairs = shastry_sutherland_diagonals(L)
     n = L * L
 
-    def site(x, y):
-        return (x % L) + L * (y % L)
-
     terms = []
     seen = set()
     for x in range(L):
         for y in range(L):
             for dx, dy in ((1, 0), (0, 1)):
-                a, b = site(x, y), site(x + dx, y + dy)
+                a, b = _site(L, x, y), _site(L, x + dx, y + dy)
                 key = (min(a, b), max(a, b))
                 if key in seen:
                     continue

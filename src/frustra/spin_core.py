@@ -209,16 +209,12 @@ class PauliOperator:
         return out
 
     def diagonal(self) -> np.ndarray:
-        """Diagonal energies E(b) for an I/Z-only operator."""
+        """Diagonal energies E(b) for an I/Z-only operator: the flip-0
+        elements of ``_matrix_elements``."""
         if not self.is_diagonal():
             raise ValidationError("operator has off-diagonal terms")
-        dim = 1 << self.num_sites
-        idx = np.arange(dim)
-        diag = np.zeros(dim)
-        for coeff, string in self.terms:
-            _, _, mz = _term_masks(string)
-            diag += coeff * (1.0 - 2.0 * (popcount(idx & mz) & 1))
-        return diag
+        idx = np.arange(1 << self.num_sites)
+        return dict(_matrix_elements(self, idx)).get(0, np.zeros(len(idx)))
 
     def expectation(self, state: StateVector) -> float:
         return float(np.real(np.vdot(state.amplitudes, self.apply(state.amplitudes))))
@@ -265,6 +261,34 @@ class PauliOperator:
         return PauliOperator(n, tuple(terms))
 
 
+def degeneracy_tol(energies: np.ndarray) -> float:
+    """Energies closer than this belong to one manifold: 1e-9 times the
+    spectral range (at least 1), which absorbs floating-point noise without
+    merging distinct manifolds of the exactly degenerate models treated
+    here."""
+    return 1e-9 * max(float(energies.max() - energies.min()), 1.0)
+
+
+def manifolds(energies: np.ndarray, tol: float) -> list:
+    """(energy, start, stop) slices of the degenerate manifolds of the
+    ascending ``energies``.  A manifold holds every energy within ``tol`` of
+    its first."""
+    out = []
+    start = 0
+    while start < len(energies):
+        first = energies[start]
+        # e - first rises with e, so the search on first + tol lands within
+        # a rounding step of the boundary; the loops settle it exactly
+        stop = int(np.searchsorted(energies, first + tol, side="right"))
+        while stop < len(energies) and energies[stop] - first <= tol:
+            stop += 1
+        while energies[stop - 1] - first > tol:
+            stop -= 1
+        out.append((float(first), start, stop))
+        start = stop
+    return out
+
+
 class SpectralDecomposition:
     """Full spectrum of a Hamiltonian, held as separately diagonalized blocks.
 
@@ -273,33 +297,21 @@ class SpectralDecomposition:
     eigenvectors over those indices, one per column.  ``eigenvalues`` is the
     merged spectrum in ascending order; ``columns`` embeds the eigenvectors
     at chosen positions of it in the full space.  Eigenvalues closer than
-    ``degeneracy_tol`` belong to the same manifold.  The default tolerance
-    is 1e-9 times the spectral range, which absorbs floating-point noise
-    without merging distinct manifolds of the exactly degenerate models
-    treated here.
+    ``degeneracy_tol`` (see the function of that name) belong to the same
+    manifold.
     """
 
-    def __init__(self, blocks, num_sites: int, degeneracy_tol: float | None = None):
+    def __init__(self, blocks, num_sites: int):
         self.blocks = tuple(blocks)
         self.num_sites = num_sites
         vals = np.concatenate([values for _, values, _ in self.blocks])
         self._order = np.argsort(vals, kind="stable")
         self.eigenvalues = vals[self._order]
-        if degeneracy_tol is None:
-            spread = float(self.eigenvalues[-1] - self.eigenvalues[0]) if len(vals) > 1 else 1.0
-            degeneracy_tol = 1e-9 * max(spread, 1.0)
-        self.degeneracy_tol = degeneracy_tol
+        self.degeneracy_tol = degeneracy_tol(self.eigenvalues)
 
     def manifolds(self):
-        """Yield (energy, start, stop) slices of degenerate manifolds."""
-        vals = self.eigenvalues
-        out = []
-        start = 0
-        for i in range(1, len(vals) + 1):
-            if i == len(vals) or vals[i] - vals[start] > self.degeneracy_tol:
-                out.append((float(vals[start]), start, i))
-                start = i
-        return out
+        """(energy, start, stop) slices of the degenerate manifolds."""
+        return manifolds(self.eigenvalues, self.degeneracy_tol)
 
     def columns(self, select) -> np.ndarray:
         """Eigenvectors at positions ``select`` (a slice, mask or index
@@ -371,11 +383,7 @@ def build_dense(op: PauliOperator, cap: int | None = None) -> np.ndarray:
     return _block(op, np.arange(1 << op.num_sites))
 
 
-def diagonalize(
-    op: PauliOperator,
-    degeneracy_tol: float | None = None,
-    cap: int | None = None,
-) -> SpectralDecomposition:
+def diagonalize(op: PauliOperator, cap: int | None = None) -> SpectralDecomposition:
     """Full diagonalization, one total-S^z sector at a time.
 
     Each sector block (or the single whole-space block when ``op`` does not
@@ -386,7 +394,7 @@ def diagonalize(
     """
     _check_dense_cap(op, cap)
     blocks = [(basis, *np.linalg.eigh(_block(op, basis))) for basis in _sector_bases(op)]
-    return SpectralDecomposition(blocks, op.num_sites, degeneracy_tol)
+    return SpectralDecomposition(blocks, op.num_sites)
 
 
 def schmidt_matrix(state: StateVector, cut: Bipartition) -> np.ndarray:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import frustra.cooling
 from frustra.spin_core import (
@@ -162,6 +163,105 @@ def test_cool_excited_computes_spectrum_once(monkeypatch, h, initial):
     assert np.array_equal(got.state.amplitudes, expected.state.amplitudes)
     assert got.z == expected.z
     assert got.manifold_dims == expected.manifold_dims
+
+
+@pytest.fixture
+def diagonalize_calls(monkeypatch):
+    """Count the calls cooling makes to ``diagonalize``."""
+    calls = []
+
+    def counting_diagonalize(*args, **kwargs):
+        calls.append(args)
+        return diagonalize(*args, **kwargs)
+
+    monkeypatch.setattr(frustra.cooling, "diagonalize", counting_diagonalize)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "h,initial",
+    [
+        (build_mg_chain(3), default_initial_state(ModelSpec(kind="MajumdarGhosh", m=3))),
+        (build_ising_gas(3, 0.0), uniform_state(6)),
+    ],
+    ids=["mg-ring", "ising-gas"],
+)
+def test_threshold_below_ground_raises(diagonalize_calls, h, initial):
+    with pytest.raises(OrthogonalInitialStateError):
+        cool(h, initial, threshold=-100.0)
+    # I/Z-only operators project by mask without eigenvectors
+    assert len(diagonalize_calls) == (0 if h.is_diagonal() else 1)
+
+
+def test_threshold_on_a_level_retains_it():
+    h = build_ising_gas(2, 0.0)
+    init = uniform_state(4)
+    diag = h.diagonal()
+    level = float(np.unique(diag)[1])
+    cooled = cool(h, init, threshold=level)
+    assert cooled.num_retained == int(np.sum(diag <= level))
+    assert cooled.manifold_dims[-1] == (level, int(np.sum(diag == level)))
+
+
+def test_maximize_cooled_entropy_diagonalizes_once(diagonalize_calls):
+    h = build_mg_chain(3)
+    e, cooled, initial = maximize_cooled_entropy(h, Bipartition.contiguous(2), restarts=1)
+    assert len(diagonalize_calls) == 1
+    assert e == pytest.approx(block_entropy(cooled.state, Bipartition.contiguous(2)), abs=1e-12)
+    expected = cool(h, initial)
+    assert np.array_equal(cooled.state.amplitudes, expected.state.amplitudes)
+    assert (cooled.threshold, cooled.z, cooled.manifold_dims) == (
+        expected.threshold, expected.z, expected.manifold_dims)
+
+
+def test_entropy_scan_diagonalizes_once_for_all_thresholds(diagonalize_calls):
+    spec = ModelSpec(kind="MajumdarGhosh", m=3)
+    initial = default_initial_state(spec)
+    cut = Bipartition.contiguous(3)
+    reports = cooled_entropy_scan(spec, initial, ["ground", 0.5], [cut])
+    assert len(diagonalize_calls) == 1
+    h = build_mg_chain(3)
+    for report, threshold in zip(reports, ["ground", 0.5]):
+        expected = cool(h, initial, threshold)
+        assert report.threshold == expected.threshold
+        assert report.z == expected.z
+        assert report.entropy == block_entropy(expected.state, cut)
+
+
+@st.composite
+def cooling_cases(draw):
+    """A small operator, I/Z-only or general, and a product initial state."""
+    n = draw(st.integers(2, 5))
+    strings = st.text(alphabet=draw(st.sampled_from(["IZ", "IXYZ"])), min_size=n, max_size=n)
+    coefficients = st.integers(-4, 4).map(lambda k: k / 2.0)
+    terms = draw(st.lists(st.tuples(coefficients, strings), min_size=1, max_size=6))
+    angles = draw(st.lists(st.tuples(st.floats(0.1, 1.4), st.floats(0.0, 6.2)),
+                           min_size=n, max_size=n))
+    initial = product_state([(np.cos(t), np.exp(1j * p) * np.sin(t)) for t, p in angles])
+    return PauliOperator(n, tuple(terms)), initial
+
+
+def largest_amplitude(state):
+    amps = state.amplitudes
+    return amps[np.argmax(np.abs(amps))]
+
+
+@given(cooling_cases())
+def test_cool_is_idempotent_and_phase_fixed(case):
+    h, initial = case
+    try:
+        once = cool(h, initial)
+    except OrthogonalInitialStateError:
+        assume(False)
+    twice = cool(h, once.state)
+    assert twice.z == pytest.approx(1.0, abs=1e-12)
+    assert twice.manifold_dims == once.manifold_dims
+    assert twice.state.fidelity(once.state) >= 1 - 1e-12
+    np.testing.assert_allclose(np.abs(twice.state.amplitudes),
+                               np.abs(once.state.amplitudes), rtol=0, atol=1e-12)
+    for cooled in (once, twice):
+        top = largest_amplitude(cooled.state)
+        assert top.real > 0 and abs(top.imag) <= 1e-15 * top.real
 
 
 def test_case1_cooled_matches_dicke_construction():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from frustra.spin_core import (
     Bipartition,
@@ -12,6 +13,7 @@ from frustra.spin_core import (
     block_entropy,
     build_dense,
     diagonalize,
+    manifolds,
     partial_trace,
     popcount,
     product_state,
@@ -190,3 +192,44 @@ def test_popcount_matches_bin_count():
     idx = np.random.default_rng(7).integers(0, 1 << 40, size=2000)
     want = [bin(int(x)).count("1") for x in idx]
     assert popcount(idx).tolist() == want
+
+
+@st.composite
+def iz_operators(draw):
+    n = draw(st.integers(1, 8))
+    strings = st.text(alphabet="IZ", min_size=n, max_size=n)
+    coefficients = st.floats(-3, 3, allow_subnormal=False)
+    return PauliOperator(n, tuple(draw(st.lists(st.tuples(coefficients, strings), max_size=8))))
+
+
+@given(iz_operators())
+def test_diagonal_equals_dense_diagonal(op):
+    assert np.array_equal(op.diagonal(), np.diag(build_dense(op)))
+
+
+def reference_manifolds(vals, tol):
+    """Start-anchored grouping, one eigenvalue at a time."""
+    out = []
+    start = 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[i] - vals[start] > tol:
+            out.append((float(vals[start]), start, i))
+            start = i
+    return out
+
+
+@st.composite
+def sorted_energies(draw):
+    """Ascending energies whose gaps sit on, just inside and just outside
+    the tolerance, so the grouping is decided by rounding."""
+    tol = draw(st.sampled_from([1e-9, 1e-6, 0.25]))
+    gaps = st.sampled_from([0.0, 0.4, 1 - 1e-12, 1.0, 1 + 1e-12, 3.0])
+    steps = draw(st.lists(gaps, max_size=30))
+    first = draw(st.floats(-50, 50))
+    return np.sort(first + tol * np.cumsum([0.0] + steps)), tol
+
+
+@given(sorted_energies())
+def test_manifolds_match_reference_loop(case):
+    energies, tol = case
+    assert manifolds(energies, tol) == reference_manifolds(energies, tol)
