@@ -4,11 +4,15 @@ The functional works on the Ising limit of the operator: every non-identity
 Pauli letter becomes Z, constants are dropped, and isotropic Heisenberg
 XX+YY+ZZ triples collapse to a single Z...Z term with the shared
 coefficient (the classical collinear-vector reading).  All classical ground
-configurations of the resulting diagonal operator are enumerated; for each,
+configurations of the resulting diagonal operator are enumerated (its
+``diagonal()`` gives the energy of every configuration at once); for each,
 the positive-energy terms are the frustrated ones, and
 
     F = Av over ground configs of (sum of positive term energies)
         / |sum of nonpositive term energies|.
+
+Only the ground configurations get a per-term energy table, built in
+blocks of rows so that its memory stays bounded.
 """
 from __future__ import annotations
 
@@ -20,7 +24,9 @@ import numpy as np
 from .spin_core import PauliOperator, ValidationError, _term_masks, popcount
 
 ENUMERATION_CAP = 24
-_CHUNK = 1 << 16
+# Ground configurations per block of the term-energy table; each row sums
+# on its own, so the block size changes memory, never the result.
+_GROUND_ROWS = 1 << 12
 
 
 class InternalConsistencyError(RuntimeError):
@@ -85,11 +91,9 @@ def ising_limit(op: PauliOperator, collapse_isotropic: bool = True) -> PauliOper
 
 def _term_energy_table(op: PauliOperator, configs: np.ndarray) -> np.ndarray:
     """Energies of every Z-term in every configuration: shape (nconf, nterms)."""
-    cols = []
-    for coeff, s in op.terms:
-        _, _, mask = _term_masks(s)
-        cols.append(coeff * (1.0 - 2.0 * (popcount(configs & mask) & 1)))
-    return np.stack(cols, axis=1)
+    coeffs = np.array([c for c, _ in op.terms])
+    masks = np.array([_term_masks(s)[2] for _, s in op.terms], dtype=np.int64)
+    return coeffs * (1.0 - 2.0 * (popcount(configs[:, None] & masks) & 1))
 
 
 def frustration_degree(
@@ -113,19 +117,18 @@ def frustration_degree(
     if not h.terms:
         raise ValidationError("Ising limit has no terms")
 
-    dim = 1 << h.num_sites
-    totals = np.empty(dim)
-    for start in range(0, dim, _CHUNK):
-        configs = np.arange(start, min(start + _CHUNK, dim))
-        tab = _term_energy_table(h, configs)
-        totals[start : start + len(configs)] = tab.sum(axis=1)
+    totals = h.diagonal()
     e_min = float(totals.min())
     scale = max(float(np.abs(totals).max()), 1.0)
     ground = np.flatnonzero(totals <= e_min + tol * scale)
 
-    tab = _term_energy_table(h, ground)
-    pos = np.where(tab > 0.0, tab, 0.0).sum(axis=1)
-    nonpos = np.where(tab <= 0.0, tab, 0.0).sum(axis=1)
+    pos = np.empty(len(ground))
+    nonpos = np.empty(len(ground))
+    for start in range(0, len(ground), _GROUND_ROWS):
+        rows = slice(start, start + _GROUND_ROWS)
+        tab = _term_energy_table(h, ground[rows])
+        pos[rows] = np.where(tab > 0.0, tab, 0.0).sum(axis=1)
+        nonpos[rows] = np.where(tab <= 0.0, tab, 0.0).sum(axis=1)
     if np.any(np.abs(nonpos) < 1e-12):
         raise InternalConsistencyError(
             "nonpositive-energy sum vanished on a ground configuration"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -62,9 +62,21 @@ class ModelSpec:
 
     @staticmethod
     def from_json(text: str) -> "ModelSpec":
-        d = json.loads(text)
+        """Inverse of ``to_json``; raises ValidationError for text that is
+        not a JSON object, for unknown keys and for a missing kind."""
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"model spec is not valid JSON: {exc}") from exc
+        if not isinstance(d, dict):
+            raise ValidationError("model spec must be a JSON object")
         if "lambda" in d:
             d["lam"] = d.pop("lambda")
+        unknown = sorted(set(d) - {f.name for f in fields(ModelSpec)})
+        if unknown:
+            raise ValidationError(f"unknown model spec keys {unknown}")
+        if "kind" not in d:
+            raise ValidationError("model spec has no kind")
         return ModelSpec(**d)
 
 

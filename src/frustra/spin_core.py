@@ -135,14 +135,41 @@ def _term_masks(string: str):
     return mx, my, mz
 
 
+def _z_energies(n: int, terms) -> np.ndarray:
+    """sum_t w_t (-1)^popcount(b & m_t) for every b < 2^n, from the real
+    ``(w_t, m_t)`` pairs of ``terms``.
+
+    With b = (b_hi, b_lo) split into its high n - n//2 and low n//2 bits,
+    each sign factors as s(b_hi & m_hi) s(b_lo & m_lo).  So the energies,
+    as a 2^(n - n//2) x 2^(n//2) array, are S_hi @ C @ S_lo^T: S_hi and
+    S_lo are the sign tables of the distinct high and low sub-masks, and
+    C sums the weights of the terms with each pair of sub-masks.
+    """
+    lo_bits = n // 2
+    weights = np.array([w for w, _ in terms], dtype=float)
+    masks = np.array([m for _, m in terms], dtype=np.int64)
+    hi, hi_of = np.unique(masks >> lo_bits, return_inverse=True)
+    lo, lo_of = np.unique(masks & ((1 << lo_bits) - 1), return_inverse=True)
+    c = np.zeros((len(hi), len(lo)))
+    np.add.at(c, (hi_of, lo_of), weights)
+
+    def signs(bits, sub_masks):
+        b = np.arange(1 << bits)[:, None]
+        return 1.0 - 2.0 * (popcount(b & sub_masks) & 1)
+
+    return ((signs(n - lo_bits, hi) @ c) @ signs(lo_bits, lo).T).ravel()
+
+
 def _matrix_elements(op: "PauliOperator", cols: np.ndarray):
     """Yield ``(flip, values)`` with ``values[j] = <cols[j] ^ flip| op |cols[j]>``.
 
     A Pauli string with masks (mx, my, mz) maps |b> to
     i^#Y (-1)^popcount(b & (my | mz)) |b ^ (mx | my)>.  Terms that flip the
     same bits reach the same matrix elements, so each flip mask yields one
-    array summed over its terms in term order.  The arrays are float64
-    unless some term has an odd number of Y letters.
+    array summed over its terms.  The flip-0 (I/Z) terms have real weights;
+    their array is the ``_z_energies`` kernel over all 2^n indices,
+    gathered at ``cols``.  Every other flip sums its terms in term order,
+    in float64 unless some term has an odd number of Y letters.
     """
     dtype = float if op.is_real() else complex
     groups: dict[int, list] = {}
@@ -152,6 +179,9 @@ def _matrix_elements(op: "PauliOperator", cols: np.ndarray):
         weight = coeff * (-1.0) ** (ny // 2) * (1j if ny % 2 else 1.0)
         groups.setdefault(mx | my, []).append((weight, my | mz))
     for flip, group in groups.items():
+        if flip == 0:
+            yield 0, _z_energies(op.num_sites, group)[cols]
+            continue
         values = np.zeros(len(cols), dtype)
         for weight, mask in group:
             values += weight * (1.0 - 2.0 * (popcount(cols & mask) & 1))
@@ -209,12 +239,12 @@ class PauliOperator:
         return out
 
     def diagonal(self) -> np.ndarray:
-        """Diagonal energies E(b) for an I/Z-only operator: the flip-0
-        elements of ``_matrix_elements``."""
+        """Diagonal energies E(b) for an I/Z-only operator: the
+        ``_z_energies`` kernel that gives the flip-0 elements of
+        ``_matrix_elements``."""
         if not self.is_diagonal():
             raise ValidationError("operator has off-diagonal terms")
-        idx = np.arange(1 << self.num_sites)
-        return dict(_matrix_elements(self, idx)).get(0, np.zeros(len(idx)))
+        return _z_energies(self.num_sites, [(c, _term_masks(s)[2]) for c, s in self.terms])
 
     def expectation(self, state: StateVector) -> float:
         return float(np.real(np.vdot(state.amplitudes, self.apply(state.amplitudes))))

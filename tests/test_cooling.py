@@ -19,6 +19,7 @@ from frustra.models import (
     build_mg_chain,
     default_initial_state,
 )
+from frustra.closed_forms import ising_gas_rho_k
 from frustra.cooling import (
     EntropyReport,
     cool,
@@ -275,6 +276,13 @@ def test_case1_cooled_matches_dicke_construction():
                 amps[b] = 1.0
         dicke = StateVector(4, amps / 2.0)
         assert cooled.state.fidelity(dicke) >= 1 - 1e-10
+
+
+def test_ising_gas_n20_cool_matches_closed_form():
+    cooled = cool(build_ising_gas(10, 0.5), product_state([(0.6, 0.8)] * 20))
+    for k in range(1, 6):
+        e = block_entropy(cooled.state, Bipartition.contiguous(k))
+        assert e == pytest.approx(ising_gas_rho_k(10, 0.5, k).entropy(), abs=1e-9)
 
 
 def test_entropy_scan_rows_and_csv():

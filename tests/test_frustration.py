@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from frustra import frustration
 from frustra.spin_core import PauliOperator
 from frustra.models import (
     ModelSpec,
@@ -80,6 +81,23 @@ def test_case1_formula_exact_over_grid():
             assert rep.value == pytest.approx(
                 ising_gas_frustration_formula(m, lam), abs=1e-12
             )
+
+
+def test_ising_gas_n22_matches_formula():
+    # 170,544 ground configurations, many blocks of the ground term table
+    rep = frustration_degree(build_ising_gas(11, 4.0 / 11.0))
+    assert rep.num_ground_configs == 170_544
+    assert rep.value == pytest.approx(
+        ising_gas_frustration_formula(11, 4.0 / 11.0), abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1 << 20])
+def test_ground_table_block_size_leaves_report_unchanged(monkeypatch, rows):
+    op = build_ising_gas(5, 0.4)
+    want = frustration_degree(op)
+    monkeypatch.setattr(frustration, "_GROUND_ROWS", rows)
+    assert frustration_degree(op) == want
 
 
 def test_shastry_sutherland_dimer_regime():

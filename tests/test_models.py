@@ -163,6 +163,21 @@ def test_model_spec_json_roundtrip():
     assert again == spec
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind": "IsingGasLR", "m": 2, "j3": 0.0}',
+        "[1,2]",
+        "{not json",
+        '{"m": 2}',
+    ],
+    ids=["unknown-key", "not-an-object", "malformed", "no-kind"],
+)
+def test_model_spec_from_json_rejects_bad_input(text):
+    with pytest.raises(ValidationError):
+        ModelSpec.from_json(text)
+
+
 def test_model_spec_validation():
     with pytest.raises(ValidationError):
         ModelSpec(kind="nope", m=2)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from frustra.spin_core import (
     Bipartition,
@@ -205,6 +205,49 @@ def iz_operators(draw):
 @given(iz_operators())
 def test_diagonal_equals_dense_diagonal(op):
     assert np.array_equal(op.diagonal(), np.diag(build_dense(op)))
+
+
+def reference_z_energies(op):
+    """sum_t c_t prod_{i in Z sites of t} z_i(b), one term and one site at
+    a time, with z_i(b) = +1 or -1 read off bit i of b."""
+    b = np.arange(1 << op.num_sites)
+    out = np.zeros(len(b))
+    for c, string in op.terms:
+        sign = np.ones(len(b))
+        for i, ch in enumerate(string):
+            if ch == "Z":
+                sign *= np.where((b >> i) & 1, -1.0, 1.0)
+        out += c * sign
+    return out
+
+
+@st.composite
+def z_operators(draw):
+    """I/Z operators on 1-12 sites; each term's Z sites are any subset,
+    from none (the identity) to all of them."""
+    n = draw(st.integers(1, 12))
+    supports = st.sets(st.integers(0, n - 1))
+    coefficients = st.floats(-3, 3, allow_subnormal=False)
+    terms = draw(st.lists(st.tuples(coefficients, supports), max_size=12))
+    return PauliOperator(
+        n,
+        tuple(
+            (c, "".join("Z" if i in sup else "I" for i in range(n)))
+            for c, sup in terms
+        ),
+    )
+
+
+@given(z_operators())
+@example(PauliOperator(5, ()))
+@example(PauliOperator(1, ((2.0, "I"), (-0.5, "Z"))))
+@example(PauliOperator(7, ((1.0, "ZZZIIIZ"), (0.5, "IIIZZZZ"), (0.25, "IIIIIII"))))
+@example(build_ising_gas(5, 0.4))
+def test_diagonal_matches_per_term_reference(op):
+    scale = max(1.0, sum(abs(c) for c, _ in op.terms))
+    np.testing.assert_allclose(
+        op.diagonal(), reference_z_energies(op), rtol=0, atol=1e-12 * scale
+    )
 
 
 def reference_manifolds(vals, tol):
