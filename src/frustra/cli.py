@@ -19,13 +19,8 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .spin_core import (
-    Bipartition,
-    SizeLimitError,
-    ValidationError,
-    block_entropy,
-)
-from .models import ModelSpec, build_model, default_initial_state
+from .spin_core import Bipartition, StateVector, ValidationError, block_entropy
+from .models import ModelSpec, build_model, default_initial_state, mg_dimer_states
 from .cooling import (
     GROUND,
     cool,
@@ -56,7 +51,8 @@ _MODEL_KINDS = {
 
 
 def parse_range(text: str) -> list:
-    """Parse "a", "a..b", or "a..b..step" into an inclusive integer list."""
+    """Parse "a", "a..b", or "a..b..step" (step > 0) into an inclusive
+    integer list."""
     parts = text.split("..")
     try:
         nums = [int(p) for p in parts]
@@ -67,7 +63,7 @@ def parse_range(text: str) -> list:
     if len(nums) == 2:
         a, b = nums
         return list(range(a, b + 1))
-    if len(nums) == 3:
+    if len(nums) == 3 and nums[2] > 0:
         a, b, step = nums
         return list(range(a, b + 1, step))
     raise ValidationError(f"bad range {text!r}")
@@ -159,13 +155,11 @@ def cmd_scaling(args) -> int:
                 h = build_model(spec)
                 cut = Bipartition.contiguous(k)
                 if spec.kind == "MajumdarGhosh":
-                    e, _, _ = maximize_cooled_entropy(
-                        h, cut, seed=args.seed, cap=args.dense_cap
-                    )
+                    e, _, _ = maximize_cooled_entropy(h, cut, seed=args.seed)
                     lo, up = mg_bounds(k, n)
                     lower, upper = f"{lo:.12g}", f"{up:.12g}"
                 else:
-                    cooled = cool(h, default_initial_state(spec), cap=args.dense_cap)
+                    cooled = cool(h, default_initial_state(spec))
                     e = block_entropy(cooled.state, cut)
             else:
                 raise ValidationError(
@@ -179,10 +173,10 @@ def cmd_scaling(args) -> int:
 def cmd_cool(args) -> int:
     spec = _spec_from_args(args)
     initial = default_initial_state(spec)
-    thresholds = [GROUND] if args.threshold is None else [float(args.threshold)]
+    thresholds = [GROUND] if args.threshold is None else [args.threshold]
     ks = parse_range(args.k) if args.k else [initial.num_sites // 2]
     cuts = [Bipartition.contiguous(k) for k in ks]
-    reports = cooled_entropy_scan(spec, initial, thresholds, cuts, cap=args.dense_cap)
+    reports = cooled_entropy_scan(spec, initial, thresholds, cuts)
     _emit(args, reports_to_csv(reports))
     return 0
 
@@ -220,6 +214,8 @@ def cmd_interference(args) -> int:
 
 def _d_grid(args):
     lo, hi, step = args.d_min, args.d_max, args.d_step
+    if step <= 0:
+        raise ValidationError("--d-step must be positive")
     n = int(round((hi - lo) / step))
     return [lo + i * step for i in range(n + 1)]
 
@@ -245,13 +241,9 @@ def cmd_bounds_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     results = []
     if spec.kind == "MajumdarGhosh":
-        from .models import mg_dimer_states
-
         gp, gm = mg_dimer_states(spec.m)
         for _ in range(args.samples):
             a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
-            from .spin_core import StateVector
-
             st = StateVector(n, a * gp.amplitudes + b * gm.amplitudes).normalized()
             for k in range(1, n):
                 e = block_entropy(st, Bipartition.contiguous(k))
@@ -264,7 +256,7 @@ def cmd_bounds_check(args) -> int:
                      "ok": bool(lo - 1e-9 <= e <= up + 1e-9)}
                 )
     elif spec.kind == "HeisenbergGasLR":
-        cooled = cool(h, default_initial_state(spec), cap=args.dense_cap)
+        cooled = cool(h, default_initial_state(spec))
         for k in range(1, n):
             cut = Bipartition.contiguous(k)
             e = block_entropy(cooled.state, cut)
@@ -288,7 +280,6 @@ def cmd_bounds_check(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="output file (default stdout)")
-    p.add_argument("--dense-cap", type=int, default=None, dest="dense_cap")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -316,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cool", help="cool a model and report cut entropies")
     _add_model_params(p, ["ising-gas", "heisenberg-gas", "mg", "single-bond"])
     p.add_argument("--k", default=None, help="cut size or range")
-    p.add_argument("--threshold", default=None, help="absolute energy threshold")
+    p.add_argument("--threshold", type=float, default=None, help="absolute energy threshold")
     _add_common(p)
     p.set_defaults(func=cmd_cool)
 
@@ -365,7 +356,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValidationError, SizeLimitError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except MemoryError as exc:

@@ -4,7 +4,8 @@ eigenstates at or below an energy threshold, followed by renormalization.
 The default threshold is the ground manifold (lowest eigenvalue plus the
 degeneracy tolerance).  Operators that are diagonal in the computational
 basis take a fast path that never builds eigenvectors, so Ising-type models
-cool quickly well beyond the dense-diagonalization cap.
+cool quickly well beyond the dense memory budget of ``diagonalize``, which
+every other operator must fit.
 """
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ def _check_initial(h: PauliOperator, initial: StateVector) -> None:
         raise ValidationError("operator and state site counts differ")
 
 
-def _spectrum(h: PauliOperator, cap: int | None):
+def _spectrum(h: PauliOperator):
     """The ascending energies of ``h``, their degeneracy tolerance, and
     ``projector(thr)``: a map from amplitudes to ``(projected amplitudes,
     z)`` for the span of the eigenstates at or below ``thr``.
@@ -79,7 +80,7 @@ def _spectrum(h: PauliOperator, cap: int | None):
             return project
 
     else:
-        dec = diagonalize(h, cap=cap)
+        dec = diagonalize(h)
         energies = dec.eigenvalues
 
         def projector(thr):
@@ -119,7 +120,6 @@ def cool(
     h: PauliOperator,
     initial: StateVector,
     threshold=GROUND,
-    cap: int | None = None,
 ) -> CooledState:
     """Project ``initial`` onto the eigenspaces of ``h`` at or below the
     threshold and renormalize.
@@ -128,11 +128,12 @@ def cool(
     which selects the ground manifold only.  Raises
     OrthogonalInitialStateError when the projection has (numerically) zero
     norm.  The global phase is fixed by making the largest amplitude real
-    positive, so repeated runs serialize identically.  ``cap`` is the dense
-    site cap.
+    positive, so repeated runs serialize identically.  Raises
+    SizeLimitError when ``h`` is not I/Z-only and its diagonalization does
+    not fit the dense memory budget.
     """
     _check_initial(h, initial)
-    energies, tol, projector = _spectrum(h, cap)
+    energies, tol, projector = _spectrum(h)
     thr = _threshold(threshold, energies, tol)
     return _finish(projector(thr), initial, thr, energies, tol)
 
@@ -141,14 +142,13 @@ def cool_excited(
     h: PauliOperator,
     initial: StateVector,
     manifold_count: int,
-    cap: int | None = None,
 ) -> CooledState:
     """Cool into the span of the lowest ``manifold_count`` energy manifolds
     (all of them when there are fewer)."""
     if manifold_count < 1:
         raise ValidationError("manifold_count must be >= 1")
     _check_initial(h, initial)
-    energies, tol, projector = _spectrum(h, cap)
+    energies, tol, projector = _spectrum(h)
     levels = manifolds(energies, tol)
     thr = levels[min(manifold_count, len(levels)) - 1][0] + tol
     return _finish(projector(thr), initial, thr, energies, tol)
@@ -181,18 +181,19 @@ def reports_to_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cooled_entropy_scan(spec, initial, thresholds, cuts, cap: int | None = None) -> list:
+def cooled_entropy_scan(spec, initial, thresholds, cuts) -> list:
     """Cool once per threshold, from one spectrum, and report the block
     entropy for every cut.
 
     Rows come out ordered by (threshold index, cut index), so output is
-    deterministic.  ``cap`` is the dense site cap.
+    deterministic.  The spectrum obeys the dense memory budget, as in
+    ``cool``.
     """
     from .models import build_model
 
     h = build_model(spec)
     _check_initial(h, initial)
-    energies, tol, projector = _spectrum(h, cap)
+    energies, tol, projector = _spectrum(h)
     out = []
     for threshold in thresholds:
         thr = _threshold(threshold, energies, tol)
@@ -219,15 +220,13 @@ def maximize_cooled_entropy(
     cut: Bipartition,
     seed: int = 0,
     restarts: int = 8,
-    maxiter: int = 3000,
-    cap: int | None = None,
 ):
     """Maximize the cooled block entropy over product initial states.
 
     Each site's local state is parametrized by two angles; Nelder-Mead with
     seeded random restarts searches the product family.  Returns the best
-    (entropy, CooledState, initial StateVector) triple found.  ``cap`` is
-    the dense site cap.
+    (entropy, CooledState, initial StateVector) triple found.  The
+    spectrum obeys the dense memory budget, as in ``cool``.
     """
     from scipy.optimize import minimize
 
@@ -235,7 +234,7 @@ def maximize_cooled_entropy(
     cut.validate(n)
     rng = np.random.default_rng(seed)
 
-    energies, tol, projector = _spectrum(h, cap)
+    energies, tol, projector = _spectrum(h)
     thr = _threshold(GROUND, energies, tol)
     ground = projector(thr)
 
@@ -257,7 +256,7 @@ def maximize_cooled_entropy(
             objective,
             x0,
             method="Nelder-Mead",
-            options={"maxiter": maxiter, "fatol": 1e-10, "xatol": 1e-8},
+            options={"maxiter": 3000, "fatol": 1e-10, "xatol": 1e-8},
         )
         if -res.fun > best_val:
             best_val = -res.fun

@@ -99,7 +99,6 @@ def _term_energy_table(op: PauliOperator, configs: np.ndarray) -> np.ndarray:
 def frustration_degree(
     op: PauliOperator,
     mode: str = "classical-vector",
-    tol: float = 1e-9,
 ) -> FrustrationReport:
     """Enumerate classical ground configurations and average the frustration ratio.
 
@@ -120,7 +119,7 @@ def frustration_degree(
     totals = h.diagonal()
     e_min = float(totals.min())
     scale = max(float(np.abs(totals).max()), 1.0)
-    ground = np.flatnonzero(totals <= e_min + tol * scale)
+    ground = np.flatnonzero(totals <= e_min + 1e-9 * scale)
 
     pos = np.empty(len(ground))
     nonpos = np.empty(len(ground))

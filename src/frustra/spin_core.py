@@ -10,13 +10,15 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
-DEFAULT_DENSE_CAP = 14
-ENV_DENSE_CAP = "FRUSTRA_DENSE_CAP"
+# Bytes that dense work may hold: matrices and kept eigenvectors.  Fixed,
+# so that an oversized operator is refused before the allocation rather
+# than by the operating system during it.
+_DENSE_BYTES = 1 << 30
 
 _PAULI_LETTERS = frozenset("IXYZ")
 
@@ -26,7 +28,8 @@ class ValidationError(ValueError):
 
 
 class SizeLimitError(ValidationError):
-    """Raised when a dense operation would exceed the configured site cap."""
+    """Raised before a dense operation whose arrays would exceed the dense
+    memory budget (1 GiB)."""
 
 
 class DegenerateCutError(ValidationError):
@@ -35,20 +38,6 @@ class DegenerateCutError(ValidationError):
 
 class OrthogonalInitialStateError(ValidationError):
     """Raised when an initial state has no support below the cooling threshold."""
-
-
-def dense_cap(override: int | None = None) -> int:
-    """Return the maximum number of sites allowed for dense matrix work.
-
-    Priority: explicit ``override``, then the FRUSTRA_DENSE_CAP environment
-    variable, then the built-in default of 14 sites.
-    """
-    if override is not None:
-        return int(override)
-    env = os.environ.get(ENV_DENSE_CAP)
-    if env is not None:
-        return int(env)
-    return DEFAULT_DENSE_CAP
 
 
 def popcount(idx: np.ndarray) -> np.ndarray:
@@ -160,6 +149,10 @@ def _z_energies(n: int, terms) -> np.ndarray:
     return ((signs(n - lo_bits, hi) @ c) @ signs(lo_bits, lo).T).ravel()
 
 
+def _dtype(op: PauliOperator) -> np.dtype:
+    return np.dtype(float if op.is_real() else complex)
+
+
 def _matrix_elements(op: "PauliOperator", cols: np.ndarray):
     """Yield ``(flip, values)`` with ``values[j] = <cols[j] ^ flip| op |cols[j]>``.
 
@@ -171,7 +164,7 @@ def _matrix_elements(op: "PauliOperator", cols: np.ndarray):
     gathered at ``cols``.  Every other flip sums its terms in term order,
     in float64 unless some term has an odd number of Y letters.
     """
-    dtype = float if op.is_real() else complex
+    dtype = _dtype(op)
     groups: dict[int, list] = {}
     for coeff, string in op.terms:
         mx, my, mz = _term_masks(string)
@@ -368,18 +361,18 @@ class SpectralDecomposition:
         return self.columns(slice(start, stop))
 
 
-def _check_dense_cap(op: PauliOperator, cap: int | None) -> None:
-    limit = dense_cap(cap)
-    if op.num_sites > limit:
+def _check_dense_bytes(needed: int) -> None:
+    if needed > _DENSE_BYTES:
         raise SizeLimitError(
-            f"{op.num_sites} sites exceeds the dense limit of {limit}"
+            f"dense work needs {needed / 2**30:.3g} GiB, "
+            f"over the limit of {_DENSE_BYTES / 2**30:g} GiB"
         )
 
 
 def _block(op: PauliOperator, basis: np.ndarray) -> np.ndarray:
     """Matrix of ``op`` on the span of the ascending indices ``basis``;
     every nonzero element must stay in the span."""
-    h = np.zeros((len(basis), len(basis)), dtype=float if op.is_real() else complex)
+    h = np.zeros((len(basis), len(basis)), _dtype(op))
     for flip, values in _matrix_elements(op, basis):
         nz = np.flatnonzero(values)
         h[np.searchsorted(basis, basis[nz] ^ flip), nz] = values[nz]
@@ -403,27 +396,37 @@ def _sector_bases(op: PauliOperator) -> list:
     return np.split(np.argsort(pop, kind="stable"), np.cumsum(counts)[:-1])
 
 
-def build_dense(op: PauliOperator, cap: int | None = None) -> np.ndarray:
+def build_dense(op: PauliOperator) -> np.ndarray:
     """Dense Hermitian matrix of a PauliOperator, float64 when
     ``op.is_real()`` and complex otherwise.
 
-    Refuses to build matrices beyond the dense site cap; see ``dense_cap``.
+    Raises SizeLimitError, before allocating, when the 4^n elements exceed
+    the dense memory budget.
     """
-    _check_dense_cap(op, cap)
+    _check_dense_bytes(_dtype(op).itemsize << (2 * op.num_sites))
     return _block(op, np.arange(1 << op.num_sites))
 
 
-def diagonalize(op: PauliOperator, cap: int | None = None) -> SpectralDecomposition:
+def diagonalize(op: PauliOperator) -> SpectralDecomposition:
     """Full diagonalization, one total-S^z sector at a time.
 
     Each sector block (or the single whole-space block when ``op`` does not
     conserve S^z) is built from the Pauli terms, in float64 unless some
     term has an odd number of Y letters, and passed to ``eigh``, so an
-    operator that conserves S^z never forms a 2^n x 2^n matrix.  Refuses
-    operators beyond the dense site cap; see ``dense_cap``.
+    operator that conserves S^z never forms a 2^n x 2^n matrix.
+
+    The dense memory budget is checked twice, each time before the
+    allocation it guards.  First on the least any split can need, the
+    float64 sector eigenvectors (sum_k C(n, k)^2 = C(2n, n) elements), so
+    large operators are refused without enumerating 2^n indices.  Then on
+    the actual blocks: every kept eigenvector plus the largest block
+    itself.  A refusal raises SizeLimitError.
     """
-    _check_dense_cap(op, cap)
-    blocks = [(basis, *np.linalg.eigh(_block(op, basis))) for basis in _sector_bases(op)]
+    _check_dense_bytes(8 * comb(2 * op.num_sites, op.num_sites))
+    bases = _sector_bases(op)
+    sizes = [len(basis) ** 2 for basis in bases]
+    _check_dense_bytes(_dtype(op).itemsize * (sum(sizes) + max(sizes)))
+    blocks = [(basis, *np.linalg.eigh(_block(op, basis))) for basis in bases]
     return SpectralDecomposition(blocks, op.num_sites)
 
 

@@ -220,16 +220,25 @@ def test_no_partial_output_on_error(tmp_path):
     assert not out.exists()
 
 
-def test_dense_cap_flag_applies_to_its_own_call_only(tmp_path, monkeypatch):
-    # setenv records the variable as absent, so it is removed after the test
-    monkeypatch.setenv("FRUSTRA_DENSE_CAP", "14")
-    monkeypatch.delenv("FRUSTRA_DENSE_CAP")
-    args = ["cool", "--model", "mg", "--n", "6", "--k", "2"]
-    assert run(args + ["--dense-cap", "4", "--output", str(tmp_path / "a.csv")]) == 2
-    assert "FRUSTRA_DENSE_CAP" not in os.environ
-    assert run(args + ["--output", str(tmp_path / "b.csv")]) == 0
-    scan = ["scaling", "--model", "mg", "--n", "6", "--k", "2", "--source", "ed"]
-    assert run(scan + ["--dense-cap", "4"]) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cool", "--model", "mg", "--n", "6", "--k", "1..5..0"],
+        ["interference", "--d-step", "0"],
+        ["fig1", "--d-step", "0"],
+        ["interference", "--d-step", "-0.1"],
+        ["fig1", "--d-step", "-0.1"],
+        ["cool", "--model", "mg", "--n", "6", "--threshold", "abc"],
+    ],
+    ids=["range-step-0", "interference-step-0", "fig1-step-0",
+         "interference-step-negative", "fig1-step-negative", "threshold-abc"],
+)
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if "error:" in line]) == 1
+    assert not out.exists()
 
 
 def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from frustra import spin_core
+from frustra.cli import main
 from frustra.spin_core import (
     Bipartition,
     DegenerateCutError,
@@ -19,7 +23,7 @@ from frustra.spin_core import (
     product_state,
     von_neumann_entropy,
 )
-from frustra.models import build_ising_gas
+from frustra.models import build_heisenberg_gas, build_ising_gas, build_mg_chain
 
 
 def test_pauli_text_roundtrip():
@@ -69,8 +73,87 @@ def test_build_dense_size_limit():
     op = PauliOperator(15, ((1.0, "Z" + "I" * 14),))
     with pytest.raises(SizeLimitError):
         build_dense(op)
-    # explicit cap override allows it in principle but we stay small here
-    build_dense(PauliOperator(3, ((1.0, "ZII"),)), cap=3)
+
+
+@pytest.fixture
+def forbid(monkeypatch):
+    """Replace named ``spin_core`` functions by stubs that record their
+    calls and raise, so that a missing budget check fails at once instead
+    of allocating gigabytes or waiting on ``eigh``."""
+    calls = []
+
+    def install(*names):
+        for name in names:
+            def stub(*args, name=name, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called")
+
+            monkeypatch.setattr(spin_core, name, stub)
+        return calls
+
+    return install
+
+
+def _pair_chain(n, pair):
+    """Open chain of ``pair`` couplings (e.g. "XX") on neighbouring sites."""
+    return PauliOperator(
+        n, tuple((1.0, "I" * i + pair + "I" * (n - 2 - i)) for i in range(n - 1))
+    )
+
+
+@pytest.mark.parametrize("pair", ["XX", "XY"])
+def test_diagonalize_refuses_n14_whole_space_before_building(forbid, pair):
+    # XX and XY couple |00> to |11>, so there is one 2^14 block: 2 GiB of
+    # eigenvectors (4 GiB complex) plus the block itself
+    op = _pair_chain(14, pair)
+    assert op.is_real() == (pair == "XX")
+    calls = forbid("_block")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="GiB"):
+            diagonalize(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 8 << 20
+
+
+def test_diagonalize_refuses_n16_sectors_before_enumerating(forbid):
+    # even the float64 sector eigenvectors, C(32, 16) of them, need 4.5 GiB
+    calls = forbid("_sector_bases", "_block")
+    with pytest.raises(SizeLimitError):
+        diagonalize(build_heisenberg_gas(8))
+    assert calls == []
+
+
+def test_diagonalize_counts_complex_items_at_16_bytes(forbid):
+    # 2^26 complex eigenvector elements (1 GiB) plus the 1 GiB block; at
+    # 8 bytes an item the two would just fit the budget
+    op = _pair_chain(13, "XY")
+    calls = forbid("_block")
+    with pytest.raises(SizeLimitError):
+        diagonalize(op)
+    assert calls == []
+
+
+def test_diagonalize_admits_n14_sector_blocks(forbid):
+    # the MG ring at n=14 needs 0.32 GB of sector eigenvectors plus a
+    # 3432 x 3432 block, so it passes both checks and reaches _block
+    calls = forbid("_block")
+    with pytest.raises(AssertionError, match="_block called"):
+        diagonalize(build_mg_chain(7))
+    assert calls == ["_block"]
+
+
+def test_cli_cool_past_budget_exits_2(forbid, capsys):
+    forbid("_sector_bases", "_block")
+    code = main(["cool", "--model", "heisenberg-gas", "--n", "16", "--k", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""
 
 
 def test_diagonalize_single_site():
