@@ -51,8 +51,8 @@ _MODEL_KINDS = {
 
 
 def parse_range(text: str) -> list:
-    """Parse "a", "a..b", or "a..b..step" (step > 0) into an inclusive
-    integer list."""
+    """Parse "a", "a..b", or "a..b..step" (a <= b, step > 0) into an
+    inclusive integer list."""
     parts = text.split("..")
     try:
         nums = [int(p) for p in parts]
@@ -61,9 +61,8 @@ def parse_range(text: str) -> list:
     if len(nums) == 1:
         return nums
     if len(nums) == 2:
-        a, b = nums
-        return list(range(a, b + 1))
-    if len(nums) == 3 and nums[2] > 0:
+        nums.append(1)
+    if len(nums) == 3 and nums[0] <= nums[1] and nums[2] > 0:
         a, b, step = nums
         return list(range(a, b + 1, step))
     raise ValidationError(f"bad range {text!r}")
@@ -216,6 +215,8 @@ def _d_grid(args):
     lo, hi, step = args.d_min, args.d_max, args.d_step
     if step <= 0:
         raise ValidationError("--d-step must be positive")
+    if hi < lo:
+        raise ValidationError("--d-max must not be below --d-min")
     n = int(round((hi - lo) / step))
     return [lo + i * step for i in range(n + 1)]
 
@@ -223,6 +224,8 @@ def _d_grid(args):
 def cmd_fig1(args) -> int:
     grid = _d_grid(args)
     outdir = args.output or "."
+    if os.path.exists(outdir) and not os.path.isdir(outdir):
+        raise ValidationError(f"--output {outdir!r} is a file; fig1 writes a directory")
     os.makedirs(outdir, exist_ok=True)
     outputs = {}
     for shape in ("square", "horizontal"):

@@ -376,7 +376,7 @@ def single_bond_cooled_state(m: int) -> StateVector:
         pattern = (1 << (b + 1)) - 1
         configs.add(pattern)
         configs.add(pattern ^ ((1 << n) - 1))
-    amps = np.zeros(1 << n, dtype=complex)
+    amps = np.zeros(1 << n)
     weight = 1.0 / (2.0 * math.sqrt(m))
     for c in configs:
         amps[c] = weight

@@ -19,6 +19,8 @@ from .spin_core import (
     PauliOperator,
     StateVector,
     ValidationError,
+    _check_dense_bytes,
+    _dtype,
     block_entropy,
     degeneracy_tol,
     diagonalize,
@@ -64,7 +66,10 @@ def _spectrum(h: PauliOperator):
 
     I/Z-only operators project by mask on the diagonal and never build
     eigenvectors; others go through ``diagonalize`` and embed the kept
-    eigenvectors once per threshold.
+    eigenvectors once per threshold, after checking their 2^n x kept
+    elements against the dense memory budget.  Both keep the dtype of
+    real amplitudes: the mask copies them, and the eigenvectors of a real
+    operator are real.
     """
     if h.is_diagonal():
         diag = h.diagonal()
@@ -84,7 +89,9 @@ def _spectrum(h: PauliOperator):
         energies = dec.eigenvalues
 
         def projector(thr):
-            v = dec.columns(energies <= thr)
+            kept = energies <= thr
+            _check_dense_bytes(_dtype(h).itemsize * int(kept.sum()) << h.num_sites)
+            v = dec.columns(kept)
 
             def project(amps):
                 coeffs = v.conj().T @ amps
@@ -129,8 +136,9 @@ def cool(
     OrthogonalInitialStateError when the projection has (numerically) zero
     norm.  The global phase is fixed by making the largest amplitude real
     positive, so repeated runs serialize identically.  Raises
-    SizeLimitError when ``h`` is not I/Z-only and its diagonalization does
-    not fit the dense memory budget.
+    SizeLimitError when ``h`` is not I/Z-only and its diagonalization, or
+    the kept eigenvectors embedded in the full space, do not fit the dense
+    memory budget.
     """
     _check_initial(h, initial)
     energies, tol, projector = _spectrum(h)

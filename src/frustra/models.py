@@ -255,7 +255,7 @@ def dimer_product_state(num_sites: int, pairs) -> StateVector:
     covered = [s for p in pairs for s in p]
     if len(set(covered)) != len(covered):
         raise ValidationError("dimer pairs overlap")
-    amps = np.zeros(1 << num_sites, dtype=complex)
+    amps = np.zeros(1 << num_sites)
     pairs = list(pairs)
     w = (1.0 / math.sqrt(2.0)) ** len(pairs)
     for choice in itertools.product((0, 1), repeat=len(pairs)):

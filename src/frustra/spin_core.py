@@ -45,15 +45,27 @@ def popcount(idx: np.ndarray) -> np.ndarray:
     return np.bitwise_count(np.asarray(idx, dtype=np.int64))
 
 
+def _amplitude_array(values) -> np.ndarray:
+    """``values`` as float64 when they are real (bool, int or float) and
+    as complex128 when they are complex."""
+    values = np.asarray(values)
+    return values.astype(complex if values.dtype.kind == "c" else float, copy=False)
+
+
 @dataclass(frozen=True)
 class StateVector:
-    """A pure state of ``num_sites`` spin-1/2 sites as a dense amplitude array."""
+    """A pure state of ``num_sites`` spin-1/2 sites as a dense amplitude array.
+
+    The dtype follows the data: real amplitudes (bool, int or float) are
+    stored as float64 and complex ones as complex128, so a real state keeps
+    its Schmidt spectra in real arithmetic.
+    """
 
     num_sites: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = _amplitude_array(self.amplitudes)
         if amps.shape != (1 << self.num_sites,):
             raise ValidationError(
                 f"amplitude array must have length 2^{self.num_sites}, "
@@ -450,7 +462,8 @@ def schmidt_matrix(state: StateVector, cut: Bipartition) -> np.ndarray:
 
 def schmidt_weights(a: np.ndarray) -> np.ndarray:
     """Squared singular values of ``a``, ascending: the eigenvalues of the
-    Gram matrix of its smaller side."""
+    Gram matrix of its smaller side.  The Gram matrix and ``eigvalsh`` run
+    in the dtype of ``a``: float64 for a real state, complex128 otherwise."""
     gram = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
     return np.linalg.eigvalsh(gram)
 
@@ -506,12 +519,19 @@ def product_state(per_site) -> StateVector:
     """Normalized tensor product of single-site amplitude pairs.
 
     ``per_site[i]`` gives (amplitude of |0>, amplitude of |1>) for site i;
-    an (n, 2) array works as well as a list of pairs.
+    an (n, 2) array works as well as a list of pairs.  The state is
+    float64 when every pair is real and complex128 when any pair is
+    complex; then every pair is cast to complex before it is normalized.
     """
-    psi = np.array([1.0 + 0j])
+    try:
+        dtype = _amplitude_array(per_site).dtype
+    except (TypeError, ValueError):
+        # ragged or non-numeric input: the loop names the first bad site
+        dtype = np.dtype(complex)
+    psi = np.ones(1, dtype)
     for i, pair in enumerate(per_site):
         try:
-            v = np.asarray(pair, dtype=complex)
+            v = np.asarray(pair, dtype=dtype)
         except ValueError as exc:
             raise ValidationError(f"site {i} local state is malformed") from exc
         norm = np.linalg.norm(v)
@@ -524,6 +544,6 @@ def product_state(per_site) -> StateVector:
 
 
 def basis_state(num_sites: int, index: int) -> StateVector:
-    amps = np.zeros(1 << num_sites, dtype=complex)
+    amps = np.zeros(1 << num_sites)
     amps[index] = 1.0
     return StateVector(num_sites, amps)

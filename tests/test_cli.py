@@ -229,16 +229,27 @@ def test_no_partial_output_on_error(tmp_path):
         ["interference", "--d-step", "-0.1"],
         ["fig1", "--d-step", "-0.1"],
         ["cool", "--model", "mg", "--n", "6", "--threshold", "abc"],
+        ["fig1"],
+        ["cool", "--model", "mg", "--n", "6", "--k", "5..2"],
+        ["interference", "--d-min", "0.9", "--d-max", "0.1"],
     ],
     ids=["range-step-0", "interference-step-0", "fig1-step-0",
-         "interference-step-negative", "fig1-step-negative", "threshold-abc"],
+         "interference-step-negative", "fig1-step-negative", "threshold-abc",
+         "fig1-output-is-a-file", "range-descending", "interference-d-reversed"],
 )
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     out = tmp_path / "out"
+    if argv == ["fig1"]:
+        # fig1 writes a directory; an existing file there must stay as it is
+        out.write_text("kept\n")
     assert run(argv + ["--output", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len([line for line in err if "error:" in line]) == 1
-    assert not out.exists()
+    if argv == ["fig1"]:
+        assert out.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [out]
+    else:
+        assert not out.exists()
 
 
 def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):

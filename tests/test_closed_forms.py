@@ -10,11 +10,14 @@ from frustra.spin_core import (
     ValidationError,
     block_entropy,
     partial_trace,
+    schmidt_matrix,
+    schmidt_weights,
     shannon_entropy,
 )
 from frustra.models import (
     ModelSpec,
     build_heisenberg_gas,
+    build_model,
     build_single_bond_ising,
     default_initial_state,
     shastry_dimer_state,
@@ -280,3 +283,46 @@ def test_single_bond_state_matches_ed_cooling():
         spec = ModelSpec(kind="SingleBondIsing", m=m)
         cooled = cool(h, default_initial_state(spec))
         assert cooled.state.fidelity(single_bond_cooled_state(m)) >= 1 - 1e-10
+
+
+# ------------------------------------------- closed forms against ED cooling
+# Each closed form against the ED-cooled state of its model on every grid
+# point small enough for exact diagonalization.
+
+
+@pytest.mark.parametrize(
+    "m,j", [(m, j) for m in range(1, 7) for j in range(m + 1)]
+)
+def test_ising_gas_cooled_entropies_equal_dicke_closed_form(m, j):
+    spec = ModelSpec(kind="IsingGasLR", m=m, lam=j / m)
+    cooled = cool(build_model(spec), default_initial_state(spec))
+    for k in range(1, 2 * m):
+        e = block_entropy(cooled.state, Bipartition.contiguous(k))
+        assert e == pytest.approx(ising_gas_rho_k(m, j / m, k).entropy(), abs=1e-10)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_single_bond_cooled_entropies_equal_closed_form_state(m):
+    spec = ModelSpec(kind="SingleBondIsing", m=m)
+    cooled = cool(build_model(spec), default_initial_state(spec))
+    exact = single_bond_cooled_state(m)
+    n = 2 * m
+    for k in range(1, n):
+        for offset in range(n):
+            cut = Bipartition.contiguous(k, offset, n)
+            assert block_entropy(cooled.state, cut) == pytest.approx(
+                block_entropy(exact, cut), abs=1e-10)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_heisenberg_gas_cooled_spectra_equal_closed_form(m):
+    # the cut holds k black sites, which start in |0>; the white ones in |+>
+    spec = ModelSpec(kind="HeisenbergGasLR", m=m)
+    cooled = cool(build_model(spec), default_initial_state(spec))
+    for k in range(1, m + 1):
+        _, spectrum = heisenberg_gas_schmidt_state(m, k)
+        a = schmidt_matrix(cooled.state, Bipartition.contiguous(k))
+        ed = np.sort(schmidt_weights(a))[::-1]
+        expected = np.zeros(len(ed))
+        expected[: len(spectrum)] = sorted(spectrum, reverse=True)
+        np.testing.assert_allclose(ed, expected, rtol=0, atol=1e-10)

@@ -17,6 +17,7 @@ from frustra.models import (
     ModelSpec,
     build_ising_gas,
     build_mg_chain,
+    build_model,
     default_initial_state,
 )
 from frustra.closed_forms import ising_gas_rho_k
@@ -263,6 +264,36 @@ def test_cool_is_idempotent_and_phase_fixed(case):
     for cooled in (once, twice):
         top = largest_amplitude(cooled.state)
         assert top.real > 0 and abs(top.imag) <= 1e-15 * top.real
+
+
+# every I/Z model, and the two models whose default initial state is real
+REAL_COOLING_SPECS = [
+    ModelSpec(kind="IsingGasLR", m=3, lam=1 / 3),
+    ModelSpec(kind="IsingGasLR", m=3, sign="unfrustrated"),
+    ModelSpec(kind="SingleBondIsing", m=3),
+    ModelSpec(kind="SingleBondIsing", m=3, sign="unfrustrated"),
+    ModelSpec(kind="RVBPlaquette", m=5, flipped_bond=2),
+    ModelSpec(kind="MajumdarGhosh", m=4),
+    ModelSpec(kind="HeisenbergGasLR", m=3),
+]
+
+
+@given(st.sampled_from(REAL_COOLING_SPECS), st.floats(0.2, 2.0),
+       st.floats(0.2, 2.0) | st.floats(-2.0, -0.2))
+def test_cool_keeps_real_states_real(spec, alpha, beta):
+    h = build_model(spec)
+    n = h.num_sites
+    initial = default_initial_state(spec, alpha, beta).normalized()
+    as_complex = StateVector(n, initial.amplitudes.astype(complex))
+    cuts = [Bipartition.contiguous(k) for k in range(1, n)] + [Bipartition((0, 2, n - 1))]
+    for run in (lambda s: cool(h, s), lambda s: cool_excited(h, s, 2)):
+        real, cplx = run(initial), run(as_complex)
+        assert initial.amplitudes.dtype == real.state.amplitudes.dtype == np.float64
+        assert cplx.state.amplitudes.dtype == np.complex128
+        assert real.z == pytest.approx(cplx.z, abs=1e-12)
+        for cut in cuts:
+            assert block_entropy(real.state, cut) == pytest.approx(
+                block_entropy(cplx.state, cut), abs=1e-12)
 
 
 def test_case1_cooled_matches_dicke_construction():

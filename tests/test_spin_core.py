@@ -11,6 +11,7 @@ from frustra.spin_core import (
     DegenerateCutError,
     PauliOperator,
     SizeLimitError,
+    SpectralDecomposition,
     StateVector,
     ValidationError,
     basis_state,
@@ -23,7 +24,14 @@ from frustra.spin_core import (
     product_state,
     von_neumann_entropy,
 )
-from frustra.models import build_heisenberg_gas, build_ising_gas, build_mg_chain
+from frustra.cooling import cool
+from frustra.models import (
+    ModelSpec,
+    build_heisenberg_gas,
+    build_ising_gas,
+    build_mg_chain,
+    default_initial_state,
+)
 
 
 def test_pauli_text_roundtrip():
@@ -154,6 +162,28 @@ def test_cli_cool_past_budget_exits_2(forbid, capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert captured.out == ""
+
+
+def test_cool_counts_embedded_columns_in_budget(monkeypatch):
+    # the n=8 MG ring's sector eigenvectors plus its largest block need
+    # 142 kB; its 2 ground columns embedded in the full space need 4 kB,
+    # all 256 of them 512 kB
+    monkeypatch.setattr(spin_core, "_DENSE_BYTES", 300_000)
+    calls = []
+    columns = SpectralDecomposition.columns
+
+    def counting_columns(self, select):
+        calls.append(select)
+        return columns(self, select)
+
+    monkeypatch.setattr(SpectralDecomposition, "columns", counting_columns)
+    h = build_mg_chain(4)
+    initial = default_initial_state(ModelSpec(kind="MajumdarGhosh", m=4))
+    assert cool(h, initial).num_retained == 2
+    assert len(calls) == 1
+    with pytest.raises(SizeLimitError, match="GiB"):
+        cool(h, initial, threshold=1000)
+    assert len(calls) == 1
 
 
 def test_diagonalize_single_site():

@@ -1,5 +1,6 @@
 """Differential and property tests of the state layer: the Schmidt split,
-block entropy and product states.
+block entropy, product states and the dtype rule (real amplitudes are
+held as float64, complex ones as complex128).
 
 The references are the direct forms: a Schmidt matrix filled one basis
 index at a time, entropies from a full SVD, product states by np.kron.
@@ -134,3 +135,62 @@ def test_known_states_have_whole_bit_entropies(case, data):
     assert block_entropy(_ghz(n), cut) == pytest.approx(1.0, abs=1e-12)
     split = (i in sites) != (j in sites)
     assert block_entropy(singlet, cut) == pytest.approx(float(split), abs=1e-12)
+
+
+@given(st.integers(0, 6), st.sampled_from(["bool", "int64", "float32", "float64",
+                                          "complex64", "complex128"]), st.data())
+def test_state_vector_dtype_follows_data(n, dtype, data):
+    values = data.draw(st.lists(st.integers(-3, 3), min_size=1 << n, max_size=1 << n))
+    amps = np.array(values).astype(dtype)
+    state = StateVector(n, amps)
+    complex_input = np.dtype(dtype).kind == "c"
+    assert state.amplitudes.dtype == (np.complex128 if complex_input else np.float64)
+    assert np.array_equal(state.amplitudes, amps)
+    assert StateVector(n, values).amplitudes.dtype == np.float64
+    assert StateVector(n, values[:-1] + [1j]).amplitudes.dtype == np.complex128
+
+
+real_numbers = st.one_of(st.booleans(), st.integers(-5, 5), st.floats(-10, 10))
+real_pairs = st.tuples(real_numbers, real_numbers).filter(
+    lambda v: math.hypot(v[0], v[1]) > 1e-3
+)
+
+
+@given(st.lists(real_pairs, max_size=6), st.lists(site_pairs, min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+def test_product_state_dtype_follows_pairs(real, complex_pairs, random):
+    got = product_state(real)
+    assert got.amplitudes.dtype == np.float64
+    np.testing.assert_allclose(got.amplitudes, reference_product(real), rtol=0, atol=1e-15)
+    mixed = real + complex_pairs
+    random.shuffle(mixed)
+    got = product_state(mixed)
+    # any complex pair makes every pair complex, with the reference's arithmetic
+    assert got.amplitudes.dtype == np.complex128
+    assert np.array_equal(got.amplitudes, reference_product(mixed))
+
+
+@st.composite
+def real_states_and_cuts(draw):
+    """A real normalized state on 2..10 sites, some amplitudes zero, and a
+    contiguous (wrapping) or arbitrary cut."""
+    n = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=1 << n)
+    amps[rng.random(1 << n) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+    amps[rng.integers(1 << n)] = 1.0
+    k = draw(st.integers(1, n - 1))
+    if draw(st.booleans()):
+        cut = Bipartition.contiguous(k, draw(st.integers(0, n - 1)), n)
+    else:
+        cut = Bipartition(tuple(draw(st.permutations(range(n)))[:k]))
+    return StateVector(n, amps / np.linalg.norm(amps)), cut
+
+
+@given(real_states_and_cuts())
+def test_real_state_entropy_equals_complex_cast(case):
+    state, cut = case
+    assert state.amplitudes.dtype == np.float64
+    as_complex = StateVector(state.num_sites, state.amplitudes.astype(complex))
+    assert as_complex.amplitudes.dtype == np.complex128
+    assert block_entropy(state, cut) == pytest.approx(block_entropy(as_complex, cut), abs=1e-12)
