@@ -107,23 +107,29 @@ def _emit(args, text: str) -> None:
     _write_manifest(args, args.output + ".manifest.json", {"main": os.path.abspath(args.output)})
 
 
+def _m_from_args(args, kind: str) -> int:
+    """The model's m from --n (an even site count; the lattice size L for
+    shastry) or from --m."""
+    try:
+        n, m = (None if v is None else int(v) for v in (args.n, args.m))
+    except ValueError as exc:
+        raise ValidationError(f"--m and --n take an integer: {exc}") from None
+    if n is None:
+        if m is None:
+            raise ValidationError("need --m or --n")
+        return m
+    if kind == "ShastrySutherland":
+        return n
+    if n % 2:
+        raise ValidationError("--n (site count) must be even")
+    return n // 2
+
+
 def _spec_from_args(args) -> ModelSpec:
     kind = _MODEL_KINDS[args.model]
-    if args.n is not None:
-        n = int(args.n)
-        if kind == "ShastrySutherland":
-            m = n
-        else:
-            if n % 2:
-                raise ValidationError("--n (site count) must be even")
-            m = n // 2
-    elif args.m is not None:
-        m = int(args.m)
-    else:
-        raise ValidationError("need --m or --n")
     return ModelSpec(
         kind=kind,
-        m=m,
+        m=_m_from_args(args, kind),
         lam=args.lam,
         j1=args.j1,
         j2=args.j2,
@@ -189,11 +195,11 @@ def cmd_frustration(args) -> int:
 
 def cmd_interference(args) -> int:
     if args.model == "heisenberg-gas":
-        spec = _spec_from_args(args)
-        ks = parse_range(args.k) if args.k else list(range(1, spec.m + 1))
+        m = _m_from_args(args, "HeisenbergGasLR")
+        ks = parse_range(args.k) if args.k else list(range(1, m + 1))
         rows = []
         for k in ks:
-            rep = covering_interference(spec.m, k)
+            rep = covering_interference(m, k)
             rows.append(
                 {
                     "k": k,
@@ -323,10 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="rvb", choices=["rvb", "heisenberg-gas"])
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", default=None)
-    p.add_argument("--lambda", type=float, default=0.0, dest="lam")
-    p.add_argument("--j1", type=float, default=1.0)
-    p.add_argument("--j2", type=float, default=0.5)
-    p.add_argument("--sign", default="frustrated")
     p.add_argument("--k", default=None)
     p.add_argument("--shape", default="square", choices=["square", "horizontal", "vertical"])
     p.add_argument("--d-min", type=float, default=0.02)

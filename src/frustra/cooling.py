@@ -94,7 +94,8 @@ def _spectrum(h: PauliOperator):
             v = dec.columns(kept)
 
             def project(amps):
-                coeffs = v.conj().T @ amps
+                # conjugating amps, not the kept columns, copies no column
+                coeffs = (v.T @ amps.conj()).conj()
                 return v @ coeffs, float(np.vdot(coeffs, coeffs).real)
 
             return project

@@ -4,15 +4,16 @@ The functional works on the Ising limit of the operator: every non-identity
 Pauli letter becomes Z, constants are dropped, and isotropic Heisenberg
 XX+YY+ZZ triples collapse to a single Z...Z term with the shared
 coefficient (the classical collinear-vector reading).  All classical ground
-configurations of the resulting diagonal operator are enumerated (its
-``diagonal()`` gives the energy of every configuration at once); for each,
+configurations of the resulting diagonal operator are enumerated; for each,
 the positive-energy terms are the frustrated ones, and
 
     F = Av over ground configs of (sum of positive term energies)
         / |sum of nonpositive term energies|.
 
-Only the ground configurations get a per-term energy table, built in
-blocks of rows so that its memory stays bounded.
+No per-term energies are needed.  A term c s (s = +-1) adds
+(|c| + c s)/2 to the positive sum and (c s - |c|)/2 to the other, so a
+configuration of energy E has ratio (A + E)/(A - E) with A = sum |c|, and
+the energies of all 2^n configurations are the operator's ``diagonal()``.
 """
 from __future__ import annotations
 
@@ -21,12 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spin_core import PauliOperator, ValidationError, _term_masks, popcount
+from .spin_core import PauliOperator, ValidationError
 
 ENUMERATION_CAP = 24
-# Ground configurations per block of the term-energy table; each row sums
-# on its own, so the block size changes memory, never the result.
-_GROUND_ROWS = 1 << 12
 
 
 class InternalConsistencyError(RuntimeError):
@@ -37,7 +35,6 @@ class InternalConsistencyError(RuntimeError):
 class FrustrationReport:
     value: float
     num_ground_configs: int
-    per_config_ratios: tuple
     mode: str
     closed_form: float | None = None
 
@@ -53,91 +50,67 @@ class FrustrationReport:
         )
 
 
-def ising_limit(op: PauliOperator, collapse_isotropic: bool = True) -> PauliOperator:
+def ising_limit(op: PauliOperator) -> PauliOperator:
     """Classical Ising limit of a Pauli operator.
 
-    Identity-only terms are removed.  With ``collapse_isotropic`` (the
-    classical-vector reading), any group of three terms on the same sites
-    with the same coefficient and uniform letters X, Y, Z collapses to one
-    Z-string at that shared coefficient.
+    Identity-only terms are removed.  Any group of three terms on the same
+    sites with the same coefficient and uniform letters X, Y, Z (the
+    classical-vector reading) collapses to one Z-string at that shared
+    coefficient; every other letter becomes Z.
     """
     n = op.num_sites
-    remaining = list(op.terms)
-    collapsed = []
-    if collapse_isotropic:
-        buckets: dict[tuple, dict[str, float]] = {}
-        for coeff, s in remaining:
-            support = tuple(i for i, ch in enumerate(s) if ch != "I")
-            letters = {s[i] for i in support}
-            if len(letters) == 1 and support:
-                buckets.setdefault((support, coeff), {})[letters.pop()] = coeff
-        consumed = set()
-        for (support, coeff), by_letter in buckets.items():
-            if set(by_letter) == {"X", "Y", "Z"}:
-                z_string = "".join("Z" if i in support else "I" for i in range(n))
-                collapsed.append((coeff, z_string))
-                for letter in "XYZ":
-                    s = "".join(letter if i in support else "I" for i in range(n))
-                    consumed.add((coeff, s))
-        remaining = [t for t in remaining if t not in consumed]
-    terms = list(collapsed)
-    for coeff, s in remaining:
+    buckets: dict[tuple, dict[str, float]] = {}
+    for coeff, s in op.terms:
+        support = tuple(i for i, ch in enumerate(s) if ch != "I")
+        letters = {s[i] for i in support}
+        if len(letters) == 1 and support:
+            buckets.setdefault((support, coeff), {})[letters.pop()] = coeff
+    terms = []
+    consumed = set()
+    for (support, coeff), by_letter in buckets.items():
+        if set(by_letter) == {"X", "Y", "Z"}:
+            terms.append((coeff, "".join("Z" if i in support else "I" for i in range(n))))
+            for letter in "XYZ":
+                s = "".join(letter if i in support else "I" for i in range(n))
+                consumed.add((coeff, s))
+    for coeff, s in op.terms:
         z_string = "".join("Z" if ch != "I" else "I" for ch in s)
-        if set(z_string) == {"I"}:
-            continue  # constant term
+        if (coeff, s) in consumed or set(z_string) == {"I"}:
+            continue  # collapsed into a triple, or a constant term
         terms.append((coeff, z_string))
     return PauliOperator(n, tuple(terms))
 
 
-def _term_energy_table(op: PauliOperator, configs: np.ndarray) -> np.ndarray:
-    """Energies of every Z-term in every configuration: shape (nconf, nterms)."""
-    coeffs = np.array([c for c, _ in op.terms])
-    masks = np.array([_term_masks(s)[2] for _, s in op.terms], dtype=np.int64)
-    return coeffs * (1.0 - 2.0 * (popcount(configs[:, None] & masks) & 1))
-
-
-def frustration_degree(
-    op: PauliOperator,
-    mode: str = "classical-vector",
-) -> FrustrationReport:
+def frustration_degree(op: PauliOperator) -> FrustrationReport:
     """Enumerate classical ground configurations and average the frustration ratio.
 
-    ``mode`` selects the Ising-limit reading: "classical-vector" collapses
-    isotropic triples, "ising" replaces letters one for one.  Both coincide
-    for operators that are already diagonal.
+    The report's ``mode`` names the reading: "ising" for an operator that is
+    already diagonal, "classical-vector" for one whose isotropic triples
+    collapse.  A ground configuration within the ground tolerance of -A
+    satisfies every term, and its ratio is exactly 0.
     """
-    if mode not in ("ising", "classical-vector"):
-        raise ValidationError(f"unknown mode {mode!r}")
     if op.num_sites > ENUMERATION_CAP:
         raise ValidationError(
             f"{op.num_sites} sites exceeds the enumeration cap of {ENUMERATION_CAP}"
         )
-    h = ising_limit(op, collapse_isotropic=(mode == "classical-vector"))
+    h = ising_limit(op)
     if not h.terms:
         raise ValidationError("Ising limit has no terms")
 
     totals = h.diagonal()
     e_min = float(totals.min())
-    scale = max(float(np.abs(totals).max()), 1.0)
-    ground = np.flatnonzero(totals <= e_min + 1e-9 * scale)
-
-    pos = np.empty(len(ground))
-    nonpos = np.empty(len(ground))
-    for start in range(0, len(ground), _GROUND_ROWS):
-        rows = slice(start, start + _GROUND_ROWS)
-        tab = _term_energy_table(h, ground[rows])
-        pos[rows] = np.where(tab > 0.0, tab, 0.0).sum(axis=1)
-        nonpos[rows] = np.where(tab <= 0.0, tab, 0.0).sum(axis=1)
-    if np.any(np.abs(nonpos) < 1e-12):
+    tol = 1e-9 * max(float(np.abs(totals).max()), 1.0)
+    ground = totals[totals <= e_min + tol]
+    a = float(np.abs([c for c, _ in h.terms]).sum())
+    if np.any(a - ground < 2e-12):
         raise InternalConsistencyError(
             "nonpositive-energy sum vanished on a ground configuration"
         )
-    ratios = pos / np.abs(nonpos)
+    ratios = np.where(a + ground <= tol, 0.0, (a + ground) / (a - ground))
     return FrustrationReport(
         value=float(ratios.mean()),
         num_ground_configs=int(len(ground)),
-        per_config_ratios=tuple(float(r) for r in ratios),
-        mode=mode,
+        mode="ising" if op.is_diagonal() else "classical-vector",
     )
 
 
@@ -164,9 +137,7 @@ def frustration_degree_model(spec) -> FrustrationReport:
     where one is known."""
     from .models import build_model
 
-    h = build_model(spec)
-    mode = "ising" if h.is_diagonal() else "classical-vector"
-    rep = frustration_degree(h, mode=mode)
+    rep = frustration_degree(build_model(spec))
     closed = None
     if spec.kind == "IsingGasLR" and spec.sign == "frustrated":
         closed = ising_gas_frustration_formula(spec.m, spec.lam)

@@ -232,10 +232,14 @@ def test_no_partial_output_on_error(tmp_path):
         ["fig1"],
         ["cool", "--model", "mg", "--n", "6", "--k", "5..2"],
         ["interference", "--d-min", "0.9", "--d-max", "0.1"],
+        ["interference", "--j1", "2"],
+        ["frustration", "--model", "mg", "--n", "7x"],
+        ["cool", "--model", "mg", "--m", "abc"],
     ],
     ids=["range-step-0", "interference-step-0", "fig1-step-0",
          "interference-step-negative", "fig1-step-negative", "threshold-abc",
-         "fig1-output-is-a-file", "range-descending", "interference-d-reversed"],
+         "fig1-output-is-a-file", "range-descending", "interference-d-reversed",
+         "interference-j1-unknown", "n-not-integer", "m-not-integer"],
 )
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     out = tmp_path / "out"

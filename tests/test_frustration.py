@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from frustra import frustration
-from frustra.spin_core import PauliOperator
+from frustra.spin_core import PauliOperator, _term_masks, popcount
 from frustra.models import (
     ModelSpec,
     build_heisenberg_gas,
@@ -84,20 +85,12 @@ def test_case1_formula_exact_over_grid():
 
 
 def test_ising_gas_n22_matches_formula():
-    # 170,544 ground configurations, many blocks of the ground term table
+    # 170,544 ground configurations
     rep = frustration_degree(build_ising_gas(11, 4.0 / 11.0))
     assert rep.num_ground_configs == 170_544
     assert rep.value == pytest.approx(
         ising_gas_frustration_formula(11, 4.0 / 11.0), abs=1e-12
     )
-
-
-@pytest.mark.parametrize("rows", [1, 7, 1 << 20])
-def test_ground_table_block_size_leaves_report_unchanged(monkeypatch, rows):
-    op = build_ising_gas(5, 0.4)
-    want = frustration_degree(op)
-    monkeypatch.setattr(frustration, "_GROUND_ROWS", rows)
-    assert frustration_degree(op) == want
 
 
 def test_shastry_sutherland_dimer_regime():
@@ -116,12 +109,92 @@ def test_scaling_invariance():
     assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_ratios_nonnegative_and_average():
-    rep = frustration_degree(build_ising_gas(3, 0.0))
-    assert all(r >= 0 for r in rep.per_config_ratios)
-    assert rep.value == pytest.approx(
-        sum(rep.per_config_ratios) / len(rep.per_config_ratios)
-    )
+def _table_frustration(op):
+    """Reference F: a table of every term's energy in every ground
+    configuration, split by sign and summed row by row."""
+    h = ising_limit(op)
+    totals = h.diagonal()
+    e_min = float(totals.min())
+    scale = max(float(np.abs(totals).max()), 1.0)
+    ground = np.flatnonzero(totals <= e_min + 1e-9 * scale)
+    coeffs = np.array([c for c, _ in h.terms])
+    masks = np.array([_term_masks(s)[2] for _, s in h.terms], dtype=np.int64)
+    tab = coeffs * (1.0 - 2.0 * (popcount(ground[:, None] & masks) & 1))
+    pos = np.where(tab > 0.0, tab, 0.0).sum(axis=1)
+    nonpos = np.where(tab <= 0.0, tab, 0.0).sum(axis=1)
+    return float((pos / np.abs(nonpos)).mean()), len(ground)
+
+
+# Nonzero half-integers sum exactly; signed floats keep |c| >= 1/8, so a
+# frustrated term lifts its configuration far above the 1e-9 ground
+# tolerance that both readings share.
+_coeffs = st.one_of(
+    st.integers(1, 8).map(lambda k: k / 2),
+    st.floats(0.125, 4.0, allow_nan=False),
+).flatmap(lambda c: st.sampled_from([c, -c]))
+
+
+@st.composite
+def iz_operators(draw):
+    n = draw(st.integers(1, 10))
+    strings = st.text(alphabet="IZ", min_size=n, max_size=n).filter(lambda s: "Z" in s)
+    terms = draw(st.lists(st.tuples(_coeffs, strings), min_size=1, max_size=12,
+                          unique_by=lambda t: t[1]))
+    return PauliOperator(n, tuple(terms))
+
+
+@st.composite
+def heisenberg_operators(draw):
+    """Isotropic pairs, anisotropic pairs and single-site fields; no two of
+    them share a Z-string in the Ising limit."""
+    n = draw(st.integers(2, 10))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] < p[1]),
+        min_size=1, max_size=12, unique=True))
+    terms = []
+    for i, j in pairs:
+        c = draw(_coeffs)
+        kind = draw(st.sampled_from(["XYZ", "XX", "XY", "YZ"]))
+        for letters in ([p + p for p in kind] if kind == "XYZ" else [kind]):
+            s = ["I"] * n
+            s[i], s[j] = letters
+            terms.append((c, "".join(s)))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
+        letter = draw(st.sampled_from("XYZ"))
+        terms.append((draw(_coeffs), "I" * i + letter + "I" * (n - 1 - i)))
+    return PauliOperator(n, tuple(terms))
+
+
+def _assert_matches_table(op):
+    want, count = _table_frustration(op)
+    rep = frustration_degree(op)
+    assert rep.num_ground_configs == count
+    assert (rep.value == 0.0) == (want == 0.0)
+    assert rep.value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@given(iz_operators())
+def test_identity_matches_term_table_on_iz_operators(op):
+    _assert_matches_table(op)
+
+
+@given(heisenberg_operators())
+def test_identity_matches_term_table_through_ising_limit(op):
+    _assert_matches_table(op)
+
+
+@given(st.one_of(iz_operators(), heisenberg_operators()))
+def test_frustration_degree_nonnegative(op):
+    # the mean energy of a traceless operator is 0, so E0 < 0 and every
+    # ratio (A + E)/(A - E) lies in [0, 1)
+    assert 0.0 <= frustration_degree(op).value <= 1.0
+
+
+@pytest.mark.parametrize("m", range(1, 12))
+def test_unfrustrated_models_give_exact_zero(m):
+    assert frustration_degree(build_ferromagnetic_ring(m)).value == 0.0
+    assert frustration_degree(build_ising_gas(m, 0.0, j=-1.0)).value == 0.0
 
 
 def test_frustration_degree_model_attaches_closed_forms():
@@ -141,3 +214,6 @@ def test_report_json_shape():
     d = json.loads(rep.to_json())
     assert set(d) == {"f", "closed_form", "n_ground_configs", "mode"}
     assert d["f"] == pytest.approx(0.2)
+    assert d["mode"] == "ising"
+    rep = frustration_degree_model(ModelSpec(kind="MajumdarGhosh", m=4))
+    assert json.loads(rep.to_json())["mode"] == "classical-vector"

@@ -24,7 +24,7 @@ from frustra.spin_core import (
     product_state,
     von_neumann_entropy,
 )
-from frustra.cooling import cool
+from frustra.cooling import _spectrum, cool
 from frustra.models import (
     ModelSpec,
     build_heisenberg_gas,
@@ -184,6 +184,25 @@ def test_cool_counts_embedded_columns_in_budget(monkeypatch):
     with pytest.raises(SizeLimitError, match="GiB"):
         cool(h, initial, threshold=1000)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("complex_amps", [False, True])
+def test_complex_projection_copies_no_columns(complex_amps):
+    # the XY chain is complex; threshold 1000 keeps all 1024 of its columns
+    # (16 MiB), and projecting onto all of them returns the state itself
+    _, _, projector = _spectrum(_pair_chain(10, "XY"))
+    project = projector(1000.0)
+    pairs = [(1.0, 0.5j if complex_amps else 0.5)] * 10
+    amps = product_state(pairs).amplitudes
+    tracemalloc.start()
+    try:
+        kept, z = project(amps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    np.testing.assert_allclose(kept, amps, atol=1e-12)
+    assert z == pytest.approx(1.0, abs=1e-12)
 
 
 def test_diagonalize_single_site():
