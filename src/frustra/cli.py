@@ -15,10 +15,11 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
-from . import __version__
+from . import __version__, models
 from .spin_core import Bipartition, StateVector, ValidationError, block_entropy
 from .models import ModelSpec, build_model, default_initial_state, mg_dimer_states
 from .cooling import (
@@ -40,13 +41,12 @@ from .interference import covering_interference, curve_to_tsv, rvb_interference_
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 
-_MODEL_KINDS = {
-    "ising-gas": "IsingGasLR",
-    "heisenberg-gas": "HeisenbergGasLR",
-    "mg": "MajumdarGhosh",
-    "single-bond": "SingleBondIsing",
-    "shastry": "ShastrySutherland",
-    "rvb": "RVBPlaquette",
+_MODELS = {
+    "ising-gas": models.IsingGasLR,
+    "heisenberg-gas": models.HeisenbergGasLR,
+    "mg": models.MajumdarGhosh,
+    "single-bond": models.SingleBondIsing,
+    "shastry": models.ShastrySutherland,
 }
 
 
@@ -107,34 +107,34 @@ def _emit(args, text: str) -> None:
     _write_manifest(args, args.output + ".manifest.json", {"main": os.path.abspath(args.output)})
 
 
-def _m_from_args(args, kind: str) -> int:
-    """The model's m from --n (an even site count; the lattice size L for
-    shastry) or from --m."""
+def _refuse(args, names) -> None:
+    """Refuse any of the options ``names`` (argparse dests) that was given."""
+    for name in names:
+        if getattr(args, name, None) is not None:
+            flag = "--lambda" if name == "lam" else "--" + name.replace("_", "-")
+            raise ValidationError(f"--model {args.model} does not take {flag}")
+
+
+def _spec_from_args(args, n=None) -> ModelSpec:
+    """The spec of --model, sized by n (a site count), --n or --m (the
+    lattice size L for shastry), with the model options given; the model
+    refuses an option it does not take."""
+    model = _MODELS[args.model]
+    n = args.n if n is None else n
+    if n is None and args.m is None:
+        raise ValidationError("need --m or --n")
     try:
-        n, m = (None if v is None else int(v) for v in (args.n, args.m))
+        size = int(args.m if n is None else n)
     except ValueError as exc:
         raise ValidationError(f"--m and --n take an integer: {exc}") from None
-    if n is None:
-        if m is None:
-            raise ValidationError("need --m or --n")
-        return m
-    if kind == "ShastrySutherland":
-        return n
-    if n % 2:
-        raise ValidationError("--n (site count) must be even")
-    return n // 2
-
-
-def _spec_from_args(args) -> ModelSpec:
-    kind = _MODEL_KINDS[args.model]
-    return ModelSpec(
-        kind=kind,
-        m=_m_from_args(args, kind),
-        lam=args.lam,
-        j1=args.j1,
-        j2=args.j2,
-        sign=args.sign,
-    )
+    if n is not None and args.model != "shastry":
+        if size % 2:
+            raise ValidationError("--n (site count) must be even")
+        size //= 2
+    taken = {f.name for f in fields(model)}
+    _refuse(args, [k for k in ("lam", "j1", "j2", "sign") if k not in taken])
+    options = {k: getattr(args, k) for k in ("lam", "j1", "j2", "sign") if k in taken}
+    return model(size, **{k: v for k, v in options.items() if v is not None})
 
 
 def cmd_scaling(args) -> int:
@@ -142,34 +142,30 @@ def cmd_scaling(args) -> int:
     ks = parse_range(args.k)
     rows = ["size,k,entropy,source,lower_bound,upper_bound"]
     for n in sizes:
+        spec = _spec_from_args(args, n)
         for k in ks:
             if not (0 < k < n):
                 raise ValidationError(f"cut k={k} invalid for {n} sites")
-            lower = upper = ""
-            if args.model == "ising-gas" and args.source == "analytic":
-                e = ising_gas_rho_k(n // 2, args.lam, k).entropy()
-            elif args.model == "single-bond" and args.source == "analytic":
-                st = single_bond_cooled_state(n // 2)
-                e = block_entropy(st, Bipartition.contiguous(k))
-            elif args.source == "ed":
-                spec_args = argparse.Namespace(
-                    model=args.model, n=n, m=None, lam=args.lam,
-                    j1=args.j1, j2=args.j2, sign=args.sign,
-                )
-                spec = _spec_from_args(spec_args)
-                h = build_model(spec)
-                cut = Bipartition.contiguous(k)
-                if spec.kind == "MajumdarGhosh":
-                    e, _, _ = maximize_cooled_entropy(h, cut, seed=args.seed)
-                    lo, up = mg_bounds(k, n)
-                    lower, upper = f"{lo:.12g}", f"{up:.12g}"
-                else:
-                    cooled = cool(h, default_initial_state(spec))
-                    e = block_entropy(cooled.state, cut)
+        cuts = [Bipartition.contiguous(k) for k in ks]
+        bounds = [("", "")] * len(ks)
+        if args.source == "analytic":
+            if args.sign == "unfrustrated":
+                raise ValidationError("the closed forms describe --sign frustrated only")
+            if args.model == "ising-gas":
+                es = [ising_gas_rho_k(spec.m, spec.lam, k).entropy() for k in ks]
+            elif args.model == "single-bond":
+                st = single_bond_cooled_state(spec.m)
+                es = [block_entropy(st, cut) for cut in cuts]
             else:
-                raise ValidationError(
-                    f"no {args.source} source for model {args.model}"
-                )
+                raise ValidationError(f"no analytic source for model {args.model}")
+        elif args.model == "mg":
+            h = build_model(spec)
+            es = [maximize_cooled_entropy(h, cut, seed=args.seed)[0] for cut in cuts]
+            bounds = [tuple(f"{b:.12g}" for b in mg_bounds(k, n)) for k in ks]
+        else:
+            reports = cooled_entropy_scan(spec, default_initial_state(spec), [GROUND], cuts)
+            es = [r.entropy for r in reports]
+        for k, e, (lower, upper) in zip(ks, es, bounds):
             rows.append(f"{n},{k},{e:.12g},{args.source},{lower},{upper}")
     _emit(args, "\n".join(rows) + "\n")
     return 0
@@ -194,8 +190,9 @@ def cmd_frustration(args) -> int:
 
 
 def cmd_interference(args) -> int:
+    _refuse(args, ("m", "n", "k") if args.model == "rvb" else ("shape", "d_min", "d_max", "d_step"))
     if args.model == "heisenberg-gas":
-        m = _m_from_args(args, "HeisenbergGasLR")
+        m = _spec_from_args(args).m
         ks = parse_range(args.k) if args.k else list(range(1, m + 1))
         rows = []
         for k in ks:
@@ -212,18 +209,21 @@ def cmd_interference(args) -> int:
         _emit(args, json.dumps(rows, sort_keys=True, indent=2) + "\n")
         return 0
     grid = _d_grid(args)
-    curve = rvb_interference_curve(args.shape, grid)
+    curve = rvb_interference_curve(args.shape or "square", grid)
     _emit(args, curve_to_tsv(curve))
     return 0
 
 
 def _d_grid(args):
-    lo, hi, step = args.d_min, args.d_max, args.d_step
+    """Densities from --d-min up to at most --d-max in --d-step steps."""
+    lo = 0.02 if args.d_min is None else args.d_min
+    hi = 0.98 if args.d_max is None else args.d_max
+    step = 0.02 if args.d_step is None else args.d_step
     if step <= 0:
         raise ValidationError("--d-step must be positive")
     if hi < lo:
         raise ValidationError("--d-max must not be below --d-min")
-    n = int(round((hi - lo) / step))
+    n = int((hi - lo) / step + 1e-9)
     return [lo + i * step for i in range(n + 1)]
 
 
@@ -292,14 +292,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_model_params(p: argparse.ArgumentParser, models) -> None:
-    p.add_argument("--model", required=True, choices=models)
-    p.add_argument("--m", default=None, help="half the site count (or plaquette count)")
+def _add_model_params(p: argparse.ArgumentParser, choices) -> None:
+    p.add_argument("--model", required=True, choices=choices)
+    p.add_argument("--m", default=None, help="half the site count (or lattice size for shastry)")
     p.add_argument("--n", default=None, help="site count (or lattice size for shastry)")
-    p.add_argument("--lambda", type=float, default=0.0, dest="lam")
-    p.add_argument("--j1", type=float, default=1.0)
-    p.add_argument("--j2", type=float, default=0.5)
-    p.add_argument("--sign", default="frustrated", choices=["frustrated", "unfrustrated"])
+    p.add_argument("--lambda", type=float, dest="lam", help="ising-gas only (default 0)")
+    p.add_argument("--j1", type=float, help="shastry only (default 1)")
+    p.add_argument("--j2", type=float, help="shastry only (default 0.5)")
+    p.add_argument("--sign", choices=["frustrated", "unfrustrated"], help="ising-gas, single-bond")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,20 +327,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interference", help="interference ratios")
     p.add_argument("--model", default="rvb", choices=["rvb", "heisenberg-gas"])
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--k", default=None)
-    p.add_argument("--shape", default="square", choices=["square", "horizontal", "vertical"])
-    p.add_argument("--d-min", type=float, default=0.02)
-    p.add_argument("--d-max", type=float, default=0.98)
-    p.add_argument("--d-step", type=float, default=0.02)
+    p.add_argument("--m", type=int, default=None, help="heisenberg-gas: half the site count")
+    p.add_argument("--n", default=None, help="heisenberg-gas: site count")
+    p.add_argument("--k", default=None, help="heisenberg-gas: cut size or range")
+    p.add_argument("--shape", choices=["square", "horizontal", "vertical"], help="rvb (square)")
+    p.add_argument("--d-min", type=float, default=None, help="rvb: lowest density (0.02)")
+    p.add_argument("--d-max", type=float, default=None, help="rvb: highest density (0.98)")
+    p.add_argument("--d-step", type=float, default=None, help="rvb: density step (0.02)")
     _add_common(p)
     p.set_defaults(func=cmd_interference)
 
     p = sub.add_parser("fig1", help="write both interference ratio curves as TSV")
-    p.add_argument("--d-min", type=float, default=0.02)
-    p.add_argument("--d-max", type=float, default=0.98)
-    p.add_argument("--d-step", type=float, default=0.02)
+    p.add_argument("--d-min", type=float, default=None, help="lowest density (0.02)")
+    p.add_argument("--d-max", type=float, default=None, help="highest density (0.98)")
+    p.add_argument("--d-step", type=float, default=None, help="density step (0.02)")
     _add_common(p)
     p.set_defaults(func=cmd_fig1)
 

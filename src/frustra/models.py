@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -22,62 +22,102 @@ from .spin_core import (
     product_state,
 )
 
-KINDS = (
-    "IsingGasLR",
-    "HeisenbergGasLR",
-    "RVBPlaquette",
-    "ShastrySutherland",
-    "MajumdarGhosh",
-    "SingleBondIsing",
-)
+def _check_sign(sign) -> None:
+    if sign not in ("frustrated", "unfrustrated"):
+        raise ValidationError(f"sign must be frustrated or unfrustrated, not {sign!r}")
 
 
-@dataclass(frozen=True)
 class ModelSpec:
-    """Flat description of a model instance, serializable as JSON."""
+    """Base of the six model specs.  Each subclass holds exactly the
+    parameters its Hamiltonian reads; its class name is its JSON kind."""
 
-    kind: str
-    m: int = 0
-    lam: float = 0.0
-    j1: float = 1.0
-    j2: float = 0.0
-    flipped_bond: int = -1
-    sign: str = "frustrated"
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValidationError(f"unknown model kind {self.kind!r}")
-        if self.kind == "IsingGasLR":
-            if not (0.0 <= self.lam <= 1.0):
-                raise ValidationError("lambda must lie in [0, 1]")
-        if self.kind == "MajumdarGhosh" and self.j1 <= 0:
-            raise ValidationError("MajumdarGhosh requires J1 > 0")
-        if self.kind == "ShastrySutherland" and (self.j1 <= 0 or self.j2 <= 0):
-            raise ValidationError("ShastrySutherland requires J1, J2 > 0")
+    @property
+    def kind(self) -> str:
+        return type(self).__name__
 
     def to_json(self) -> str:
-        d = asdict(self)
-        d["lambda"] = d.pop("lam")
-        return json.dumps(d, sort_keys=True)
+        d = {"lambda" if k == "lam" else k: v for k, v in asdict(self).items()}
+        return json.dumps({"kind": self.kind, **d}, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "ModelSpec":
         """Inverse of ``to_json``; raises ValidationError for text that is
-        not a JSON object, for unknown keys and for a missing kind."""
+        not a JSON object, for a missing or unknown kind, for keys the
+        model does not take and for values its checks refuse."""
         try:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"model spec is not valid JSON: {exc}") from exc
         if not isinstance(d, dict):
             raise ValidationError("model spec must be a JSON object")
-        if "lambda" in d:
-            d["lam"] = d.pop("lambda")
-        unknown = sorted(set(d) - {f.name for f in fields(ModelSpec)})
-        if unknown:
-            raise ValidationError(f"unknown model spec keys {unknown}")
-        if "kind" not in d:
-            raise ValidationError("model spec has no kind")
-        return ModelSpec(**d)
+        kind = d.pop("kind", None)
+        model = next((c for c in ModelSpec.__subclasses__() if c.__name__ == kind), None)
+        if model is None:
+            raise ValidationError(f"model spec kind {kind!r} is missing or unknown")
+        try:
+            return model(**{"lam" if k == "lambda" else k: v for k, v in d.items()})
+        except TypeError as exc:
+            raise ValidationError(f"bad {kind} spec: {exc}") from None
+
+
+@dataclass(frozen=True)
+class IsingGasLR(ModelSpec):
+    """Long-range Ising gas on 2m sites; "unfrustrated" flips the pair sign."""
+
+    m: int
+    lam: float = 0.0
+    sign: str = "frustrated"
+
+    def __post_init__(self):
+        if not (0.0 <= self.lam <= 1.0):
+            raise ValidationError("lambda must lie in [0, 1]")
+        _check_sign(self.sign)
+
+
+@dataclass(frozen=True)
+class HeisenbergGasLR(ModelSpec):
+    """Long-range Heisenberg gas on 2m sites."""
+
+    m: int
+
+
+@dataclass(frozen=True)
+class MajumdarGhosh(ModelSpec):
+    """Majumdar-Ghosh ring on 2m sites."""
+
+    m: int
+
+
+@dataclass(frozen=True)
+class SingleBondIsing(ModelSpec):
+    """Ising ring on 2m sites with one flipped bond, none if "unfrustrated"."""
+
+    m: int
+    sign: str = "frustrated"
+
+    def __post_init__(self):
+        _check_sign(self.sign)
+
+
+@dataclass(frozen=True)
+class ShastrySutherland(ModelSpec):
+    """Shastry-Sutherland lattice on the L x L torus."""
+
+    L: int
+    j1: float = 1.0
+    j2: float = 0.5
+
+    def __post_init__(self):
+        if not (self.j1 > 0 and self.j2 > 0):
+            raise ValidationError("ShastrySutherland requires J1, J2 > 0")
+
+
+@dataclass(frozen=True)
+class RVBPlaquette(ModelSpec):
+    """Plaquette labels whose ground manifold has s vertical plaquettes."""
+
+    plaquettes: int
+    s: int
 
 
 def _two_site_term(n: int, i: int, j: int, letter: str) -> str:
@@ -295,26 +335,22 @@ def shastry_dimer_state(L: int) -> StateVector:
 
 
 def build_model(spec: ModelSpec) -> PauliOperator:
-    """Dispatch a ModelSpec to the matching Hamiltonian builder."""
-    if spec.kind == "IsingGasLR":
-        j = spec.j1 if spec.sign == "frustrated" else -abs(spec.j1)
-        return build_ising_gas(spec.m, spec.lam, j)
-    if spec.kind == "HeisenbergGasLR":
-        return build_heisenberg_gas(spec.m, spec.j1)
-    if spec.kind == "MajumdarGhosh":
-        return build_mg_chain(spec.m, spec.j1)
-    if spec.kind == "SingleBondIsing":
-        if spec.sign == "unfrustrated":
-            return build_ferromagnetic_ring(spec.m, spec.j1)
-        flipped = spec.flipped_bond if spec.flipped_bond >= 0 else None
-        return build_single_bond_ising(spec.m, spec.j1, flipped)
-    if spec.kind == "ShastrySutherland":
-        # spec.m is the linear lattice size L here
-        return build_shastry_sutherland(spec.m, spec.j1, spec.j2)
-    if spec.kind == "RVBPlaquette":
-        # spec.m is the plaquette count, flipped_bond reused as the
-        # vertical-plaquette count s of the target sector
-        return rvb_sector_hamiltonian(spec.m, spec.flipped_bond)
+    """The Hamiltonian of a model spec."""
+    match spec:
+        case IsingGasLR(m, lam, sign):
+            return build_ising_gas(m, lam, 1.0 if sign == "frustrated" else -1.0)
+        case HeisenbergGasLR(m):
+            return build_heisenberg_gas(m)
+        case MajumdarGhosh(m):
+            return build_mg_chain(m)
+        case SingleBondIsing(m, "frustrated"):
+            return build_single_bond_ising(m)
+        case SingleBondIsing(m):
+            return build_ferromagnetic_ring(m)
+        case ShastrySutherland(L, j1, j2):
+            return build_shastry_sutherland(L, j1, j2)
+        case RVBPlaquette(plaquettes, s):
+            return rvb_sector_hamiltonian(plaquettes, s)
     raise ValidationError(f"no builder for {spec.kind}")
 
 
@@ -332,19 +368,19 @@ def default_initial_state(spec: ModelSpec, alpha: complex = None, beta: complex 
         alpha = beta = 1.0 / math.sqrt(2.0)
     if alpha is None or beta is None or abs(alpha * beta) < 1e-14:
         raise ValidationError("alpha*beta must be nonzero")
-    n = 2 * spec.m
-    if spec.kind in ("IsingGasLR", "SingleBondIsing"):
-        return product_state([(alpha, beta)] * n)
-    if spec.kind == "RVBPlaquette":
-        return product_state([(alpha, beta)] * spec.m)
-    if spec.kind == "MajumdarGhosh":
-        phi = (alpha, beta)
-        per_site = []
-        for i in range(n - 2):
-            per_site.append((1.0, 0.0) if i % 2 == 0 else (0.0, 1.0))
-        per_site += [phi, phi]
-        return product_state(per_site)
-    if spec.kind == "HeisenbergGasLR":
-        per_site = [(1.0, 0.0)] * spec.m + [(alpha, beta)] * spec.m
-        return product_state(per_site)
+    match spec:
+        case IsingGasLR(m) | SingleBondIsing(m):
+            return product_state([(alpha, beta)] * (2 * m))
+        case RVBPlaquette(plaquettes):
+            return product_state([(alpha, beta)] * plaquettes)
+        case MajumdarGhosh(m):
+            phi = (alpha, beta)
+            per_site = []
+            for i in range(2 * m - 2):
+                per_site.append((1.0, 0.0) if i % 2 == 0 else (0.0, 1.0))
+            per_site += [phi, phi]
+            return product_state(per_site)
+        case HeisenbergGasLR(m):
+            per_site = [(1.0, 0.0)] * m + [(alpha, beta)] * m
+            return product_state(per_site)
     raise ValidationError(f"no default initial state for {spec.kind}")

@@ -1,10 +1,15 @@
+import argparse
 import json
 import math
 import os
+import re
+import shlex
 
 import pytest
 
-from frustra.cli import main, parse_range
+from frustra.cli import build_parser, main, parse_range
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def run(argv):
@@ -99,6 +104,34 @@ def test_scaling_mg_odd_cut_within_upper_bound(tmp_path):
     assert float(row[2]) <= float(row[5]) + 1e-9
 
 
+def test_scaling_ed_cools_once_per_size(tmp_path, monkeypatch):
+    import frustra.cooling
+
+    calls = []
+    diagonalize = frustra.cooling.diagonalize
+
+    def counting(op):
+        calls.append(op.num_sites)
+        return diagonalize(op)
+
+    monkeypatch.setattr(frustra.cooling, "diagonalize", counting)
+    out = tmp_path / "hg.csv"
+    code = run(
+        ["scaling", "--model", "heisenberg-gas", "--n", "4..6..2", "--k", "1..3",
+         "--source", "ed", "--output", str(out)]
+    )
+    assert code == 0
+    assert calls == [4, 6]
+    rows = [line.split(",") for line in read(out).strip().splitlines()[1:]]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(n, k) for n in (4, 6) for k in (1, 2, 3)]
+    # the same entropies as cool on the same cuts
+    cooled = tmp_path / "cool.csv"
+    assert run(["cool", "--model", "heisenberg-gas", "--n", "6", "--k", "1..3",
+                "--output", str(cooled)]) == 0
+    cool_rows = [line.split(",") for line in read(cooled).strip().splitlines()[1:]]
+    assert [r[2] for r in rows[3:]] == [r[5] for r in cool_rows]
+
+
 def test_cool_subcommand(tmp_path):
     out = tmp_path / "cool.csv"
     code = run(
@@ -156,6 +189,24 @@ def test_interference_curve_subcommand(tmp_path):
     lines = read(out).strip().splitlines()
     assert lines[0] == "d\tratio"
     assert len(lines) == 10
+
+
+def test_interference_grid_stops_at_d_max(tmp_path):
+    out = tmp_path / "curve.tsv"
+    code = run(
+        ["interference", "--d-min", "0.1", "--d-max", "0.5", "--d-step", "0.15",
+         "--output", str(out)]
+    )
+    assert code == 0
+    ds = [float(line.split("\t")[0]) for line in read(out).strip().splitlines()[1:]]
+    assert ds == pytest.approx([0.1, 0.25, 0.4])
+
+
+def test_fig1_grid_stops_at_d_max(tmp_path):
+    assert run(["fig1", "--d-step", "0.1", "--output", str(tmp_path)]) == 0
+    for shape in ("square", "horizontal"):
+        rows = read(tmp_path / f"fig1_{shape}.tsv").strip().splitlines()[1:]
+        assert float(rows[-1].split("\t")[0]) <= 0.98
 
 
 def test_fig1_outputs(tmp_path):
@@ -235,11 +286,18 @@ def test_no_partial_output_on_error(tmp_path):
         ["interference", "--j1", "2"],
         ["frustration", "--model", "mg", "--n", "7x"],
         ["cool", "--model", "mg", "--m", "abc"],
+        ["interference", "--d-step", "0.24", "--m", "5"],
+        ["interference", "--model", "heisenberg-gas", "--m", "3", "--shape", "vertical"],
+        ["frustration", "--model", "ising-gas", "--n", "6", "--j1", "-1"],
+        ["scaling", "--model", "ising-gas", "--m", "3", "--k", "2", "--source", "analytic",
+         "--sign", "unfrustrated"],
     ],
     ids=["range-step-0", "interference-step-0", "fig1-step-0",
          "interference-step-negative", "fig1-step-negative", "threshold-abc",
          "fig1-output-is-a-file", "range-descending", "interference-d-reversed",
-         "interference-j1-unknown", "n-not-integer", "m-not-integer"],
+         "interference-j1-unknown", "n-not-integer", "m-not-integer",
+         "interference-rvb-m", "interference-heisenberg-gas-shape",
+         "frustration-ising-gas-j1", "scaling-analytic-unfrustrated"],
 )
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -269,3 +327,57 @@ def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out.exists()
+
+
+# The model options that each model takes.  Every other (subcommand,
+# model, option) combination the parser accepts must be refused.
+TAKEN = {("ising-gas", "--lambda"), ("ising-gas", "--sign"), ("single-bond", "--sign"),
+         ("shastry", "--j1"), ("shastry", "--j2")}
+VALUES = {"--lambda": "0.5", "--j1": "2", "--j2": "2", "--sign": "frustrated"}
+SIZES = {"scaling": ["--n", "4", "--k", "1"], "cool": ["--n", "4"],
+         "frustration": ["--n", "4"], "bounds-check": ["--n", "4", "--samples", "1"]}
+
+
+def _model_options():
+    """(subcommand, model, option) for every --model choice and model
+    option that the parser accepts."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    out = []
+    for command, parser in sub.choices.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        for action in parser._actions:
+            if "--model" in action.option_strings:
+                out += [(command, model, flag) for model in action.choices
+                        for flag in sorted(flags & VALUES.keys())]
+    return out
+
+
+MODEL_OPTIONS = _model_options()
+REFUSED = [c for c in MODEL_OPTIONS if c[1:] not in TAKEN]
+
+
+def test_models_take_eleven_of_sixty_model_options():
+    assert len(MODEL_OPTIONS) == 60
+    assert len(MODEL_OPTIONS) - len(REFUSED) == 11
+
+
+@pytest.mark.parametrize("command,model,flag", REFUSED, ids=["-".join(c) for c in REFUSED])
+def test_model_refuses_options_it_does_not_take(tmp_path, capsys, command, model, flag):
+    out = tmp_path / "out"
+    argv = [command, "--model", model, *SIZES[command], flag, VALUES[flag], "--output", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: --model {model} does not take {flag}"]
+    assert not out.exists()
+
+
+def test_readme_commands_run(tmp_path):
+    with open(README) as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    commands = [line for block in blocks for line in block.splitlines()
+                if line.startswith("frustra ")]
+    assert commands
+    for i, line in enumerate(commands):
+        argv = shlex.split(line)[1:]
+        if "--output" in argv:
+            del argv[argv.index("--output"):argv.index("--output") + 2]
+        assert main(argv + ["--output", str(tmp_path / f"out{i}")]) == 0, line

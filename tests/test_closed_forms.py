@@ -15,7 +15,9 @@ from frustra.spin_core import (
     shannon_entropy,
 )
 from frustra.models import (
-    ModelSpec,
+    HeisenbergGasLR,
+    IsingGasLR,
+    SingleBondIsing,
     build_heisenberg_gas,
     build_model,
     build_single_bond_ising,
@@ -146,7 +148,7 @@ def test_schmidt_spectrum_is_uniform():
 def test_schmidt_spectrum_matches_ed():
     m = 2
     h = build_heisenberg_gas(m)
-    spec = ModelSpec(kind="HeisenbergGasLR", m=m)
+    spec = HeisenbergGasLR(m)
     cooled = cool(h, default_initial_state(spec))
     rho = partial_trace(cooled.state, Bipartition((0,)))
     ed = np.sort(np.linalg.eigvalsh(rho))[::-1]
@@ -280,7 +282,7 @@ def test_single_bond_state_support():
 def test_single_bond_state_matches_ed_cooling():
     for m in (2, 3):
         h = build_single_bond_ising(m)
-        spec = ModelSpec(kind="SingleBondIsing", m=m)
+        spec = SingleBondIsing(m)
         cooled = cool(h, default_initial_state(spec))
         assert cooled.state.fidelity(single_bond_cooled_state(m)) >= 1 - 1e-10
 
@@ -294,7 +296,7 @@ def test_single_bond_state_matches_ed_cooling():
     "m,j", [(m, j) for m in range(1, 7) for j in range(m + 1)]
 )
 def test_ising_gas_cooled_entropies_equal_dicke_closed_form(m, j):
-    spec = ModelSpec(kind="IsingGasLR", m=m, lam=j / m)
+    spec = IsingGasLR(m, lam=j / m)
     cooled = cool(build_model(spec), default_initial_state(spec))
     for k in range(1, 2 * m):
         e = block_entropy(cooled.state, Bipartition.contiguous(k))
@@ -303,7 +305,7 @@ def test_ising_gas_cooled_entropies_equal_dicke_closed_form(m, j):
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_single_bond_cooled_entropies_equal_closed_form_state(m):
-    spec = ModelSpec(kind="SingleBondIsing", m=m)
+    spec = SingleBondIsing(m)
     cooled = cool(build_model(spec), default_initial_state(spec))
     exact = single_bond_cooled_state(m)
     n = 2 * m
@@ -317,7 +319,7 @@ def test_single_bond_cooled_entropies_equal_closed_form_state(m):
 @pytest.mark.parametrize("m", range(1, 6))
 def test_heisenberg_gas_cooled_spectra_equal_closed_form(m):
     # the cut holds k black sites, which start in |0>; the white ones in |+>
-    spec = ModelSpec(kind="HeisenbergGasLR", m=m)
+    spec = HeisenbergGasLR(m)
     cooled = cool(build_model(spec), default_initial_state(spec))
     for k in range(1, m + 1):
         _, spectrum = heisenberg_gas_schmidt_state(m, k)

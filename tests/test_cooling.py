@@ -14,7 +14,11 @@ from frustra.spin_core import (
     product_state,
 )
 from frustra.models import (
-    ModelSpec,
+    HeisenbergGasLR,
+    IsingGasLR,
+    MajumdarGhosh,
+    RVBPlaquette,
+    SingleBondIsing,
     build_ising_gas,
     build_mg_chain,
     build_model,
@@ -130,7 +134,7 @@ def test_cool_excited_all_manifolds_returns_initial():
 @pytest.mark.parametrize(
     "h,initial",
     [
-        (build_mg_chain(3), default_initial_state(ModelSpec(kind="MajumdarGhosh", m=3))),
+        (build_mg_chain(3), default_initial_state(MajumdarGhosh(3))),
         (build_ising_gas(3, 0.0), uniform_state(6)),
     ],
     ids=["mg-ring", "ising-gas"],
@@ -183,7 +187,7 @@ def diagonalize_calls(monkeypatch):
 @pytest.mark.parametrize(
     "h,initial",
     [
-        (build_mg_chain(3), default_initial_state(ModelSpec(kind="MajumdarGhosh", m=3))),
+        (build_mg_chain(3), default_initial_state(MajumdarGhosh(3))),
         (build_ising_gas(3, 0.0), uniform_state(6)),
     ],
     ids=["mg-ring", "ising-gas"],
@@ -217,7 +221,7 @@ def test_maximize_cooled_entropy_diagonalizes_once(diagonalize_calls):
 
 
 def test_entropy_scan_diagonalizes_once_for_all_thresholds(diagonalize_calls):
-    spec = ModelSpec(kind="MajumdarGhosh", m=3)
+    spec = MajumdarGhosh(3)
     initial = default_initial_state(spec)
     cut = Bipartition.contiguous(3)
     reports = cooled_entropy_scan(spec, initial, ["ground", 0.5], [cut])
@@ -268,13 +272,13 @@ def test_cool_is_idempotent_and_phase_fixed(case):
 
 # every I/Z model, and the two models whose default initial state is real
 REAL_COOLING_SPECS = [
-    ModelSpec(kind="IsingGasLR", m=3, lam=1 / 3),
-    ModelSpec(kind="IsingGasLR", m=3, sign="unfrustrated"),
-    ModelSpec(kind="SingleBondIsing", m=3),
-    ModelSpec(kind="SingleBondIsing", m=3, sign="unfrustrated"),
-    ModelSpec(kind="RVBPlaquette", m=5, flipped_bond=2),
-    ModelSpec(kind="MajumdarGhosh", m=4),
-    ModelSpec(kind="HeisenbergGasLR", m=3),
+    IsingGasLR(3, lam=1 / 3),
+    IsingGasLR(3, sign="unfrustrated"),
+    SingleBondIsing(3),
+    SingleBondIsing(3, sign="unfrustrated"),
+    RVBPlaquette(5, 2),
+    MajumdarGhosh(4),
+    HeisenbergGasLR(3),
 ]
 
 
@@ -317,7 +321,7 @@ def test_ising_gas_n20_cool_matches_closed_form():
 
 
 def test_entropy_scan_rows_and_csv():
-    spec = ModelSpec(kind="SingleBondIsing", m=3)
+    spec = SingleBondIsing(3)
     init = default_initial_state(spec)
     cuts = [Bipartition.contiguous(k) for k in (1, 2, 3)]
     reports = cooled_entropy_scan(spec, init, ["ground"], cuts)
@@ -331,7 +335,7 @@ def test_entropy_scan_case6_constant_in_k(single_bond_entropy):
     # area law for the single-flipped-bond ring: the block spectrum has at
     # most four eigenvalues, so E <= 2 for every k; E tends to the same
     # value for every k only as m -> infinity
-    spec = ModelSpec(kind="SingleBondIsing", m=4)
+    spec = SingleBondIsing(4)
     init = default_initial_state(spec)
     ks = (1, 2, 3, 4)
     cuts = [Bipartition.contiguous(k) for k in ks]
@@ -347,7 +351,7 @@ def test_entropy_scan_case6_decreasing_in_size(single_bond_entropy):
     # once and falls strictly from 2m=8 on, towards 1
     es = []
     for m in (3, 4, 5, 6):
-        spec = ModelSpec(kind="SingleBondIsing", m=m)
+        spec = SingleBondIsing(m)
         reports = cooled_entropy_scan(
             spec,
             default_initial_state(spec),
@@ -368,7 +372,7 @@ def test_mg_scan_golden_value():
         h, Bipartition.contiguous(4), seed=11, restarts=4
     )
     assert e == pytest.approx(2.314, abs=0.01)
-    spec = ModelSpec(kind="MajumdarGhosh", m=4)
+    spec = MajumdarGhosh(4)
     reports = cooled_entropy_scan(
         spec, initial, ["ground"], [Bipartition.contiguous(4)]
     )

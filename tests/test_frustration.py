@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from frustra.spin_core import PauliOperator, _term_masks, popcount
 from frustra.models import (
-    ModelSpec,
+    IsingGasLR,
+    MajumdarGhosh,
+    SingleBondIsing,
     build_heisenberg_gas,
     build_ising_gas,
     build_mg_chain,
@@ -198,22 +200,22 @@ def test_unfrustrated_models_give_exact_zero(m):
 
 
 def test_frustration_degree_model_attaches_closed_forms():
-    rep = frustration_degree_model(ModelSpec(kind="MajumdarGhosh", m=4))
+    rep = frustration_degree_model(MajumdarGhosh(4))
     assert rep.closed_form == 0.5
     assert rep.value == pytest.approx(0.5, abs=1e-12)
-    rep = frustration_degree_model(ModelSpec(kind="SingleBondIsing", m=3))
+    rep = frustration_degree_model(SingleBondIsing(3))
     assert rep.closed_form == pytest.approx(single_bond_frustration_formula(3))
-    rep = frustration_degree_model(ModelSpec(kind="IsingGasLR", m=4))
+    rep = frustration_degree_model(IsingGasLR(4))
     assert rep.closed_form == pytest.approx(0.75)
 
 
 def test_report_json_shape():
-    rep = frustration_degree_model(ModelSpec(kind="SingleBondIsing", m=3))
+    rep = frustration_degree_model(SingleBondIsing(3))
     import json
 
     d = json.loads(rep.to_json())
     assert set(d) == {"f", "closed_form", "n_ground_configs", "mode"}
     assert d["f"] == pytest.approx(0.2)
     assert d["mode"] == "ising"
-    rep = frustration_degree_model(ModelSpec(kind="MajumdarGhosh", m=4))
+    rep = frustration_degree_model(MajumdarGhosh(4))
     assert json.loads(rep.to_json())["mode"] == "classical-vector"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frustra.spin_core import Bipartition, StateVector, block_entropy
-from frustra.models import ModelSpec, heisenberg_covering_states, mg_dimer_states
+from frustra.models import IsingGasLR, SingleBondIsing, heisenberg_covering_states, mg_dimer_states
 from frustra.closed_forms import BoundaryPath, rvb_plaquette_entropy
 from frustra.interference import (
     IncomparableError,
@@ -127,20 +127,20 @@ def test_superposition_vs_average_single_state():
 
 
 def test_frustrated_vs_unfrustrated_identical_specs():
-    spec = ModelSpec(kind="SingleBondIsing", m=4)
+    spec = SingleBondIsing(4)
     assert frustrated_vs_unfrustrated_ratio(spec, spec, Bipartition.contiguous(4)) == 1.0
 
 
 def test_frustrated_vs_unfrustrated_case6():
-    frus = ModelSpec(kind="SingleBondIsing", m=4, sign="frustrated")
-    ferro = ModelSpec(kind="SingleBondIsing", m=4, sign="unfrustrated")
+    frus = SingleBondIsing(4, sign="frustrated")
+    ferro = SingleBondIsing(4, sign="unfrustrated")
     ratio = frustrated_vs_unfrustrated_ratio(frus, ferro, Bipartition.contiguous(4))
     assert ratio > 1.0  # constructive relative to the clean ring
 
 
 def test_frustrated_vs_unfrustrated_case1():
-    frus = ModelSpec(kind="IsingGasLR", m=4, sign="frustrated")
-    ferro = ModelSpec(kind="IsingGasLR", m=4, sign="unfrustrated")
+    frus = IsingGasLR(4, sign="frustrated")
+    ferro = IsingGasLR(4, sign="unfrustrated")
     ratio = frustrated_vs_unfrustrated_ratio(frus, ferro, Bipartition.contiguous(4))
     from frustra.closed_forms import ising_gas_rho_k
 

@@ -1,9 +1,18 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from frustra.spin_core import ValidationError, build_dense, diagonalize
 from frustra.models import (
+    HeisenbergGasLR,
+    IsingGasLR,
+    MajumdarGhosh,
     ModelSpec,
+    RVBPlaquette,
+    ShastrySutherland,
+    SingleBondIsing,
     build_heisenberg_gas,
     build_ising_gas,
     build_mg_chain,
@@ -137,13 +146,13 @@ def test_covering_states_count_and_norm():
 
 
 def test_default_initial_state_single_bond():
-    spec = ModelSpec(kind="SingleBondIsing", m=2)
+    spec = SingleBondIsing(2)
     st = default_initial_state(spec)
     np.testing.assert_allclose(np.abs(st.amplitudes), 0.25, atol=1e-12)
 
 
 def test_default_initial_state_mg_pattern():
-    spec = ModelSpec(kind="MajumdarGhosh", m=3)
+    spec = MajumdarGhosh(3)
     st = default_initial_state(spec)
     # sites 0..3 pinned to |0101>, last two sites free in |+>
     support = np.flatnonzero(np.abs(st.amplitudes) > 1e-12)
@@ -152,15 +161,41 @@ def test_default_initial_state_mg_pattern():
 
 
 def test_default_initial_state_rejects_zero_product():
-    spec = ModelSpec(kind="IsingGasLR", m=2)
+    spec = IsingGasLR(2)
     with pytest.raises(ValidationError):
         default_initial_state(spec, alpha=1.0, beta=0.0)
 
 
-def test_model_spec_json_roundtrip():
-    spec = ModelSpec(kind="IsingGasLR", m=3, lam=1.0 / 3.0)
+_SIGNS = st.sampled_from(["frustrated", "unfrustrated"])
+_COUPLINGS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_SPECS = st.one_of(
+    st.builds(IsingGasLR, st.integers(1, 12), st.floats(0.0, 1.0), _SIGNS),
+    st.builds(HeisenbergGasLR, st.integers(1, 12)),
+    st.builds(MajumdarGhosh, st.integers(2, 12)),
+    st.builds(SingleBondIsing, st.integers(2, 12), _SIGNS),
+    st.builds(ShastrySutherland, st.sampled_from([4, 6]), _COUPLINGS, _COUPLINGS),
+    st.builds(RVBPlaquette, st.integers(1, 12), st.integers(0, 12)),
+)
+
+
+@given(_SPECS)
+def test_model_spec_json_roundtrip(spec):
     again = ModelSpec.from_json(spec.to_json())
-    assert again == spec
+    assert again == spec and type(again) is type(spec)
+    assert json.loads(spec.to_json())["kind"] == type(spec).__name__
+
+
+def test_model_spec_json_holds_only_the_model_parameters():
+    assert {c.__name__ for c in ModelSpec.__subclasses__()} == {
+        "IsingGasLR", "HeisenbergGasLR", "MajumdarGhosh", "SingleBondIsing",
+        "ShastrySutherland", "RVBPlaquette",
+    }
+    assert SingleBondIsing(3).to_json() == '{"kind": "SingleBondIsing", "m": 3, "sign": "frustrated"}'
+    assert IsingGasLR(9, lam=0.5).to_json() == (
+        '{"kind": "IsingGasLR", "lambda": 0.5, "m": 9, "sign": "frustrated"}'
+    )
+    assert ShastrySutherland(4).to_json() == '{"L": 4, "j1": 1.0, "j2": 0.5, "kind": "ShastrySutherland"}'
+    assert RVBPlaquette(5, 2).to_json() == '{"kind": "RVBPlaquette", "plaquettes": 5, "s": 2}'
 
 
 @pytest.mark.parametrize(
@@ -170,8 +205,16 @@ def test_model_spec_json_roundtrip():
         "[1,2]",
         "{not json",
         '{"m": 2}',
+        '{"kind": "IsingGasLR", "m": 2, "sign": "x"}',
+        '{"kind": "SingleBondIsing", "m": 2, "sign": "x"}',
+        '{"kind": "MajumdarGhosh", "m": 2, "j1": 1.0}',
+        '{"kind": "SingleBondIsing", "m": 2, "flipped_bond": 1}',
+        '{"kind": "HeisenbergGasLR", "m": 2, "lambda": 0.5}',
+        '{"kind": "ShastrySutherland", "L": 4, "j2": NaN}',
+        '{"kind": "MajumdarGhosh"}',
     ],
-    ids=["unknown-key", "not-an-object", "malformed", "no-kind"],
+    ids=["unknown-key", "not-an-object", "malformed", "no-kind", "ising-gas-sign-x", "single-bond-sign-x", "mg-j1", "single-bond-flipped-bond",
+         "heisenberg-gas-lambda", "shastry-j2-nan", "no-size"],
 )
 def test_model_spec_from_json_rejects_bad_input(text):
     with pytest.raises(ValidationError):
@@ -180,18 +223,20 @@ def test_model_spec_from_json_rejects_bad_input(text):
 
 def test_model_spec_validation():
     with pytest.raises(ValidationError):
-        ModelSpec(kind="nope", m=2)
+        ModelSpec.from_json('{"kind": "nope", "m": 2}')
     with pytest.raises(ValidationError):
-        ModelSpec(kind="IsingGasLR", m=2, lam=1.5)
+        IsingGasLR(2, lam=1.5)
     with pytest.raises(ValidationError):
-        ModelSpec(kind="MajumdarGhosh", m=2, j1=-1.0)
+        ModelSpec.from_json('{"kind": "MajumdarGhosh", "m": 2, "j1": -1.0}')
+    with pytest.raises(ValidationError):
+        ShastrySutherland(4, j1=-1.0)
 
 
 def test_build_model_dispatch():
-    spec = ModelSpec(kind="SingleBondIsing", m=3)
+    spec = SingleBondIsing(3)
     h = build_model(spec)
     assert h.num_sites == 6 and h.is_diagonal()
-    spec = ModelSpec(kind="HeisenbergGasLR", m=2)
+    spec = HeisenbergGasLR(2)
     assert build_model(spec).num_sites == 4
 
 

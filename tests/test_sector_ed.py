@@ -12,7 +12,7 @@ from hypothesis import assume, given, strategies as st
 
 from frustra.cooling import cool, cooled_entropy_scan
 from frustra.models import (
-    ModelSpec,
+    MajumdarGhosh,
     build_heisenberg_gas,
     build_ising_gas,
     build_mg_chain,
@@ -187,7 +187,7 @@ def test_pauli_sums_match_reference(op):
 
 
 def test_mg_ring_n12_matches_dimer_projection():
-    spec = ModelSpec(kind="MajumdarGhosh", m=6)
+    spec = MajumdarGhosh(6)
     initial = default_initial_state(spec)
     gp, gm = mg_dimer_states(6)
     q, _ = np.linalg.qr(np.stack([gp.amplitudes, gm.amplitudes], axis=1))

@@ -26,7 +26,7 @@ from frustra.spin_core import (
 )
 from frustra.cooling import _spectrum, cool
 from frustra.models import (
-    ModelSpec,
+    MajumdarGhosh,
     build_heisenberg_gas,
     build_ising_gas,
     build_mg_chain,
@@ -178,7 +178,7 @@ def test_cool_counts_embedded_columns_in_budget(monkeypatch):
 
     monkeypatch.setattr(SpectralDecomposition, "columns", counting_columns)
     h = build_mg_chain(4)
-    initial = default_initial_state(ModelSpec(kind="MajumdarGhosh", m=4))
+    initial = default_initial_state(MajumdarGhosh(4))
     assert cool(h, initial).num_retained == 2
     assert len(calls) == 1
     with pytest.raises(SizeLimitError, match="GiB"):
