@@ -14,9 +14,7 @@ from .spin_core import (
     block_entropy,
     build_dense,
     diagonalize,
-    partial_trace,
     product_state,
-    von_neumann_entropy,
 )
 from .models import ModelSpec, build_model, default_initial_state
 from .cooling import CooledState, EntropyReport, cool, cool_excited, cooled_entropy_scan
@@ -46,8 +44,6 @@ __all__ = [
     "frustration_degree",
     "frustration_degree_model",
     "ising_limit",
-    "partial_trace",
     "product_state",
     "rvb_interference_curve",
-    "von_neumann_entropy",
 ]

@@ -21,11 +21,14 @@ from .spin_core import (
     ValidationError,
     _check_dense_bytes,
     _dtype,
+    _entropy_bits,
+    _schmidt_axes,
     block_entropy,
     degeneracy_tol,
     diagonalize,
     manifolds,
     product_state,
+    schmidt_weights,
 )
 
 GROUND = "ground"
@@ -60,20 +63,32 @@ def _check_initial(h: PauliOperator, initial: StateVector) -> None:
 
 
 def _spectrum(h: PauliOperator):
-    """The ascending energies of ``h``, their degeneracy tolerance, and
+    """The ascending energies of ``h``, their degeneracy tolerance,
     ``projector(thr)``: a map from amplitudes to ``(projected amplitudes,
-    z)`` for the span of the eigenstates at or below ``thr``.
+    z)`` for the span of the eigenstates at or below ``thr``, and
+    ``columns(thr)``: an orthonormal basis of that span, one 2^n column
+    per kept eigenstate.
 
     I/Z-only operators project by mask on the diagonal and never build
-    eigenvectors; others go through ``diagonalize`` and embed the kept
-    eigenvectors once per threshold, after checking their 2^n x kept
-    elements against the dense memory budget.  Both keep the dtype of
-    real amplitudes: the mask copies them, and the eigenvectors of a real
+    eigenvectors; their columns are the unit vectors of the kept basis
+    states.  Others go through ``diagonalize``, and their projector
+    embeds the kept eigenvectors once per threshold through ``columns``.
+    ``columns`` checks its 2^n x kept elements against the dense memory
+    budget before it builds them.  Both keep the dtype of real
+    amplitudes: the mask copies them, and the eigenvectors of a real
     operator are real.
     """
+    n = h.num_sites
     if h.is_diagonal():
         diag = h.diagonal()
         energies = np.sort(diag)
+
+        def columns(thr):
+            idx = np.flatnonzero(diag <= thr)
+            _check_dense_bytes(8 * len(idx) << n)
+            out = np.zeros((1 << n, len(idx)))
+            out[idx, np.arange(len(idx))] = 1.0
+            return out
 
         def projector(thr):
             mask = diag <= thr
@@ -88,10 +103,13 @@ def _spectrum(h: PauliOperator):
         dec = diagonalize(h)
         energies = dec.eigenvalues
 
-        def projector(thr):
+        def columns(thr):
             kept = energies <= thr
-            _check_dense_bytes(_dtype(h).itemsize * int(kept.sum()) << h.num_sites)
-            v = dec.columns(kept)
+            _check_dense_bytes(_dtype(h).itemsize * int(kept.sum()) << n)
+            return dec.columns(kept)
+
+        def projector(thr):
+            v = columns(thr)
 
             def project(amps):
                 # conjugating amps, not the kept columns, copies no column
@@ -100,7 +118,7 @@ def _spectrum(h: PauliOperator):
 
             return project
 
-    return energies, degeneracy_tol(energies), projector
+    return energies, degeneracy_tol(energies), projector, columns
 
 
 def _threshold(threshold, energies: np.ndarray, tol: float) -> float:
@@ -142,7 +160,7 @@ def cool(
     memory budget.
     """
     _check_initial(h, initial)
-    energies, tol, projector = _spectrum(h)
+    energies, tol, projector, _ = _spectrum(h)
     thr = _threshold(threshold, energies, tol)
     return _finish(projector(thr), initial, thr, energies, tol)
 
@@ -157,7 +175,7 @@ def cool_excited(
     if manifold_count < 1:
         raise ValidationError("manifold_count must be >= 1")
     _check_initial(h, initial)
-    energies, tol, projector = _spectrum(h)
+    energies, tol, projector, _ = _spectrum(h)
     levels = manifolds(energies, tol)
     thr = levels[min(manifold_count, len(levels)) - 1][0] + tol
     return _finish(projector(thr), initial, thr, energies, tol)
@@ -202,7 +220,7 @@ def cooled_entropy_scan(spec, initial, thresholds, cuts) -> list:
 
     h = build_model(spec)
     _check_initial(h, initial)
-    energies, tol, projector = _spectrum(h)
+    energies, tol, projector, _ = _spectrum(h)
     out = []
     for threshold in thresholds:
         thr = _threshold(threshold, energies, tol)
@@ -224,6 +242,52 @@ def cooled_entropy_scan(spec, initial, thresholds, cuts) -> list:
     return out
 
 
+def _angle_pairs(x: np.ndarray) -> np.ndarray:
+    """Unit local states (cos t_i, e^{i phi_i} sin t_i) of the angles
+    x = (t_0, phi_0, t_1, phi_1, ...), one row per site."""
+    t, ph = x[0::2], x[1::2]
+    pairs = np.empty((len(t), 2), complex)
+    pairs[:, 0] = np.cos(t)
+    pairs[:, 1] = np.exp(1j * ph) * np.sin(t)
+    return pairs
+
+
+def _manifold_entropy(v: np.ndarray, cut: Bipartition):
+    """``entropy(x)``: the block entropy across ``cut``, and z, of the
+    product state with angles ``x`` cooled onto the span of the
+    orthonormal columns ``v`` (2^n x d); the entropy is 0 below the z floor.
+
+    Each column is rearranged once into its Schmidt matrix A_a, flattened,
+    and the product state psi is built in that same order of sites.  Then
+    c = A^H psi are the cooled state's coordinates in the span, z = |c|^2,
+    and sum_a c_a A_a is its Schmidt matrix, so a call costs O(d 2^n) and
+    forms no projected 2^n state.
+    """
+    n = v.shape[0].bit_length() - 1
+    axes = _schmidt_axes(n, cut)
+    # complex once, so that no step casts real columns to meet complex psi;
+    # the columns and this copy count against the dense memory budget
+    _check_dense_bytes((v.itemsize + 16) * v.shape[1] << n)
+    tensor = v.reshape((2,) * n + (-1,)).transpose(axes + [n])
+    a = np.ascontiguousarray(tensor, dtype=complex).reshape(1 << n, -1).T
+    # the sites of the flattened Schmidt index, least significant first
+    sites = [n - 1 - ax for ax in reversed(axes)]
+    rows = 1 << len(cut.system_sites)
+
+    def entropy(x):
+        pairs = _angle_pairs(x)[sites]
+        psi = pairs[0]
+        for pair in pairs[1:]:
+            psi = (pair[:, None] * psi).ravel()
+        coeffs = (a @ psi.conj()).conj()
+        z = float(np.vdot(coeffs, coeffs).real)
+        if z < _Z_FLOOR:
+            return 0.0, z
+        return _entropy_bits(schmidt_weights((coeffs @ a).reshape(rows, -1)) / z), z
+
+    return entropy
+
+
 def maximize_cooled_entropy(
     h: PauliOperator,
     cut: Bipartition,
@@ -233,9 +297,12 @@ def maximize_cooled_entropy(
     """Maximize the cooled block entropy over product initial states.
 
     Each site's local state is parametrized by two angles; Nelder-Mead with
-    seeded random restarts searches the product family.  Returns the best
-    (entropy, CooledState, initial StateVector) triple found.  The
-    spectrum obeys the dense memory budget, as in ``cool``.
+    seeded random restarts searches the product family.  The search runs
+    in the d coordinates of the ground manifold (``_manifold_entropy``), so
+    a step costs O(d 2^n) and builds no projected state.  Returns the best
+    (entropy, CooledState, initial StateVector) triple found; the state is
+    the one ``cool`` gives for that initial state.  The spectrum and the
+    ground columns obey the dense memory budget, as in ``cool``.
     """
     from scipy.optimize import minimize
 
@@ -243,19 +310,12 @@ def maximize_cooled_entropy(
     cut.validate(n)
     rng = np.random.default_rng(seed)
 
-    energies, tol, projector = _spectrum(h)
+    energies, tol, projector, columns = _spectrum(h)
     thr = _threshold(GROUND, energies, tol)
-    ground = projector(thr)
-
-    def make_initial(x):
-        t, ph = x[0::2], x[1::2]
-        return product_state(np.stack([np.cos(t), np.exp(1j * ph) * np.sin(t)], axis=1))
+    entropy = _manifold_entropy(columns(thr), cut)
 
     def objective(x):
-        amps, z = ground(make_initial(x).amplitudes)
-        if z < _Z_FLOOR:
-            return 0.0
-        return -block_entropy(StateVector(n, amps / np.sqrt(z)), cut)
+        return -entropy(x)[0]
 
     best_val = -1.0
     best_x = None
@@ -270,5 +330,5 @@ def maximize_cooled_entropy(
         if -res.fun > best_val:
             best_val = -res.fun
             best_x = res.x
-    initial = make_initial(best_x)
-    return best_val, _finish(ground, initial, thr, energies, tol), initial
+    initial = product_state(_angle_pairs(best_x))
+    return best_val, _finish(projector(thr), initial, thr, energies, tol), initial

@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, asdict
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -27,9 +28,21 @@ def _check_sign(sign) -> None:
         raise ValidationError(f"sign must be frustrated or unfrustrated, not {sign!r}")
 
 
+# the type of each annotation, which postponed evaluation keeps as text
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+
+
 class ModelSpec:
     """Base of the six model specs.  Each subclass holds exactly the
-    parameters its Hamiltonian reads; its class name is its JSON kind."""
+    parameters its Hamiltonian reads; its class name is its JSON kind.
+    Sizes are ints, couplings real numbers (neither a bool) and signs
+    strings; another type raises ValidationError."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValidationError(f"{self.kind} {f.name} must be {f.type}, not {value!r}")
 
     @property
     def kind(self) -> str:
@@ -42,8 +55,9 @@ class ModelSpec:
     @staticmethod
     def from_json(text: str) -> "ModelSpec":
         """Inverse of ``to_json``; raises ValidationError for text that is
-        not a JSON object, for a missing or unknown kind, for keys the
-        model does not take and for values its checks refuse."""
+        not a JSON object, for a missing or unknown kind, for a key that
+        ``to_json`` does not write for the model (``"lam"`` too: it is
+        written ``"lambda"``) and for values its checks refuse."""
         try:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -54,8 +68,13 @@ class ModelSpec:
         model = next((c for c in ModelSpec.__subclasses__() if c.__name__ == kind), None)
         if model is None:
             raise ValidationError(f"model spec kind {kind!r} is missing or unknown")
+        # the JSON keys that to_json writes, and the fields they fill
+        keys = {"lambda" if f.name == "lam" else f.name: f.name for f in fields(model)}
+        unknown = sorted(set(d) - set(keys))
+        if unknown:
+            raise ValidationError(f"{kind} spec does not take {', '.join(unknown)}")
         try:
-            return model(**{"lam" if k == "lambda" else k: v for k, v in d.items()})
+            return model(**{keys[k]: v for k, v in d.items()})
         except TypeError as exc:
             raise ValidationError(f"bad {kind} spec: {exc}") from None
 
@@ -69,6 +88,7 @@ class IsingGasLR(ModelSpec):
     sign: str = "frustrated"
 
     def __post_init__(self):
+        super().__post_init__()
         if not (0.0 <= self.lam <= 1.0):
             raise ValidationError("lambda must lie in [0, 1]")
         _check_sign(self.sign)
@@ -96,6 +116,7 @@ class SingleBondIsing(ModelSpec):
     sign: str = "frustrated"
 
     def __post_init__(self):
+        super().__post_init__()
         _check_sign(self.sign)
 
 
@@ -108,6 +129,7 @@ class ShastrySutherland(ModelSpec):
     j2: float = 0.5
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.j1 > 0 and self.j2 > 0):
             raise ValidationError("ShastrySutherland requires J1, J2 > 0")
 

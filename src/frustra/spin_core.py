@@ -442,6 +442,16 @@ def diagonalize(op: PauliOperator) -> SpectralDecomposition:
     return SpectralDecomposition(blocks, op.num_sites)
 
 
+def _schmidt_axes(n: int, cut: Bipartition) -> list:
+    """The axes of amplitudes reshaped to (2,)*n in Schmidt-matrix order,
+    most significant bit first: the system sites, last first, then the
+    environment sites, last first.  Site s is axis n-1-s."""
+    cut.validate(n)
+    system = set(cut.system_sites)
+    env = [s for s in range(n) if s not in system]
+    return [n - 1 - s for s in reversed(cut.system_sites)] + [n - 1 - s for s in reversed(env)]
+
+
 def schmidt_matrix(state: StateVector, cut: Bipartition) -> np.ndarray:
     """Amplitudes rearranged into a (system x environment) matrix.
 
@@ -451,13 +461,8 @@ def schmidt_matrix(state: StateVector, cut: Bipartition) -> np.ndarray:
     0..k-1 is a view of the amplitudes.
     """
     n = state.num_sites
-    cut.validate(n)
-    system = set(cut.system_sites)
-    env = [s for s in range(n) if s not in system]
-    axes = [n - 1 - s for s in reversed(cut.system_sites)]
-    axes += [n - 1 - s for s in reversed(env)]
-    tensor = state.amplitudes.reshape((2,) * n).transpose(axes)
-    return tensor.reshape(1 << len(cut.system_sites), 1 << len(env))
+    tensor = state.amplitudes.reshape((2,) * n).transpose(_schmidt_axes(n, cut))
+    return tensor.reshape(1 << len(cut.system_sites), -1)
 
 
 def schmidt_weights(a: np.ndarray) -> np.ndarray:
@@ -473,26 +478,6 @@ def _entropy_bits(p: np.ndarray) -> float:
     p = np.clip(p, 0.0, 1.0)
     nz = p[p > 0]
     return max(float(-np.sum(nz * np.log2(nz))), 0.0)
-
-
-def partial_trace(state: StateVector, cut: Bipartition) -> np.ndarray:
-    """Reduced density matrix on the system sites of the cut."""
-    if not state.is_normalized(tol=1e-10):
-        raise ValidationError("state must be normalized for partial trace")
-    a = schmidt_matrix(state, cut)
-    return a @ a.conj().T
-
-
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy of a density matrix, in bits."""
-    rho = np.asarray(rho)
-    tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > 1e-8:
-        raise ValidationError(f"density matrix trace {tr} deviates from 1")
-    p = np.linalg.eigvalsh(rho)
-    if p.min() < -1e-12:
-        raise ValidationError("density matrix is not positive semidefinite")
-    return _entropy_bits(p)
 
 
 def block_entropy(state: StateVector, cut: Bipartition) -> float:

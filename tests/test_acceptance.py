@@ -14,7 +14,6 @@ from frustra.spin_core import (
     Bipartition,
     StateVector,
     block_entropy,
-    partial_trace,
     product_state,
 )
 from frustra.models import (
@@ -43,6 +42,8 @@ from frustra.closed_forms import (
     single_bond_cooled_state,
 )
 from frustra.interference import covering_interference, rvb_interference_curve
+
+from reference import partial_trace
 
 
 def verdict(num, ok, detail):

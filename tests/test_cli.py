@@ -76,6 +76,21 @@ def test_scaling_mg_golden(tmp_path):
     assert float(row[5]) == pytest.approx(math.log2(5.0))
 
 
+MG_GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "mg_optimiser")
+
+
+@pytest.mark.parametrize("seed", [5, 7, 11])
+@pytest.mark.parametrize("n, k, name", [("6", "2..3", "mg_n6_k2-3"), ("8", "4", "mg_n8_k4")],
+                         ids=["n6-k2..3", "n8-k4"])
+def test_scaling_mg_optimiser_payload_equals_golden(tmp_path, n, k, name, seed):
+    # the goldens were written by the optimiser that cooled a 2^n state at
+    # every step; the manifold-coordinate search must give the same bytes
+    out = tmp_path / "mg.csv"
+    argv = ["scaling", "--model", "mg", "--n", n, "--k", k, "--source", "ed", "--seed", str(seed)]
+    assert run(argv + ["--output", str(out)]) == 0
+    assert read(out) == read(os.path.join(MG_GOLDENS, f"{name}_seed{seed}.csv"))
+
+
 def test_scaling_single_bond_decreasing(tmp_path, single_bond_entropy):
     out = tmp_path / "sb.csv"
     code = run(

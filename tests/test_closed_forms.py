@@ -9,7 +9,6 @@ from frustra.spin_core import (
     StateVector,
     ValidationError,
     block_entropy,
-    partial_trace,
     schmidt_matrix,
     schmidt_weights,
     shannon_entropy,
@@ -42,6 +41,8 @@ from frustra.closed_forms import (
     shastry_block_entropy,
     single_bond_cooled_state,
 )
+
+from reference import partial_trace
 
 
 # ---------------------------------------------------------------- Case 1

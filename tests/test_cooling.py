@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import frustra.cooling
 from frustra.spin_core import (
@@ -26,7 +26,11 @@ from frustra.models import (
 )
 from frustra.closed_forms import ising_gas_rho_k
 from frustra.cooling import (
+    GROUND,
     EntropyReport,
+    _manifold_entropy,
+    _spectrum,
+    _threshold,
     cool,
     cool_excited,
     cooled_entropy_scan,
@@ -377,3 +381,96 @@ def test_mg_scan_golden_value():
         spec, initial, ["ground"], [Bipartition.contiguous(4)]
     )
     assert reports[0].entropy == pytest.approx(e, abs=1e-9)
+
+
+def _dm_ring(n):
+    """A complex ring: Dzyaloshinskii-Moriya (XY - YX) bonds plus ZZ, whose
+    ground manifold is 2-dimensional with complex eigenvectors."""
+    def bond(i, pair):
+        s = ["I"] * n
+        s[i], s[(i + 1) % n] = pair
+        return "".join(s)
+
+    terms = [(1.0, bond(i, "XY")) for i in range(n)] + [(-1.0, bond(i, "YX")) for i in range(n)]
+    return PauliOperator(n, tuple(terms + [(0.5, bond(i, "ZZ")) for i in range(n)]))
+
+
+# (name, operator, ground-manifold dimension); the Ising gas is I/Z-only, so
+# its ground columns are the unit vectors of the mask
+MANIFOLD_CASES = [
+    ("mg4", build_mg_chain(2), 2),
+    ("mg6", build_mg_chain(3), 2),
+    ("mg8", build_mg_chain(4), 2),
+    ("heisenberg-gas6", build_model(HeisenbergGasLR(3)), 5),
+    ("ising-gas6", build_ising_gas(3, 1 / 3), 15),
+    ("dm-ring6", _dm_ring(6), 2),
+]
+
+
+def _reference_entropy(h, cut, x):
+    """The optimiser's former objective: the product state of the angles,
+    cooled by ``cool`` and split by ``block_entropy``; (entropy, z), or
+    None when the state has no ground support."""
+    t, ph = x[0::2], x[1::2]
+    initial = product_state(np.stack([np.cos(t), np.exp(1j * ph) * np.sin(t)], axis=1))
+    try:
+        cooled = cool(h, initial)
+    except OrthogonalInitialStateError:
+        return None
+    return block_entropy(cooled.state, cut), cooled.z
+
+
+@pytest.mark.parametrize(
+    "h, dim, k",
+    [(h, dim, k) for _, h, dim in MANIFOLD_CASES for k in range(1, h.num_sites)],
+    ids=[f"{name}-k{k}" for name, h, _ in MANIFOLD_CASES for k in range(1, h.num_sites)],
+)
+@settings(max_examples=12)
+@given(data=st.data())
+def test_manifold_entropy_matches_cooled_state(h, dim, k, data):
+    n = h.num_sites
+    cut = data.draw(st.one_of(
+        st.integers(0, n - 1).map(lambda o: Bipartition.contiguous(k, o, n)),
+        st.permutations(range(n)).map(lambda p: Bipartition(tuple(p[:k]))),
+    ))
+    x = np.array(data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=2 * n, max_size=2 * n)))
+    energies, tol, _, columns = _spectrum(h)
+    v = columns(_threshold(GROUND, energies, tol))
+    assert v.shape == (1 << n, dim)
+    e, z = _manifold_entropy(v, cut)(x)
+    expected = _reference_entropy(h, cut, x)
+    if expected is None:
+        assert e == 0.0 and z < frustra.cooling._Z_FLOOR
+        return
+    assert z == pytest.approx(expected[1], abs=1e-12)
+    assert e == pytest.approx(expected[0], abs=1e-12)
+
+
+def test_optimiser_steps_build_no_state(monkeypatch):
+    # every step works in manifold coordinates: only the final initial
+    # state is a product_state, and only it is projected
+    calls = {"product_state": 0, "project": 0, "step": 0}
+    spectrum = frustra.cooling._spectrum
+    product = frustra.cooling.product_state
+    manifold_entropy = frustra.cooling._manifold_entropy
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def counting_spectrum(h):
+        energies, tol, projector, columns = spectrum(h)
+        return energies, tol, lambda thr: counted("project", projector(thr)), columns
+
+    monkeypatch.setattr(frustra.cooling, "_spectrum", counting_spectrum)
+    monkeypatch.setattr(frustra.cooling, "product_state", counted("product_state", product))
+    monkeypatch.setattr(frustra.cooling, "_manifold_entropy",
+                        lambda v, cut: counted("step", manifold_entropy(v, cut)))
+    cut = Bipartition.contiguous(2)
+    e, cooled, _ = maximize_cooled_entropy(build_mg_chain(3), cut, restarts=2)
+    assert calls["product_state"] == calls["project"] == 1
+    assert calls["step"] > 500
+    assert e == pytest.approx(block_entropy(cooled.state, cut), abs=1e-12)

@@ -221,6 +221,56 @@ def test_model_spec_from_json_rejects_bad_input(text):
         ModelSpec.from_json(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind": "MajumdarGhosh", "m": "3"}',
+        '{"kind": "MajumdarGhosh", "m": 2.5}',
+        '{"kind": "MajumdarGhosh", "m": true}',
+        '{"kind": "HeisenbergGasLR", "m": 3.0}',
+        '{"kind": "IsingGasLR", "m": 2, "lambda": "0.5"}',
+        '{"kind": "IsingGasLR", "m": 2, "lambda": true}',
+        '{"kind": "IsingGasLR", "m": 2, "sign": 1}',
+        '{"kind": "SingleBondIsing", "m": 2, "sign": null}',
+        '{"kind": "ShastrySutherland", "L": 4.0}',
+        '{"kind": "ShastrySutherland", "L": 4, "j1": "1"}',
+        '{"kind": "ShastrySutherland", "L": 4, "j2": [0.5]}',
+        '{"kind": "RVBPlaquette", "plaquettes": 5, "s": false}',
+    ],
+    ids=["m-str", "m-float", "m-bool", "heisenberg-gas-m-float", "lambda-str", "lambda-bool",
+         "ising-gas-sign-int", "single-bond-sign-null", "L-float", "j1-str", "j2-list", "s-bool"],
+)
+def test_model_spec_refuses_wrong_value_types(text):
+    with pytest.raises(ValidationError, match="must be"):
+        ModelSpec.from_json(text)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: MajumdarGhosh("3"), lambda: IsingGasLR(2, lam=None), lambda: SingleBondIsing(2, sign=b"x"),
+     lambda: ShastrySutherland(4, j1=True), lambda: RVBPlaquette(5.0, 2)],
+    ids=["mg-m-str", "ising-gas-lambda-none", "single-bond-sign-bytes", "shastry-j1-bool", "rvb-plaquettes-float"],
+)
+def test_model_spec_constructors_check_value_types(build):
+    with pytest.raises(ValidationError, match="must be"):
+        build()
+
+
+def test_model_spec_numeric_types_accepted():
+    assert IsingGasLR(np.int64(2), lam=np.float64(0.5)) == IsingGasLR(2, lam=0.5)
+    assert ShastrySutherland(4, j1=1, j2=2) == ShastrySutherland(4, j1=1.0, j2=2.0)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"kind": "IsingGasLR", "m": 2, "lambda": 0.1, "lam": 0.5}', '{"kind": "IsingGasLR", "m": 2, "lam": 0.5}'],
+    ids=["lam-beside-lambda", "lam-alone"],
+)
+def test_model_spec_from_json_reads_only_what_to_json_writes(text):
+    with pytest.raises(ValidationError, match="does not take lam"):
+        ModelSpec.from_json(text)
+
+
 def test_model_spec_validation():
     with pytest.raises(ValidationError):
         ModelSpec.from_json('{"kind": "nope", "m": 2}')

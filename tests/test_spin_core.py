@@ -19,12 +19,10 @@ from frustra.spin_core import (
     build_dense,
     diagonalize,
     manifolds,
-    partial_trace,
     popcount,
     product_state,
-    von_neumann_entropy,
 )
-from frustra.cooling import _spectrum, cool
+from frustra.cooling import GROUND, _manifold_entropy, _spectrum, _threshold, cool
 from frustra.models import (
     MajumdarGhosh,
     build_heisenberg_gas,
@@ -32,6 +30,8 @@ from frustra.models import (
     build_mg_chain,
     default_initial_state,
 )
+
+from reference import partial_trace, von_neumann_entropy
 
 
 def test_pauli_text_roundtrip():
@@ -186,11 +186,39 @@ def test_cool_counts_embedded_columns_in_budget(monkeypatch):
     assert len(calls) == 1
 
 
+def test_mask_columns_are_kept_unit_vectors_within_budget(monkeypatch):
+    # the m=3, lambda=1/3 Ising gas keeps the 15 states of popcount 2
+    h = build_ising_gas(3, 1 / 3)
+    energies, tol, _, columns = _spectrum(h)
+    thr = _threshold(GROUND, energies, tol)
+    v = columns(thr)
+    kept = np.flatnonzero(h.diagonal() <= thr)
+    assert len(kept) == 15 and all(popcount(kept) == 2)
+    assert np.array_equal(v, np.eye(64)[:, kept])
+    monkeypatch.setattr(spin_core, "_DENSE_BYTES", v.nbytes - 1)
+    with pytest.raises(SizeLimitError, match="GiB"):
+        columns(thr)
+
+
+def test_manifold_coordinates_count_their_complex_copy_in_budget(monkeypatch):
+    # the 15 real unit columns of the m=3 Ising gas hold 7.5 kB; the
+    # optimiser's complex rearrangement of them needs 15 kB more
+    h = build_ising_gas(3, 1 / 3)
+    energies, tol, _, columns = _spectrum(h)
+    v = columns(_threshold(GROUND, energies, tol))
+    cut = Bipartition.contiguous(3)
+    monkeypatch.setattr(spin_core, "_DENSE_BYTES", 3 * v.nbytes - 1)
+    with pytest.raises(SizeLimitError, match="GiB"):
+        _manifold_entropy(v, cut)
+    monkeypatch.setattr(spin_core, "_DENSE_BYTES", 3 * v.nbytes)
+    _manifold_entropy(v, cut)
+
+
 @pytest.mark.parametrize("complex_amps", [False, True])
 def test_complex_projection_copies_no_columns(complex_amps):
     # the XY chain is complex; threshold 1000 keeps all 1024 of its columns
     # (16 MiB), and projecting onto all of them returns the state itself
-    _, _, projector = _spectrum(_pair_chain(10, "XY"))
+    _, _, projector, _ = _spectrum(_pair_chain(10, "XY"))
     project = projector(1000.0)
     pairs = [(1.0, 0.5j if complex_amps else 0.5)] * 10
     amps = product_state(pairs).amplitudes
