@@ -3,7 +3,9 @@
 These serve as oracles against exact diagonalization at small sizes and
 extend the same quantities far beyond dense-diagonalization reach.  Exact
 big-integer arithmetic is used where feasible, switching to log-space
-(lgamma) evaluation for very large systems.
+(lgamma) evaluation for very large systems.  The Dicke block weights walk
+the hypergeometric numerators by exact integer recurrences, from two
+``math.comb`` calls per block, and divide each by C(2m, m(1+lam)) once.
 """
 from __future__ import annotations
 
@@ -60,8 +62,16 @@ def ising_gas_rho_k(m: int, lam: float, k: int) -> DickeSpectrum:
     """Exact block spectrum of the cooled Ising-gas (Dicke) state.
 
     Requires m*(1+lam) to be an integer so the zero count of the Dicke
-    state is well defined.  Weights are computed with exact big-integer
-    binomials for m <= 1000 and in log-space above that.
+    state is well defined.  Weight i is C(k, i) C(2m-k, n0-i) / C(2m, n0)
+    for n0 = m(1+lam) zeros, nonzero for lo <= i <= hi.
+
+    For m <= 1000 the numerators are exact integers: ``math.comb`` gives
+    C(k, hi) and C(2m-k, n0-hi), and the walk down from i = hi steps both
+    binomials with the exact recurrences C(N, r+1) = C(N, r)(N-r)/(r+1)
+    and C(k, i-1) = C(k, i) i/(k-i+1).  The numerators must sum to
+    C(2m, n0) (Vandermonde), and each weight is one int/int division,
+    which Python rounds correctly.  Above m = 1000 the weights are
+    evaluated in log-space.
     """
     if not (0 <= k <= 2 * m):
         raise ValidationError("k out of range")
@@ -73,15 +83,17 @@ def ising_gas_rho_k(m: int, lam: float, k: int) -> DickeSpectrum:
         )
     n = 2 * m
     if m <= _EXACT_M_LIMIT:
+        lo, hi = max(0, n0 - (n - k)), min(k, n0)
+        nums = [0] * (k + 1)
+        ck, cr = math.comb(k, hi), math.comb(n - k, n0 - hi)
+        for i in range(hi, lo - 1, -1):
+            nums[i] = ck * cr
+            r = n0 - i
+            cr = cr * (n - k - r) // (r + 1)
+            ck = ck * i // (k - i + 1)
         denom = math.comb(n, n0)
-        weights = [
-            Fraction(math.comb(k, i) * math.comb(n - k, n0 - i), denom)
-            if 0 <= n0 - i <= n - k
-            else Fraction(0)
-            for i in range(k + 1)
-        ]
-        assert sum(weights) == 1
-        weights = tuple(float(w) for w in weights)
+        assert sum(nums) == denom
+        weights = tuple(num / denom for num in nums)
     else:
         lw = np.array(
             [

@@ -63,7 +63,8 @@ def _check_initial(h: PauliOperator, initial: StateVector) -> None:
 
 
 def _spectrum(h: PauliOperator):
-    """The ascending energies of ``h``, their degeneracy tolerance,
+    """The ground energy of ``h``, the degeneracy tolerance of its
+    spectrum, ``below(thr)``: the ascending energies at or below ``thr``,
     ``projector(thr)``: a map from amplitudes to ``(projected amplitudes,
     z)`` for the span of the eigenstates at or below ``thr``, and
     ``columns(thr)``: an orthonormal basis of that span, one 2^n column
@@ -71,17 +72,21 @@ def _spectrum(h: PauliOperator):
 
     I/Z-only operators project by mask on the diagonal and never build
     eigenvectors; their columns are the unit vectors of the kept basis
-    states.  Others go through ``diagonalize``, and their projector
-    embeds the kept eigenvectors once per threshold through ``columns``.
-    ``columns`` checks its 2^n x kept elements against the dense memory
-    budget before it builds them.  Both keep the dtype of real
-    amplitudes: the mask copies them, and the eigenvectors of a real
-    operator are real.
+    states.  The ground energy and the spread come from the diagonal's
+    min and max, and ``below`` sorts only the energies it keeps.  Others
+    go through ``diagonalize``, and their projector embeds the kept
+    eigenvectors once per threshold through ``columns``.  ``columns``
+    checks its 2^n x kept elements against the dense memory budget before
+    it builds them.  Both keep the dtype of real amplitudes: the mask
+    copies them, and the eigenvectors of a real operator are real.
     """
     n = h.num_sites
     if h.is_diagonal():
         diag = h.diagonal()
-        energies = np.sort(diag)
+        ground = float(diag.min())
+
+        def below(thr):
+            return np.sort(diag[diag <= thr])
 
         def columns(thr):
             idx = np.flatnonzero(diag <= thr)
@@ -99,34 +104,38 @@ def _spectrum(h: PauliOperator):
 
             return project
 
-    else:
-        dec = diagonalize(h)
-        energies = dec.eigenvalues
+        return ground, degeneracy_tol(diag), below, projector, columns
 
-        def columns(thr):
-            kept = energies <= thr
-            _check_dense_bytes(_dtype(h).itemsize * int(kept.sum()) << n)
-            return dec.columns(kept)
+    dec = diagonalize(h)
+    energies = dec.eigenvalues
 
-        def projector(thr):
-            v = columns(thr)
+    def below(thr):
+        return energies[: np.searchsorted(energies, thr, side="right")]
 
-            def project(amps):
-                # conjugating amps, not the kept columns, copies no column
-                coeffs = (v.T @ amps.conj()).conj()
-                return v @ coeffs, float(np.vdot(coeffs, coeffs).real)
+    def columns(thr):
+        kept = energies <= thr
+        _check_dense_bytes(_dtype(h).itemsize * int(kept.sum()) << n)
+        return dec.columns(kept)
 
-            return project
+    def projector(thr):
+        v = columns(thr)
 
-    return energies, degeneracy_tol(energies), projector, columns
+        def project(amps):
+            # conjugating amps, not the kept columns, copies no column
+            coeffs = (v.T @ amps.conj()).conj()
+            return v @ coeffs, float(np.vdot(coeffs, coeffs).real)
+
+        return project
+
+    return float(energies[0]), dec.degeneracy_tol, below, projector, columns
 
 
-def _threshold(threshold, energies: np.ndarray, tol: float) -> float:
+def _threshold(threshold, ground: float, tol: float) -> float:
     """An absolute threshold, or the top of the ground manifold for GROUND."""
-    return float(energies[0]) + tol if threshold == GROUND else float(threshold)
+    return ground + tol if threshold == GROUND else float(threshold)
 
 
-def _finish(project, initial: StateVector, thr: float, energies, tol) -> CooledState:
+def _finish(project, initial: StateVector, thr: float, below, tol) -> CooledState:
     """Project ``initial``, renormalize, and make the largest amplitude
     real and positive; the retained manifolds are the energies up to ``thr``."""
     amps, z = project(initial.amplitudes)
@@ -137,8 +146,7 @@ def _finish(project, initial: StateVector, thr: float, energies, tol) -> CooledS
     amps = amps / np.sqrt(z)
     top = amps[np.argmax(np.abs(amps))]
     amps = amps / (top / abs(top))
-    kept = energies[: np.searchsorted(energies, thr, side="right")]
-    dims = tuple((e, stop - start) for e, start, stop in manifolds(kept, tol))
+    dims = tuple((e, stop - start) for e, start, stop in manifolds(below(thr), tol))
     return CooledState(StateVector(initial.num_sites, amps), thr, z, dims)
 
 
@@ -160,9 +168,9 @@ def cool(
     memory budget.
     """
     _check_initial(h, initial)
-    energies, tol, projector, _ = _spectrum(h)
-    thr = _threshold(threshold, energies, tol)
-    return _finish(projector(thr), initial, thr, energies, tol)
+    ground, tol, below, projector, _ = _spectrum(h)
+    thr = _threshold(threshold, ground, tol)
+    return _finish(projector(thr), initial, thr, below, tol)
 
 
 def cool_excited(
@@ -175,10 +183,10 @@ def cool_excited(
     if manifold_count < 1:
         raise ValidationError("manifold_count must be >= 1")
     _check_initial(h, initial)
-    energies, tol, projector, _ = _spectrum(h)
-    levels = manifolds(energies, tol)
+    _, tol, below, projector, _ = _spectrum(h)
+    levels = manifolds(below(np.inf), tol)
     thr = levels[min(manifold_count, len(levels)) - 1][0] + tol
-    return _finish(projector(thr), initial, thr, energies, tol)
+    return _finish(projector(thr), initial, thr, below, tol)
 
 
 @dataclass(frozen=True)
@@ -220,11 +228,11 @@ def cooled_entropy_scan(spec, initial, thresholds, cuts) -> list:
 
     h = build_model(spec)
     _check_initial(h, initial)
-    energies, tol, projector, _ = _spectrum(h)
+    ground, tol, below, projector, _ = _spectrum(h)
     out = []
     for threshold in thresholds:
-        thr = _threshold(threshold, energies, tol)
-        cooled = _finish(projector(thr), initial, thr, energies, tol)
+        thr = _threshold(threshold, ground, tol)
+        cooled = _finish(projector(thr), initial, thr, below, tol)
         for cut in cuts:
             cut.validate(h.num_sites)
             e = block_entropy(cooled.state, cut)
@@ -290,45 +298,54 @@ def _manifold_entropy(v: np.ndarray, cut: Bipartition):
 
 def maximize_cooled_entropy(
     h: PauliOperator,
-    cut: Bipartition,
+    cuts,
     seed: int = 0,
     restarts: int = 8,
-):
-    """Maximize the cooled block entropy over product initial states.
+) -> list:
+    """Maximize the cooled block entropy over product initial states, for
+    each of ``cuts``.
 
     Each site's local state is parametrized by two angles; Nelder-Mead with
     seeded random restarts searches the product family.  The search runs
     in the d coordinates of the ground manifold (``_manifold_entropy``), so
-    a step costs O(d 2^n) and builds no projected state.  Returns the best
-    (entropy, CooledState, initial StateVector) triple found; the state is
-    the one ``cool`` gives for that initial state.  The spectrum and the
-    ground columns obey the dense memory budget, as in ``cool``.
+    a step costs O(d 2^n) and builds no projected state.  One spectrum and
+    one set of ground columns serve every cut, and every cut's search
+    starts from ``seed``, so its result does not depend on the other cuts.
+    Returns, per cut, the best (entropy, CooledState, initial StateVector)
+    triple found; the state is the one ``cool`` gives for that initial
+    state.  The spectrum and the ground columns obey the dense memory
+    budget, as in ``cool``.
     """
     from scipy.optimize import minimize
 
     n = h.num_sites
-    cut.validate(n)
-    rng = np.random.default_rng(seed)
+    for cut in cuts:
+        cut.validate(n)
+    ground, tol, below, projector, columns = _spectrum(h)
+    thr = _threshold(GROUND, ground, tol)
+    v = columns(thr)
+    project = projector(thr)
+    out = []
+    for cut in cuts:
+        entropy = _manifold_entropy(v, cut)
+        rng = np.random.default_rng(seed)
 
-    energies, tol, projector, columns = _spectrum(h)
-    thr = _threshold(GROUND, energies, tol)
-    entropy = _manifold_entropy(columns(thr), cut)
+        def objective(x):
+            return -entropy(x)[0]
 
-    def objective(x):
-        return -entropy(x)[0]
-
-    best_val = -1.0
-    best_x = None
-    for _ in range(restarts):
-        x0 = rng.uniform(0.0, np.pi, 2 * n)
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": 3000, "fatol": 1e-10, "xatol": 1e-8},
-        )
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_x = res.x
-    initial = product_state(_angle_pairs(best_x))
-    return best_val, _finish(projector(thr), initial, thr, energies, tol), initial
+        best_val = -1.0
+        best_x = None
+        for _ in range(restarts):
+            x0 = rng.uniform(0.0, np.pi, 2 * n)
+            res = minimize(
+                objective,
+                x0,
+                method="Nelder-Mead",
+                options={"maxiter": 3000, "fatol": 1e-10, "xatol": 1e-8},
+            )
+            if -res.fun > best_val:
+                best_val = -res.fun
+                best_x = res.x
+        initial = product_state(_angle_pairs(best_x))
+        out.append((best_val, _finish(project, initial, thr, below, tol), initial))
+    return out

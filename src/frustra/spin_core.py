@@ -473,11 +473,20 @@ def schmidt_weights(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(gram)
 
 
-def _entropy_bits(p: np.ndarray) -> float:
-    """-sum p log2 p over the entries clipped to [0, 1], with 0 log 0 := 0."""
+def _entropy_bits(p: np.ndarray, axis: int | None = None):
+    """-sum p log2 p over the entries clipped to [0, 1], with 0 log 0 := 0.
+
+    With ``axis`` None, a float over every entry, summed over the nonzero
+    entries only, so its rounding does not depend on how many zero
+    weights the spectrum holds; otherwise an array of sums along
+    ``axis``, where a zero entry adds an exact 0.
+    """
     p = np.clip(p, 0.0, 1.0)
-    nz = p[p > 0]
-    return max(float(-np.sum(nz * np.log2(nz))), 0.0)
+    if axis is None:
+        nz = p[p > 0]
+        return max(float(-np.sum(nz * np.log2(nz))), 0.0)
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    return np.maximum(-np.sum(p * logs, axis=axis), 0.0)
 
 
 def block_entropy(state: StateVector, cut: Bipartition) -> float:
@@ -490,6 +499,34 @@ def block_entropy(state: StateVector, cut: Bipartition) -> float:
     if abs(state.norm - 1.0) > 1e-8:
         raise ValidationError("state must be normalized")
     return _entropy_bits(schmidt_weights(a))
+
+
+def span_block_entropies(states, coords, cut: Bipartition) -> np.ndarray:
+    """Block entropies across ``cut``, in bits, of the states
+    sum_a coords[s, a] states[a], one for each row s of ``coords``.
+
+    The Schmidt matrices A_a of the few fixed ``states`` are taken once, on
+    the smaller side of the cut.  U is an orthonormal basis of the span of
+    their columns (rank r), R_a = U^H A_a and K_ab = R_a R_b^H, so row s has
+    the r x r reduced density matrix sum_ab c_sa conj(c_sb) K_ab.  All rows
+    go through one batched ``eigvalsh``, in O(rows r^2) memory.  As in
+    ``block_entropy``, every row must give a normalized state: a reduced
+    trace off 1 by more than 1e-8 raises ValidationError.
+    """
+    mats = [schmidt_matrix(st, cut) for st in states]
+    if mats[0].shape[0] > mats[0].shape[1]:
+        mats = [a.T for a in mats]
+    stack = np.hstack(mats)
+    u, sv, _ = np.linalg.svd(stack, full_matrices=False)
+    u = u[:, sv > sv[0] * max(stack.shape) * np.finfo(float).eps]
+    reduced = np.stack([u.conj().T @ a for a in mats])
+    blocks = np.einsum("aie,bje->abij", reduced, reduced.conj())
+    rho = np.einsum("sa,sb,abij->sij", coords, np.conj(coords), blocks)
+    trace = np.trace(rho, axis1=1, axis2=2).real
+    bad = np.flatnonzero(np.abs(trace - 1.0) > 1e-8)
+    if bad.size:
+        raise ValidationError(f"state of coordinate row {bad[0]} must be normalized")
+    return _entropy_bits(np.linalg.eigvalsh(rho), axis=-1)
 
 
 def shannon_entropy(weights) -> float:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import frustra.cooling
+
 # Property tests replay the same examples on every run and never time out
 # on a slow machine; pytest --hypothesis-profile selects another profile.
 settings.register_profile(
@@ -30,3 +32,17 @@ def _single_bond_entropy(n, k):
 @pytest.fixture
 def single_bond_entropy():
     return _single_bond_entropy
+
+
+@pytest.fixture
+def diagonalize_calls(monkeypatch):
+    """Count the calls cooling makes to ``diagonalize``."""
+    calls = []
+    diagonalize = frustra.cooling.diagonalize
+
+    def counting_diagonalize(*args, **kwargs):
+        calls.append(args)
+        return diagonalize(*args, **kwargs)
+
+    monkeypatch.setattr(frustra.cooling, "diagonalize", counting_diagonalize)
+    return calls

@@ -3,7 +3,12 @@ that check the library against them.
 
 ``partial_trace`` and ``von_neumann_entropy`` are the density-matrix route
 to a block entropy, beside the library's one path, ``block_entropy``.
+``dicke_weights`` is the exact ``Fraction`` route to the Ising-gas block
+weights, beside the library's integer recurrence in ``ising_gas_rho_k``.
 """
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from frustra.spin_core import (
@@ -33,3 +38,18 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     if p.min() < -1e-12:
         raise ValidationError("density matrix is not positive semidefinite")
     return _entropy_bits(p)
+
+
+def dicke_weights(m: int, lam: float, k: int) -> tuple:
+    """Block weights C(k, i) C(2m-k, n0-i) / C(2m, n0), n0 = m(1+lam), as
+    exact fractions from one ``math.comb`` per binomial, rounded to float."""
+    n, n0 = 2 * m, round(m * (1.0 + lam))
+    denom = math.comb(n, n0)
+    weights = [
+        Fraction(math.comb(k, i) * math.comb(n - k, n0 - i), denom)
+        if 0 <= n0 - i <= n - k
+        else Fraction(0)
+        for i in range(k + 1)
+    ]
+    assert sum(weights) == 1
+    return tuple(float(w) for w in weights)

@@ -54,8 +54,8 @@ def verdict(num, ok, detail):
 def test_criterion_01_mg_golden_value():
     t0 = time.perf_counter()
     h = build_mg_chain(4)
-    e, _, _ = maximize_cooled_entropy(
-        h, Bipartition.contiguous(4), seed=11, restarts=4
+    [(e, _, _)] = maximize_cooled_entropy(
+        h, [Bipartition.contiguous(4)], seed=11, restarts=4
     )
     elapsed = time.perf_counter() - t0
     ok = abs(e - 2.314) <= 0.01 and elapsed < 10.0
@@ -85,7 +85,7 @@ def test_criterion_02_mg_bounds():
                     violations.append((n, k, round(e, 4), lo, round(up, 4)))
     h = build_mg_chain(3)
     for k in (2, 4):
-        e, _, _ = maximize_cooled_entropy(h, Bipartition.contiguous(k))
+        [(e, _, _)] = maximize_cooled_entropy(h, [Bipartition.contiguous(k)])
         lo, up = mg_bounds(k, 6)
         checked += 1
         if not (lo - 1e-9 <= e <= up + 1e-9):

@@ -91,6 +91,14 @@ def test_scaling_mg_optimiser_payload_equals_golden(tmp_path, n, k, name, seed):
     assert read(out) == read(os.path.join(MG_GOLDENS, f"{name}_seed{seed}.csv"))
 
 
+def test_scaling_mg_diagonalizes_once_per_size(tmp_path, diagonalize_calls):
+    out = tmp_path / "mg.csv"
+    argv = ["scaling", "--model", "mg", "--n", "8", "--k", "1..3", "--source", "ed", "--seed", "5"]
+    assert run(argv + ["--output", str(out)]) == 0
+    assert len(diagonalize_calls) == 1
+    assert len(read(out).splitlines()) == 4
+
+
 def test_scaling_single_bond_decreasing(tmp_path, single_bond_entropy):
     out = tmp_path / "sb.csv"
     code = run(
@@ -261,6 +269,28 @@ def test_bounds_check_mg(tmp_path):
     assert "violations" in data and "all_ok" in data
 
 
+MG_BOUNDS_GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                                 "mg_bounds_check")
+
+
+@pytest.mark.parametrize("seed", [5, 7, 11])
+@pytest.mark.parametrize("n", ["6", "8", "12"])
+def test_bounds_check_mg_payload_equals_golden(tmp_path, n, seed):
+    # the goldens were written by the per-sample block_entropy loop
+    out = tmp_path / "bounds.json"
+    assert run(["bounds-check", "--model", "mg", "--n", n, "--seed", str(seed),
+                "--output", str(out)]) == 0
+    assert read(out) == read(os.path.join(MG_BOUNDS_GOLDENS, f"mg_n{n}_seed{seed}.json"))
+
+
+def test_bounds_check_mg_one_sample(tmp_path):
+    out = tmp_path / "bounds.json"
+    assert run(["bounds-check", "--model", "mg", "--n", "8", "--samples", "1",
+                "--output", str(out)]) == 0
+    data = json.loads(read(out))
+    assert data == {"all_ok": True, "checked": 7, "model": "mg", "violations": []}
+
+
 def test_bounds_check_heisenberg(tmp_path):
     out = tmp_path / "hb.json"
     code = run(["bounds-check", "--model", "heisenberg-gas", "--m", "2",
@@ -306,13 +336,18 @@ def test_no_partial_output_on_error(tmp_path):
         ["frustration", "--model", "ising-gas", "--n", "6", "--j1", "-1"],
         ["scaling", "--model", "ising-gas", "--m", "3", "--k", "2", "--source", "analytic",
          "--sign", "unfrustrated"],
+        ["bounds-check", "--model", "mg", "--n", "6", "--samples", "-3"],
+        ["bounds-check", "--model", "mg", "--n", "6", "--samples", "0"],
+        ["bounds-check", "--model", "heisenberg-gas", "--n", "4", "--samples", "5"],
     ],
     ids=["range-step-0", "interference-step-0", "fig1-step-0",
          "interference-step-negative", "fig1-step-negative", "threshold-abc",
          "fig1-output-is-a-file", "range-descending", "interference-d-reversed",
          "interference-j1-unknown", "n-not-integer", "m-not-integer",
          "interference-rvb-m", "interference-heisenberg-gas-shape",
-         "frustration-ising-gas-j1", "scaling-analytic-unfrustrated"],
+         "frustration-ising-gas-j1", "scaling-analytic-unfrustrated",
+         "bounds-check-samples-negative", "bounds-check-samples-0",
+         "bounds-check-heisenberg-gas-samples"],
 )
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     out = tmp_path / "out"

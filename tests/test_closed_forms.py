@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from frustra.spin_core import (
     Bipartition,
@@ -42,7 +43,7 @@ from frustra.closed_forms import (
     single_bond_cooled_state,
 )
 
-from reference import partial_trace
+from reference import dicke_weights, partial_trace
 
 
 # ---------------------------------------------------------------- Case 1
@@ -52,6 +53,21 @@ def test_dicke_small_spectrum():
     spec = ising_gas_rho_k(2, 0.0, 2)
     np.testing.assert_allclose(spec.weights, [1 / 6, 2 / 3, 1 / 6], atol=1e-15)
     assert spec.entropy() == pytest.approx(1.2516, abs=1e-4)
+
+
+@given(data=st.data())
+def test_dicke_weights_equal_fraction_reference(data):
+    # the integer recurrence must give the very floats of the Fraction route
+    m = data.draw(st.integers(1, 60), label="m")
+    lam = data.draw(st.integers(-m, m), label="j") / m
+    for k in range(2 * m + 1):
+        assert ising_gas_rho_k(m, lam, k).weights == dicke_weights(m, lam, k)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 0.999])
+def test_dicke_weights_equal_fraction_reference_at_m_1000(lam):
+    for k in range(1, 101):
+        assert ising_gas_rho_k(1000, lam, k).weights == dicke_weights(1000, lam, k)
 
 
 def test_dicke_weights_sum_to_one():

@@ -10,6 +10,7 @@ from frustra.spin_core import (
     StateVector,
     basis_state,
     block_entropy,
+    degeneracy_tol,
     diagonalize,
     product_state,
 )
@@ -175,19 +176,6 @@ def test_cool_excited_computes_spectrum_once(monkeypatch, h, initial):
     assert got.manifold_dims == expected.manifold_dims
 
 
-@pytest.fixture
-def diagonalize_calls(monkeypatch):
-    """Count the calls cooling makes to ``diagonalize``."""
-    calls = []
-
-    def counting_diagonalize(*args, **kwargs):
-        calls.append(args)
-        return diagonalize(*args, **kwargs)
-
-    monkeypatch.setattr(frustra.cooling, "diagonalize", counting_diagonalize)
-    return calls
-
-
 @pytest.mark.parametrize(
     "h,initial",
     [
@@ -203,6 +191,18 @@ def test_threshold_below_ground_raises(diagonalize_calls, h, initial):
     assert len(diagonalize_calls) == (0 if h.is_diagonal() else 1)
 
 
+@given(m=st.integers(1, 4), j=st.integers(-4, 4), thr=st.floats(-10.0, 10.0))
+def test_diagonal_spectrum_sorts_only_the_kept_prefix(m, j, thr):
+    # ground energy and tolerance from min and max, and the kept energies
+    # as the prefix of the full sort
+    h = build_ising_gas(m, j / 4)
+    energies = np.sort(h.diagonal())
+    ground, tol, below, _, _ = _spectrum(h)
+    assert (ground, tol) == (energies[0], degeneracy_tol(energies))
+    for t in (thr, _threshold(GROUND, ground, tol), np.inf):
+        assert np.array_equal(below(t), energies[: np.searchsorted(energies, t, side="right")])
+
+
 def test_threshold_on_a_level_retains_it():
     h = build_ising_gas(2, 0.0)
     init = uniform_state(4)
@@ -215,7 +215,7 @@ def test_threshold_on_a_level_retains_it():
 
 def test_maximize_cooled_entropy_diagonalizes_once(diagonalize_calls):
     h = build_mg_chain(3)
-    e, cooled, initial = maximize_cooled_entropy(h, Bipartition.contiguous(2), restarts=1)
+    [(e, cooled, initial)] = maximize_cooled_entropy(h, [Bipartition.contiguous(2)], restarts=1)
     assert len(diagonalize_calls) == 1
     assert e == pytest.approx(block_entropy(cooled.state, Bipartition.contiguous(2)), abs=1e-12)
     expected = cool(h, initial)
@@ -372,8 +372,8 @@ def test_mg_scan_golden_value():
     # E_{4:rest} of the 2m=8 Majumdar-Ghosh chain, with the initial product
     # state chosen to maximize the cooled entropy
     h = build_mg_chain(4)
-    e, cooled, initial = maximize_cooled_entropy(
-        h, Bipartition.contiguous(4), seed=11, restarts=4
+    [(e, cooled, initial)] = maximize_cooled_entropy(
+        h, [Bipartition.contiguous(4)], seed=11, restarts=4
     )
     assert e == pytest.approx(2.314, abs=0.01)
     spec = MajumdarGhosh(4)
@@ -434,8 +434,8 @@ def test_manifold_entropy_matches_cooled_state(h, dim, k, data):
         st.permutations(range(n)).map(lambda p: Bipartition(tuple(p[:k]))),
     ))
     x = np.array(data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=2 * n, max_size=2 * n)))
-    energies, tol, _, columns = _spectrum(h)
-    v = columns(_threshold(GROUND, energies, tol))
+    ground, tol, _, _, columns = _spectrum(h)
+    v = columns(_threshold(GROUND, ground, tol))
     assert v.shape == (1 << n, dim)
     e, z = _manifold_entropy(v, cut)(x)
     expected = _reference_entropy(h, cut, x)
@@ -462,15 +462,15 @@ def test_optimiser_steps_build_no_state(monkeypatch):
         return wrapper
 
     def counting_spectrum(h):
-        energies, tol, projector, columns = spectrum(h)
-        return energies, tol, lambda thr: counted("project", projector(thr)), columns
+        ground, tol, below, projector, columns = spectrum(h)
+        return ground, tol, below, lambda thr: counted("project", projector(thr)), columns
 
     monkeypatch.setattr(frustra.cooling, "_spectrum", counting_spectrum)
     monkeypatch.setattr(frustra.cooling, "product_state", counted("product_state", product))
     monkeypatch.setattr(frustra.cooling, "_manifold_entropy",
                         lambda v, cut: counted("step", manifold_entropy(v, cut)))
     cut = Bipartition.contiguous(2)
-    e, cooled, _ = maximize_cooled_entropy(build_mg_chain(3), cut, restarts=2)
+    [(e, cooled, _)] = maximize_cooled_entropy(build_mg_chain(3), [cut], restarts=2)
     assert calls["product_state"] == calls["project"] == 1
     assert calls["step"] > 500
     assert e == pytest.approx(block_entropy(cooled.state, cut), abs=1e-12)

@@ -21,6 +21,7 @@ from frustra.spin_core import (
     manifolds,
     popcount,
     product_state,
+    span_block_entropies,
 )
 from frustra.cooling import GROUND, _manifold_entropy, _spectrum, _threshold, cool
 from frustra.models import (
@@ -29,6 +30,7 @@ from frustra.models import (
     build_ising_gas,
     build_mg_chain,
     default_initial_state,
+    mg_dimer_states,
 )
 
 from reference import partial_trace, von_neumann_entropy
@@ -189,8 +191,8 @@ def test_cool_counts_embedded_columns_in_budget(monkeypatch):
 def test_mask_columns_are_kept_unit_vectors_within_budget(monkeypatch):
     # the m=3, lambda=1/3 Ising gas keeps the 15 states of popcount 2
     h = build_ising_gas(3, 1 / 3)
-    energies, tol, _, columns = _spectrum(h)
-    thr = _threshold(GROUND, energies, tol)
+    ground, tol, _, _, columns = _spectrum(h)
+    thr = _threshold(GROUND, ground, tol)
     v = columns(thr)
     kept = np.flatnonzero(h.diagonal() <= thr)
     assert len(kept) == 15 and all(popcount(kept) == 2)
@@ -204,8 +206,8 @@ def test_manifold_coordinates_count_their_complex_copy_in_budget(monkeypatch):
     # the 15 real unit columns of the m=3 Ising gas hold 7.5 kB; the
     # optimiser's complex rearrangement of them needs 15 kB more
     h = build_ising_gas(3, 1 / 3)
-    energies, tol, _, columns = _spectrum(h)
-    v = columns(_threshold(GROUND, energies, tol))
+    ground, tol, _, _, columns = _spectrum(h)
+    v = columns(_threshold(GROUND, ground, tol))
     cut = Bipartition.contiguous(3)
     monkeypatch.setattr(spin_core, "_DENSE_BYTES", 3 * v.nbytes - 1)
     with pytest.raises(SizeLimitError, match="GiB"):
@@ -218,7 +220,7 @@ def test_manifold_coordinates_count_their_complex_copy_in_budget(monkeypatch):
 def test_complex_projection_copies_no_columns(complex_amps):
     # the XY chain is complex; threshold 1000 keeps all 1024 of its columns
     # (16 MiB), and projecting onto all of them returns the state itself
-    _, _, projector, _ = _spectrum(_pair_chain(10, "XY"))
+    _, _, _, projector, _ = _spectrum(_pair_chain(10, "XY"))
     project = projector(1000.0)
     pairs = [(1.0, 0.5j if complex_amps else 0.5)] * 10
     amps = product_state(pairs).amplitudes
@@ -436,3 +438,36 @@ def sorted_energies(draw):
 def test_manifolds_match_reference_loop(case):
     energies, tol = case
     assert manifolds(energies, tol) == reference_manifolds(energies, tol)
+
+
+def _normalized_mg_coords(states, coords):
+    """``coords`` divided row by row by the norm of their dimer state."""
+    amps = coords @ np.stack([st.amplitudes for st in states])
+    return coords / np.linalg.norm(amps, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_span_block_entropies_equal_per_state_block_entropy(m):
+    n = 2 * m
+    states = mg_dimer_states(m)
+    x = np.random.default_rng(m).normal(size=(20, 2, 2))
+    # G+ and G- themselves, their real sum and difference, then random rows
+    coords = np.vstack([[[1, 0], [0, 1], [1, 1], [1, -1]], x[:, 0] + 1j * x[:, 1]])
+    coords = _normalized_mg_coords(states, coords)
+    amps = coords @ np.stack([st.amplitudes for st in states])
+    for offset in (0, 1):
+        for k in range(1, n):
+            cut = Bipartition.contiguous(k, offset, n)
+            expected = [block_entropy(StateVector(n, a), cut) for a in amps]
+            got = span_block_entropies(states, coords, cut)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_span_block_entropies_refuse_unnormalized_row():
+    states = mg_dimer_states(3)
+    coords = _normalized_mg_coords(states, np.array([[1.0, 0.0], [1.0, 2.0], [0.0, 1.0]]))
+    cut = Bipartition.contiguous(2)
+    span_block_entropies(states, coords * (1 + 1e-10), cut)
+    coords[1] *= 1 + 1e-6
+    with pytest.raises(ValidationError, match="row 1 must be normalized"):
+        span_block_entropies(states, coords, cut)
