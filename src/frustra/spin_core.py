@@ -259,42 +259,6 @@ class PauliOperator:
             raise ValidationError("site counts differ")
         return PauliOperator(self.num_sites, self.terms + other.terms)
 
-    def scaled(self, factor: float) -> "PauliOperator":
-        return PauliOperator(
-            self.num_sites, tuple((factor * c, s) for c, s in self.terms)
-        )
-
-    def to_text(self) -> str:
-        lines = [f"{c:.17g} {s}" for c, s in self.terms]
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str, num_sites: int | None = None) -> "PauliOperator":
-        """Parse the one-term-per-line ``<coeff> <string>`` format.
-
-        ``#`` starts a comment; blank lines are skipped.  A unicode minus sign
-        in the coefficient is accepted.
-        """
-        terms = []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValidationError(f"malformed term line {raw!r}")
-            coeff_s, string = parts
-            coeff_s = coeff_s.replace("−", "-")
-            try:
-                coeff = float(coeff_s)
-            except ValueError as exc:
-                raise ValidationError(f"bad coefficient in {raw!r}") from exc
-            terms.append((coeff, string))
-        if not terms and num_sites is None:
-            raise ValidationError("cannot infer site count from empty input")
-        n = num_sites if num_sites is not None else len(terms[0][1])
-        return PauliOperator(n, tuple(terms))
-
 
 def degeneracy_tol(energies: np.ndarray) -> float:
     """Energies closer than this belong to one manifold: 1e-9 times the
@@ -479,14 +443,16 @@ def _entropy_bits(p: np.ndarray, axis: int | None = None):
     With ``axis`` None, a float over every entry, summed over the nonzero
     entries only, so its rounding does not depend on how many zero
     weights the spectrum holds; otherwise an array of sums along
-    ``axis``, where a zero entry adds an exact 0.
+    ``axis``, where a zero entry adds an exact 0.  A pure spectrum gives
+    +0.0: adding 0.0 turns the -0.0 of a negated zero sum into +0.0 and
+    leaves every other value as it is.
     """
     p = np.clip(p, 0.0, 1.0)
     if axis is None:
         nz = p[p > 0]
-        return max(float(-np.sum(nz * np.log2(nz))), 0.0)
+        return max(float(-np.sum(nz * np.log2(nz))), 0.0) + 0.0
     logs = np.log2(p, out=np.zeros_like(p), where=p > 0)
-    return np.maximum(-np.sum(p * logs, axis=axis), 0.0)
+    return np.maximum(-np.sum(p * logs, axis=axis), 0.0) + 0.0
 
 
 def block_entropy(state: StateVector, cut: Bipartition) -> float:

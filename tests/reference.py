@@ -5,6 +5,9 @@ that check the library against them.
 to a block entropy, beside the library's one path, ``block_entropy``.
 ``dicke_weights`` is the exact ``Fraction`` route to the Ising-gas block
 weights, beside the library's integer recurrence in ``ising_gas_rho_k``.
+``pauli_to_text``/``pauli_from_text`` are a one-term-per-line text format
+for operators, and ``scaled`` multiplies every coefficient; no command
+reads or needs them.
 """
 import math
 from fractions import Fraction
@@ -13,6 +16,7 @@ import numpy as np
 
 from frustra.spin_core import (
     Bipartition,
+    PauliOperator,
     StateVector,
     ValidationError,
     _entropy_bits,
@@ -53,3 +57,39 @@ def dicke_weights(m: int, lam: float, k: int) -> tuple:
     ]
     assert sum(weights) == 1
     return tuple(float(w) for w in weights)
+
+
+def scaled(op: PauliOperator, factor: float) -> PauliOperator:
+    """``op`` with every coefficient multiplied by ``factor``."""
+    return PauliOperator(op.num_sites, tuple((factor * c, s) for c, s in op.terms))
+
+
+def pauli_to_text(op: PauliOperator) -> str:
+    """One ``<coeff> <string>`` line per term, the coefficient round-tripping."""
+    return "\n".join(f"{c:.17g} {s}" for c, s in op.terms) + "\n"
+
+
+def pauli_from_text(text: str, num_sites: int | None = None) -> PauliOperator:
+    """Parse the one-term-per-line ``<coeff> <string>`` format.
+
+    ``#`` starts a comment; blank lines are skipped.  A unicode minus sign
+    in the coefficient is accepted.
+    """
+    terms = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValidationError(f"malformed term line {raw!r}")
+        coeff_s, string = parts
+        try:
+            coeff = float(coeff_s.replace("\u2212", "-"))
+        except ValueError as exc:
+            raise ValidationError(f"bad coefficient in {raw!r}") from exc
+        terms.append((coeff, string))
+    if not terms and num_sites is None:
+        raise ValidationError("cannot infer site count from empty input")
+    n = num_sites if num_sites is not None else len(terms[0][1])
+    return PauliOperator(n, tuple(terms))

@@ -167,6 +167,15 @@ def test_cool_subcommand(tmp_path):
     assert len(lines) == 4
 
 
+def test_cool_pure_cuts_print_zero_not_minus_zero(tmp_path):
+    # lambda = 1 cools the m=2 Ising gas onto a product state
+    out = tmp_path / "cool.csv"
+    argv = ["cool", "--model", "ising-gas", "--m", "2", "--lambda", "1", "--k", "1..3"]
+    assert run(argv + ["--output", str(out)]) == 0
+    rows = [line.split(",") for line in read(out).strip().splitlines()[1:]]
+    assert [row[-2] for row in rows] == ["0", "0", "0"]
+
+
 def test_cool_builds_hamiltonian_once(tmp_path, monkeypatch):
     import frustra.cli as cli
     import frustra.models as models

@@ -55,6 +55,12 @@ def test_dicke_small_spectrum():
     assert spec.entropy() == pytest.approx(1.2516, abs=1e-4)
 
 
+def test_pure_dicke_spectrum_entropy_is_positive_zero():
+    # lambda = 1 fixes every spin, so the block is pure: +0.0, not -0.0
+    e = ising_gas_rho_k(3, 1.0, 2).entropy()
+    assert e == 0.0 and math.copysign(1.0, e) == 1.0
+
+
 @given(data=st.data())
 def test_dicke_weights_equal_fraction_reference(data):
     # the integer recurrence must give the very floats of the Fraction route

@@ -7,6 +7,7 @@ from frustra.spin_core import (
     Bipartition,
     OrthogonalInitialStateError,
     PauliOperator,
+    SpectralDecomposition,
     StateVector,
     basis_state,
     block_entropy,
@@ -30,6 +31,7 @@ from frustra.cooling import (
     GROUND,
     EntropyReport,
     _manifold_entropy,
+    _nelder_mead,
     _spectrum,
     _threshold,
     cool,
@@ -256,6 +258,21 @@ def largest_amplitude(state):
     return amps[np.argmax(np.abs(amps))]
 
 
+def test_phase_fix_survives_tied_magnitudes():
+    # four amplitudes of this cooled state share the largest magnitude to
+    # within 2e-16 and differ in phase; rotating by the first exact maximum
+    # left another of them the largest, at -0.155+0.310j
+    h = PauliOperator(5, ((1.5, "IZIXI"), (2.0, "XXXZY"), (-1.0, "XYXYX")))
+    angles = [(1.22, 3.09), (1.19, 4.49), (0.4, 0.92), (1.0, 0.0), (0.64, 0.28)]
+    initial = product_state([(np.cos(t), np.exp(1j * p) * np.sin(t)) for t, p in angles])
+    once = cool(h, initial)
+    mag = np.abs(once.state.amplitudes)
+    assert np.sum(mag >= mag.max() * (1 - 1e-15)) == 4
+    for cooled in (once, cool(h, once.state)):
+        top = largest_amplitude(cooled.state)
+        assert top.real > 0 and top.imag == 0
+
+
 @given(cooling_cases())
 def test_cool_is_idempotent_and_phase_fixed(case):
     h, initial = case
@@ -428,28 +445,47 @@ def _reference_entropy(h, cut, x):
 @settings(max_examples=12)
 @given(data=st.data())
 def test_manifold_entropy_matches_cooled_state(h, dim, k, data):
+    # every row of a drawn batch against the reference, so a row never
+    # picks up another row's coordinates, z or spectrum
     n = h.num_sites
     cut = data.draw(st.one_of(
         st.integers(0, n - 1).map(lambda o: Bipartition.contiguous(k, o, n)),
         st.permutations(range(n)).map(lambda p: Bipartition(tuple(p[:k]))),
     ))
-    x = np.array(data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=2 * n, max_size=2 * n)))
+    row = st.lists(st.floats(0.0, 2 * np.pi), min_size=2 * n, max_size=2 * n)
+    x = np.array(data.draw(st.lists(row, min_size=1, max_size=4)))
     ground, tol, _, _, columns = _spectrum(h)
     v = columns(_threshold(GROUND, ground, tol))
     assert v.shape == (1 << n, dim)
-    e, z = _manifold_entropy(v, cut)(x)
-    expected = _reference_entropy(h, cut, x)
-    if expected is None:
-        assert e == 0.0 and z < frustra.cooling._Z_FLOOR
-        return
-    assert z == pytest.approx(expected[1], abs=1e-12)
-    assert e == pytest.approx(expected[0], abs=1e-12)
+    es, zs = _manifold_entropy(v, cut)(x)
+    assert es.shape == zs.shape == (len(x),)
+    for e, z, angles in zip(es, zs, x):
+        expected = _reference_entropy(h, cut, angles)
+        if expected is None:
+            assert e == 0.0 and z < frustra.cooling._Z_FLOOR
+            continue
+        assert z == pytest.approx(expected[1], abs=1e-12)
+        assert e == pytest.approx(expected[0], abs=1e-12)
+
+
+def test_manifold_entropy_of_no_ground_support_is_zero_without_warning():
+    # all spins up (every angle 0) has S^z = 2 and no weight on the MG
+    # singlet manifold; its row gives entropy 0, with no 0/0 in the
+    # weights, beside a row that has support
+    h = build_mg_chain(2)
+    ground, tol, _, _, columns = _spectrum(h)
+    v = columns(_threshold(GROUND, ground, tol))
+    up = np.zeros(8)
+    es, zs = _manifold_entropy(v, Bipartition.contiguous(2))(np.stack([up, 0.4 * np.arange(8)]))
+    assert zs[0] < frustra.cooling._Z_FLOOR and es[0] == 0.0
+    assert zs[1] > 1e-3 and es[1] > 0.0
 
 
 def test_optimiser_steps_build_no_state(monkeypatch):
     # every step works in manifold coordinates: only the final initial
-    # state is a product_state, and only it is projected
-    calls = {"product_state": 0, "project": 0, "step": 0}
+    # state is a product_state, and only it is projected; the objective
+    # sees at most one row per restart a call
+    calls = {"product_state": 0, "project": 0, "rows": 0}
     spectrum = frustra.cooling._spectrum
     product = frustra.cooling.product_state
     manifold_entropy = frustra.cooling._manifold_entropy
@@ -463,14 +499,133 @@ def test_optimiser_steps_build_no_state(monkeypatch):
 
     def counting_spectrum(h):
         ground, tol, below, projector, columns = spectrum(h)
-        return ground, tol, below, lambda thr: counted("project", projector(thr)), columns
+        return (ground, tol, below,
+                lambda thr, v=None: counted("project", projector(thr, v)), columns)
+
+    def counting_entropy(v, cut):
+        entropy = manifold_entropy(v, cut)
+
+        def rows(x):
+            assert 1 <= len(x) <= 2
+            calls["rows"] += len(x)
+            return entropy(x)
+
+        return rows
 
     monkeypatch.setattr(frustra.cooling, "_spectrum", counting_spectrum)
     monkeypatch.setattr(frustra.cooling, "product_state", counted("product_state", product))
-    monkeypatch.setattr(frustra.cooling, "_manifold_entropy",
-                        lambda v, cut: counted("step", manifold_entropy(v, cut)))
+    monkeypatch.setattr(frustra.cooling, "_manifold_entropy", counting_entropy)
     cut = Bipartition.contiguous(2)
     [(e, cooled, _)] = maximize_cooled_entropy(build_mg_chain(3), [cut], restarts=2)
     assert calls["product_state"] == calls["project"] == 1
-    assert calls["step"] > 500
+    assert calls["rows"] > 500
     assert e == pytest.approx(block_entropy(cooled.state, cut), abs=1e-12)
+
+
+def test_maximize_cooled_entropy_embeds_ground_columns_once(monkeypatch):
+    # the search and the final projection share one set of ground columns,
+    # for every cut
+    calls = []
+    columns = SpectralDecomposition.columns
+
+    def counting_columns(self, select):
+        calls.append(select)
+        return columns(self, select)
+
+    monkeypatch.setattr(SpectralDecomposition, "columns", counting_columns)
+    cuts = [Bipartition.contiguous(2), Bipartition.contiguous(3)]
+    results = maximize_cooled_entropy(build_mg_chain(3), cuts, restarts=1)
+    assert len(calls) == 1
+    for cut, (e, cooled, initial) in zip(cuts, results):
+        assert e == pytest.approx(block_entropy(cooled.state, cut), abs=1e-12)
+        assert np.array_equal(cooled.state.amplitudes, cool(build_mg_chain(3), initial).state.amplitudes)
+
+
+def _rosenbrock(x):
+    return np.sum(100.0 * (x[..., 1:] - x[..., :-1] ** 2) ** 2 + (1.0 - x[..., :-1]) ** 2, axis=-1)
+
+
+def _trig(x):
+    return np.sum(np.sin(3.0 * x) * np.cos(x[..., ::-1]), axis=-1) + 0.1 * np.sum(x * x, axis=-1)
+
+
+def _plateaus(x):
+    # piecewise constant, so reflected and contracted values tie often
+    return np.floor(4.0 * _trig(x)) / 4.0
+
+
+def _scipy_nelder_mead(f, x0):
+    from scipy.optimize import minimize
+
+    return minimize(lambda y: float(f(y)), x0, method="Nelder-Mead",
+                    options={"maxiter": 3000, "xatol": 1e-8, "fatol": 1e-10})
+
+
+@pytest.mark.parametrize("objective", [_rosenbrock, _trig, _plateaus],
+                         ids=["rosenbrock", "trig", "plateaus"])
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_lockstep_nelder_mead_equals_scipy_row_by_row(objective, n):
+    # elementwise objectives, so a row's values do not depend on the batch;
+    # row 0 holds a zero entry (the 0.00025 simplex step), row 1 starts at
+    # the Rosenbrock minimum, at n=12 the smooth objectives run some rows
+    # to maxiter beside rows that stop early, and the plateaus test every
+    # branch on tied values
+    x0 = np.random.default_rng(n).uniform(-2.0, 2.0, (8, n))
+    x0[0, 0] = 0.0
+    x0[1] = 1.0
+    x, fun, nit, nfev = _nelder_mead(objective, x0)
+    for r in range(8):
+        res = _scipy_nelder_mead(objective, x0[r])
+        assert np.array_equal(x[r], res.x), r
+        assert (fun[r], nit[r], nfev[r]) == (res.fun, res.nit, res.nfev), r
+    if n == 12 and objective is not _plateaus:
+        assert (nit == 3000).any() and (nit < 3000).any()
+    else:
+        assert (nit < 3000).all()
+
+
+def test_lockstep_nelder_mead_freezes_stopped_rows():
+    # f sees exactly the points scipy evaluates, summed over the rows: a
+    # row that stopped (row 1 first) is never evaluated or moved again, and
+    # no call gets more points than there are rows
+    x0 = np.random.default_rng(3).uniform(-2.0, 2.0, (4, 5))
+    x0[1] = 1.0
+    seen = []
+
+    def recording(pts):
+        seen.append(len(pts))
+        return _rosenbrock(pts)
+
+    x, fun, nit, nfev = _nelder_mead(recording, x0)
+    runs = [_scipy_nelder_mead(_rosenbrock, row) for row in x0]
+    assert nit[1] < nit.min(initial=3000, where=np.arange(4) != 1)
+    assert sum(seen) == nfev.sum() == sum(res.nfev for res in runs)
+    assert max(seen) <= 4
+    for r, res in enumerate(runs):
+        assert np.array_equal(x[r], res.x) and fun[r] == res.fun
+
+
+def test_best_restart_is_the_first_lowest(monkeypatch):
+    # rows 1 and 2 tie at the lowest value: the first of them wins, as the
+    # strict > of the serial restarts chose
+    nelder_mead = frustra.cooling._nelder_mead
+    found = []
+
+    def tied(f, x0):
+        x, fun, nit, nfev = nelder_mead(f, x0)
+        found.append(x)
+        return x, np.array([-1.0, -1.5, -1.5, -0.5]), nit, nfev
+
+    monkeypatch.setattr(frustra.cooling, "_nelder_mead", tied)
+    cut = Bipartition.contiguous(2)
+    [(e, _, initial)] = maximize_cooled_entropy(build_mg_chain(3), [cut], seed=2, restarts=4)
+    best = product_state(frustra.cooling._angle_pairs(found[0][1]))
+    assert e == 1.5
+    assert np.array_equal(initial.amplitudes, best.amplitudes)
+
+
+def test_restart_angles_are_the_sequential_draws():
+    # one (restarts, 2n) draw gives the angles the per-restart draws gave
+    batch = np.random.default_rng(11).uniform(0.0, np.pi, (8, 12))
+    rng = np.random.default_rng(11)
+    assert np.array_equal(batch, np.stack([rng.uniform(0.0, np.pi, 12) for _ in range(8)]))

@@ -25,6 +25,8 @@ from frustra.frustration import (
     single_bond_frustration_formula,
 )
 
+from reference import scaled
+
 
 def test_ising_limit_collapses_isotropic_triple():
     op = PauliOperator(2, ((0.5, "XX"), (0.5, "YY"), (0.5, "ZZ")))
@@ -107,7 +109,7 @@ def test_shastry_sutherland_dimer_regime():
 def test_scaling_invariance():
     op = build_single_bond_ising(3)
     a = frustration_degree(op).value
-    b = frustration_degree(op.scaled(7.5)).value
+    b = frustration_degree(scaled(op, 7.5)).value
     assert a == pytest.approx(b, abs=1e-12)
 
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from frustra.spin_core import (
     popcount,
     product_state,
     span_block_entropies,
+    _entropy_bits,
 )
 from frustra.cooling import GROUND, _manifold_entropy, _spectrum, _threshold, cool
 from frustra.models import (
@@ -33,18 +35,18 @@ from frustra.models import (
     mg_dimer_states,
 )
 
-from reference import partial_trace, von_neumann_entropy
+from reference import partial_trace, pauli_from_text, pauli_to_text, von_neumann_entropy
 
 
 def test_pauli_text_roundtrip():
     op = PauliOperator(4, ((-0.5, "ZIZI"), (1.25, "XXII")))
-    parsed = PauliOperator.from_text(op.to_text())
+    parsed = pauli_from_text(pauli_to_text(op))
     assert parsed.terms == op.terms
 
 
 def test_pauli_text_comments_and_unicode_minus():
     text = "# Hamiltonian terms\n−0.5 ZIZI  # wrap bond\n1.0 IIZZ\n"
-    op = PauliOperator.from_text(text)
+    op = pauli_from_text(text)
     assert op.terms == ((1.0, "IIZZ"), (-0.5, "ZIZI"))
 
 
@@ -216,6 +218,24 @@ def test_manifold_coordinates_count_their_complex_copy_in_budget(monkeypatch):
     _manifold_entropy(v, cut)
 
 
+def test_manifold_entropy_counts_its_batch_in_budget(monkeypatch):
+    # beyond the columns and their complex copy, a call of B rows holds
+    # 48 bytes per row amplitude (product states, their conjugate and the
+    # Schmidt matrices), checked before anything is allocated
+    h = build_mg_chain(3)
+    ground, tol, _, _, columns = _spectrum(h)
+    v = columns(_threshold(GROUND, ground, tol))
+    entropy = _manifold_entropy(v, Bipartition.contiguous(2))
+    x = np.zeros((5, 12))
+    fixed = 3 * v.nbytes
+    monkeypatch.setattr(spin_core, "_DENSE_BYTES", fixed + 48 * 5 * 64 - 1)
+    with pytest.raises(SizeLimitError, match="GiB"):
+        entropy(x)
+    entropy(x[:4])
+    monkeypatch.setattr(spin_core, "_DENSE_BYTES", fixed + 48 * 5 * 64)
+    entropy(x)
+
+
 @pytest.mark.parametrize("complex_amps", [False, True])
 def test_complex_projection_copies_no_columns(complex_amps):
     # the XY chain is complex; threshold 1000 keeps all 1024 of its columns
@@ -342,6 +362,15 @@ def test_entropy_invariant_under_site_relabeling():
 def test_product_state_has_zero_entropy():
     st = product_state([(0.3, 0.7), (1, 2), (0.5, -0.1)])
     assert block_entropy(st, Bipartition((1,))) <= 1e-10
+
+
+def test_pure_cut_entropy_is_positive_zero():
+    # a negated zero sum is -0.0, which CSV payloads print as "-0"
+    e = block_entropy(product_state([(1, 0), (0, 1), (1, 0)]), Bipartition((1,)))
+    assert e == 0.0 and math.copysign(1.0, e) == 1.0
+    rows = _entropy_bits(np.array([[1.0, 0.0], [0.5, 0.5]]), axis=-1)
+    assert rows.tolist() == [0.0, 1.0] and math.copysign(1.0, rows[0]) == 1.0
+    assert math.copysign(1.0, _entropy_bits(np.array([0.0, 1.0]))) == 1.0
 
 
 def test_basis_state():
