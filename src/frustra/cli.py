@@ -34,7 +34,7 @@ from .closed_forms import (
     ising_gas_rho_k,
     mg_bounds,
     heisenberg_gas_bound,
-    single_bond_cooled_state,
+    single_bond_block_entropy,
 )
 from .interference import covering_interference, curve_to_tsv, rvb_interference_curve
 
@@ -154,8 +154,7 @@ def cmd_scaling(args) -> int:
             if args.model == "ising-gas":
                 es = [ising_gas_rho_k(spec.m, spec.lam, k).entropy() for k in ks]
             elif args.model == "single-bond":
-                st = single_bond_cooled_state(spec.m)
-                es = [block_entropy(st, cut) for cut in cuts]
+                es = [single_bond_block_entropy(spec.m, k) for k in ks]
             else:
                 raise ValidationError(f"no analytic source for model {args.model}")
         elif args.model == "mg":

@@ -371,13 +371,8 @@ def single_bond_cooled_state(m: int) -> StateVector:
     configuration whose second wall sits at the flipped bond: 4m
     bitstrings in total, superposed with equal weight 1/(2 sqrt(m)).
 
-    For n = 2m and the block of sites 0..k-1, which touches the flipped
-    bond, the environment splits into four orthogonal classes: all 0, all
-    1, and a domain wall from either complementary family.  The block
-    spectrum is therefore {n-k-1, k-1, l+, l-}/(2n), where l+/- are the
-    eigenvalues of [[n-k+3, 2 sqrt(k-1)], [2 sqrt(k-1), k-1]].  The
-    Schmidt rank is at most 4, so the entropy is at most 2 for every k
-    (an area law); at fixed k it tends to 1 as m grows.
+    Its block entropies, with no state built, are
+    ``single_bond_block_entropy``.
     """
     n = 2 * m
     if n < 4:
@@ -393,3 +388,25 @@ def single_bond_cooled_state(m: int) -> StateVector:
     for c in configs:
         amps[c] = weight
     return StateVector(n, amps)
+
+
+def single_bond_block_entropy(m: int, k: int) -> float:
+    """Entropy of sites 0..k-1 of ``single_bond_cooled_state(m)``, in bits.
+
+    For n = 2m the block touches the flipped bond, and the environment
+    splits into four orthogonal classes: all 0, all 1, and a domain wall
+    from either complementary family.  The block spectrum is therefore
+    {n-k-1, k-1, l+, l-}/(2n), where l+/- are the eigenvalues of
+    [[n-k+3, 2 sqrt(k-1)], [2 sqrt(k-1), k-1]]:
+    l+/- = ((n+2) +/- sqrt((n-2k+4)^2 + 16(k-1)))/2.  The Schmidt rank is
+    at most 4, so the entropy is at most 2 for every k (an area law); at
+    fixed k it tends to 1 as m grows.
+    """
+    n = 2 * m
+    if n < 4:
+        raise ValidationError("need at least 4 sites")
+    if not (0 < k < n):
+        raise ValidationError(f"cut k={k} invalid for {n} sites")
+    root = math.sqrt((n - 2 * k + 4) ** 2 + 16 * (k - 1))
+    spectrum = [n - k - 1, k - 1, (n + 2 + root) / 2, (n + 2 - root) / 2]
+    return shannon_entropy([lam / (2 * n) for lam in spectrum])

@@ -10,19 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .spin_core import (
-    Bipartition,
-    StateVector,
-    ValidationError,
-    block_entropy,
-)
-from .closed_forms import (
-    BoundaryPath,
-    rvb_boundary_entropy,
-    rvb_plaquette_entropy,
-)
+from .spin_core import ValidationError
+from .closed_forms import BoundaryPath, rvb_boundary_entropy
 
 VERDICT_TOL = 1e-6
 
@@ -102,62 +91,33 @@ def curve_to_tsv(curve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def component_average_entropy(components, cut: Bipartition, weights=None) -> float:
-    """Weighted average block entropy of the listed component states.
-
-    Weights default to uniform, matching the equal-weight superpositions in
-    scope here.
-    """
-    comps = list(components)
-    if not comps:
-        raise ValidationError("need at least one component")
-    if weights is None:
-        weights = [1.0 / len(comps)] * len(comps)
-    weights = np.asarray(weights, dtype=float)
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise ValidationError("weights must sum to 1")
-    return float(
-        sum(w * block_entropy(c.normalized(), cut) for w, c in zip(weights, comps))
-    )
-
-
-def superposition_vs_average(components, cut: Bipartition) -> InterferenceReport:
-    """Compare the equal superposition of the components with their average."""
-    comps = [c.normalized() for c in components]
-    total = np.sum([c.amplitudes for c in comps], axis=0)
-    sup = StateVector(comps[0].num_sites, total).normalized()
-    e_super = block_entropy(sup, cut)
-    e_avg = component_average_entropy(comps, cut)
-    return make_report(e_super, e_avg)
-
-
 def covering_interference(m: int, k: int) -> InterferenceReport:
     """Heisenberg-gas singlet coverings: superposition vs component average.
 
-    Components are the m! black-to-white singlet coverings; the cut takes
-    the first k (black) sites.
-    """
-    from .models import heisenberg_covering_states
+    The components are the m! coverings that pair each black site 0..m-1
+    with a white site m..2m-1 by a singlet; the cut takes sites 0..k-1.
+    With c = min(k, 2m - k), e_super = log2(c + 1) and e_avg = c.
 
+    Superposition.  A permutation of the blacks, or of the whites, maps
+    the set of coverings onto itself, so their sum is symmetric among the
+    blacks and among the whites: it lies in spin m/2 (blacks) tensor spin
+    m/2 (whites).  Every covering is an SU(2) singlet, so the sum is too,
+    and spin m/2 tensor spin m/2 holds exactly one singlet.  (The sum is
+    not zero: with every singlet written from black to white, two
+    coverings overlap by 2^(loops - m) > 0.)  Its reduced
+    state on the blacks is P_sym^(m)/(m + 1).  For k <= m the block holds
+    k blacks; their reduced state commutes with every U tensor ... tensor U
+    and lives on the symmetric subspace, an irreducible representation, so
+    by Schur's lemma it is P_sym^(k)/(k + 1): uniform over k + 1 levels.
+    For k > m the complement holds the 2m - k whites k..2m-1, and the same
+    argument gives 2m - k + 1 levels.
+
+    Average.  A product of singlets has one bit of entropy per singlet the
+    cut splits.  For k <= m each block site is black and pairs with a
+    white outside the block; for k > m each of the 2m - k whites outside
+    pairs with a black inside.  Every covering splits exactly c singlets.
+    """
     if not (1 <= k < 2 * m):
         raise ValidationError("k out of range")
-    comps = heisenberg_covering_states(m)
-    return superposition_vs_average(comps, Bipartition.contiguous(k))
-
-
-def frustrated_vs_unfrustrated_ratio(spec_frustrated, spec_control, cut: Bipartition):
-    """Ratio of cooled-state entropies between a frustrated model and its
-    sign-flipped control."""
-    from .cooling import cool
-    from .models import build_model, default_initial_state
-
-    if spec_frustrated == spec_control:
-        return 1.0
-    e = []
-    for spec in (spec_frustrated, spec_control):
-        h = build_model(spec)
-        cooled = cool(h, default_initial_state(spec))
-        e.append(block_entropy(cooled.state, cut))
-    if e[1] <= 0.0:
-        raise IncomparableError("control entropy is zero; ratio undefined")
-    return e[0] / e[1]
+    c = min(k, 2 * m - k)
+    return make_report(math.log2(c + 1), float(c))

@@ -341,16 +341,6 @@ def mg_dimer_states(m: int):
     return gp, gm
 
 
-def heisenberg_covering_states(m: int):
-    """All m! singlet coverings pairing black sites 0..m-1 to white sites m..2m-1."""
-    n = 2 * m
-    out = []
-    for perm in itertools.permutations(range(m)):
-        pairs = [(i, m + perm[i]) for i in range(m)]
-        out.append(dimer_product_state(n, pairs))
-    return out
-
-
 def shastry_dimer_state(L: int) -> StateVector:
     """Product of singlets on the Shastry-Sutherland diagonal dimers."""
     return dimer_product_state(L * L, shastry_sutherland_diagonals(L))

@@ -326,16 +326,6 @@ class SpectralDecomposition:
             out[np.ix_(basis, sel)] = vectors[:, picked[sel] - starts[b]]
         return out
 
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """Every eigenvector as one 2^n x 2^n array, built on each read."""
-        return self.columns(slice(None))
-
-    def ground_manifold(self) -> np.ndarray:
-        """Columns spanning the ground manifold."""
-        _, start, stop = self.manifolds()[0]
-        return self.columns(slice(start, stop))
-
 
 def _check_dense_bytes(needed: int) -> None:
     if needed > _DENSE_BYTES:

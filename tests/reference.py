@@ -7,19 +7,32 @@ to a block entropy, beside the library's one path, ``block_entropy``.
 weights, beside the library's integer recurrence in ``ising_gas_rho_k``.
 ``pauli_to_text``/``pauli_from_text`` are a one-term-per-line text format
 for operators, and ``scaled`` multiplies every coefficient; no command
-reads or needs them.
+reads or needs them.  ``eigenvectors`` and ``ground_manifold`` embed the
+columns of a ``SpectralDecomposition`` in the full 2^n space.
+``covering_interference_by_enumeration`` builds all m! singlet coverings
+of the Heisenberg gas (``heisenberg_covering_states``) and compares their
+superposition with their average (``superposition_vs_average``), beside
+the library's closed form ``covering_interference``.
+``frustrated_vs_unfrustrated_ratio`` compares the cooled-state entropies
+of a model and its sign-flipped control.
 """
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from frustra.cooling import cool
+from frustra.interference import IncomparableError, InterferenceReport, make_report
+from frustra.models import build_model, default_initial_state, dimer_product_state
 from frustra.spin_core import (
     Bipartition,
     PauliOperator,
+    SpectralDecomposition,
     StateVector,
     ValidationError,
     _entropy_bits,
+    block_entropy,
     schmidt_matrix,
 )
 
@@ -93,3 +106,77 @@ def pauli_from_text(text: str, num_sites: int | None = None) -> PauliOperator:
         raise ValidationError("cannot infer site count from empty input")
     n = num_sites if num_sites is not None else len(terms[0][1])
     return PauliOperator(n, tuple(terms))
+
+
+def eigenvectors(dec: SpectralDecomposition) -> np.ndarray:
+    """Every eigenvector of ``dec`` as one 2^n x 2^n array."""
+    return dec.columns(slice(None))
+
+
+def ground_manifold(dec: SpectralDecomposition) -> np.ndarray:
+    """Columns spanning the ground manifold of ``dec``."""
+    _, start, stop = dec.manifolds()[0]
+    return dec.columns(slice(start, stop))
+
+
+def heisenberg_covering_states(m: int):
+    """All m! singlet coverings pairing black sites 0..m-1 to white sites m..2m-1."""
+    n = 2 * m
+    out = []
+    for perm in itertools.permutations(range(m)):
+        pairs = [(i, m + perm[i]) for i in range(m)]
+        out.append(dimer_product_state(n, pairs))
+    return out
+
+
+def component_average_entropy(components, cut: Bipartition, weights=None) -> float:
+    """Weighted average block entropy of the listed component states.
+
+    Weights default to uniform, matching the equal-weight superpositions in
+    scope here.
+    """
+    comps = list(components)
+    if not comps:
+        raise ValidationError("need at least one component")
+    if weights is None:
+        weights = [1.0 / len(comps)] * len(comps)
+    weights = np.asarray(weights, dtype=float)
+    if abs(weights.sum() - 1.0) > 1e-9:
+        raise ValidationError("weights must sum to 1")
+    return float(
+        sum(w * block_entropy(c.normalized(), cut) for w, c in zip(weights, comps))
+    )
+
+
+def superposition_vs_average(components, cut: Bipartition) -> InterferenceReport:
+    """Compare the equal superposition of the components with their average."""
+    comps = [c.normalized() for c in components]
+    total = np.sum([c.amplitudes for c in comps], axis=0)
+    sup = StateVector(comps[0].num_sites, total).normalized()
+    e_super = block_entropy(sup, cut)
+    e_avg = component_average_entropy(comps, cut)
+    return make_report(e_super, e_avg)
+
+
+def covering_interference_by_enumeration(m: int) -> dict:
+    """``covering_interference(m, k)`` for every k in 1..2m-1, keyed by k,
+    from the m! covering states themselves."""
+    comps = heisenberg_covering_states(m)
+    return {
+        k: superposition_vs_average(comps, Bipartition.contiguous(k))
+        for k in range(1, 2 * m)
+    }
+
+
+def frustrated_vs_unfrustrated_ratio(spec_frustrated, spec_control, cut: Bipartition):
+    """Ratio of cooled-state entropies between a frustrated model and its
+    sign-flipped control."""
+    if spec_frustrated == spec_control:
+        return 1.0
+    e = []
+    for spec in (spec_frustrated, spec_control):
+        cooled = cool(build_model(spec), default_initial_state(spec))
+        e.append(block_entropy(cooled.state, cut))
+    if e[1] <= 0.0:
+        raise IncomparableError("control entropy is zero; ratio undefined")
+    return e[0] / e[1]

@@ -43,7 +43,7 @@ from frustra.closed_forms import (
 )
 from frustra.interference import covering_interference, rvb_interference_curve
 
-from reference import partial_trace
+from reference import covering_interference_by_enumeration, partial_trace
 
 
 def verdict(num, ok, detail):
@@ -293,16 +293,24 @@ def test_criterion_11_single_bond_trends(single_bond_entropy):
 
 
 def test_criterion_12_covering_interference():
+    # the superposition of all m! coverings, built state by state, against
+    # its components; the library's closed form must give the same reports
     ok = True
     details = []
+    err = 0.0
     for m in (2, 3):
+        reports = covering_interference_by_enumeration(m)
         ratios = []
         for k in range(1, m + 1):
-            rep = covering_interference(m, k)
+            rep = reports[k]
+            closed = covering_interference(m, k)
+            err = max(err, abs(closed.e_super - rep.e_super), abs(closed.e_avg - rep.e_avg))
             if k >= 2 and not rep.e_avg > rep.e_super:
                 ok = False
             ratios.append(rep.ratio)
         if not all(a > b for a, b in zip(ratios, ratios[1:])):
             ok = False
         details.append(f"m={m}: ratios {[round(r, 3) for r in ratios]}")
+    ok = ok and err <= 1e-12
+    details.append(f"max |closed form - enumeration| = {err:.1e} (need <= 1e-12)")
     verdict(12, ok, "; ".join(details))

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import shlex
+import tracemalloc
 
 import pytest
 
@@ -116,6 +117,43 @@ def test_scaling_single_bond_decreasing(tmp_path, single_bond_entropy):
     assert all(a > b for a, b in zip(es[1:], es[2:])), f"column not decreasing: {es}"
 
 
+@pytest.mark.parametrize("sizes,ks", [("4..16..2", "1..3"), ("12", "1..11")])
+def test_scaling_single_bond_analytic_prints_the_state_entropies(tmp_path, sizes, ks):
+    # the closed form prints the same 12 digits as the entropy of the
+    # combinatorial state it describes
+    from frustra.closed_forms import single_bond_cooled_state
+    from frustra.spin_core import Bipartition, block_entropy
+
+    out = tmp_path / "sb.csv"
+    assert run(["scaling", "--model", "single-bond", "--n", sizes, "--k", ks,
+                "--source", "analytic", "--output", str(out)]) == 0
+    want = ["size,k,entropy,source,lower_bound,upper_bound"]
+    for n in parse_range(sizes):
+        st = single_bond_cooled_state(n // 2)
+        for k in parse_range(ks):
+            e = block_entropy(st, Bipartition.contiguous(k))
+            want.append(f"{n},{k},{e:.12g},analytic,,")
+    assert read(out).splitlines() == want
+
+
+def test_scaling_single_bond_n40_builds_no_state(tmp_path, single_bond_entropy):
+    # one 2^40 state would take 8 TiB; the closed form takes a few numbers
+    out = tmp_path / "sb.csv"
+    tracemalloc.start()
+    try:
+        code = run(["scaling", "--model", "single-bond", "--n", "40", "--k", "1..3",
+                    "--source", "analytic", "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    rows = [line.split(",") for line in read(out).strip().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("40", "1"), ("40", "2"), ("40", "3")]
+    for r in rows:
+        assert float(r[2]) == pytest.approx(single_bond_entropy(40, int(r[1])), abs=1e-10)
+    assert peak < 1 << 20
+
+
 def test_scaling_mg_odd_cut_within_upper_bound(tmp_path):
     out = tmp_path / "mg3.csv"
     code = run(
@@ -209,6 +247,26 @@ def test_frustration_subcommand(tmp_path, argv, f):
     data = json.loads(read(out))
     assert data["f"] == pytest.approx(f, abs=1e-9)
     assert data["closed_form"] == pytest.approx(f, abs=1e-9)
+
+
+def test_interference_heisenberg_gas_m50_builds_no_coverings(tmp_path):
+    # 50! coverings of 2^100 amplitudes each; the closed form needs none
+    out = tmp_path / "hg.json"
+    tracemalloc.start()
+    try:
+        code = run(["interference", "--model", "heisenberg-gas", "--m", "50",
+                    "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    rows = json.loads(read(out))
+    assert [r["k"] for r in rows] == list(range(1, 51))
+    for r in rows:
+        assert r["e_super"] == math.log2(r["k"] + 1)
+        assert r["e_avg"] == r["k"] and isinstance(r["e_avg"], float)
+        assert r["verdict"] == ("marginal" if r["k"] == 1 else "destructive")
+    assert peak < 1 << 20
 
 
 def test_interference_curve_subcommand(tmp_path):
@@ -348,6 +406,7 @@ def test_no_partial_output_on_error(tmp_path):
         ["bounds-check", "--model", "mg", "--n", "6", "--samples", "-3"],
         ["bounds-check", "--model", "mg", "--n", "6", "--samples", "0"],
         ["bounds-check", "--model", "heisenberg-gas", "--n", "4", "--samples", "5"],
+        ["interference", "--model", "heisenberg-gas", "--m", "3", "--k", "6"],
     ],
     ids=["range-step-0", "interference-step-0", "fig1-step-0",
          "interference-step-negative", "fig1-step-negative", "threshold-abc",
@@ -356,7 +415,7 @@ def test_no_partial_output_on_error(tmp_path):
          "interference-rvb-m", "interference-heisenberg-gas-shape",
          "frustration-ising-gas-j1", "scaling-analytic-unfrustrated",
          "bounds-check-samples-negative", "bounds-check-samples-0",
-         "bounds-check-heisenberg-gas-samples"],
+         "bounds-check-heisenberg-gas-samples", "interference-heisenberg-gas-k-2m"],
 )
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     out = tmp_path / "out"

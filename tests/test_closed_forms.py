@@ -40,6 +40,7 @@ from frustra.closed_forms import (
     rvb_q,
     rvb_state,
     shastry_block_entropy,
+    single_bond_block_entropy,
     single_bond_cooled_state,
 )
 
@@ -308,6 +309,20 @@ def test_single_bond_state_matches_ed_cooling():
         spec = SingleBondIsing(m)
         cooled = cool(h, default_initial_state(spec))
         assert cooled.state.fidelity(single_bond_cooled_state(m)) >= 1 - 1e-10
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_single_bond_block_entropy_equals_state_entropy(m):
+    st = single_bond_cooled_state(m)
+    for k in range(1, 2 * m):
+        assert single_bond_block_entropy(m, k) == pytest.approx(
+            block_entropy(st, Bipartition.contiguous(k)), abs=1e-12)
+
+
+@pytest.mark.parametrize("m,k", [(1, 1), (3, 0), (3, 6)])
+def test_single_bond_block_entropy_refuses_bad_sizes(m, k):
+    with pytest.raises(ValidationError):
+        single_bond_block_entropy(m, k)
 
 
 # ------------------------------------------- closed forms against ED cooling

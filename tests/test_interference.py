@@ -1,20 +1,22 @@
-import math
-
-import numpy as np
 import pytest
 
-from frustra.spin_core import Bipartition, StateVector, block_entropy
-from frustra.models import IsingGasLR, SingleBondIsing, heisenberg_covering_states, mg_dimer_states
-from frustra.closed_forms import BoundaryPath, rvb_plaquette_entropy
+from frustra.spin_core import Bipartition, ValidationError, block_entropy, shannon_entropy
+from frustra.models import IsingGasLR, SingleBondIsing, mg_dimer_states
+from frustra.closed_forms import BoundaryPath, heisenberg_gas_schmidt_state, rvb_plaquette_entropy
 from frustra.interference import (
     IncomparableError,
-    component_average_entropy,
     covering_interference,
     curve_to_tsv,
-    frustrated_vs_unfrustrated_ratio,
     make_report,
     rvb_average_entropy,
     rvb_interference_curve,
+)
+
+from reference import (
+    component_average_entropy,
+    covering_interference_by_enumeration,
+    frustrated_vs_unfrustrated_ratio,
+    heisenberg_covering_states,
     superposition_vs_average,
 )
 
@@ -109,6 +111,34 @@ def test_covering_interference_destructive_beyond_k1():
                 assert rep.verdict == "destructive"
             ratios.append(rep.ratio)
         assert all(a >= b - 1e-12 for a, b in zip(ratios, ratios[1:]))
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_covering_interference_equals_enumeration(m):
+    # the closed form against the superposition of all m! coverings, at
+    # every cut, including the k > m cuts that hold whites
+    for k, want in covering_interference_by_enumeration(m).items():
+        got = covering_interference(m, k)
+        assert got.e_super == pytest.approx(want.e_super, abs=1e-12)
+        assert got.e_avg == pytest.approx(want.e_avg, abs=1e-12)
+        assert got.ratio == pytest.approx(want.ratio, abs=1e-12)
+        assert got.verdict == want.verdict
+
+
+def test_covering_superposition_equals_schmidt_state_spectrum():
+    # for k <= m the superposition is the Heisenberg-gas singlet, whose
+    # block spectrum the SU(2) coupling gives
+    for m in range(1, 25):
+        for k in range(1, m + 1):
+            _, spectrum = heisenberg_gas_schmidt_state(m, k)
+            assert covering_interference(m, k).e_super == pytest.approx(
+                shannon_entropy(spectrum), abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, 6, -1])
+def test_covering_interference_refuses_cuts_outside_the_ring(k):
+    with pytest.raises(ValidationError, match="k out of range"):
+        covering_interference(3, k)
 
 
 def test_covering_average_counts_cut_singlets():
