@@ -232,12 +232,14 @@ def cooled_entropy_scan(spec, initial, thresholds, cuts) -> list:
     entropy for every cut.
 
     Rows come out ordered by (threshold index, cut index), so output is
-    deterministic.  The spectrum obeys the dense memory budget, as in
-    ``cool``.
+    deterministic.  Every cut is validated before the spectrum is taken.
+    The spectrum obeys the dense memory budget, as in ``cool``.
     """
     from .models import build_model
 
     h = build_model(spec)
+    for cut in cuts:
+        cut.validate(h.num_sites)
     _check_initial(h, initial)
     ground, tol, below, projector, _ = _spectrum(h)
     out = []
@@ -245,7 +247,6 @@ def cooled_entropy_scan(spec, initial, thresholds, cuts) -> list:
         thr = _threshold(threshold, ground, tol)
         cooled = _finish(projector(thr), initial, thr, below, tol)
         for cut in cuts:
-            cut.validate(h.num_sites)
             e = block_entropy(cooled.state, cut)
             out.append(
                 EntropyReport(

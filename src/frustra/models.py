@@ -20,6 +20,7 @@ from .spin_core import (
     PauliOperator,
     StateVector,
     ValidationError,
+    _check_dense_bytes,
     product_state,
 )
 
@@ -312,8 +313,11 @@ def rvb_sector_hamiltonian(n_plaquettes: int, s: int) -> PauliOperator:
 def dimer_product_state(num_sites: int, pairs) -> StateVector:
     """Product of singlets (|0_i 1_j> - |1_i 0_j>)/sqrt(2) over the pairs.
 
-    Sites not covered by any pair are left in |0>.
+    Sites not covered by any pair are left in |0>.  Raises
+    SizeLimitError, before allocating, when the 2^n amplitudes exceed the
+    dense memory budget.
     """
+    _check_dense_bytes(8 << num_sites)
     covered = [s for p in pairs for s in p]
     if len(set(covered)) != len(covered):
         raise ValidationError("dimer pairs overlap")

@@ -92,6 +92,59 @@ def test_scaling_mg_optimiser_payload_equals_golden(tmp_path, n, k, name, seed):
     assert read(out) == read(os.path.join(MG_GOLDENS, f"{name}_seed{seed}.csv"))
 
 
+BLOCK_ENTROPY_GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                                     "block_entropy")
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("cool --model ising-gas --n 18 --k 1..17", "cool_ising-gas_n18_k1-17.csv"),
+    ("cool --model single-bond --n 18 --k 1..17", "cool_single-bond_n18_k1-17.csv"),
+    ("cool --model mg --n 12 --k 1..11", "cool_mg_n12_k1-11.csv"),
+    ("cool --model heisenberg-gas --n 12 --k 1..11", "cool_heisenberg-gas_n12_k1-11.csv"),
+    ("bounds-check --model heisenberg-gas --n 10", "bounds-check_heisenberg-gas_n10.json"),
+], ids=["ising-gas-n18", "single-bond-n18", "mg-n12", "heisenberg-gas-n12",
+        "bounds-check-heisenberg-gas-n10"])
+def test_block_entropy_payload_equals_golden_bytes(tmp_path, argv, name):
+    # the goldens were written by the block_entropy that diagonalised the
+    # whole Gram matrix of every cut; the sector split must print the
+    # same bytes
+    out = tmp_path / name
+    assert run(argv.split() + ["--output", str(out)]) == 0
+    with open(os.path.join(BLOCK_ENTROPY_GOLDENS, name), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("k", ["12", "0", "1..12"])
+def test_cool_refuses_a_bad_cut_before_the_spectrum(tmp_path, capsys, diagonalize_calls, k):
+    out = tmp_path / "mg.csv"
+    assert run(["cool", "--model", "mg", "--n", "12", "--k", k, "--output", str(out)]) == 2
+    assert diagonalize_calls == []
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: system side must be a proper nonempty subset of the sites"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "bounds-check --model mg --n 64 --samples 1",
+    "cool --model ising-gas --n 64 --k 1",
+    "cool --model single-bond --n 64 --k 1",
+], ids=["bounds-check-mg", "cool-ising-gas", "cool-single-bond"])
+def test_oversized_state_is_refused_before_allocating(tmp_path, capsys, argv):
+    # a 2^64 state: refused by the dense budget before numpy is asked for it
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = run(argv.split() + ["--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: dense work needs")
+    assert peak < 64 << 20
+    assert not out.exists()
+
+
 def test_scaling_mg_diagonalizes_once_per_size(tmp_path, diagonalize_calls):
     out = tmp_path / "mg.csv"
     argv = ["scaling", "--model", "mg", "--n", "8", "--k", "1..3", "--source", "ed", "--seed", "5"]

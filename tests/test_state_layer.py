@@ -3,22 +3,29 @@ block entropy, product states and the dtype rule (real amplitudes are
 held as float64, complex ones as complex128).
 
 The references are the direct forms: a Schmidt matrix filled one basis
-index at a time, entropies from a full SVD, product states by np.kron.
+index at a time, entropies from a full SVD or from the whole reduced
+density matrix, product states by np.kron.
 """
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from frustra.models import dimer_product_state
 from frustra.spin_core import (
     Bipartition,
+    SizeLimitError,
     StateVector,
     ValidationError,
+    basis_state,
     block_entropy,
+    popcount,
     product_state,
     schmidt_matrix,
 )
+
+from reference import partial_trace, von_neumann_entropy
 
 
 def reference_schmidt(state, sites):
@@ -194,3 +201,141 @@ def test_real_state_entropy_equals_complex_cast(case):
     as_complex = StateVector(state.num_sites, state.amplitudes.astype(complex))
     assert as_complex.amplitudes.dtype == np.complex128
     assert block_entropy(state, cut) == pytest.approx(block_entropy(as_complex, cut), abs=1e-12)
+
+
+SUPPORTS = ("one sector", "two sectors, same parity", "any sectors", "sparse")
+
+
+def _sector_state(n, support, sectors, seed, complex_amps, tiny=0.0):
+    """A normalized state on ``n`` sites with random amplitudes on the basis
+    states of the popcounts ``sectors``, or, for the "sparse" support, on
+    the basis indices ``sectors``; every other amplitude is an exact zero.
+    ``tiny`` rescales the first nonzero amplitude, to give one row or
+    column of the Schmidt matrix a small but nonzero weight."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n)
+    if complex_amps:
+        amps = amps + 1j * rng.normal(size=1 << n)
+    idx = np.arange(1 << n)
+    keep = np.isin(idx, sectors) if support == "sparse" else np.isin(popcount(idx), sectors)
+    amps = np.where(keep, amps, 0.0)
+    if tiny:
+        first = np.flatnonzero(amps)[0]
+        amps[first] *= tiny / abs(amps[first])
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+@st.composite
+def sector_states_and_cuts(draw):
+    """A state on 2..10 sites supported on one total-S^z sector, on two
+    sectors of the same parity, on any set of sectors, or on a few basis
+    states (so its Schmidt matrices have zero rows and columns); real or
+    complex amplitudes; and a cut of k sites, 1 <= k < n (so either side
+    of n/2), that is the plain reshape 0..k-1, a wrapping run, or any set
+    of sites in any order."""
+    n = draw(st.integers(2, 10))
+    support = draw(st.sampled_from(SUPPORTS))
+    if support == "one sector":
+        sectors = [draw(st.integers(0, n))]
+    elif support == "two sectors, same parity":
+        low = draw(st.integers(0, n - 2))
+        sectors = [low, low + 2]
+    elif support == "any sectors":
+        sectors = sorted(draw(st.sets(st.integers(0, n), min_size=1)))
+    else:
+        sectors = sorted(draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=6)))
+    state = _sector_state(n, support, sectors, draw(st.integers(0, 2**32 - 1)),
+                          draw(st.booleans()))
+    k = draw(st.integers(1, n - 1))
+    shape = draw(st.sampled_from(["0..k-1", "wrapping", "any"]))
+    if shape == "0..k-1":
+        cut = Bipartition.contiguous(k)
+    elif shape == "wrapping":
+        cut = Bipartition.contiguous(k, draw(st.integers(0, n - 1)), n)
+    else:
+        cut = Bipartition(tuple(draw(st.permutations(range(n)))[:k]))
+    return state, cut
+
+
+@given(sector_states_and_cuts())
+# the examples below hold each support kind with each amplitude type and
+# cut shape, whatever the tier1 profile draws
+@example((_sector_state(10, "one sector", [5], 1, False), Bipartition.contiguous(4)))
+@example((_sector_state(9, "one sector", [2], 2, True), Bipartition((7, 0, 4, 2, 5, 8))))
+@example((_sector_state(10, "two sectors, same parity", [3, 5], 3, False),
+          Bipartition.contiguous(7, 6, 10)))
+@example((_sector_state(8, "two sectors, same parity", [0, 2], 4, True), Bipartition((3,))))
+@example((_sector_state(10, "any sectors", [1, 4, 5, 9], 5, False), Bipartition((9, 1, 3))))
+@example((_sector_state(7, "any sectors", list(range(8)), 6, True), Bipartition.contiguous(3)))
+@example((_sector_state(10, "sparse", [0, 3, 96, 513, 1023], 7, False),
+          Bipartition.contiguous(5)))
+@example((_sector_state(9, "sparse", [5, 130, 511], 8, True), Bipartition((8, 6, 0, 1, 2, 3))))
+# one Schmidt row or column of weight about 1e-8: it must be kept
+@example((_sector_state(8, "one sector", [4], 9, False, tiny=1e-4), Bipartition.contiguous(3)))
+@example((_sector_state(8, "sparse", [1, 6, 200], 10, True, tiny=1e-4),
+          Bipartition.contiguous(4)))
+def test_sector_split_entropy_matches_reduced_density_matrix(case):
+    state, cut = case
+    want = von_neumann_entropy(partial_trace(state, cut))
+    assert block_entropy(state, cut) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.fixture
+def eigvalsh_sizes(monkeypatch):
+    """The matrix size of every ``np.linalg.eigvalsh`` call."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    return sizes
+
+
+def test_dicke_state_splits_into_sector_blocks(eigvalsh_sizes):
+    # the n=16 Dicke state with 8 ones: row popcount j meets only column
+    # popcount 8 - j, so the 256 x 256 Gram splits into C(8, j) blocks
+    n = 16
+    state = _sector_state(n, "one sector", [8], 0, False)
+    cut = Bipartition.contiguous(8)
+    e = block_entropy(state, cut)
+    assert max(eigvalsh_sizes) <= math.comb(8, 4) == 70
+    assert sum(eigvalsh_sizes) == 256
+    assert len(eigvalsh_sizes) == 9
+    eigvalsh_sizes.clear()
+    assert e == pytest.approx(von_neumann_entropy(partial_trace(state, cut)), abs=1e-12)
+
+
+def test_zero_rows_and_columns_never_reach_the_gram(eigvalsh_sizes):
+    # five basis states in four sectors: the blocks of popcounts 0, 2, 6
+    # and 8 holds 58 rows and 58 columns, but the Schmidt matrix has only
+    # five nonzero entries, so at most five rows may reach the Gram
+    state = _sector_state(16, "sparse", [0, 3, 0x0F0F, 0x8001, 0xFFFF], 0, False)
+    assert state.sectors == (0, 2, 8, 16)
+    block_entropy(state, Bipartition.contiguous(8))
+    assert sum(eigvalsh_sizes) <= 5
+
+
+def test_state_sectors_are_computed_once():
+    state = _sector_state(10, "two sectors, same parity", [4, 6], 0, True)
+    assert state.sectors == (4, 6)
+    assert state.sectors is state.sectors
+    for k in range(1, 10):
+        block_entropy(state, Bipartition.contiguous(k))
+    assert vars(state)["sectors"] == (4, 6)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: product_state([(1.0, 0.0)] * 28),
+     lambda: product_state([(1.0, 1j)] * 27),
+     lambda: basis_state(28, 0),
+     lambda: dimer_product_state(28, [(0, 1)])],
+    ids=["real-product-28", "complex-product-27", "basis-28", "dimer-28"],
+)
+def test_oversized_states_are_refused_before_allocating(build):
+    # 2 GiB of amplitudes, over the 1 GiB dense budget
+    with pytest.raises(SizeLimitError, match="GiB"):
+        build()
