@@ -184,19 +184,22 @@ def _dtype(op: PauliOperator) -> np.dtype:
     return np.dtype(float if op.is_real() else complex)
 
 
-def _matrix_elements(op: "PauliOperator", cols: np.ndarray):
-    """Yield ``(flip, values)`` with ``values[j] = <cols[j] ^ flip| op |cols[j]>``.
+def _triplets(op: "PauliOperator"):
+    """Yield ``(rows, cols, values)`` per flip mask: the exactly nonzero
+    ``values[j] = <rows[j]| op |cols[j]>``, int32 columns ascending.  The
+    one Pauli-action kernel of ``build_dense``, ``diagonalize``, ``apply``.
 
     A Pauli string with masks (mx, my, mz) maps |b> to
     i^#Y (-1)^popcount(b & (my | mz)) |b ^ (mx | my)>.  Terms that flip the
     same bits reach the same matrix elements, so each flip mask yields one
     array summed over its terms.  The flip-0 (I/Z) terms have real weights;
-    their array is the ``_z_energies`` kernel over all 2^n indices,
-    gathered at ``cols``.  Every other flip sums its terms in term order,
-    in float64 unless some term has an odd number of Y letters.
+    their array is the ``_z_energies`` kernel.  Every other flip sums its
+    terms over all 2^n columns in term order, in float64 unless some term
+    has an odd number of Y letters.
     """
     dtype = _dtype(op)
-    groups: dict[int, list] = {}
+    idx = np.arange(1 << op.num_sites)
+    groups: dict[int, list] = {0: []}  # a flip-0 triplet even with no terms
     for coeff, string in op.terms:
         mx, my, mz = _term_masks(string)
         ny = bin(my).count("1")
@@ -204,12 +207,13 @@ def _matrix_elements(op: "PauliOperator", cols: np.ndarray):
         groups.setdefault(mx | my, []).append((weight, my | mz))
     for flip, group in groups.items():
         if flip == 0:
-            yield 0, _z_energies(op.num_sites, group)[cols]
-            continue
-        values = np.zeros(len(cols), dtype)
-        for weight, mask in group:
-            values += weight * (1.0 - 2.0 * (popcount(cols & mask) & 1))
-        yield flip, values
+            values = _z_energies(op.num_sites, group)
+        else:
+            values = np.zeros(len(idx), dtype)
+            for weight, mask in group:
+                values += weight * (1.0 - 2.0 * (popcount(idx & mask) & 1))
+        cols = np.flatnonzero(values).astype(np.int32)
+        yield cols ^ flip, cols, values[cols]
 
 
 @dataclass(frozen=True)
@@ -253,30 +257,20 @@ class PauliOperator:
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """Matrix-free action H @ psi on a dense amplitude array."""
         psi = np.asarray(psi, dtype=complex)
-        dim = 1 << self.num_sites
-        if psi.shape != (dim,):
+        if psi.shape != (1 << self.num_sites,):
             raise ValidationError("state dimension mismatch")
-        idx = np.arange(dim)
-        out = np.zeros(dim, dtype=complex)
-        for flip, values in _matrix_elements(self, idx):
-            out[idx ^ flip] += values * psi
+        out = np.zeros_like(psi)
+        for rows, cols, values in _triplets(self):
+            out[rows] += values * psi[cols]
         return out
 
     def diagonal(self) -> np.ndarray:
         """Diagonal energies E(b) for an I/Z-only operator: the
-        ``_z_energies`` kernel that gives the flip-0 elements of
-        ``_matrix_elements``."""
+        ``_z_energies`` kernel that gives the flip-0 triplet of
+        ``_triplets``."""
         if not self.is_diagonal():
             raise ValidationError("operator has off-diagonal terms")
         return _z_energies(self.num_sites, [(c, _term_masks(s)[2]) for c, s in self.terms])
-
-    def expectation(self, state: StateVector) -> float:
-        return float(np.real(np.vdot(state.amplitudes, self.apply(state.amplitudes))))
-
-    def __add__(self, other: "PauliOperator") -> "PauliOperator":
-        if other.num_sites != self.num_sites:
-            raise ValidationError("site counts differ")
-        return PauliOperator(self.num_sites, self.terms + other.terms)
 
 
 def degeneracy_tol(energies: np.ndarray) -> float:
@@ -354,51 +348,56 @@ def _check_dense_bytes(needed: int) -> None:
         )
 
 
-def _block(op: PauliOperator, basis: np.ndarray) -> np.ndarray:
-    """Matrix of ``op`` on the span of the ascending indices ``basis``;
-    every nonzero element must stay in the span."""
-    h = np.zeros((len(basis), len(basis)), _dtype(op))
-    for flip, values in _matrix_elements(op, basis):
-        nz = np.flatnonzero(values)
-        h[np.searchsorted(basis, basis[nz] ^ flip), nz] = values[nz]
+def _sector_triplets(op: PauliOperator):
+    """The ascending basis indices of each block of ``op``, and its
+    triplets with int32 positions in that basis.  One block per popcount
+    (total S^z) unless a summed element joins two popcounts, then the whole
+    space: XX alone couples |00> and |11>; in XX + YY they cancel."""
+    n = op.num_sites
+    pieces = list(_triplets(op))
+    pop = _popcounts(n)
+    if any(np.any(pop[rows] != pop[cols]) for rows, cols, _ in pieces):
+        return [np.arange(1 << n)], [pieces]
+    bases = np.split(np.argsort(pop, kind="stable"), np.cumsum(np.bincount(pop))[:-1])
+    pos = np.empty(1 << n, np.int32)
+    for basis in bases:
+        pos[basis] = np.arange(len(basis))
+    rows, cols, values = (np.concatenate(part) for part in zip(*pieces))
+    del pieces
+    sector = pop[cols]
+    rows, cols = pos[rows], pos[cols]
+    # a gather per sector, so that each sector's arrays are freed with it
+    by_sector = np.split(np.argsort(sector, kind="stable"),
+                         np.cumsum(np.bincount(sector, minlength=n + 1))[:-1])
+    return bases, [[(rows[i], cols[i], values[i])] for i in by_sector]
+
+
+def _scatter_block(op: PauliOperator, size: int, triplets) -> np.ndarray:
+    """A ``size`` x ``size`` matrix of ``triplets``, zero elsewhere."""
+    h = np.zeros((size, size), _dtype(op))
+    for rows, cols, values in triplets:
+        h[rows, cols] = values
     return h
 
 
-def _sector_bases(op: PauliOperator) -> list:
-    """Ascending basis indices of the blocks of ``op``: one per popcount
-    (total S^z) when every summed matrix element between different
-    popcounts is exactly zero, else one block holding the whole space.
-
-    The check is on summed elements, not term by term: XX alone couples
-    |00> and |11>, while in XX + YY those elements cancel.
-    """
-    idx = np.arange(1 << op.num_sites)
-    pop = popcount(idx)
-    for flip, values in _matrix_elements(op, idx):
-        if np.any(values[popcount(idx ^ flip) != pop]):
-            return [idx]
-    counts = np.bincount(pop, minlength=op.num_sites + 1)
-    return np.split(np.argsort(pop, kind="stable"), np.cumsum(counts)[:-1])
-
-
 def build_dense(op: PauliOperator) -> np.ndarray:
-    """Dense Hermitian matrix of a PauliOperator, float64 when
-    ``op.is_real()`` and complex otherwise.
+    """The triplets of ``_triplets`` scattered into a dense 2^n x 2^n
+    matrix, float64 when ``op.is_real()`` and complex otherwise.
 
     Raises SizeLimitError, before allocating, when the 4^n elements exceed
     the dense memory budget.
     """
     _check_dense_bytes(_dtype(op).itemsize << (2 * op.num_sites))
-    return _block(op, np.arange(1 << op.num_sites))
+    return _scatter_block(op, 1 << op.num_sites, _triplets(op))
 
 
 def diagonalize(op: PauliOperator) -> SpectralDecomposition:
     """Full diagonalization, one total-S^z sector at a time.
 
-    Each sector block (or the single whole-space block when ``op`` does not
-    conserve S^z) is built from the Pauli terms, in float64 unless some
-    term has an odd number of Y letters, and passed to ``eigh``, so an
-    operator that conserves S^z never forms a 2^n x 2^n matrix.
+    Each block (the whole space if ``op`` does not conserve S^z) is one
+    scatter of its popped ``_sector_triplets`` just before its ``eigh``, in
+    float64 unless a term has an odd number of Y letters.  So one block is
+    alive at a time, and an S^z-conserving ``op`` never forms a 2^n x 2^n one.
 
     The dense memory budget is checked twice, each time before the
     allocation it guards.  First on the least any split can need, the
@@ -408,10 +407,11 @@ def diagonalize(op: PauliOperator) -> SpectralDecomposition:
     itself.  A refusal raises SizeLimitError.
     """
     _check_dense_bytes(8 * comb(2 * op.num_sites, op.num_sites))
-    bases = _sector_bases(op)
+    bases, triplets = _sector_triplets(op)
     sizes = [len(basis) ** 2 for basis in bases]
     _check_dense_bytes(_dtype(op).itemsize * (sum(sizes) + max(sizes)))
-    blocks = [(basis, *np.linalg.eigh(_block(op, basis))) for basis in bases]
+    blocks = [(basis, *np.linalg.eigh(_scatter_block(op, len(basis), triplets.pop(0))))
+              for basis in bases]
     return SpectralDecomposition(blocks, op.num_sites)
 
 

@@ -15,6 +15,9 @@ superposition with their average (``superposition_vs_average``), beside
 the library's closed form ``covering_interference``.
 ``frustrated_vs_unfrustrated_ratio`` compares the cooled-state entropies
 of a model and its sign-flipped control.
+``sector_bases`` and ``sector_block`` build each block of an operator by
+re-running its Pauli terms over the block's basis, beside the library's
+one-pass triplet assembly, which must match them bit for bit.
 """
 import itertools
 import math
@@ -31,8 +34,12 @@ from frustra.spin_core import (
     SpectralDecomposition,
     StateVector,
     ValidationError,
+    _dtype,
     _entropy_bits,
+    _term_masks,
+    _z_energies,
     block_entropy,
+    popcount,
     schmidt_matrix,
 )
 
@@ -106,6 +113,49 @@ def pauli_from_text(text: str, num_sites: int | None = None) -> PauliOperator:
         raise ValidationError("cannot infer site count from empty input")
     n = num_sites if num_sites is not None else len(terms[0][1])
     return PauliOperator(n, tuple(terms))
+
+
+def matrix_elements(op: PauliOperator, cols: np.ndarray):
+    """Yield ``(flip, values)`` with ``values[j] = <cols[j] ^ flip| op |cols[j]>``,
+    one flip mask at a time, each summed over its terms in term order."""
+    dtype = _dtype(op)
+    groups: dict[int, list] = {}
+    for coeff, string in op.terms:
+        mx, my, mz = _term_masks(string)
+        ny = bin(my).count("1")
+        weight = coeff * (-1.0) ** (ny // 2) * (1j if ny % 2 else 1.0)
+        groups.setdefault(mx | my, []).append((weight, my | mz))
+    for flip, group in groups.items():
+        if flip == 0:
+            yield 0, _z_energies(op.num_sites, group)[cols]
+            continue
+        values = np.zeros(len(cols), dtype)
+        for weight, mask in group:
+            values += weight * (1.0 - 2.0 * (popcount(cols & mask) & 1))
+        yield flip, values
+
+
+def sector_block(op: PauliOperator, basis: np.ndarray) -> np.ndarray:
+    """Matrix of ``op`` on the span of the ascending indices ``basis``;
+    every nonzero element must stay in the span."""
+    h = np.zeros((len(basis), len(basis)), _dtype(op))
+    for flip, values in matrix_elements(op, basis):
+        nz = np.flatnonzero(values)
+        h[np.searchsorted(basis, basis[nz] ^ flip), nz] = values[nz]
+    return h
+
+
+def sector_bases(op: PauliOperator) -> list:
+    """Ascending basis indices of the blocks of ``op``: one per popcount
+    when every summed matrix element between different popcounts is exactly
+    zero, else one block holding the whole space."""
+    idx = np.arange(1 << op.num_sites)
+    pop = popcount(idx)
+    for flip, values in matrix_elements(op, idx):
+        if np.any(values[popcount(idx ^ flip) != pop]):
+            return [idx]
+    counts = np.bincount(pop, minlength=op.num_sites + 1)
+    return np.split(np.argsort(pop, kind="stable"), np.cumsum(counts)[:-1])
 
 
 def eigenvectors(dec: SpectralDecomposition) -> np.ndarray:

@@ -25,12 +25,15 @@ from frustra.spin_core import (
     Bipartition,
     PauliOperator,
     StateVector,
+    _scatter_block,
+    _sector_triplets,
     block_entropy,
+    build_dense,
     diagonalize,
     product_state,
 )
 
-from reference import eigenvectors, ground_manifold
+from reference import eigenvectors, ground_manifold, sector_bases, sector_block
 
 PAULI = {
     "I": np.eye(2),
@@ -79,6 +82,21 @@ def generic_product_state(n, seed=0):
     return product_state([(np.cos(a), np.exp(1j * b) * np.sin(a)) for a, b in zip(t, ph)])
 
 
+def assert_blocks_equal_oracle(op):
+    """The one-pass triplet assembly gives the oracle's bases and blocks,
+    bit for bit and in the same dtypes, so ``eigh`` sees the same input."""
+    bases, triplets = _sector_triplets(op)
+    want = sector_bases(op)
+    assert len(bases) == len(triplets) == len(want)
+    for basis, block_triplets, want_basis in zip(bases, triplets, want):
+        assert basis.dtype == want_basis.dtype
+        assert np.array_equal(basis, want_basis)
+        block = _scatter_block(op, len(basis), block_triplets)
+        want_block = sector_block(op, want_basis)
+        assert block.dtype == want_block.dtype
+        assert np.array_equal(block, want_block)
+
+
 MODELS = {
     "ising-gas-m2": build_ising_gas(2, 0.0),
     "ising-gas-m3-field": build_ising_gas(3, 1.0 / 3.0),
@@ -101,6 +119,7 @@ MODELS = {
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_models_match_reference(name):
     op = MODELS[name]
+    assert_blocks_equal_oracle(op)
     vals, proj, _ = reference_ground(op)
     dec = diagonalize(op)
     assert len(dec.blocks) == op.num_sites + 1
@@ -125,7 +144,7 @@ def test_ferromagnetic_ring_ground_spans_every_sector():
 def test_cross_sector_check_uses_summed_elements():
     xx = PauliOperator(2, ((1.0, "XX"),))
     assert len(diagonalize(xx).blocks) == 1
-    assert len(diagonalize(xx + PauliOperator(2, ((1.0, "YY"),))).blocks) == 3
+    assert len(diagonalize(PauliOperator(2, ((1.0, "XX"), (1.0, "YY")))).blocks) == 3
     # an odd Y count makes the matrix complex
     xy = PauliOperator(2, ((1.0, "XY"), (-1.0, "YX")))
     dec = diagonalize(xy)
@@ -167,6 +186,12 @@ def pauli_sums(draw):
 
 
 def check_against_reference(op):
+    assert_blocks_equal_oracle(op)
+    # half-integer coefficients: every partial sum of an element is exact,
+    # so the dense build equals the kron sum whatever order each sum takes
+    h = build_dense(op)
+    assert h.dtype == (float if op.is_real() else complex)
+    assert np.array_equal(h, reference_matrix(op))
     assume(op.terms)
     vals, proj, gap = reference_ground(op)
     assume(gap > 1e-6)

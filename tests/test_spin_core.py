@@ -126,7 +126,7 @@ def test_diagonalize_refuses_n14_whole_space_before_building(forbid, pair):
     # eigenvectors (4 GiB complex) plus the block itself
     op = _pair_chain(14, pair)
     assert op.is_real() == (pair == "XX")
-    calls = forbid("_block")
+    calls = forbid("_scatter_block")
     tracemalloc.start()
     try:
         with pytest.raises(SizeLimitError, match="GiB"):
@@ -140,7 +140,7 @@ def test_diagonalize_refuses_n14_whole_space_before_building(forbid, pair):
 
 def test_diagonalize_refuses_n16_sectors_before_enumerating(forbid):
     # even the float64 sector eigenvectors, C(32, 16) of them, need 4.5 GiB
-    calls = forbid("_sector_bases", "_block")
+    calls = forbid("_sector_triplets", "_scatter_block")
     with pytest.raises(SizeLimitError):
         diagonalize(build_heisenberg_gas(8))
     assert calls == []
@@ -150,7 +150,7 @@ def test_diagonalize_counts_complex_items_at_16_bytes(forbid):
     # 2^26 complex eigenvector elements (1 GiB) plus the 1 GiB block; at
     # 8 bytes an item the two would just fit the budget
     op = _pair_chain(13, "XY")
-    calls = forbid("_block")
+    calls = forbid("_scatter_block")
     with pytest.raises(SizeLimitError):
         diagonalize(op)
     assert calls == []
@@ -158,15 +158,56 @@ def test_diagonalize_counts_complex_items_at_16_bytes(forbid):
 
 def test_diagonalize_admits_n14_sector_blocks(forbid):
     # the MG ring at n=14 needs 0.32 GB of sector eigenvectors plus a
-    # 3432 x 3432 block, so it passes both checks and reaches _block
-    calls = forbid("_block")
-    with pytest.raises(AssertionError, match="_block called"):
+    # 3432 x 3432 block, so it passes both checks and reaches _scatter_block
+    calls = forbid("_scatter_block")
+    with pytest.raises(AssertionError, match="_scatter_block called"):
         diagonalize(build_mg_chain(7))
-    assert calls == ["_block"]
+    assert calls == ["_scatter_block"]
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sector_assembly_peak_stays_near_one_block():
+    # n=14 Heisenberg gas: the triplets of all 15 sectors plus the one
+    # block being filled, the 3432 x 3432 middle one at most (89.9 MiB)
+    op = build_heisenberg_gas(7)
+    sizes = []
+
+    def assemble():
+        bases, triplets = spin_core._sector_triplets(op)
+        for basis in bases:
+            sizes.append(spin_core._scatter_block(op, len(basis), triplets.pop(0)).nbytes)
+
+    peak = _traced_peak(assemble)
+    assert max(sizes) == 8 * 3432**2
+    assert peak <= 1.5 * max(sizes)
+
+
+def test_diagonalize_holds_one_block_at_a_time(monkeypatch):
+    # with eigh stubbed by lazily zeroed outputs, the n=14 Heisenberg gas
+    # peaks at the kept eigenvectors of the sectors before some block, plus
+    # that block and its eigenvectors (335.6 MiB); the triplets of the
+    # sectors not yet filled add 0.8%.  A block kept alive past its eigh
+    # adds 10%, triplets kept until the last block is filled 3.6%.
+    def eigh(h):
+        return np.zeros(len(h)), np.zeros(h.shape, h.dtype)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    sizes = [8 * math.comb(14, k) ** 2 for k in range(15)]
+    floor = max(sum(sizes[:k]) + 2 * sizes[k] for k in range(15))
+    peak = _traced_peak(lambda: diagonalize(build_heisenberg_gas(7)))
+    assert floor <= peak <= 1.02 * floor
 
 
 def test_cli_cool_past_budget_exits_2(forbid, capsys):
-    forbid("_sector_bases", "_block")
+    forbid("_sector_triplets", "_scatter_block")
     code = main(["cool", "--model", "heisenberg-gas", "--n", "16", "--k", "2"])
     assert code == 2
     captured = capsys.readouterr()
