@@ -17,7 +17,7 @@ from .spin_core import (
     product_state,
 )
 from .models import ModelSpec, build_model, default_initial_state
-from .cooling import CooledState, EntropyReport, cool, cool_excited, cooled_entropy_scan
+from .cooling import CooledState, EntropyReport, cool, cooled_entropy_scan
 from .frustration import frustration_degree, frustration_degree_model, ising_limit
 from .interference import InterferenceReport, rvb_interference_curve
 
@@ -37,7 +37,6 @@ __all__ = [
     "build_dense",
     "build_model",
     "cool",
-    "cool_excited",
     "cooled_entropy_scan",
     "default_initial_state",
     "diagonalize",

@@ -20,7 +20,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__, models
-from .spin_core import Bipartition, ValidationError, block_entropy, span_block_entropies
+from .spin_core import Bipartition, ValidationError, block_entropy, span_blocks, span_entropies
 from .models import ModelSpec, build_model, default_initial_state, mg_dimer_states
 from .cooling import (
     GROUND,
@@ -158,8 +158,7 @@ def cmd_scaling(args) -> int:
             else:
                 raise ValidationError(f"no analytic source for model {args.model}")
         elif args.model == "mg":
-            h = build_model(spec)
-            es = [e for e, _, _ in maximize_cooled_entropy(h, cuts, seed=args.seed)]
+            es = [e for e, _ in maximize_cooled_entropy(spec.m, cuts, seed=args.seed)]
             bounds = [tuple(f"{b:.12g}" for b in mg_bounds(k, n)) for k in ks]
         else:
             reports = cooled_entropy_scan(spec, default_initial_state(spec), [GROUND], cuts)
@@ -244,8 +243,7 @@ def cmd_fig1(args) -> int:
 
 def cmd_bounds_check(args) -> int:
     spec = _spec_from_args(args)
-    h = build_model(spec)
-    n = h.num_sites
+    n = 2 * spec.m
     rng = np.random.default_rng(args.seed)
     results = []
     if spec.kind == "MajumdarGhosh":
@@ -253,17 +251,16 @@ def cmd_bounds_check(args) -> int:
         if samples < 1:
             raise ValidationError("--samples must be at least 1")
         states = mg_dimer_states(spec.m)
+        setups = [span_blocks(states, Bipartition.contiguous(k)) for k in range(1, n)]
         # the stream of a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
         # drawn sample by sample
         x = rng.normal(size=(samples, 2, 2))
         coords = x[:, 0] + 1j * x[:, 1]
-        amps = np.stack([st.amplitudes for st in states])
-        norms = np.einsum("sa,ab,sb->s", coords.conj(), amps.conj() @ amps.T, coords).real
+        norms = np.einsum("sa,ab,sb->s", coords.conj(), setups[0][1], coords).real
         if norms.min() < 1e-28:
             raise ValidationError("cannot normalize a zero state")
         coords /= np.sqrt(norms)[:, None]
-        entropies = [span_block_entropies(states, coords, Bipartition.contiguous(k))
-                     for k in range(1, n)]
+        entropies = [span_entropies(blocks, coords) for blocks, _ in setups]
         for s in range(samples):
             for k, es in enumerate(entropies, start=1):
                 e = float(es[s])
@@ -277,7 +274,7 @@ def cmd_bounds_check(args) -> int:
                 )
     elif spec.kind == "HeisenbergGasLR":
         _refuse(args, ["samples"])
-        cooled = cool(h, default_initial_state(spec))
+        cooled = cool(build_model(spec), default_initial_state(spec))
         for k in range(1, n):
             cut = Bipartition.contiguous(k)
             e = block_entropy(cooled.state, cut)

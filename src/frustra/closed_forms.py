@@ -343,14 +343,15 @@ def mg_bounds(k: int, num_sites: int | None = None):
 
     Even k: (2, log2 5); odd k: (1, 2).
 
-    The upper bounds hold for every state a G+ + b G- of the manifold: an
-    even cut splits no singlet of G+ and two of G- (Schmidt rank <= 1 + 4),
-    an odd cut splits one singlet of each (rank <= 2 + 2).  The odd-k lower
-    bound of 1 also holds for every state: the manifold is made of SU(2)
-    singlets and an odd block carries half-integer spin, so every Schmidt
-    value is doubly degenerate.  The even-k lower bound of 2 brackets only
-    the maximised cooled entropy (``maximize_cooled_entropy``), which G-
-    alone reaches; G+ itself has entropy 0 at every even cut.
+    The manifold is span(G+, G-) (``mg_dimer_states``).  The upper bounds
+    hold for every state a G+ + b G- of it: an even cut splits no singlet
+    of G+ and two of G- (Schmidt rank <= 1 + 4), an odd cut splits one
+    singlet of each (rank <= 2 + 2).  The odd-k lower bound of 1 also
+    holds for every state: the manifold is made of SU(2) singlets and an
+    odd block carries half-integer spin, so every Schmidt value is doubly
+    degenerate.  The even-k lower bound of 2 brackets only the maximised
+    cooled entropy (``maximize_cooled_entropy``, a search of the span),
+    which G- alone reaches; G+ itself has entropy 0 at every even cut.
     """
     if k <= 0 or (num_sites is not None and k >= num_sites):
         raise ValidationError("k must satisfy 0 < k < 2m")

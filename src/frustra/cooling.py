@@ -13,21 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import mg_dimer_pairs, mg_dimer_states
 from .spin_core import (
-    Bipartition,
     OrthogonalInitialStateError,
     PauliOperator,
     StateVector,
     ValidationError,
     _check_dense_bytes,
     _dtype,
-    _entropy_bits,
-    _schmidt_axes,
     block_entropy,
     degeneracy_tol,
     diagonalize,
     manifolds,
-    product_state,
+    span_blocks,
+    span_entropies,
 )
 
 GROUND = "ground"
@@ -64,21 +63,17 @@ def _check_initial(h: PauliOperator, initial: StateVector) -> None:
 def _spectrum(h: PauliOperator):
     """The ground energy of ``h``, the degeneracy tolerance of its
     spectrum, ``below(thr)``: the ascending energies at or below ``thr``,
-    ``projector(thr, v=None)``: a map from amplitudes to ``(projected
-    amplitudes, z)`` for the span of the eigenstates at or below ``thr``,
-    and ``columns(thr)``: an orthonormal basis of that span, one 2^n
-    column per kept eigenstate.
+    and ``projector(thr)``: a map from amplitudes to ``(projected
+    amplitudes, z)`` for the span of the eigenstates at or below ``thr``.
 
     I/Z-only operators project by mask on the diagonal and never build
-    eigenvectors; their columns are the unit vectors of the kept basis
-    states, and their projector ignores ``v``.  The ground energy and the
-    spread come from the diagonal's min and max, and ``below`` sorts only
-    the energies it keeps.  Others go through ``diagonalize``, and their
-    projector projects onto ``v``, the caller's ``columns(thr)``, or
-    embeds the kept eigenvectors itself when ``v`` is None.  ``columns``
-    checks its 2^n x kept elements against the dense memory budget before
-    it builds them.  Both keep the dtype of real amplitudes: the mask
-    copies them, and the eigenvectors of a real operator are real.
+    eigenvectors.  The ground energy and the spread come from the
+    diagonal's min and max, and ``below`` sorts only the energies it
+    keeps.  Others go through ``diagonalize``, and their projector embeds
+    the kept eigenvectors in the full space, after checking their
+    2^n x kept elements against the dense memory budget.  Both keep the
+    dtype of real amplitudes: the mask copies them, and the eigenvectors
+    of a real operator are real.
     """
     n = h.num_sites
     if h.is_diagonal():
@@ -88,14 +83,7 @@ def _spectrum(h: PauliOperator):
         def below(thr):
             return np.sort(diag[diag <= thr])
 
-        def columns(thr):
-            idx = np.flatnonzero(diag <= thr)
-            _check_dense_bytes(8 * len(idx) << n)
-            out = np.zeros((1 << n, len(idx)))
-            out[idx, np.arange(len(idx))] = 1.0
-            return out
-
-        def projector(thr, v=None):
+        def projector(thr):
             mask = diag <= thr
 
             def project(amps):
@@ -104,7 +92,7 @@ def _spectrum(h: PauliOperator):
 
             return project
 
-        return ground, degeneracy_tol(diag), below, projector, columns
+        return ground, degeneracy_tol(diag), below, projector
 
     dec = diagonalize(h)
     energies = dec.eigenvalues
@@ -112,14 +100,10 @@ def _spectrum(h: PauliOperator):
     def below(thr):
         return energies[: np.searchsorted(energies, thr, side="right")]
 
-    def columns(thr):
+    def projector(thr):
         kept = energies <= thr
         _check_dense_bytes(_dtype(h).itemsize * int(kept.sum()) << n)
-        return dec.columns(kept)
-
-    def projector(thr, v=None):
-        if v is None:
-            v = columns(thr)
+        v = dec.columns(kept)
 
         def project(amps):
             # conjugating amps, not the kept columns, copies no column
@@ -128,7 +112,7 @@ def _spectrum(h: PauliOperator):
 
         return project
 
-    return float(energies[0]), dec.degeneracy_tol, below, projector, columns
+    return float(energies[0]), dec.degeneracy_tol, below, projector
 
 
 def _threshold(threshold, ground: float, tol: float) -> float:
@@ -179,24 +163,8 @@ def cool(
     memory budget.
     """
     _check_initial(h, initial)
-    ground, tol, below, projector, _ = _spectrum(h)
+    ground, tol, below, projector = _spectrum(h)
     thr = _threshold(threshold, ground, tol)
-    return _finish(projector(thr), initial, thr, below, tol)
-
-
-def cool_excited(
-    h: PauliOperator,
-    initial: StateVector,
-    manifold_count: int,
-) -> CooledState:
-    """Cool into the span of the lowest ``manifold_count`` energy manifolds
-    (all of them when there are fewer)."""
-    if manifold_count < 1:
-        raise ValidationError("manifold_count must be >= 1")
-    _check_initial(h, initial)
-    _, tol, below, projector, _ = _spectrum(h)
-    levels = manifolds(below(np.inf), tol)
-    thr = levels[min(manifold_count, len(levels)) - 1][0] + tol
     return _finish(projector(thr), initial, thr, below, tol)
 
 
@@ -241,7 +209,7 @@ def cooled_entropy_scan(spec, initial, thresholds, cuts) -> list:
     for cut in cuts:
         cut.validate(h.num_sites)
     _check_initial(h, initial)
-    ground, tol, below, projector, _ = _spectrum(h)
+    ground, tol, below, projector = _spectrum(h)
     out = []
     for threshold in thresholds:
         thr = _threshold(threshold, ground, tol)
@@ -273,47 +241,37 @@ def _angle_pairs(x: np.ndarray) -> np.ndarray:
     return pairs
 
 
-def _manifold_entropy(v: np.ndarray, cut: Bipartition):
+def _span_entropy(states, cut):
     """``entropy(x)``: for each row of the angles ``x`` (B x 2n), the block
     entropy across ``cut``, and z, of that product state cooled onto the
-    span of the orthonormal columns ``v`` (2^n x d); the entropy is 0 below
-    the z floor.  Returns two arrays of B values.
+    span of the Majumdar-Ghosh dimer coverings ``states`` (G+, G-) of
+    ``mg_dimer_states``; the entropy is 0 below the z floor.  Returns two
+    arrays of B values.
 
-    Each column is rearranged once into its Schmidt matrix A_a, flattened,
-    and the product states psi are built in that same order of sites.
-    Then c = psi A^* are the cooled states' coordinates in the span,
-    z = |c|^2, and the rows of c A, reshaped, are their Schmidt matrices;
-    one batched Gram and ``eigvalsh`` give every row's weights.  A call
-    costs O(B d 2^n) and forms no projected 2^n state.  The columns, their
-    complex copy and the B rows of product states and Schmidt matrices
-    count against the dense memory budget.
+    The overlaps g = (<G+|psi>, <G-|psi>) of a product state psi are
+    products of the two-site singlet overlaps over the pairs of
+    ``mg_dimer_pairs``, O(n) per row.  The cooled state's coordinates in
+    the span are c = S^-1 g, with S the overlap matrix of G+ and G-, and
+    z = g^H S^-1 g; the rows above the z floor go to ``span_entropies`` as
+    c / sqrt(z).  No call forms a 2^n state.
     """
-    n = v.shape[0].bit_length() - 1
-    axes = _schmidt_axes(n, cut)
-    # complex once, so that no step casts real columns to meet complex psi
-    fixed = (v.itemsize + 16) * v.shape[1] << n
-    _check_dense_bytes(fixed)
-    tensor = v.reshape((2,) * n + (-1,)).transpose(axes + [n])
-    a = np.ascontiguousarray(tensor, dtype=complex).reshape(1 << n, -1).T
-    # the sites of the flattened Schmidt index, least significant first
-    sites = [n - 1 - ax for ax in reversed(axes)]
-    rows = 1 << len(cut.system_sites)
+    first, second = np.array(mg_dimer_pairs(states[0].num_sites // 2)).transpose(2, 0, 1)
+    blocks, overlap = span_blocks(states, cut)
+    # the adjugate: np.linalg.inv would add LAPACK's gesv pages (0.2 MB) to peak RSS
+    (s00, s01), (s10, s11) = overlap
+    inverse = np.array([[s11, -s01], [-s10, s00]]) / (s00 * s11 - s01 * s10)
 
     def entropy(x):
-        # psi, its conjugate and the Schmidt matrices: 48 bytes a row amplitude
-        _check_dense_bytes(fixed + (48 * len(x) << n))
-        pairs = _angle_pairs(x)[:, sites]
-        psi = pairs[:, 0]
-        for j in range(1, n):
-            psi = (pairs[:, j, :, None] * psi[:, None]).reshape(len(x), -1)
-        coeffs = (psi.conj() @ a.T).conj()
-        z = (coeffs.conj() * coeffs).real.sum(axis=-1)
-        m = (coeffs @ a).reshape(len(x), rows, -1)
-        mh = m.conj().swapaxes(1, 2)
-        gram = m @ mh if rows <= m.shape[2] else mh @ m
-        empty = z < _Z_FLOOR
-        weights = np.linalg.eigvalsh(gram) / np.where(empty, 1.0, z)[:, None]
-        return np.where(empty, 0.0, _entropy_bits(weights, axis=-1)), z
+        pairs = _angle_pairs(x)
+        a, b = pairs[:, first], pairs[:, second]
+        # <(|0_i 1_j> - |1_i 0_j>)/sqrt(2) | a b>, the sign of dimer_product_state
+        g = ((a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]) / np.sqrt(2.0)).prod(axis=-1)
+        coeffs = g @ inverse.T
+        z = np.einsum("sa,sa->s", g.conj(), coeffs).real
+        kept = z >= _Z_FLOOR
+        es = np.zeros(len(x))
+        es[kept] = span_entropies(blocks, coeffs[kept] / np.sqrt(z[kept])[:, None])
+        return es, z
 
     return entropy
 
@@ -396,41 +354,34 @@ def _nelder_mead(f, x0: np.ndarray):
 
 
 def maximize_cooled_entropy(
-    h: PauliOperator,
+    m: int,
     cuts,
     seed: int = 0,
     restarts: int = 8,
 ) -> list:
-    """Maximize the cooled block entropy over product initial states, for
-    each of ``cuts``.
+    """Maximize the cooled block entropy of the Majumdar-Ghosh ring on 2m
+    sites over product initial states, for each of ``cuts``.
 
     Each site's local state is parametrized by two angles.  Per cut, the
     ``restarts`` Nelder-Mead searches from seeded random angles run in
     lockstep (``_nelder_mead``), so each step makes one batched call of
-    the objective for all of them.  The objective works in the d
-    coordinates of the ground manifold (``_manifold_entropy``), so a row
-    costs O(d 2^n) and builds no projected state.  One spectrum and one
-    set of ground columns serve every cut and the final projection, and
-    every cut's search starts from ``seed``, so its result does not depend
-    on the other cuts.  Returns, per cut, the best (entropy, CooledState,
-    initial StateVector) triple found, the first restart on ties; the
-    state is the one ``cool`` gives for that initial state.  The spectrum,
-    the ground columns and the search batch obey the dense memory budget,
-    as in ``cool``.
+    the objective for all of them.  The ground manifold is the span of the
+    dimer coverings (``mg_dimer_states``), so the objective
+    (``_span_entropy``) takes no spectrum.  Every cut's search starts from
+    ``seed``, so its result does not depend on the other cuts.  Returns,
+    per cut, the best entropy found and the (n, 2) local states of its
+    initial product state, the first restart on ties; ``cool`` with
+    ``build_mg_chain(m)`` of their ``product_state`` gives that entropy.
     """
-    n = h.num_sites
+    n = 2 * m
     for cut in cuts:
         cut.validate(n)
-    ground, tol, below, projector, columns = _spectrum(h)
-    thr = _threshold(GROUND, ground, tol)
-    v = columns(thr)
-    project = projector(thr, v)
+    states = mg_dimer_states(m)
     out = []
     for cut in cuts:
-        entropy = _manifold_entropy(v, cut)
+        entropy = _span_entropy(states, cut)
         x0 = np.random.default_rng(seed).uniform(0.0, np.pi, (restarts, 2 * n))
         x, fun, _, _ = _nelder_mead(lambda pts: -entropy(pts)[0], x0)
         best = int(np.argmin(fun))
-        initial = product_state(_angle_pairs(x[best]))
-        out.append((-fun[best], _finish(project, initial, thr, below, tol), initial))
+        out.append((-fun[best], _angle_pairs(x[best])))
     return out

@@ -337,17 +337,24 @@ def dimer_product_state(num_sites: int, pairs) -> StateVector:
     return StateVector(num_sites, amps)
 
 
-def mg_dimer_states(m: int):
-    """The two Majumdar-Ghosh dimer coverings G+ and G- of the 2m-ring."""
+def mg_dimer_pairs(m: int):
+    """The singlet pairs of the Majumdar-Ghosh dimer coverings G+ and G-
+    of the 2m-ring: (2i, 2i+1), and (2i+1, 2i+2 mod 2m)."""
     n = 2 * m
-    gp = dimer_product_state(n, [(2 * i, 2 * i + 1) for i in range(m)])
-    gm = dimer_product_state(n, [((2 * i + 1) % n, (2 * i + 2) % n) for i in range(m)])
-    return gp, gm
+    return ([(2 * i, 2 * i + 1) for i in range(m)],
+            [((2 * i + 1) % n, (2 * i + 2) % n) for i in range(m)])
 
 
-def shastry_dimer_state(L: int) -> StateVector:
-    """Product of singlets on the Shastry-Sutherland diagonal dimers."""
-    return dimer_product_state(L * L, shastry_sutherland_diagonals(L))
+def mg_dimer_states(m: int):
+    """The two Majumdar-Ghosh dimer coverings G+ and G- of the 2m-ring,
+    which span its ground manifold.  Raises SizeLimitError before building
+    either when they and their stacked Schmidt matrices in ``span_blocks``
+    (four 2^n float64 arrays) exceed the dense memory budget."""
+    n = 2 * m
+    if n < 4:
+        raise ValidationError("need at least 4 sites")
+    _check_dense_bytes(32 << n)
+    return tuple(dimer_product_state(n, pairs) for pairs in mg_dimer_pairs(m))
 
 
 def build_model(spec: ModelSpec) -> PauliOperator:
@@ -370,33 +377,26 @@ def build_model(spec: ModelSpec) -> PauliOperator:
     raise ValidationError(f"no builder for {spec.kind}")
 
 
-def default_initial_state(spec: ModelSpec, alpha: complex = None, beta: complex = None) -> StateVector:
+def default_initial_state(spec: ModelSpec) -> StateVector:
     """The per-model initial product state used for cooling.
 
-    IsingGasLR and SingleBondIsing use the uniform product (alpha|0>+beta|1>)
-    per site with default alpha = beta = 1/sqrt(2) and alpha*beta != 0
-    enforced.  MajumdarGhosh uses the alternating |0>|1> pattern with two
-    free sites in |+> at the end.  HeisenbergGasLR puts black sites in |0>
-    and white sites in |+>.  RVBPlaquette (plaquette-label basis) uses the
-    uniform label product.
+    IsingGasLR and SingleBondIsing use the uniform product of |+> =
+    (|0> + |1>)/sqrt(2).  MajumdarGhosh uses the alternating |0>|1>
+    pattern with two free sites in |+> at the end.  HeisenbergGasLR puts
+    black sites in |0> and white sites in |+>.  RVBPlaquette
+    (plaquette-label basis) uses the uniform label product.
     """
-    if alpha is None and beta is None:
-        alpha = beta = 1.0 / math.sqrt(2.0)
-    if alpha is None or beta is None or abs(alpha * beta) < 1e-14:
-        raise ValidationError("alpha*beta must be nonzero")
+    plus = (1.0 / math.sqrt(2.0),) * 2
     match spec:
         case IsingGasLR(m) | SingleBondIsing(m):
-            return product_state([(alpha, beta)] * (2 * m))
+            return product_state([plus] * (2 * m))
         case RVBPlaquette(plaquettes):
-            return product_state([(alpha, beta)] * plaquettes)
+            return product_state([plus] * plaquettes)
         case MajumdarGhosh(m):
-            phi = (alpha, beta)
             per_site = []
             for i in range(2 * m - 2):
                 per_site.append((1.0, 0.0) if i % 2 == 0 else (0.0, 1.0))
-            per_site += [phi, phi]
-            return product_state(per_site)
+            return product_state(per_site + [plus, plus])
         case HeisenbergGasLR(m):
-            per_site = [(1.0, 0.0)] * m + [(alpha, beta)] * m
-            return product_state(per_site)
+            return product_state([(1.0, 0.0)] * m + [plus] * m)
     raise ValidationError(f"no default initial state for {spec.kind}")

@@ -88,12 +88,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        n = self.norm
-        if n < 1e-14:
-            raise ValidationError("cannot normalize a zero state")
-        return StateVector(self.num_sites, self.amplitudes / n)
-
     @cached_property
     def sectors(self) -> tuple:
         """The popcounts (numbers of 1 bits) of the basis states with a
@@ -104,12 +98,6 @@ class StateVector:
 
     def is_normalized(self, tol: float = 1e-12) -> bool:
         return abs(self.norm**2 - 1.0) <= tol
-
-    def fidelity(self, other: "StateVector") -> float:
-        """Squared overlap |<self|other>|^2."""
-        if other.num_sites != self.num_sites:
-            raise ValidationError("site counts differ")
-        return float(abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -320,10 +308,6 @@ class SpectralDecomposition:
         self._order = np.argsort(vals, kind="stable")
         self.eigenvalues = vals[self._order]
         self.degeneracy_tol = degeneracy_tol(self.eigenvalues)
-
-    def manifolds(self):
-        """(energy, start, stop) slices of the degenerate manifolds."""
-        return manifolds(self.eigenvalues, self.degeneracy_tol)
 
     def columns(self, select) -> np.ndarray:
         """Eigenvectors at positions ``select`` (a slice, mask or index
@@ -541,17 +525,16 @@ def block_entropy(state: StateVector, cut: Bipartition) -> float:
     return _entropy_bits(np.concatenate(weights))
 
 
-def span_block_entropies(states, coords, cut: Bipartition) -> np.ndarray:
-    """Block entropies across ``cut``, in bits, of the states
-    sum_a coords[s, a] states[a], one for each row s of ``coords``.
+def span_blocks(states, cut: Bipartition):
+    """The per-cut setup of ``span_entropies`` for the span of the few
+    fixed ``states``: the reduced blocks K, and their overlap matrix S,
+    S[a, b] = <states[a]|states[b]>.
 
-    The Schmidt matrices A_a of the few fixed ``states`` are taken once, on
-    the smaller side of the cut.  U is an orthonormal basis of the span of
-    their columns (rank r), R_a = U^H A_a and K_ab = R_a R_b^H, so row s has
-    the r x r reduced density matrix sum_ab c_sa conj(c_sb) K_ab.  All rows
-    go through one batched ``eigvalsh``, in O(rows r^2) memory.  As in
-    ``block_entropy``, every row must give a normalized state: a reduced
-    trace off 1 by more than 1e-8 raises ValidationError.
+    The Schmidt matrices A_a of the states are taken on the smaller side
+    of the cut.  U is an orthonormal basis of the span of their stacked
+    columns (rank r), R_a = U^H A_a and K[a, b] = R_a R_b^H, r x r each.
+    The columns of every A_a lie in the span of U, so tr K[b, a] =
+    tr A_b A_a^H = S[a, b].
     """
     mats = [schmidt_matrix(st, cut) for st in states]
     if mats[0].shape[0] > mats[0].shape[1]:
@@ -561,6 +544,19 @@ def span_block_entropies(states, coords, cut: Bipartition) -> np.ndarray:
     u = u[:, sv > sv[0] * max(stack.shape) * np.finfo(float).eps]
     reduced = np.stack([u.conj().T @ a for a in mats])
     blocks = np.einsum("aie,bje->abij", reduced, reduced.conj())
+    return blocks, np.trace(blocks, axis1=2, axis2=3).T
+
+
+def span_entropies(blocks, coords) -> np.ndarray:
+    """Block entropies, in bits, of the states sum_a coords[s, a] states[a],
+    one for each row s of ``coords``, from the ``blocks`` K of
+    ``span_blocks``.
+
+    Row s has the r x r reduced density matrix sum_ab c_sa conj(c_sb) K_ab.
+    All rows go through one batched ``eigvalsh``, in O(rows r^2) memory.
+    As in ``block_entropy``, every row must give a normalized state: a
+    reduced trace off 1 by more than 1e-8 raises ValidationError.
+    """
     rho = np.einsum("sa,sb,abij->sij", coords, np.conj(coords), blocks)
     trace = np.trace(rho, axis1=1, axis2=2).real
     bad = np.flatnonzero(np.abs(trace - 1.0) > 1e-8)
@@ -606,10 +602,3 @@ def product_state(per_site) -> StateVector:
         # site i becomes bit i: the new factor is the more significant bit
         psi = (v[:, None] * psi).ravel()
     return StateVector(len(per_site), psi)
-
-
-def basis_state(num_sites: int, index: int) -> StateVector:
-    _check_dense_bytes(8 << num_sites)
-    amps = np.zeros(1 << num_sites)
-    amps[index] = 1.0
-    return StateVector(num_sites, amps)

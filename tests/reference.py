@@ -18,6 +18,9 @@ of a model and its sign-flipped control.
 ``sector_bases`` and ``sector_block`` build each block of an operator by
 re-running its Pauli terms over the block's basis, beside the library's
 one-pass triplet assembly, which must match them bit for bit.
+``manifold_entropy`` is the optimiser's former objective, in the
+coordinates of ED ground columns, beside ``cool`` and ``block_entropy``.  ``cool_excited``, ``normalized``, ``basis_state``, ``fidelity`` and
+``shastry_dimer_state`` are small helpers that only tests use.
 """
 import itertools
 import math
@@ -25,9 +28,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from frustra.cooling import cool
+from frustra.cooling import _check_initial, _finish, _spectrum, cool
 from frustra.interference import IncomparableError, InterferenceReport, make_report
-from frustra.models import build_model, default_initial_state, dimer_product_state
+from frustra.models import (
+    build_model,
+    default_initial_state,
+    dimer_product_state,
+    shastry_sutherland_diagonals,
+)
 from frustra.spin_core import (
     Bipartition,
     PauliOperator,
@@ -36,9 +44,11 @@ from frustra.spin_core import (
     ValidationError,
     _dtype,
     _entropy_bits,
+    _schmidt_axes,
     _term_masks,
     _z_energies,
     block_entropy,
+    manifolds,
     popcount,
     schmidt_matrix,
 )
@@ -165,7 +175,7 @@ def eigenvectors(dec: SpectralDecomposition) -> np.ndarray:
 
 def ground_manifold(dec: SpectralDecomposition) -> np.ndarray:
     """Columns spanning the ground manifold of ``dec``."""
-    _, start, stop = dec.manifolds()[0]
+    _, start, stop = manifolds(dec.eigenvalues, dec.degeneracy_tol)[0]
     return dec.columns(slice(start, stop))
 
 
@@ -194,15 +204,15 @@ def component_average_entropy(components, cut: Bipartition, weights=None) -> flo
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValidationError("weights must sum to 1")
     return float(
-        sum(w * block_entropy(c.normalized(), cut) for w, c in zip(weights, comps))
+        sum(w * block_entropy(normalized(c), cut) for w, c in zip(weights, comps))
     )
 
 
 def superposition_vs_average(components, cut: Bipartition) -> InterferenceReport:
     """Compare the equal superposition of the components with their average."""
-    comps = [c.normalized() for c in components]
+    comps = [normalized(c) for c in components]
     total = np.sum([c.amplitudes for c in comps], axis=0)
-    sup = StateVector(comps[0].num_sites, total).normalized()
+    sup = normalized(StateVector(comps[0].num_sites, total))
     e_super = block_entropy(sup, cut)
     e_avg = component_average_entropy(comps, cut)
     return make_report(e_super, e_avg)
@@ -230,3 +240,73 @@ def frustrated_vs_unfrustrated_ratio(spec_frustrated, spec_control, cut: Biparti
     if e[1] <= 0.0:
         raise IncomparableError("control entropy is zero; ratio undefined")
     return e[0] / e[1]
+
+
+def cool_excited(h: PauliOperator, initial: StateVector, manifold_count: int):
+    """Cool into the span of the lowest ``manifold_count`` energy manifolds
+    (all of them when there are fewer)."""
+    if manifold_count < 1:
+        raise ValidationError("manifold_count must be >= 1")
+    _check_initial(h, initial)
+    _, tol, below, projector = _spectrum(h)
+    levels = manifolds(below(np.inf), tol)
+    thr = levels[min(manifold_count, len(levels)) - 1][0] + tol
+    return _finish(projector(thr), initial, thr, below, tol)
+
+
+def normalized(state: StateVector) -> StateVector:
+    if state.norm < 1e-14:
+        raise ValidationError("cannot normalize a zero state")
+    return StateVector(state.num_sites, state.amplitudes / state.norm)
+
+
+def basis_state(num_sites: int, index: int) -> StateVector:
+    amps = np.zeros(1 << num_sites)
+    amps[index] = 1.0
+    return StateVector(num_sites, amps)
+
+
+def fidelity(a: StateVector, b: StateVector) -> float:
+    """Squared overlap |<a|b>|^2."""
+    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+
+
+def shastry_dimer_state(L: int) -> StateVector:
+    """Product of singlets on the Shastry-Sutherland diagonal dimers."""
+    return dimer_product_state(L * L, shastry_sutherland_diagonals(L))
+
+
+def manifold_entropy(v: np.ndarray, cut: Bipartition):
+    """``entropy(x)``: for each row of the angles ``x`` (B x 2n), the block
+    entropy across ``cut``, and z, of that product state cooled onto the
+    span of the orthonormal columns ``v`` (2^n x d); the entropy is 0 when
+    z is below 1e-14.
+
+    Each column is rearranged into its Schmidt matrix A_a and flattened,
+    and the product states psi are built in that order of sites.  Then
+    c = psi A^* are the cooled states' coordinates in the span, z = |c|^2,
+    and the rows of c A are their Schmidt matrices.
+    """
+    n = v.shape[0].bit_length() - 1
+    axes = _schmidt_axes(n, cut)
+    tensor = v.reshape((2,) * n + (-1,)).transpose(axes + [n])
+    a = np.ascontiguousarray(tensor, dtype=complex).reshape(1 << n, -1).T
+    # the sites of the flattened Schmidt index, least significant first
+    sites = [n - 1 - ax for ax in reversed(axes)]
+    rows = 1 << len(cut.system_sites)
+
+    def entropy(x):
+        t, ph = x[:, 0::2][:, sites], x[:, 1::2][:, sites]
+        pairs = np.stack([np.cos(t), np.exp(1j * ph) * np.sin(t)], axis=-1)
+        psi = pairs[:, 0]
+        for j in range(1, n):
+            psi = (pairs[:, j, :, None] * psi[:, None]).reshape(len(x), -1)
+        coeffs = (psi.conj() @ a.T).conj()
+        z = (coeffs.conj() * coeffs).real.sum(axis=-1)
+        m = (coeffs @ a).reshape(len(x), rows, -1)
+        gram = m @ m.conj().swapaxes(1, 2)
+        empty = z < 1e-14
+        weights = np.linalg.eigvalsh(gram) / np.where(empty, 1.0, z)[:, None]
+        return np.where(empty, 0.0, _entropy_bits(weights, axis=-1)), z
+
+    return entropy

@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from frustra import cli, cooling, models, spin_core
 from frustra.cli import build_parser, main, parse_range
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -145,12 +146,60 @@ def test_oversized_state_is_refused_before_allocating(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_scaling_mg_diagonalizes_once_per_size(tmp_path, diagonalize_calls):
+def test_scaling_mg_diagonalizes_nothing_and_shares_the_span_setup(
+        tmp_path, monkeypatch, diagonalize_calls):
+    # the optimiser and bounds-check reach the one per-cut span setup of
+    # spin_core, and neither takes a spectrum
+    setups = []
+    span_blocks = spin_core.span_blocks
+    assert cooling.span_blocks is cli.span_blocks is span_blocks
+
+    def spy(caller):
+        def counting(states, cut):
+            setups.append((caller, cut.system_sites))
+            return span_blocks(states, cut)
+
+        return counting
+
+    monkeypatch.setattr(spin_core, "diagonalize", lambda *args: pytest.fail("diagonalize"))
+    monkeypatch.setattr(cooling, "span_blocks", spy("scaling"))
+    monkeypatch.setattr(cli, "span_blocks", spy("bounds-check"))
     out = tmp_path / "mg.csv"
-    argv = ["scaling", "--model", "mg", "--n", "8", "--k", "1..3", "--source", "ed", "--seed", "5"]
+    argv = ["scaling", "--model", "mg", "--n", "8", "--k", "4", "--source", "ed", "--seed", "5"]
     assert run(argv + ["--output", str(out)]) == 0
-    assert len(diagonalize_calls) == 1
-    assert len(read(out).splitlines()) == 4
+    assert len(read(out).splitlines()) == 2
+    assert run(["bounds-check", "--model", "mg", "--n", "8", "--samples", "1",
+                "--output", str(tmp_path / "mg.json")]) == 0
+    assert diagonalize_calls == []
+    assert setups == [("scaling", (0, 1, 2, 3))] + [
+        ("bounds-check", tuple(range(k))) for k in range(1, 8)]
+
+
+@pytest.mark.parametrize("argv", [
+    "bounds-check --model mg --n 26 --samples 1",
+    "scaling --model mg --n 26 --k 13",
+], ids=["bounds-check", "scaling"])
+def test_mg_span_past_budget_builds_no_covering(tmp_path, monkeypatch, capsys, argv):
+    # each 2^26 covering fits the 1 GiB budget alone (512 MiB), but the two
+    # with their stacked Schmidt matrices need 2 GiB: refused before the
+    # first covering is built
+    monkeypatch.setattr(models, "dimer_product_state",
+                        lambda *args: pytest.fail("dimer_product_state called"))
+    out = tmp_path / "out"
+    assert run(argv.split() + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: dense work needs 2 GiB, over the limit of 1 GiB"]
+    assert not out.exists()
+
+
+def test_scaling_mg_n16_lies_within_the_bounds(tmp_path):
+    # past the reach of the n=16 spectrum (4.48 GiB of sector eigenvectors)
+    out = tmp_path / "mg.csv"
+    assert run(["scaling", "--model", "mg", "--n", "16", "--k", "8", "--source", "ed",
+                "--output", str(out)]) == 0
+    size, k, e, source, lower, upper = read(out).splitlines()[1].split(",")
+    assert (size, k, source) == ("16", "8", "ed")
+    assert float(lower) <= float(e) <= float(upper)
 
 
 def test_scaling_single_bond_decreasing(tmp_path, single_bond_entropy):

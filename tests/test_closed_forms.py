@@ -22,7 +22,6 @@ from frustra.models import (
     build_model,
     build_single_bond_ising,
     default_initial_state,
-    shastry_dimer_state,
 )
 from frustra.cooling import cool
 from frustra.closed_forms import (
@@ -44,7 +43,7 @@ from frustra.closed_forms import (
     single_bond_cooled_state,
 )
 
-from reference import dicke_weights, partial_trace
+from reference import dicke_weights, fidelity, partial_trace, shastry_dimer_state
 
 
 # ---------------------------------------------------------------- Case 1
@@ -308,7 +307,7 @@ def test_single_bond_state_matches_ed_cooling():
         h = build_single_bond_ising(m)
         spec = SingleBondIsing(m)
         cooled = cool(h, default_initial_state(spec))
-        assert cooled.state.fidelity(single_bond_cooled_state(m)) >= 1 - 1e-10
+        assert fidelity(cooled.state, single_bond_cooled_state(m)) >= 1 - 1e-10
 
 
 @pytest.mark.parametrize("m", range(2, 11))

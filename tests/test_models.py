@@ -23,11 +23,10 @@ from frustra.models import (
     default_initial_state,
     dimer_product_state,
     mg_dimer_states,
-    shastry_dimer_state,
     shastry_sutherland_diagonals,
 )
 
-from reference import ground_manifold, heisenberg_covering_states
+from reference import ground_manifold, heisenberg_covering_states, shastry_dimer_state
 
 
 def ground_columns(op):
@@ -78,6 +77,23 @@ def test_mg_ground_space_contains_dimers():
             # eigenstate residual
             res = h.apply(g.amplitudes) - e0 * g.amplitudes
             assert np.linalg.norm(res) < 1e-9
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_mg_ground_manifold_is_the_dimer_span(m):
+    # the premise of the MG optimiser and bounds-check: the ED ground
+    # columns V and the coverings G = (G+, G-) span the same plane
+    v = ground_columns(build_mg_chain(m))
+    g = np.stack([st.amplitudes for st in mg_dimer_states(m)], axis=1)
+    q, _ = np.linalg.qr(g)
+    assert v.shape[1] == 2
+    assert np.linalg.norm(g - v @ (v.conj().T @ g)) <= 1e-12
+    assert np.linalg.norm(v - q @ (q.conj().T @ v)) <= 1e-12
+
+
+def test_mg_dimer_states_refuse_fewer_than_4_sites():
+    with pytest.raises(ValidationError, match="need at least 4 sites"):
+        mg_dimer_states(1)
 
 
 def test_mg_ground_degeneracy_2m6():
@@ -158,12 +174,6 @@ def test_default_initial_state_mg_pattern():
     support = np.flatnonzero(np.abs(st.amplitudes) > 1e-12)
     assert all((b & 0b1111) == 0b1010 for b in support)
     assert len(support) == 4
-
-
-def test_default_initial_state_rejects_zero_product():
-    spec = IsingGasLR(2)
-    with pytest.raises(ValidationError):
-        default_initial_state(spec, alpha=1.0, beta=0.0)
 
 
 _SIGNS = st.sampled_from(["frustrated", "unfrustrated"])

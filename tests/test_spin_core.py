@@ -15,17 +15,17 @@ from frustra.spin_core import (
     SpectralDecomposition,
     StateVector,
     ValidationError,
-    basis_state,
     block_entropy,
     build_dense,
     diagonalize,
     manifolds,
     popcount,
     product_state,
-    span_block_entropies,
+    span_blocks,
+    span_entropies,
     _entropy_bits,
 )
-from frustra.cooling import GROUND, _manifold_entropy, _spectrum, _threshold, cool
+from frustra.cooling import _spectrum, cool
 from frustra.models import (
     MajumdarGhosh,
     build_heisenberg_gas,
@@ -36,6 +36,7 @@ from frustra.models import (
 )
 
 from reference import (
+    basis_state,
     eigenvectors,
     ground_manifold,
     partial_trace,
@@ -238,57 +239,11 @@ def test_cool_counts_embedded_columns_in_budget(monkeypatch):
     assert len(calls) == 1
 
 
-def test_mask_columns_are_kept_unit_vectors_within_budget(monkeypatch):
-    # the m=3, lambda=1/3 Ising gas keeps the 15 states of popcount 2
-    h = build_ising_gas(3, 1 / 3)
-    ground, tol, _, _, columns = _spectrum(h)
-    thr = _threshold(GROUND, ground, tol)
-    v = columns(thr)
-    kept = np.flatnonzero(h.diagonal() <= thr)
-    assert len(kept) == 15 and all(popcount(kept) == 2)
-    assert np.array_equal(v, np.eye(64)[:, kept])
-    monkeypatch.setattr(spin_core, "_DENSE_BYTES", v.nbytes - 1)
-    with pytest.raises(SizeLimitError, match="GiB"):
-        columns(thr)
-
-
-def test_manifold_coordinates_count_their_complex_copy_in_budget(monkeypatch):
-    # the 15 real unit columns of the m=3 Ising gas hold 7.5 kB; the
-    # optimiser's complex rearrangement of them needs 15 kB more
-    h = build_ising_gas(3, 1 / 3)
-    ground, tol, _, _, columns = _spectrum(h)
-    v = columns(_threshold(GROUND, ground, tol))
-    cut = Bipartition.contiguous(3)
-    monkeypatch.setattr(spin_core, "_DENSE_BYTES", 3 * v.nbytes - 1)
-    with pytest.raises(SizeLimitError, match="GiB"):
-        _manifold_entropy(v, cut)
-    monkeypatch.setattr(spin_core, "_DENSE_BYTES", 3 * v.nbytes)
-    _manifold_entropy(v, cut)
-
-
-def test_manifold_entropy_counts_its_batch_in_budget(monkeypatch):
-    # beyond the columns and their complex copy, a call of B rows holds
-    # 48 bytes per row amplitude (product states, their conjugate and the
-    # Schmidt matrices), checked before anything is allocated
-    h = build_mg_chain(3)
-    ground, tol, _, _, columns = _spectrum(h)
-    v = columns(_threshold(GROUND, ground, tol))
-    entropy = _manifold_entropy(v, Bipartition.contiguous(2))
-    x = np.zeros((5, 12))
-    fixed = 3 * v.nbytes
-    monkeypatch.setattr(spin_core, "_DENSE_BYTES", fixed + 48 * 5 * 64 - 1)
-    with pytest.raises(SizeLimitError, match="GiB"):
-        entropy(x)
-    entropy(x[:4])
-    monkeypatch.setattr(spin_core, "_DENSE_BYTES", fixed + 48 * 5 * 64)
-    entropy(x)
-
-
 @pytest.mark.parametrize("complex_amps", [False, True])
 def test_complex_projection_copies_no_columns(complex_amps):
     # the XY chain is complex; threshold 1000 keeps all 1024 of its columns
     # (16 MiB), and projecting onto all of them returns the state itself
-    _, _, _, projector, _ = _spectrum(_pair_chain(10, "XY"))
+    _, _, _, projector = _spectrum(_pair_chain(10, "XY"))
     project = projector(1000.0)
     pairs = [(1.0, 0.5j if complex_amps else 0.5)] * 10
     amps = product_state(pairs).amplitudes
@@ -319,7 +274,7 @@ def test_diagonalize_ferromagnetic_ground_manifold():
 
 def test_diagonalize_af_ground_manifold():
     dec = diagonalize(build_ising_gas(2, 0.0))
-    _, start, stop = dec.manifolds()[0]
+    _, start, stop = manifolds(dec.eigenvalues, dec.degeneracy_tol)[0]
     assert stop - start == 6  # all 2-up/2-down bitstrings
 
 
@@ -532,20 +487,23 @@ def test_span_block_entropies_equal_per_state_block_entropy(m):
     # G+ and G- themselves, their real sum and difference, then random rows
     coords = np.vstack([[[1, 0], [0, 1], [1, 1], [1, -1]], x[:, 0] + 1j * x[:, 1]])
     coords = _normalized_mg_coords(states, coords)
-    amps = coords @ np.stack([st.amplitudes for st in states])
+    basis = np.stack([st.amplitudes for st in states])
+    amps = coords @ basis
     for offset in (0, 1):
         for k in range(1, n):
             cut = Bipartition.contiguous(k, offset, n)
             expected = [block_entropy(StateVector(n, a), cut) for a in amps]
-            got = span_block_entropies(states, coords, cut)
+            blocks, overlap = span_blocks(states, cut)
+            np.testing.assert_allclose(overlap, basis @ basis.T, rtol=0, atol=1e-14)
+            got = span_entropies(blocks, coords)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_span_block_entropies_refuse_unnormalized_row():
     states = mg_dimer_states(3)
     coords = _normalized_mg_coords(states, np.array([[1.0, 0.0], [1.0, 2.0], [0.0, 1.0]]))
-    cut = Bipartition.contiguous(2)
-    span_block_entropies(states, coords * (1 + 1e-10), cut)
+    blocks, _ = span_blocks(states, Bipartition.contiguous(2))
+    span_entropies(blocks, coords * (1 + 1e-10))
     coords[1] *= 1 + 1e-6
     with pytest.raises(ValidationError, match="row 1 must be normalized"):
-        span_block_entropies(states, coords, cut)
+        span_entropies(blocks, coords)

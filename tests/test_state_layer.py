@@ -18,7 +18,6 @@ from frustra.spin_core import (
     SizeLimitError,
     StateVector,
     ValidationError,
-    basis_state,
     block_entropy,
     popcount,
     product_state,
@@ -331,9 +330,8 @@ def test_state_sectors_are_computed_once():
     "build",
     [lambda: product_state([(1.0, 0.0)] * 28),
      lambda: product_state([(1.0, 1j)] * 27),
-     lambda: basis_state(28, 0),
      lambda: dimer_product_state(28, [(0, 1)])],
-    ids=["real-product-28", "complex-product-27", "basis-28", "dimer-28"],
+    ids=["real-product-28", "complex-product-27", "dimer-28"],
 )
 def test_oversized_states_are_refused_before_allocating(build):
     # 2 GiB of amplitudes, over the 1 GiB dense budget
