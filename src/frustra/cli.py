@@ -31,7 +31,7 @@ from .cooling import (
 )
 from .frustration import InternalConsistencyError, frustration_degree_model
 from .closed_forms import (
-    ising_gas_rho_k,
+    ising_gas_spectra,
     mg_bounds,
     heisenberg_gas_bound,
     single_bond_block_entropy,
@@ -152,7 +152,7 @@ def cmd_scaling(args) -> int:
             if args.sign == "unfrustrated":
                 raise ValidationError("the closed forms describe --sign frustrated only")
             if args.model == "ising-gas":
-                es = [ising_gas_rho_k(spec.m, spec.lam, k).entropy() for k in ks]
+                es = [d.entropy() for d in ising_gas_spectra(spec.m, spec.lam, ks)]
             elif args.model == "single-bond":
                 es = [single_bond_block_entropy(spec.m, k) for k in ks]
             else:

@@ -3,9 +3,11 @@
 These serve as oracles against exact diagonalization at small sizes and
 extend the same quantities far beyond dense-diagonalization reach.  Exact
 big-integer arithmetic is used where feasible, switching to log-space
-(lgamma) evaluation for very large systems.  The Dicke block weights walk
-the hypergeometric numerators by exact integer recurrences, from two
-``math.comb`` calls per block, and divide each by C(2m, m(1+lam)) once.
+(lgamma) evaluation for very large systems.  The Dicke block weights come
+one scan of cuts at a time (``ising_gas_spectra``), which shares its exact
+work across the cuts: one C(2m, m(1+lam)) to divide every numerator by,
+each cut's starting numerator stepped from its neighbour's, and above
+m = 1000 one lgamma table.
 """
 from __future__ import annotations
 
@@ -58,23 +60,28 @@ class DickeSpectrum:
         return shannon_entropy(self.weights)
 
 
-def ising_gas_rho_k(m: int, lam: float, k: int) -> DickeSpectrum:
-    """Exact block spectrum of the cooled Ising-gas (Dicke) state.
+def ising_gas_spectra(m: int, lam: float, ks) -> list:
+    """Exact block spectra of the cooled Ising-gas (Dicke) state, one
+    ``DickeSpectrum`` per cut size in ``ks``, in that order.
 
     Requires m*(1+lam) to be an integer so the zero count of the Dicke
     state is well defined.  Weight i is C(k, i) C(2m-k, n0-i) / C(2m, n0)
-    for n0 = m(1+lam) zeros, nonzero for lo <= i <= hi.
+    for n0 = m(1+lam) zeros, nonzero for lo <= i <= hi.  Every k is
+    checked before any weight is computed.
 
-    For m <= 1000 the numerators are exact integers: ``math.comb`` gives
-    C(k, hi) and C(2m-k, n0-hi), and the walk down from i = hi steps both
-    binomials with the exact recurrences C(N, r+1) = C(N, r)(N-r)/(r+1)
-    and C(k, i-1) = C(k, i) i/(k-i+1).  The numerators must sum to
-    C(2m, n0) (Vandermonde), and each weight is one int/int division,
-    which Python rounds correctly.  Above m = 1000 the weights are
-    evaluated in log-space.
+    For m <= 1000 the numerators are exact integers.  C(2m, n0) is taken
+    once per scan.  A cut's starting numerator C(2m-k, n0-hi) is C(2m-k,
+    n1) with n1 = 2m - n0 ones, or 1 when 2m-k < n1; from one cut to a
+    neighbour k +- 1 it is stepped by the exact recurrence C(N-1, n1) =
+    C(N, n1)(N-n1)/N, and ``math.comb`` runs only for the first cut and
+    after a jump.  The walk down from i = hi steps both binomials with the
+    exact recurrences C(N, r+1) = C(N, r)(N-r)/(r+1) and C(k, i-1) =
+    C(k, i) i/(k-i+1), from C(k, hi).  The numerators must sum to C(2m, n0)
+    (Vandermonde), and each weight is one int/int division, which Python
+    rounds correctly.  Above m = 1000 the weights are evaluated in
+    log-space from one table of lgamma(j+1), j = 0..2m, per scan.  Nothing
+    is kept between calls.
     """
-    if not (0 <= k <= 2 * m):
-        raise ValidationError("k out of range")
     n0f = m * (1.0 + lam)
     n0 = round(n0f)
     if abs(n0f - n0) > 1e-9:
@@ -82,28 +89,52 @@ def ising_gas_rho_k(m: int, lam: float, k: int) -> DickeSpectrum:
             "lambda must be on the j/m grid so that m(1+lambda) is an integer"
         )
     n = 2 * m
+    ks = list(ks)
+    if not all(0 <= k <= n for k in ks):
+        raise ValidationError("k out of range")
+    out = []
     if m <= _EXACT_M_LIMIT:
-        lo, hi = max(0, n0 - (n - k)), min(k, n0)
-        nums = [0] * (k + 1)
-        ck, cr = math.comb(k, hi), math.comb(n - k, n0 - hi)
-        for i in range(hi, lo - 1, -1):
-            nums[i] = ck * cr
-            r = n0 - i
-            cr = cr * (n - k - r) // (r + 1)
-            ck = ck * i // (k - i + 1)
         denom = math.comb(n, n0)
-        assert sum(nums) == denom
-        weights = tuple(num / denom for num in nums)
+        n1, last = n - n0, None  # cr = C(n-k, n0-hi) of the cut k = last
+        for k in ks:
+            lo, hi = max(0, n0 - (n - k)), min(k, n0)
+            env = n - k
+            if last == k + 1 and env > n1:
+                cr = cr * env // (env - n1)
+            elif last == k - 1 and env >= n1:
+                cr = cr * (env + 1 - n1) // (env + 1)
+            elif last not in (k, k + 1, k - 1):
+                cr = math.comb(env, n0 - hi)
+            last = k
+            nums = [0] * (k + 1)
+            ck, c = math.comb(k, hi), cr
+            for i in range(hi, lo - 1, -1):
+                nums[i] = ck * c
+                r = n0 - i
+                c = c * (env - r) // (r + 1)
+                ck = ck * i // (k - i + 1)
+            assert sum(nums) == denom
+            out.append(tuple(num / denom for num in nums))
     else:
-        lw = np.array(
-            [
-                _lbinom(k, i) + _lbinom(n - k, n0 - i) - _lbinom(n, n0)
-                for i in range(k + 1)
-            ]
-        )
-        weights = np.where(np.isfinite(lw), np.exp(lw), 0.0)
-        weights = tuple(weights / weights.sum())
-    return DickeSpectrum(k=k, m=m, lam=lam, weights=weights)
+        lg = [math.lgamma(j + 1) for j in range(n + 1)]
+
+        def lbinom(a, b):
+            # the terms and order of _lbinom, read from the table
+            return lg[a] - lg[b] - lg[a - b] if 0 <= b <= a else -math.inf
+
+        total = lbinom(n, n0)
+        for k in ks:
+            lw = np.array(
+                [lbinom(k, i) + lbinom(n - k, n0 - i) - total for i in range(k + 1)]
+            )
+            weights = np.where(np.isfinite(lw), np.exp(lw), 0.0)
+            out.append(tuple(weights / weights.sum()))
+    return [DickeSpectrum(k=k, m=m, lam=lam, weights=w) for k, w in zip(ks, out)]
+
+
+def ising_gas_rho_k(m: int, lam: float, k: int) -> DickeSpectrum:
+    """The block spectrum of one cut: ``ising_gas_spectra(m, lam, [k])[0]``."""
+    return ising_gas_spectra(m, lam, [k])[0]
 
 
 def ising_gas_asymptote(k: int, lam: float) -> float:

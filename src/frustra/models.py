@@ -348,12 +348,14 @@ def mg_dimer_pairs(m: int):
 def mg_dimer_states(m: int):
     """The two Majumdar-Ghosh dimer coverings G+ and G- of the 2m-ring,
     which span its ground manifold.  Raises SizeLimitError before building
-    either when they and their stacked Schmidt matrices in ``span_blocks``
-    (four 2^n float64 arrays) exceed the dense memory budget."""
+    either when they and the peak of ``span_blocks`` on them exceed the
+    dense memory budget: seven 2^n float64 arrays, the two coverings and,
+    at the middle cut, the Gram matrix, the copy ``eigh`` factors and the
+    eigenvectors it returns (one each) and its workspace (two)."""
     n = 2 * m
     if n < 4:
         raise ValidationError("need at least 4 sites")
-    _check_dense_bytes(32 << n)
+    _check_dense_bytes(56 << n)
     return tuple(dimer_product_state(n, pairs) for pairs in mg_dimer_pairs(m))
 
 

@@ -4,6 +4,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -181,15 +183,53 @@ def test_scaling_mg_diagonalizes_nothing_and_shares_the_span_setup(
 ], ids=["bounds-check", "scaling"])
 def test_mg_span_past_budget_builds_no_covering(tmp_path, monkeypatch, capsys, argv):
     # each 2^26 covering fits the 1 GiB budget alone (512 MiB), but the two
-    # with their stacked Schmidt matrices need 2 GiB: refused before the
-    # first covering is built
+    # with the middle cut's Gram matrix and eigh need 3.5 GiB: refused
+    # before the first covering is built
     monkeypatch.setattr(models, "dimer_product_state",
                         lambda *args: pytest.fail("dimer_product_state called"))
     out = tmp_path / "out"
     assert run(argv.split() + ["--output", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: dense work needs 2 GiB, over the limit of 1 GiB"]
+    assert err == ["error: dense work needs 3.5 GiB, over the limit of 1 GiB"]
     assert not out.exists()
+
+
+# VmHWM, not ru_maxrss: a child's ru_maxrss starts at its parent's RSS at fork
+_PEAK_RSS = """
+import sys
+from frustra import cli, models
+counted = []
+check = models._check_dense_bytes
+models._check_dense_bytes = lambda needed: counted.append(needed) or check(needed)
+assert cli.main(sys.argv[1:]) == 0
+with open("/proc/self/status") as fh:
+    peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(peak * 1024, max(counted))
+"""
+
+
+def _peak_rss(tmp_path, n):
+    """(peak RSS in bytes, the largest budget check) of an MG bounds-check
+    run in a fresh process on one BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([os.path.dirname(os.path.dirname(cli.__file__)),
+                                          os.environ.get("PYTHONPATH", "")]))
+    argv = ["bounds-check", "--model", "mg", "--n", str(n), "--samples", "1",
+            "--output", str(tmp_path / f"n{n}.json")]
+    out = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    return tuple(int(v) for v in out.stdout.split())
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+@pytest.mark.parametrize("n", [18, 20])
+def test_mg_span_peak_memory_stays_within_its_count(tmp_path, n):
+    # the budget of mg_dimer_states covers what span_blocks really holds:
+    # the growth of peak RSS over a small run stays under the counted bytes
+    base, _ = _peak_rss(tmp_path, 8)
+    peak, counted = _peak_rss(tmp_path, n)
+    assert counted == 56 << n
+    assert 0 < peak - base < counted
 
 
 def test_scaling_mg_n16_lies_within_the_bounds(tmp_path):

@@ -31,6 +31,7 @@ from frustra.closed_forms import (
     heisenberg_gas_schmidt_state,
     ising_gas_asymptote,
     ising_gas_rho_k,
+    ising_gas_spectra,
     ising_gas_stirling_weights,
     mg_bounds,
     rvb_boundary_entropy,
@@ -43,7 +44,7 @@ from frustra.closed_forms import (
     single_bond_cooled_state,
 )
 
-from reference import dicke_weights, fidelity, partial_trace, shastry_dimer_state
+from reference import dicke_log_weights, dicke_weights, fidelity, partial_trace, shastry_dimer_state
 
 
 # ---------------------------------------------------------------- Case 1
@@ -61,6 +62,21 @@ def test_pure_dicke_spectrum_entropy_is_positive_zero():
     assert e == 0.0 and math.copysign(1.0, e) == 1.0
 
 
+def _draw_cuts(data, n):
+    """Cut sizes in [0, n] in any order: runs of neighbours, up or down,
+    with jumps between runs and repeats where runs overlap."""
+    runs = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, n), st.integers(1, 6), st.sampled_from([1, -1])),
+            min_size=1,
+            max_size=4,
+        ),
+        label="runs",
+    )
+    return [k for start, size, step in runs
+            for k in range(start, start + step * size, step) if 0 <= k <= n]
+
+
 @given(data=st.data())
 def test_dicke_weights_equal_fraction_reference(data):
     # the integer recurrence must give the very floats of the Fraction route
@@ -68,6 +84,71 @@ def test_dicke_weights_equal_fraction_reference(data):
     lam = data.draw(st.integers(-m, m), label="j") / m
     for k in range(2 * m + 1):
         assert ising_gas_rho_k(m, lam, k).weights == dicke_weights(m, lam, k)
+
+
+@given(data=st.data())
+def test_dicke_scan_equals_fraction_reference_cut_by_cut(data):
+    # a scan steps each cut's numerator from the previous cut's; the weights
+    # must still be the Fraction route's, whatever the order of the cuts
+    m = data.draw(st.integers(1, 1000), label="m")
+    lam = data.draw(st.integers(-m, m), label="j") / m
+    ks = _draw_cuts(data, 2 * m)
+    spectra = ising_gas_spectra(m, lam, ks)
+    assert [s.k for s in spectra] == ks
+    for k, spectrum in zip(ks, spectra):
+        assert spectrum.weights == dicke_weights(m, lam, k)
+
+
+@given(data=st.data())
+def test_dicke_scan_above_m_1000_equals_per_cut_lgamma(data):
+    # one lgamma table per scan gives the bits of three lgamma calls per
+    # log-binomial
+    m = data.draw(st.integers(1001, 1500), label="m")
+    lam = data.draw(st.integers(-m, m), label="j") / m
+    ks = _draw_cuts(data, 2 * m)
+    for k, spectrum in zip(ks, ising_gas_spectra(m, lam, ks)):
+        assert spectrum.weights == dicke_log_weights(m, lam, k)
+
+
+def _counting(monkeypatch, name):
+    """Record the arguments of every ``math.<name>`` call."""
+    calls = []
+    fn = getattr(math, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(math, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("ks", [range(1, 101), range(100, 0, -1)])
+def test_dicke_scan_of_adjacent_cuts_makes_k_plus_2_combs(monkeypatch, ks):
+    calls = _counting(monkeypatch, "comb")
+    ising_gas_spectra(1000, 0.5, ks)
+    assert len(calls) <= len(ks) + 2
+
+
+def test_dicke_scans_keep_nothing_between_calls(monkeypatch):
+    calls = _counting(monkeypatch, "comb")
+    first = ising_gas_spectra(40, 0.5, [3, 4])
+    assert ising_gas_spectra(40, 0.5, [3, 4]) == first
+    assert calls.count((80, 60)) == 2
+
+
+@pytest.mark.parametrize("ks", [[], [1], [0, 2000, 7, 8, 8, 1999], range(1, 301)])
+def test_dicke_scan_above_m_1000_makes_one_lgamma_table(monkeypatch, ks):
+    calls = _counting(monkeypatch, "lgamma")
+    ising_gas_spectra(1001, 0.0, ks)
+    assert sorted(calls) == [(j + 1,) for j in range(2003)]
+
+
+def test_dicke_scan_checks_every_cut_first(monkeypatch):
+    calls = _counting(monkeypatch, "lgamma")
+    with pytest.raises(ValidationError, match="k out of range"):
+        ising_gas_spectra(1001, 0.0, [1, 2, 2003])
+    assert calls == []
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 0.999])

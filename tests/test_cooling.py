@@ -444,6 +444,17 @@ MANIFOLD_CASES = [
 ]
 
 
+def _angle_rows(width, most):
+    """1 to ``most`` rows of ``width`` generic angles, uniform on [0, 2 pi)
+    from a drawn seed.  Lists of ``st.floats`` come out nearly constant
+    under the derandomized profile, and constant angles cannot tell the
+    two dimer coverings apart."""
+    return st.builds(
+        lambda seed, rows: np.random.default_rng(seed).uniform(0.0, 2 * np.pi, (rows, width)),
+        st.integers(0, 2**32 - 1), st.integers(1, most),
+    )
+
+
 def _reference_entropy(h, cut, x):
     """The product state of the angles, cooled by ``cool`` and split by
     ``block_entropy``: (entropy, z), or None when the state has no ground
@@ -472,8 +483,7 @@ def test_manifold_entropy_matches_cooled_state(h, dim, k, data):
         st.integers(0, n - 1).map(lambda o: Bipartition.contiguous(k, o, n)),
         st.permutations(range(n)).map(lambda p: Bipartition(tuple(p[:k]))),
     ))
-    row = st.lists(st.floats(0.0, 2 * np.pi), min_size=2 * n, max_size=2 * n)
-    x = np.array(data.draw(st.lists(row, min_size=1, max_size=4)))
+    x = data.draw(_angle_rows(2 * n, 4))
     v = ground_manifold(diagonalize(h))
     assert v.shape == (1 << n, dim)
     es, zs = manifold_entropy(v, cut)(x)
@@ -489,9 +499,17 @@ def test_manifold_entropy_matches_cooled_state(h, dim, k, data):
 
 # each covering's spectrum once: cool, as the oracle, diagonalizes per call
 _cached_spectrum = functools.lru_cache(maxsize=None)(_spectrum)
-_ANGLE_ROWS = st.lists(st.lists(st.floats(0.0, 2 * np.pi), min_size=24, max_size=24),
-                       min_size=1, max_size=3)
+_ANGLE_ROWS = _angle_rows(24, 3).map(np.ndarray.tolist)
 _SOME_ANGLES = [0.3 * i % 6.2 for i in range(1, 25)]
+
+
+def _drawn_cut(n, k, offset, order):
+    """A k-site cut of n sites, k capped at n - 1: contiguous from
+    ``offset`` when ``order`` is None, else the first k sites of it."""
+    k = min(k, n - 1)
+    if order is None:
+        return Bipartition.contiguous(k, offset % n, n)
+    return Bipartition(tuple(s for s in order if s < n)[:k])
 
 
 @pytest.mark.parametrize("m", range(2, 7))
@@ -509,11 +527,7 @@ def test_span_objective_matches_cooled_state(m, k, offset, order, x):
     # state's single site is fully mixed, so k = 1 and k = n - 1 cannot
     # tell G+ from G-; k = 2 splits G- only
     n = 2 * m
-    k = min(k, n - 1)
-    if order is None:
-        cut = Bipartition.contiguous(k, offset % n, n)
-    else:
-        cut = Bipartition(tuple(s for s in order if s < n)[:k])
+    cut = _drawn_cut(n, k, offset, order)
     x = np.array(x)[:, :2 * n]
     es, zs = _span_entropy(mg_dimer_states(m), cut)(x)
     assert es.shape == zs.shape == (len(x),)
@@ -637,6 +651,45 @@ def test_lockstep_nelder_mead_freezes_stopped_rows():
     assert max(seen) <= 4
     for r, res in enumerate(runs):
         assert np.array_equal(x[r], res.x) and fun[r] == res.fun
+
+
+@pytest.mark.parametrize("m, k, seed", [(3, 2, 7), (4, 3, 1)])
+def test_lockstep_search_equals_serial_scipy_on_the_span_objective(m, k, seed):
+    # the optimiser's own search: every restart takes the steps serial
+    # scipy takes on the same objective, because a row's value does not
+    # depend on the rows it is batched with
+    cut = Bipartition.contiguous(k)
+    entropy = _span_entropy(mg_dimer_states(m), cut)
+    x0 = np.random.default_rng(seed).uniform(0.0, np.pi, (8, 4 * m))
+    x, fun, nit, nfev = _nelder_mead(lambda pts: -entropy(pts)[0], x0)
+    for r in range(8):
+        res = _scipy_nelder_mead(lambda y: -entropy(y[None])[0][0], x0[r])
+        assert np.array_equal(x[r], res.x), r
+        assert (fun[r], nit[r], nfev[r]) == (res.fun, res.nit, res.nfev), r
+    [(best, _)] = maximize_cooled_entropy(m, [cut], seed=seed)
+    assert best == -fun.min()
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+@settings(max_examples=20)
+@given(k=st.integers(1, 11), offset=st.integers(0, 11),
+       order=st.none() | st.permutations(range(12)), x=_angle_rows(24, 8),
+       zero=st.booleans())
+def test_span_objective_is_batch_invariant(m, k, offset, order, x, zero):
+    # every row's entropy and z, bit for bit, whether it is evaluated alone,
+    # with the rows before it or in the whole batch; a row of zero angles
+    # (below the z floor) may sit among them
+    n = 2 * m
+    cut = _drawn_cut(n, k, offset, order)
+    x = x[:, :2 * n].copy()
+    if zero:
+        x[len(x) // 2] = 0.0
+    entropy = _span_entropy(mg_dimer_states(m), cut)
+    es, zs = entropy(x)
+    for r in range(len(x)):
+        for part in (x[r:r + 1], x[:r + 1]):
+            e, z = entropy(part)
+            assert e[-1] == es[r] and z[-1] == zs[r], r
 
 
 def test_best_restart_is_the_first_lowest(monkeypatch):
