@@ -6,8 +6,7 @@ big-integer arithmetic is used where feasible, switching to log-space
 (lgamma) evaluation for very large systems.  The Dicke block weights come
 one scan of cuts at a time (``ising_gas_spectra``), which shares its exact
 work across the cuts: one C(2m, m(1+lam)) to divide every numerator by,
-each cut's starting numerator stepped from its neighbour's, and above
-m = 1000 one lgamma table.
+and each cut's starting numerator stepped from its neighbour's.
 """
 from __future__ import annotations
 
@@ -79,8 +78,9 @@ def ising_gas_spectra(m: int, lam: float, ks) -> list:
     C(k, i) i/(k-i+1), from C(k, hi).  The numerators must sum to C(2m, n0)
     (Vandermonde), and each weight is one int/int division, which Python
     rounds correctly.  Above m = 1000 the weights are evaluated in
-    log-space from one table of lgamma(j+1), j = 0..2m, per scan.  Nothing
-    is kept between calls.
+    log-space, with three ``math.lgamma`` calls per log-binomial; the
+    log of C(2m, n0) is taken once per scan.  Nothing is kept between
+    calls.
     """
     n0f = m * (1.0 + lam)
     n0 = round(n0f)
@@ -116,16 +116,10 @@ def ising_gas_spectra(m: int, lam: float, ks) -> list:
             assert sum(nums) == denom
             out.append(tuple(num / denom for num in nums))
     else:
-        lg = [math.lgamma(j + 1) for j in range(n + 1)]
-
-        def lbinom(a, b):
-            # the terms and order of _lbinom, read from the table
-            return lg[a] - lg[b] - lg[a - b] if 0 <= b <= a else -math.inf
-
-        total = lbinom(n, n0)
+        total = _lbinom(n, n0)
         for k in ks:
             lw = np.array(
-                [lbinom(k, i) + lbinom(n - k, n0 - i) - total for i in range(k + 1)]
+                [_lbinom(k, i) + _lbinom(n - k, n0 - i) - total for i in range(k + 1)]
             )
             weights = np.where(np.isfinite(lw), np.exp(lw), 0.0)
             out.append(tuple(weights / weights.sum()))

@@ -255,20 +255,17 @@ def _span_entropy(states, cut):
     z = g^H S^-1 g; the rows above the z floor go to ``span_entropies`` as
     c / sqrt(z).  No call forms a 2^n state.
     """
-    # sites[i, a, p]: site i of pair p of covering a
-    sites = np.array(mg_dimer_pairs(states[0].num_sites // 2)).transpose(2, 0, 1)
+    first, second = np.array(mg_dimer_pairs(states[0].num_sites // 2)).transpose(2, 0, 1)
     blocks, overlap = span_blocks(states, cut)
     # the adjugate: np.linalg.inv would add LAPACK's gesv pages (0.2 MB) to peak RSS
     (s00, s01), (s10, s11) = overlap
     inverse = np.array([[s11, -s01], [-s10, s00]]) / (s00 * s11 - s01 * s10)
-    root2 = np.sqrt(2.0)
 
     def entropy(x):
-        t = x[:, 0::2]
-        up = np.cos(t)[:, sites]
-        down = (np.exp(1j * x[:, 1::2]) * np.sin(t))[:, sites]
+        pairs = _angle_pairs(x)
+        a, b = pairs[:, first], pairs[:, second]
         # <(|0_i 1_j> - |1_i 0_j>)/sqrt(2) | a b>, the sign of dimer_product_state
-        pair = (up[:, 0] * down[:, 1] - down[:, 0] * up[:, 1]) / root2
+        pair = (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]) / np.sqrt(2.0)
         # elementwise only, one factor at a time: prod and @ round by batch
         # shape, and a row's value must not depend on the rows beside it
         g = pair[..., 0]

@@ -4,8 +4,7 @@ that check the library against them.
 ``partial_trace`` and ``von_neumann_entropy`` are the density-matrix route
 to a block entropy, beside the library's one path, ``block_entropy``.
 ``dicke_weights`` is the exact ``Fraction`` route to the Ising-gas block
-weights, beside the library's integer recurrence in ``ising_gas_spectra``;
-``dicke_log_weights`` is its former per-cut lgamma route above m = 1000.
+weights, beside the library's integer recurrence in ``ising_gas_spectra``.
 ``pauli_to_text``/``pauli_from_text`` are a one-term-per-line text format
 for operators, and ``scaled`` multiplies every coefficient; no command
 reads or needs them.  ``eigenvectors`` and ``ground_manifold`` embed the
@@ -88,24 +87,6 @@ def dicke_weights(m: int, lam: float, k: int) -> tuple:
     ]
     assert sum(weights) == 1
     return tuple(float(w) for w in weights)
-
-
-def dicke_log_weights(m: int, lam: float, k: int) -> tuple:
-    """The same block weights in log-space, one cut at a time, from three
-    ``math.lgamma`` calls per log-binomial: the library's former route above
-    m = 1000, beside its one lgamma table per scan."""
-    n, n0 = 2 * m, round(m * (1.0 + lam))
-
-    def lbinom(a, b):
-        if b < 0 or a < 0 or b > a:
-            return -math.inf
-        return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
-
-    lw = np.array(
-        [lbinom(k, i) + lbinom(n - k, n0 - i) - lbinom(n, n0) for i in range(k + 1)]
-    )
-    weights = np.where(np.isfinite(lw), np.exp(lw), 0.0)
-    return tuple(weights / weights.sum())
 
 
 def scaled(op: PauliOperator, factor: float) -> PauliOperator:
