@@ -20,11 +20,10 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__, models
-from .spin_core import Bipartition, ValidationError, block_entropy, span_blocks, span_entropies
-from .models import ModelSpec, build_model, default_initial_state, mg_dimer_states
+from .spin_core import Bipartition, ValidationError, span_blocks, span_entropies
+from .models import ModelSpec, default_initial_state, mg_dimer_states
 from .cooling import (
     GROUND,
-    cool,
     cooled_entropy_scan,
     maximize_cooled_entropy,
     reports_to_csv,
@@ -161,7 +160,7 @@ def cmd_scaling(args) -> int:
             es = [e for e, _ in maximize_cooled_entropy(spec.m, cuts, seed=args.seed)]
             bounds = [tuple(f"{b:.12g}" for b in mg_bounds(k, n)) for k in ks]
         else:
-            reports = cooled_entropy_scan(spec, default_initial_state(spec), [GROUND], cuts)
+            reports = cooled_entropy_scan(spec, default_initial_state(spec), GROUND, cuts)
             es = [r.entropy for r in reports]
         for k, e, (lower, upper) in zip(ks, es, bounds):
             rows.append(f"{n},{k},{e:.12g},{args.source},{lower},{upper}")
@@ -172,10 +171,10 @@ def cmd_scaling(args) -> int:
 def cmd_cool(args) -> int:
     spec = _spec_from_args(args)
     initial = default_initial_state(spec)
-    thresholds = [GROUND] if args.threshold is None else [args.threshold]
+    threshold = GROUND if args.threshold is None else args.threshold
     ks = parse_range(args.k) if args.k else [initial.num_sites // 2]
     cuts = [Bipartition.contiguous(k) for k in ks]
-    reports = cooled_entropy_scan(spec, initial, thresholds, cuts)
+    reports = cooled_entropy_scan(spec, initial, threshold, cuts)
     _emit(args, reports_to_csv(reports))
     return 0
 
@@ -274,15 +273,13 @@ def cmd_bounds_check(args) -> int:
                 )
     elif spec.kind == "HeisenbergGasLR":
         _refuse(args, ["samples"])
-        cooled = cool(build_model(spec), default_initial_state(spec))
-        for k in range(1, n):
-            cut = Bipartition.contiguous(k)
-            e = block_entropy(cooled.state, cut)
+        cuts = [Bipartition.contiguous(k) for k in range(1, n)]
+        reports = cooled_entropy_scan(spec, default_initial_state(spec), GROUND, cuts)
+        for cut, r in zip(cuts, reports):
             blacks = sum(1 for s in cut.system_sites if s < spec.m)
-            whites = k - blacks
-            up = heisenberg_gas_bound(blacks, whites)
+            up = heisenberg_gas_bound(blacks, r.k - blacks)
             results.append(
-                {"k": k, "entropy": e, "upper": up, "ok": bool(e <= up + 1e-9)}
+                {"k": r.k, "entropy": r.entropy, "upper": up, "ok": bool(r.entropy <= up + 1e-9)}
             )
     else:
         raise ValidationError(f"bounds-check does not support {args.model}")

@@ -51,10 +51,6 @@ class DickeSpectrum:
     lam: float
     weights: tuple
 
-    @property
-    def eigenvalues(self):
-        return [(w, i) for i, w in enumerate(self.weights)]
-
     def entropy(self) -> float:
         return shannon_entropy(self.weights)
 

@@ -1,11 +1,16 @@
 """Cooling: projection of an initial product state onto the span of all
 eigenstates at or below an energy threshold, followed by renormalization.
 
-The default threshold is the ground manifold (lowest eigenvalue plus the
-degeneracy tolerance).  Operators that are diagonal in the computational
-basis take a fast path that never builds eigenvectors, so Ising-type models
-cool quickly well beyond the dense memory budget of ``diagonalize``, which
-every other operator must fit.
+``cool`` is the one pipeline: energies, threshold, projection, then
+renormalization and the phase fix.  The default threshold is the ground
+manifold (lowest eigenvalue plus the degeneracy tolerance).  Operators
+that are diagonal in the computational basis project by mask and never
+build eigenvectors, so Ising-type models cool well beyond the dense
+memory budget of ``diagonalize``; every other operator must fit it, and
+projects one diagonalized block at a time.  ``cooled_entropy_scan`` cools
+once and splits the state at every cut; ``maximize_cooled_entropy``
+searches the Majumdar-Ghosh ground manifold for the product initial
+state of largest cooled entropy.
 """
 from __future__ import annotations
 
@@ -13,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import mg_dimer_pairs, mg_dimer_states
+from .models import build_model, mg_dimer_pairs, mg_dimer_states
 from .spin_core import (
     OrthogonalInitialStateError,
     PauliOperator,
     StateVector,
     ValidationError,
-    _check_dense_bytes,
     _dtype,
     block_entropy,
     degeneracy_tol,
@@ -53,83 +57,52 @@ class CooledState:
         return sum(d for _, d in self.manifold_dims)
 
 
-def _check_initial(h: PauliOperator, initial: StateVector) -> None:
+def cool(
+    h: PauliOperator,
+    initial: StateVector,
+    threshold=GROUND,
+) -> CooledState:
+    """Project ``initial`` onto the eigenspaces of ``h`` at or below the
+    threshold and renormalize: the one cooling pipeline.
+
+    ``threshold`` is either an absolute energy or the string "ground",
+    which selects the ground manifold only (the lowest energy plus the
+    degeneracy tolerance).  An I/Z-only operator projects by mask on its
+    diagonal and never builds eigenvectors.  Any other operator projects
+    block by block over ``diagonalize``: a block's kept eigenvectors are
+    the prefix of its columns up to the threshold, and its amplitudes are
+    replaced by their projection onto them, so no column is embedded in
+    the full space.  Both keep the dtype of real amplitudes: the mask
+    copies them, and the eigenvectors of a real operator are real.
+
+    Raises OrthogonalInitialStateError when the projection has
+    (numerically) zero norm, and SizeLimitError when ``h`` is not I/Z-only
+    and its diagonalization does not fit the dense memory budget.  The
+    global phase is fixed by making the largest amplitude real and
+    positive, so repeated runs serialize identically: the amplitude made
+    real is the first within 1e-15 of the largest magnitude, and it takes
+    the largest magnitude after the rotation, so that a tied amplitude
+    cannot overtake it through the rotation's rounding and stay complex.
+    """
     if not initial.is_normalized(tol=1e-10):
         raise ValidationError("initial state must be normalized")
     if h.num_sites != initial.num_sites:
         raise ValidationError("operator and state site counts differ")
-
-
-def _spectrum(h: PauliOperator):
-    """The ground energy of ``h``, the degeneracy tolerance of its
-    spectrum, ``below(thr)``: the ascending energies at or below ``thr``,
-    and ``projector(thr)``: a map from amplitudes to ``(projected
-    amplitudes, z)`` for the span of the eigenstates at or below ``thr``.
-
-    I/Z-only operators project by mask on the diagonal and never build
-    eigenvectors.  The ground energy and the spread come from the
-    diagonal's min and max, and ``below`` sorts only the energies it
-    keeps.  Others go through ``diagonalize``, and their projector embeds
-    the kept eigenvectors in the full space, after checking their
-    2^n x kept elements against the dense memory budget.  Both keep the
-    dtype of real amplitudes: the mask copies them, and the eigenvectors
-    of a real operator are real.
-    """
-    n = h.num_sites
-    if h.is_diagonal():
-        diag = h.diagonal()
-        ground = float(diag.min())
-
-        def below(thr):
-            return np.sort(diag[diag <= thr])
-
-        def projector(thr):
-            mask = diag <= thr
-
-            def project(amps):
-                kept = np.where(mask, amps, 0.0)
-                return kept, float(np.vdot(kept, kept).real)
-
-            return project
-
-        return ground, degeneracy_tol(diag), below, projector
-
-    dec = diagonalize(h)
-    energies = dec.eigenvalues
-
-    def below(thr):
-        return energies[: np.searchsorted(energies, thr, side="right")]
-
-    def projector(thr):
-        kept = energies <= thr
-        _check_dense_bytes(_dtype(h).itemsize * int(kept.sum()) << n)
-        v = dec.columns(kept)
-
-        def project(amps):
+    amps = initial.amplitudes
+    dec = None if h.is_diagonal() else diagonalize(h)
+    energies = h.diagonal() if dec is None else dec.eigenvalues
+    tol = degeneracy_tol(energies)
+    thr = float(energies.min()) + tol if threshold == GROUND else float(threshold)
+    if dec is None:
+        amps = np.where(energies <= thr, amps, 0.0)
+    else:
+        out = np.zeros(len(amps), np.result_type(amps, _dtype(h)))
+        for basis, values, vectors in dec.blocks:
+            v = vectors[:, : np.searchsorted(values, thr, side="right")]
             # conjugating amps, not the kept columns, copies no column
-            coeffs = (v.T @ amps.conj()).conj()
-            return v @ coeffs, float(np.vdot(coeffs, coeffs).real)
-
-        return project
-
-    return float(energies[0]), dec.degeneracy_tol, below, projector
-
-
-def _threshold(threshold, ground: float, tol: float) -> float:
-    """An absolute threshold, or the top of the ground manifold for GROUND."""
-    return ground + tol if threshold == GROUND else float(threshold)
-
-
-def _finish(project, initial: StateVector, thr: float, below, tol) -> CooledState:
-    """Project ``initial``, renormalize, and make the largest amplitude
-    real and positive; the retained manifolds are the energies up to ``thr``.
-
-    The amplitude made real is the first within 1e-15 of the largest
-    magnitude, and it takes the largest magnitude after the rotation, so
-    that a tied amplitude cannot overtake it through the rotation's
-    rounding and stay complex.
-    """
-    amps, z = project(initial.amplitudes)
+            out[basis] = v @ (v.T @ amps[basis].conj()).conj()
+        amps = out
+    z = float(np.vdot(amps, amps).real)
     if z < _Z_FLOOR:
         raise OrthogonalInitialStateError(
             "initial state has no support below the threshold"
@@ -141,31 +114,9 @@ def _finish(project, initial: StateVector, thr: float, below, tol) -> CooledStat
     del mag  # no third 2^n array beside the old and new amplitudes
     amps = amps / phase
     amps[tied[0]] = np.abs(amps[tied]).max()
-    dims = tuple((e, stop - start) for e, start, stop in manifolds(below(thr), tol))
+    kept = np.sort(energies[energies <= thr])
+    dims = tuple((e, stop - start) for e, start, stop in manifolds(kept, tol))
     return CooledState(StateVector(initial.num_sites, amps), thr, z, dims)
-
-
-def cool(
-    h: PauliOperator,
-    initial: StateVector,
-    threshold=GROUND,
-) -> CooledState:
-    """Project ``initial`` onto the eigenspaces of ``h`` at or below the
-    threshold and renormalize.
-
-    ``threshold`` is either an absolute energy or the string "ground",
-    which selects the ground manifold only.  Raises
-    OrthogonalInitialStateError when the projection has (numerically) zero
-    norm.  The global phase is fixed by making the largest amplitude real
-    positive, so repeated runs serialize identically.  Raises
-    SizeLimitError when ``h`` is not I/Z-only and its diagonalization, or
-    the kept eigenvectors embedded in the full space, do not fit the dense
-    memory budget.
-    """
-    _check_initial(h, initial)
-    ground, tol, below, projector = _spectrum(h)
-    thr = _threshold(threshold, ground, tol)
-    return _finish(projector(thr), initial, thr, below, tol)
 
 
 @dataclass(frozen=True)
@@ -195,39 +146,26 @@ def reports_to_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cooled_entropy_scan(spec, initial, thresholds, cuts) -> list:
-    """Cool once per threshold, from one spectrum, and report the block
-    entropy for every cut.
-
-    Rows come out ordered by (threshold index, cut index), so output is
-    deterministic.  Every cut is validated before the spectrum is taken.
-    The spectrum obeys the dense memory budget, as in ``cool``.
-    """
-    from .models import build_model
-
+def cooled_entropy_scan(spec, initial, threshold, cuts) -> list:
+    """Cool once and report the block entropy for every cut, one row per
+    cut in the order given.  Every cut is validated before ``cool`` takes
+    the spectrum."""
     h = build_model(spec)
     for cut in cuts:
         cut.validate(h.num_sites)
-    _check_initial(h, initial)
-    ground, tol, below, projector = _spectrum(h)
-    out = []
-    for threshold in thresholds:
-        thr = _threshold(threshold, ground, tol)
-        cooled = _finish(projector(thr), initial, thr, below, tol)
-        for cut in cuts:
-            e = block_entropy(cooled.state, cut)
-            out.append(
-                EntropyReport(
-                    model=spec.kind,
-                    params=spec.to_json().replace(",", ";"),
-                    threshold=cooled.threshold,
-                    k=len(cut.system_sites),
-                    cut_spec="+".join(str(s) for s in cut.system_sites),
-                    entropy=e,
-                    z=cooled.z,
-                )
-            )
-    return out
+    cooled = cool(h, initial, threshold)
+    return [
+        EntropyReport(
+            model=spec.kind,
+            params=spec.to_json().replace(",", ";"),
+            threshold=cooled.threshold,
+            k=len(cut.system_sites),
+            cut_spec="+".join(str(s) for s in cut.system_sites),
+            entropy=block_entropy(cooled.state, cut),
+            z=cooled.z,
+        )
+        for cut in cuts
+    ]
 
 
 def _angle_pairs(x: np.ndarray) -> np.ndarray:

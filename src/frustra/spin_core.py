@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-# Bytes that dense work may hold: matrices and kept eigenvectors.  Fixed,
+# Bytes that dense work may hold: matrices and eigenvectors.  Fixed,
 # so that an oversized operator is refused before the allocation rather
 # than by the operating system during it.
 _DENSE_BYTES = 1 << 30
@@ -294,34 +294,15 @@ class SpectralDecomposition:
 
     Each entry of ``blocks`` is ``(basis, values, vectors)``: the basis
     indices the block spans, its ascending eigenvalues, and its
-    eigenvectors over those indices, one per column.  ``eigenvalues`` is the
-    merged spectrum in ascending order; ``columns`` embeds the eigenvectors
-    at chosen positions of it in the full space.  Eigenvalues closer than
-    ``degeneracy_tol`` (see the function of that name) belong to the same
-    manifold.
+    eigenvectors over those indices, one per column, so the eigenvectors
+    at or below an energy are a prefix of the columns.  ``eigenvalues`` is
+    the merged spectrum in ascending order.
     """
 
     def __init__(self, blocks, num_sites: int):
         self.blocks = tuple(blocks)
         self.num_sites = num_sites
-        vals = np.concatenate([values for _, values, _ in self.blocks])
-        self._order = np.argsort(vals, kind="stable")
-        self.eigenvalues = vals[self._order]
-        self.degeneracy_tol = degeneracy_tol(self.eigenvalues)
-
-    def columns(self, select) -> np.ndarray:
-        """Eigenvectors at positions ``select`` (a slice, mask or index
-        array) of ``eigenvalues``, embedded in the full space, one per column."""
-        picked = self._order[select]
-        starts = np.cumsum([0] + [len(values) for _, values, _ in self.blocks])
-        owner = np.searchsorted(starts, picked, side="right") - 1
-        dtype = np.result_type(*(vectors for _, _, vectors in self.blocks))
-        out = np.zeros((1 << self.num_sites, len(picked)), dtype)
-        for b in np.unique(owner):
-            basis, _, vectors = self.blocks[b]
-            sel = np.flatnonzero(owner == b)
-            out[np.ix_(basis, sel)] = vectors[:, picked[sel] - starts[b]]
-        return out
+        self.eigenvalues = np.sort(np.concatenate([values for _, values, _ in self.blocks]))
 
 
 def _check_dense_bytes(needed: int) -> None:

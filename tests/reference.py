@@ -7,8 +7,11 @@ to a block entropy, beside the library's one path, ``block_entropy``.
 weights, beside the library's integer recurrence in ``ising_gas_spectra``.
 ``pauli_to_text``/``pauli_from_text`` are a one-term-per-line text format
 for operators, and ``scaled`` multiplies every coefficient; no command
-reads or needs them.  ``eigenvectors`` and ``ground_manifold`` embed the
-columns of a ``SpectralDecomposition`` in the full 2^n space.
+reads or needs them.  ``columns`` embeds chosen eigenvectors of a
+``SpectralDecomposition`` in the full 2^n space (``eigenvectors`` all of
+them, ``ground_manifold`` the ground manifold's), and
+``project_by_columns`` projects onto the embedded columns at or below a
+threshold: the oracle of ``cool``'s block-by-block projection.
 ``covering_interference_by_enumeration`` builds all m! singlet coverings
 of the Heisenberg gas (``heisenberg_covering_states``) and compares their
 superposition with their average (``superposition_vs_average``), beside
@@ -28,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from frustra.cooling import _check_initial, _finish, _spectrum, cool
+from frustra.cooling import cool
 from frustra.interference import IncomparableError, InterferenceReport, make_report
 from frustra.models import (
     build_model,
@@ -48,6 +51,8 @@ from frustra.spin_core import (
     _term_masks,
     _z_energies,
     block_entropy,
+    degeneracy_tol,
+    diagonalize,
     manifolds,
     popcount,
     schmidt_matrix,
@@ -168,15 +173,47 @@ def sector_bases(op: PauliOperator) -> list:
     return np.split(np.argsort(pop, kind="stable"), np.cumsum(counts)[:-1])
 
 
+def columns(dec: SpectralDecomposition, select) -> np.ndarray:
+    """Eigenvectors at positions ``select`` (a slice, mask or index array)
+    of ``dec.eigenvalues``, embedded in the full space, one per column."""
+    order = np.argsort(np.concatenate([values for _, values, _ in dec.blocks]), kind="stable")
+    picked = order[select]
+    starts = np.cumsum([0] + [len(values) for _, values, _ in dec.blocks])
+    owner = np.searchsorted(starts, picked, side="right") - 1
+    dtype = np.result_type(*(vectors for _, _, vectors in dec.blocks))
+    out = np.zeros((1 << dec.num_sites, len(picked)), dtype)
+    for b in np.unique(owner):
+        basis, _, vectors = dec.blocks[b]
+        sel = np.flatnonzero(owner == b)
+        out[np.ix_(basis, sel)] = vectors[:, picked[sel] - starts[b]]
+    return out
+
+
 def eigenvectors(dec: SpectralDecomposition) -> np.ndarray:
     """Every eigenvector of ``dec`` as one 2^n x 2^n array."""
-    return dec.columns(slice(None))
+    return columns(dec, slice(None))
 
 
 def ground_manifold(dec: SpectralDecomposition) -> np.ndarray:
     """Columns spanning the ground manifold of ``dec``."""
-    _, start, stop = manifolds(dec.eigenvalues, dec.degeneracy_tol)[0]
-    return dec.columns(slice(start, stop))
+    _, start, stop = manifolds(dec.eigenvalues, degeneracy_tol(dec.eigenvalues))[0]
+    return columns(dec, slice(start, stop))
+
+
+def project_by_columns(h: PauliOperator, initial: StateVector, threshold):
+    """The projection of ``initial`` onto the eigenvectors of
+    ``diagonalize(h)`` at or below ``threshold`` (an energy, or "ground"),
+    with the kept columns embedded in the full space: the threshold, the
+    projected amplitudes, unnormalized, their squared norm z, and the
+    (energy, multiplicity) of every retained manifold."""
+    dec = diagonalize(h)
+    energies = dec.eigenvalues
+    tol = degeneracy_tol(energies)
+    thr = energies[0] + tol if threshold == "ground" else float(threshold)
+    v = columns(dec, energies <= thr)
+    coeffs = v.conj().T @ initial.amplitudes
+    dims = tuple((e, stop - start) for e, start, stop in manifolds(energies[energies <= thr], tol))
+    return thr, v @ coeffs, float(np.vdot(coeffs, coeffs).real), dims
 
 
 def heisenberg_covering_states(m: int):
@@ -247,11 +284,10 @@ def cool_excited(h: PauliOperator, initial: StateVector, manifold_count: int):
     (all of them when there are fewer)."""
     if manifold_count < 1:
         raise ValidationError("manifold_count must be >= 1")
-    _check_initial(h, initial)
-    _, tol, below, projector = _spectrum(h)
-    levels = manifolds(below(np.inf), tol)
-    thr = levels[min(manifold_count, len(levels)) - 1][0] + tol
-    return _finish(projector(thr), initial, thr, below, tol)
+    energies = np.sort(h.diagonal() if h.is_diagonal() else diagonalize(h).eigenvalues)
+    tol = degeneracy_tol(energies)
+    levels = manifolds(energies, tol)
+    return cool(h, initial, levels[min(manifold_count, len(levels)) - 1][0] + tol)
 
 
 def normalized(state: StateVector) -> StateVector:

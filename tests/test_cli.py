@@ -357,7 +357,7 @@ def test_cool_pure_cuts_print_zero_not_minus_zero(tmp_path):
 
 
 def test_cool_builds_hamiltonian_once(tmp_path, monkeypatch):
-    import frustra.cli as cli
+    import frustra.cooling as cooling
     import frustra.models as models
 
     calls = []
@@ -368,7 +368,7 @@ def test_cool_builds_hamiltonian_once(tmp_path, monkeypatch):
         return build_model(spec)
 
     monkeypatch.setattr(models, "build_model", counting)
-    monkeypatch.setattr(cli, "build_model", counting)
+    monkeypatch.setattr(cooling, "build_model", counting)
     out = tmp_path / "cool.csv"
     assert run(["cool", "--model", "mg", "--n", "6", "--k", "2", "--output", str(out)]) == 0
     assert len(calls) == 1

@@ -38,15 +38,20 @@ from frustra.cooling import (
     _angle_pairs,
     _nelder_mead,
     _span_entropy,
-    _spectrum,
-    _threshold,
     cool,
     cooled_entropy_scan,
     maximize_cooled_entropy,
     reports_to_csv,
 )
 
-from reference import basis_state, cool_excited, fidelity, ground_manifold, manifold_entropy
+from reference import (
+    basis_state,
+    cool_excited,
+    fidelity,
+    ground_manifold,
+    manifold_entropy,
+    project_by_columns,
+)
 
 
 def uniform_state(n):
@@ -153,36 +158,17 @@ def test_cool_excited_all_manifolds_returns_initial():
     ],
     ids=["mg-ring", "ising-gas"],
 )
-def test_cool_excited_computes_spectrum_once(monkeypatch, h, initial):
-    if h.is_diagonal():
-        energies = h.diagonal()
-        tol = 1e-9 * max(energies.max() - energies.min(), 1.0)
-        thr = float(energies[energies > energies.min() + tol].min()) + tol
-    else:
-        dec = diagonalize(h)
-        thr = manifolds(dec.eigenvalues, dec.degeneracy_tol)[1][0] + dec.degeneracy_tol
+def test_cool_excited_is_cool_at_the_second_level(h, initial):
+    energies = np.sort(h.diagonal() if h.is_diagonal() else diagonalize(h).eigenvalues)
+    tol = degeneracy_tol(energies)
+    thr = manifolds(energies, tol)[1][0] + tol
     expected = cool(h, initial, thr)
-
-    calls = {"diagonalize": 0, "diagonal": 0}
-    diagonal = PauliOperator.diagonal
-
-    def counting_diagonalize(*args, **kwargs):
-        calls["diagonalize"] += 1
-        return diagonalize(*args, **kwargs)
-
-    def counting_diagonal(self):
-        calls["diagonal"] += 1
-        return diagonal(self)
-
-    monkeypatch.setattr(frustra.cooling, "diagonalize", counting_diagonalize)
-    monkeypatch.setattr(PauliOperator, "diagonal", counting_diagonal)
     got = cool_excited(h, initial, 2)
-    assert calls == ({"diagonalize": 0, "diagonal": 1} if h.is_diagonal()
-                     else {"diagonalize": 1, "diagonal": 0})
     assert got.threshold == thr
     assert np.array_equal(got.state.amplitudes, expected.state.amplitudes)
     assert got.z == expected.z
     assert got.manifold_dims == expected.manifold_dims
+    assert len(got.manifold_dims) == 2
 
 
 @pytest.mark.parametrize(
@@ -202,14 +188,21 @@ def test_threshold_below_ground_raises(diagonalize_calls, h, initial):
 
 @given(m=st.integers(1, 4), j=st.integers(-4, 4), thr=st.floats(-10.0, 10.0))
 def test_diagonal_spectrum_sorts_only_the_kept_prefix(m, j, thr):
-    # ground energy and tolerance from min and max, and the kept energies
-    # as the prefix of the full sort
+    # the ground threshold from the diagonal's min and max, and the
+    # retained manifolds from the prefix of the full sort
     h = build_ising_gas(m, j / 4)
     energies = np.sort(h.diagonal())
-    ground, tol, below, _ = _spectrum(h)
-    assert (ground, tol) == (energies[0], degeneracy_tol(energies))
-    for t in (thr, _threshold(GROUND, ground, tol), np.inf):
-        assert np.array_equal(below(t), energies[: np.searchsorted(energies, t, side="right")])
+    tol = degeneracy_tol(energies)
+    initial = uniform_state(2 * m)
+    assert cool(h, initial).threshold == energies[0] + tol
+    for t in (thr, energies[0] + tol, np.inf):
+        if t < energies[0]:
+            continue
+        cooled = cool(h, initial, t)
+        kept = energies[: np.searchsorted(energies, t, side="right")]
+        assert cooled.threshold == t
+        assert cooled.manifold_dims == tuple(
+            (e, stop - start) for e, start, stop in manifolds(kept, tol))
 
 
 def test_threshold_on_a_level_retains_it():
@@ -238,31 +231,43 @@ def test_maximize_cooled_entropy_refuses_fewer_than_4_sites():
         maximize_cooled_entropy(1, [Bipartition.contiguous(1)])
 
 
-def test_entropy_scan_diagonalizes_once_for_all_thresholds(diagonalize_calls):
-    spec = MajumdarGhosh(3)
-    initial = default_initial_state(spec)
-    cut = Bipartition.contiguous(3)
-    reports = cooled_entropy_scan(spec, initial, ["ground", 0.5], [cut])
-    assert len(diagonalize_calls) == 1
-    h = build_mg_chain(3)
-    for report, threshold in zip(reports, ["ground", 0.5]):
-        expected = cool(h, initial, threshold)
-        assert report.threshold == expected.threshold
-        assert report.z == expected.z
-        assert report.entropy == block_entropy(expected.state, cut)
+def _bond(n, i, j, letters):
+    s = ["I"] * n
+    s[i], s[j] = letters
+    return "".join(s)
 
 
-@st.composite
-def cooling_cases(draw):
-    """A small operator, I/Z-only or general, and a product initial state."""
-    n = draw(st.integers(2, 5))
-    strings = st.text(alphabet=draw(st.sampled_from(["IZ", "IXYZ"])), min_size=n, max_size=n)
-    coefficients = st.integers(-4, 4).map(lambda k: k / 2.0)
-    terms = draw(st.lists(st.tuples(coefficients, strings), min_size=1, max_size=6))
-    angles = draw(st.lists(st.tuples(st.floats(0.1, 1.4), st.floats(0.0, 6.2)),
-                           min_size=n, max_size=n))
-    initial = product_state([(np.cos(t), np.exp(1j * p) * np.sin(t)) for t, p in angles])
+# the pair terms of each kind: S^z-conserving real (XX + YY) and complex
+# (XY - YX, odd Y) bonds, and XX, which joins the sectors into one block
+_BONDS = {"iz": (), "real": ((1, "XX"), (1, "YY")), "complex": ((1, "XY"), (-1, "YX")),
+          "coupling": ((1, "XX"),)}
+_COEFFICIENTS = [-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0]
+# Hypothesis mixes the literals of the loaded local modules into its
+# integer draws, but none between -100 and 100, so seeds made of such
+# integers do not move when a literal of the package changes
+_SEEDS = st.tuples(st.integers(0, 99), st.integers(0, 99), st.integers(0, 99))
+
+
+def _cooling_case(kind, seed):
+    """An operator of ``kind`` on 2 to 5 sites and a complex product
+    initial state, drawn from ``np.random.default_rng(seed)``: a few
+    random strings (I and Z only, or any letters for "coupling") and, but
+    for "iz", a few bonds of the kind's pair terms."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    letters = list("IXYZ" if kind == "coupling" else "IZ")
+    terms = [(rng.choice(_COEFFICIENTS), "".join(rng.choice(letters, n)))
+             for _ in range(rng.integers(1, 4))]
+    for _ in range(rng.integers(1, 4) if _BONDS[kind] else 0):
+        i, j = rng.choice(n, 2, replace=False)
+        c = rng.choice(_COEFFICIENTS)
+        terms += [(sign * c, _bond(n, i, j, pair)) for sign, pair in _BONDS[kind]]
+    t, ph = rng.uniform(0.1, 1.4, n), rng.uniform(0.0, 2 * np.pi, n)
+    initial = product_state(np.stack([np.cos(t), np.exp(1j * ph) * np.sin(t)], axis=1))
     return PauliOperator(n, tuple(terms)), initial
+
+
+cooling_cases = st.builds(_cooling_case, st.sampled_from(sorted(_BONDS)), _SEEDS)
 
 
 def largest_amplitude(state):
@@ -285,7 +290,7 @@ def test_phase_fix_survives_tied_magnitudes():
         assert top.real > 0 and top.imag == 0
 
 
-@given(cooling_cases())
+@given(cooling_cases)
 def test_cool_is_idempotent_and_phase_fixed(case):
     h, initial = case
     try:
@@ -301,6 +306,30 @@ def test_cool_is_idempotent_and_phase_fixed(case):
     for cooled in (once, twice):
         top = largest_amplitude(cooled.state)
         assert top.real > 0 and abs(top.imag) <= 1e-15 * top.real
+
+
+@given(cooling_cases)
+def test_block_projection_matches_embedded_columns(case):
+    # cool against the kept eigenvectors embedded in the full space, at the
+    # ground, exactly on the last energy of every level, between levels
+    # and above the spectrum
+    h, initial = case
+    energies = diagonalize(h).eigenvalues
+    levels = manifolds(energies, degeneracy_tol(energies))
+    tops = [energies[stop - 1] for _, _, stop in levels]
+    between = [(a + b) / 2 for a, b in zip(tops, tops[1:])]
+    for threshold in [GROUND, *tops, *between, energies[-1] + 1.0]:
+        thr, amps, z, dims = project_by_columns(h, initial, threshold)
+        if z < 1e-10:
+            continue
+        cooled = cool(h, initial, threshold)
+        assert cooled.threshold == thr
+        assert cooled.manifold_dims == dims
+        assert cooled.z == pytest.approx(z, rel=0, abs=1e-12)
+        ref = amps / np.sqrt(z)
+        phase = np.vdot(ref, cooled.state.amplitudes)
+        np.testing.assert_allclose(cooled.state.amplitudes, ref * phase / abs(phase),
+                                   rtol=0, atol=1e-12)
 
 
 # every I/Z model, and the two models whose default initial state is real
@@ -365,15 +394,24 @@ def test_ising_gas_n20_cool_matches_closed_form():
         assert e == pytest.approx(ising_gas_rho_k(10, 0.5, k).entropy(), abs=1e-9)
 
 
-def test_entropy_scan_rows_and_csv():
-    spec = SingleBondIsing(3)
-    init = default_initial_state(spec)
-    cuts = [Bipartition.contiguous(k) for k in (1, 2, 3)]
-    reports = cooled_entropy_scan(spec, init, ["ground"], cuts)
-    assert [r.k for r in reports] == [1, 2, 3]
-    csv = reports_to_csv(reports)
-    assert csv.splitlines()[0] == EntropyReport.CSV_HEADER
-    assert len(csv.splitlines()) == 4
+def test_entropy_scan_rows_and_csv(diagonalize_calls):
+    # one row per cut, each the entropy of one cool, with one spectrum for
+    # the scan: the I/Z single-bond ring at the ground, the MG ring above it
+    for spec, threshold, spectra in [(SingleBondIsing(3), GROUND, 0), (MajumdarGhosh(3), 0.5, 1)]:
+        init = default_initial_state(spec)
+        cuts = [Bipartition.contiguous(k) for k in (1, 2, 3)]
+        diagonalize_calls.clear()
+        reports = cooled_entropy_scan(spec, init, threshold, cuts)
+        assert len(diagonalize_calls) == spectra
+        assert [r.k for r in reports] == [1, 2, 3]
+        expected = cool(build_model(spec), init, threshold)
+        for report, cut in zip(reports, cuts):
+            assert report.threshold == expected.threshold
+            assert report.z == expected.z
+            assert report.entropy == block_entropy(expected.state, cut)
+        csv = reports_to_csv(reports)
+        assert csv.splitlines()[0] == EntropyReport.CSV_HEADER
+        assert len(csv.splitlines()) == 4
 
 
 def test_entropy_scan_case6_constant_in_k(single_bond_entropy):
@@ -384,7 +422,7 @@ def test_entropy_scan_case6_constant_in_k(single_bond_entropy):
     init = default_initial_state(spec)
     ks = (1, 2, 3, 4)
     cuts = [Bipartition.contiguous(k) for k in ks]
-    reports = cooled_entropy_scan(spec, init, ["ground"], cuts)
+    reports = cooled_entropy_scan(spec, init, GROUND, cuts)
     es = [r.entropy for r in reports]
     for k, e in zip(ks, es):
         assert e == pytest.approx(single_bond_entropy(8, k), abs=1e-10)
@@ -400,7 +438,7 @@ def test_entropy_scan_case6_decreasing_in_size(single_bond_entropy):
         reports = cooled_entropy_scan(
             spec,
             default_initial_state(spec),
-            ["ground"],
+            GROUND,
             [Bipartition.contiguous(2)],
         )
         es.append(reports[0].entropy)
@@ -416,7 +454,7 @@ def test_mg_scan_golden_value():
     assert e == pytest.approx(2.314, abs=0.01)
     spec = MajumdarGhosh(4)
     reports = cooled_entropy_scan(
-        spec, product_state(pairs), ["ground"], [Bipartition.contiguous(4)]
+        spec, product_state(pairs), GROUND, [Bipartition.contiguous(4)]
     )
     assert reports[0].entropy == pytest.approx(e, abs=1e-9)
 
@@ -498,7 +536,7 @@ def test_manifold_entropy_matches_cooled_state(h, dim, k, data):
 
 
 # each covering's spectrum once: cool, as the oracle, diagonalizes per call
-_cached_spectrum = functools.lru_cache(maxsize=None)(_spectrum)
+_cached_diagonalize = functools.lru_cache(maxsize=None)(diagonalize)
 _ANGLE_ROWS = _angle_rows(24, 3).map(np.ndarray.tolist)
 _SOME_ANGLES = [0.3 * i % 6.2 for i in range(1, 25)]
 
@@ -532,7 +570,7 @@ def test_span_objective_matches_cooled_state(m, k, offset, order, x):
     es, zs = _span_entropy(mg_dimer_states(m), cut)(x)
     assert es.shape == zs.shape == (len(x),)
     h = build_mg_chain(m)
-    with mock.patch.object(frustra.cooling, "_spectrum", _cached_spectrum):
+    with mock.patch.object(frustra.cooling, "diagonalize", _cached_diagonalize):
         expected = [_reference_entropy(h, cut, angles) for angles in x]
     for e, z, want in zip(es, zs, expected):
         if want is None:

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import sys
 
@@ -35,3 +36,27 @@ def test_project_depends_on_numpy_alone():
         project = tomllib.load(fh)["project"]
     assert [d.split(">")[0].split("=")[0].strip() for d in project["dependencies"]] == ["numpy"]
     assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
+
+
+def _tracer_assignments():
+    """The top-level assignments of ``perfbench/tracer.py``, by name, as
+    ``ast`` nodes: the tracer is read, not imported, so this check needs
+    nothing that the tracer imports."""
+    with open(os.path.join(ROOT, "perfbench", "tracer.py")) as fh:
+        tree = ast.parse(fh.read())
+    return {target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
+def test_tracer_bindings_exist():
+    # the benchmark's traced run wraps these (module, function) pairs by
+    # name; a rename in src/ must fail here, not in run.py --trace 1
+    assigned = _tracer_assignments()
+    pairs = [tuple(ast.literal_eval(e) for e in entry.elts[:2])
+             for entry in assigned["_FUNCTIONS"].elts]
+    assert ("cooling", "cool") in pairs
+    for module, function in pairs:
+        assert callable(getattr(importlib.import_module(f"frustra.{module}"), function, None)), \
+            f"frustra.{module}.{function}"
+    for module in ast.literal_eval(assigned["_AGGREGATED"]):
+        importlib.import_module(f"frustra.{module}")

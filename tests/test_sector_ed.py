@@ -222,7 +222,7 @@ def test_mg_ring_n12_matches_dimer_projection():
     z = float(np.vdot(coeffs, coeffs).real)
     oracle = StateVector(12, (q @ coeffs) / np.sqrt(z))
     cuts = [Bipartition.contiguous(k) for k in range(1, 12)]
-    reports = cooled_entropy_scan(spec, initial, ["ground"], cuts)
+    reports = cooled_entropy_scan(spec, initial, "ground", cuts)
     for cut, report in zip(cuts, reports):
         assert report.entropy == pytest.approx(block_entropy(oracle, cut), abs=1e-9)
         assert report.z == pytest.approx(z, abs=1e-12)

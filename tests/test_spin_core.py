@@ -12,11 +12,11 @@ from frustra.spin_core import (
     DegenerateCutError,
     PauliOperator,
     SizeLimitError,
-    SpectralDecomposition,
     StateVector,
     ValidationError,
     block_entropy,
     build_dense,
+    degeneracy_tol,
     diagonalize,
     manifolds,
     popcount,
@@ -25,7 +25,8 @@ from frustra.spin_core import (
     span_entropies,
     _entropy_bits,
 )
-from frustra.cooling import _spectrum, cool
+import frustra.cooling
+from frustra.cooling import cool
 from frustra.models import (
     MajumdarGhosh,
     build_heisenberg_gas,
@@ -217,45 +218,41 @@ def test_cli_cool_past_budget_exits_2(forbid, capsys):
     assert captured.out == ""
 
 
-def test_cool_counts_embedded_columns_in_budget(monkeypatch):
+def test_cool_above_every_level_fits_the_sector_budget(monkeypatch):
     # the n=8 MG ring's sector eigenvectors plus its largest block need
-    # 142 kB; its 2 ground columns embedded in the full space need 4 kB,
-    # all 256 of them 512 kB
+    # 142 kB; all 256 of its columns embedded in the full space would need
+    # 512 kB, but the projection works on the sector blocks in place, so a
+    # threshold above the spectrum fits and returns the initial state
     monkeypatch.setattr(spin_core, "_DENSE_BYTES", 300_000)
-    calls = []
-    columns = SpectralDecomposition.columns
-
-    def counting_columns(self, select):
-        calls.append(select)
-        return columns(self, select)
-
-    monkeypatch.setattr(SpectralDecomposition, "columns", counting_columns)
     h = build_mg_chain(4)
     initial = default_initial_state(MajumdarGhosh(4))
     assert cool(h, initial).num_retained == 2
-    assert len(calls) == 1
-    with pytest.raises(SizeLimitError, match="GiB"):
-        cool(h, initial, threshold=1000)
-    assert len(calls) == 1
+    cooled = cool(h, initial, threshold=1000)
+    assert cooled.num_retained == 256
+    assert cooled.z == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(cooled.state.amplitudes, initial.amplitudes, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("complex_amps", [False, True])
-def test_complex_projection_copies_no_columns(complex_amps):
-    # the XY chain is complex; threshold 1000 keeps all 1024 of its columns
-    # (16 MiB), and projecting onto all of them returns the state itself
-    _, _, _, projector = _spectrum(_pair_chain(10, "XY"))
-    project = projector(1000.0)
+def test_complex_projection_copies_no_columns(monkeypatch, complex_amps):
+    # the XY chain is complex and couples |00> to |11>, so it is one block;
+    # threshold 1000 keeps all 1024 of its columns (16 MiB), and projecting
+    # onto all of them returns the state itself.  The spectrum is taken
+    # before tracing, so the trace holds the projection and the phase fix
+    h = _pair_chain(10, "XY")
+    dec = diagonalize(h)
+    monkeypatch.setattr(frustra.cooling, "diagonalize", lambda op: dec)
     pairs = [(1.0, 0.5j if complex_amps else 0.5)] * 10
-    amps = product_state(pairs).amplitudes
+    initial = product_state(pairs)
     tracemalloc.start()
     try:
-        kept, z = project(amps)
+        cooled = cool(h, initial, 1000.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    np.testing.assert_allclose(kept, amps, atol=1e-12)
-    assert z == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(cooled.state.amplitudes, initial.amplitudes, atol=1e-12)
+    assert cooled.z == pytest.approx(1.0, abs=1e-12)
 
 
 def test_diagonalize_single_site():
@@ -274,7 +271,7 @@ def test_diagonalize_ferromagnetic_ground_manifold():
 
 def test_diagonalize_af_ground_manifold():
     dec = diagonalize(build_ising_gas(2, 0.0))
-    _, start, stop = manifolds(dec.eigenvalues, dec.degeneracy_tol)[0]
+    _, start, stop = manifolds(dec.eigenvalues, degeneracy_tol(dec.eigenvalues))[0]
     assert stop - start == 6  # all 2-up/2-down bitstrings
 
 
