@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .models import dimer_product_state, shastry_sutherland_diagonals
 from .spin_core import (
     StateVector,
     ValidationError,
@@ -120,11 +121,6 @@ def ising_gas_spectra(m: int, lam: float, ks) -> list:
             weights = np.where(np.isfinite(lw), np.exp(lw), 0.0)
             out.append(tuple(weights / weights.sum()))
     return [DickeSpectrum(k=k, m=m, lam=lam, weights=w) for k, w in zip(ks, out)]
-
-
-def ising_gas_rho_k(m: int, lam: float, k: int) -> DickeSpectrum:
-    """The block spectrum of one cut: ``ising_gas_spectra(m, lam, [k])[0]``."""
-    return ising_gas_spectra(m, lam, [k])[0]
 
 
 def ising_gas_asymptote(k: int, lam: float) -> float:
@@ -280,8 +276,6 @@ def _plaquette_pair_states():
     horizontal singlet pair |HH>; e1 completes |VV> to an orthonormal pair
     via e1 = (2|VV> - |HH>)/sqrt(3), using <HH|VV> = 1/2.
     """
-    from .models import dimer_product_state
-
     hh = dimer_product_state(4, [(0, 1), (2, 3)]).amplitudes
     vv = dimer_product_state(4, [(0, 2), (1, 3)]).amplitudes
     e0 = hh
@@ -340,8 +334,6 @@ def rvb_boundary_entropy(d: float, path: BoundaryPath) -> float:
 
 def shastry_cut_dimer_count(L: int, system_sites) -> int:
     """Number of diagonal dimers crossing the boundary of the given block."""
-    from .models import shastry_sutherland_diagonals
-
     sys_set = set(system_sites)
     count = 0
     for a, b in shastry_sutherland_diagonals(L):

@@ -314,7 +314,8 @@ def maximize_cooled_entropy(
     ``seed``, so its result does not depend on the other cuts.  Returns,
     per cut, the best entropy found and the (n, 2) local states of its
     initial product state, the first restart on ties; ``cool`` with
-    ``build_mg_chain(m)`` of their ``product_state`` gives that entropy.
+    ``build_model(MajumdarGhosh(m))`` of their ``product_state`` gives
+    that entropy.
     """
     n = 2 * m
     for cut in cuts:

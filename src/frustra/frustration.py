@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .models import IsingGasLR, MajumdarGhosh, ShastrySutherland, SingleBondIsing, build_model
 from .spin_core import PauliOperator, ValidationError
 
 ENUMERATION_CAP = 24
@@ -135,16 +136,16 @@ MG_FRUSTRATION = 0.5
 def frustration_degree_model(spec) -> FrustrationReport:
     """Frustration degree of a model spec, with the closed form attached
     where one is known."""
-    from .models import build_model
-
     rep = frustration_degree(build_model(spec))
-    closed = None
-    if spec.kind == "IsingGasLR" and spec.sign == "frustrated":
-        closed = ising_gas_frustration_formula(spec.m, spec.lam)
-    elif spec.kind == "SingleBondIsing" and spec.sign == "frustrated":
-        closed = single_bond_frustration_formula(spec.m)
-    elif spec.kind == "MajumdarGhosh":
-        closed = MG_FRUSTRATION
-    elif spec.kind == "ShastrySutherland":
-        closed = shastry_sutherland_frustration_formula(spec.j1, spec.j2)
+    match spec:
+        case IsingGasLR(m, lam, "frustrated"):
+            closed = ising_gas_frustration_formula(m, lam)
+        case SingleBondIsing(m, "frustrated"):
+            closed = single_bond_frustration_formula(m)
+        case MajumdarGhosh():
+            closed = MG_FRUSTRATION
+        case ShastrySutherland(_, j1, j2):
+            closed = shastry_sutherland_frustration_formula(j1, j2)
+        case _:
+            closed = None
     return replace(rep, closed_form=closed)

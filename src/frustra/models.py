@@ -1,10 +1,11 @@
-"""Hamiltonian builders for the six prototype spin models and their
-default initial product states.
+"""The six prototype spin models: one frozen spec per model, the
+Hamiltonian of a spec (``build_model``) and its default initial product
+state.
 
-All builders return :class:`~frustra.spin_core.PauliOperator` instances on
-``2m`` (chains/gases) or ``L*L`` (lattices) sites.  Constant shifts are
-dropped everywhere, so energy thresholds are always meant relative to the
-ground energy of the built operator.
+Every Hamiltonian is a :class:`~frustra.spin_core.PauliOperator` on ``2m``
+(chains/gases), ``L*L`` (lattices) or one site per plaquette (RVB labels).
+Constant shifts are dropped everywhere, so energy thresholds are always
+meant relative to the ground energy of the built operator.
 """
 from __future__ import annotations
 
@@ -29,6 +30,11 @@ def _check_sign(sign) -> None:
         raise ValidationError(f"sign must be frustrated or unfrustrated, not {sign!r}")
 
 
+def _check_lattice(L: int) -> None:
+    if L % 2 != 0 or L < 4:
+        raise ValidationError("L must be even and at least 4")
+
+
 # the type of each annotation, which postponed evaluation keeps as text
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
@@ -37,7 +43,8 @@ class ModelSpec:
     """Base of the six model specs.  Each subclass holds exactly the
     parameters its Hamiltonian reads; its class name is its JSON kind.
     Sizes are ints, couplings real numbers (neither a bool) and signs
-    strings; another type raises ValidationError."""
+    strings; another type raises ValidationError, and so does a size the
+    model's Hamiltonian cannot take."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -53,36 +60,11 @@ class ModelSpec:
         d = {"lambda" if k == "lam" else k: v for k, v in asdict(self).items()}
         return json.dumps({"kind": self.kind, **d}, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "ModelSpec":
-        """Inverse of ``to_json``; raises ValidationError for text that is
-        not a JSON object, for a missing or unknown kind, for a key that
-        ``to_json`` does not write for the model (``"lam"`` too: it is
-        written ``"lambda"``) and for values its checks refuse."""
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"model spec is not valid JSON: {exc}") from exc
-        if not isinstance(d, dict):
-            raise ValidationError("model spec must be a JSON object")
-        kind = d.pop("kind", None)
-        model = next((c for c in ModelSpec.__subclasses__() if c.__name__ == kind), None)
-        if model is None:
-            raise ValidationError(f"model spec kind {kind!r} is missing or unknown")
-        # the JSON keys that to_json writes, and the fields they fill
-        keys = {"lambda" if f.name == "lam" else f.name: f.name for f in fields(model)}
-        unknown = sorted(set(d) - set(keys))
-        if unknown:
-            raise ValidationError(f"{kind} spec does not take {', '.join(unknown)}")
-        try:
-            return model(**{keys[k]: v for k, v in d.items()})
-        except TypeError as exc:
-            raise ValidationError(f"bad {kind} spec: {exc}") from None
-
 
 @dataclass(frozen=True)
 class IsingGasLR(ModelSpec):
-    """Long-range Ising gas on 2m sites; "unfrustrated" flips the pair sign."""
+    """Long-range Ising gas on 2m >= 2 sites; "unfrustrated" flips the
+    pair sign."""
 
     m: int
     lam: float = 0.0
@@ -93,25 +75,38 @@ class IsingGasLR(ModelSpec):
         if not (0.0 <= self.lam <= 1.0):
             raise ValidationError("lambda must lie in [0, 1]")
         _check_sign(self.sign)
+        if self.m < 1:
+            raise ValidationError("m must be >= 1")
 
 
 @dataclass(frozen=True)
 class HeisenbergGasLR(ModelSpec):
-    """Long-range Heisenberg gas on 2m sites."""
+    """Long-range Heisenberg gas on 2m >= 2 sites."""
 
     m: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.m < 1:
+            raise ValidationError("m must be >= 1")
 
 
 @dataclass(frozen=True)
 class MajumdarGhosh(ModelSpec):
-    """Majumdar-Ghosh ring on 2m sites."""
+    """Majumdar-Ghosh ring on 2m >= 4 sites."""
 
     m: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.m < 2:
+            raise ValidationError("need at least 4 sites")
 
 
 @dataclass(frozen=True)
 class SingleBondIsing(ModelSpec):
-    """Ising ring on 2m sites with one flipped bond, none if "unfrustrated"."""
+    """Ising ring on 2m >= 4 sites with one flipped bond, none if
+    "unfrustrated"."""
 
     m: int
     sign: str = "frustrated"
@@ -119,11 +114,13 @@ class SingleBondIsing(ModelSpec):
     def __post_init__(self):
         super().__post_init__()
         _check_sign(self.sign)
+        if self.m < 2:
+            raise ValidationError("need at least 4 sites")
 
 
 @dataclass(frozen=True)
 class ShastrySutherland(ModelSpec):
-    """Shastry-Sutherland lattice on the L x L torus."""
+    """Shastry-Sutherland lattice on the L x L torus, L even and >= 4."""
 
     L: int
     j1: float = 1.0
@@ -133,114 +130,21 @@ class ShastrySutherland(ModelSpec):
         super().__post_init__()
         if not (self.j1 > 0 and self.j2 > 0):
             raise ValidationError("ShastrySutherland requires J1, J2 > 0")
+        _check_lattice(self.L)
 
 
 @dataclass(frozen=True)
 class RVBPlaquette(ModelSpec):
-    """Plaquette labels whose ground manifold has s vertical plaquettes."""
+    """Plaquette labels whose ground manifold has s vertical plaquettes,
+    0 <= s <= plaquettes."""
 
     plaquettes: int
     s: int
 
-
-def _two_site_term(n: int, i: int, j: int, letter: str) -> str:
-    s = ["I"] * n
-    s[i] = letter
-    s[j] = letter
-    return "".join(s)
-
-
-def _one_site_term(n: int, i: int, letter: str) -> str:
-    s = ["I"] * n
-    s[i] = letter
-    return "".join(s)
-
-
-def build_ising_gas(m: int, lam: float, j: float = 1.0) -> PauliOperator:
-    """Long-range Ising gas on 2m sites: (J/2m)(S - 2m*lambda)^2, constant dropped.
-
-    S = sum_i sigma^z_i, so the expansion keeps pair terms (J/m) Z_i Z_j and
-    field terms -2*J*lambda Z_i.
-    """
-    if m < 1:
-        raise ValidationError("m must be >= 1")
-    n = 2 * m
-    terms = []
-    for i in range(n):
-        for k in range(i + 1, n):
-            terms.append((j / m, _two_site_term(n, i, k, "Z")))
-    if lam != 0.0:
-        for i in range(n):
-            terms.append((-2.0 * j * lam, _one_site_term(n, i, "Z")))
-    return PauliOperator(n, tuple(terms))
-
-
-def build_heisenberg_gas(m: int, j: float = 1.0) -> PauliOperator:
-    """Long-range Heisenberg gas: (J/2m) sum over all pairs of sigma.sigma."""
-    if m < 1:
-        raise ValidationError("m must be >= 1")
-    if j <= 0:
-        raise ValidationError("J must be positive")
-    n = 2 * m
-    terms = []
-    for i in range(n):
-        for k in range(i + 1, n):
-            for p in "XYZ":
-                terms.append((j / n, _two_site_term(n, i, k, p)))
-    return PauliOperator(n, tuple(terms))
-
-
-def build_mg_chain(m: int, j1: float = 1.0) -> PauliOperator:
-    """Majumdar-Ghosh ring: NN Heisenberg at J1 plus NNN at J1/2, PBC.
-
-    On 4 sites the two NNN bonds are each visited twice going around the
-    ring; canonicalization merges them, which keeps the dimer pair in the
-    ground space as expected.
-    """
-    n = 2 * m
-    if n < 4:
-        raise ValidationError("need at least 4 sites")
-    terms = []
-    for i in range(n):
-        for d, c in ((1, j1), (2, j1 / 2.0)):
-            k = (i + d) % n
-            a, b = min(i, k), max(i, k)
-            for p in "XYZ":
-                terms.append((c, _two_site_term(n, a, b, p)))
-    return PauliOperator(n, tuple(terms))
-
-
-def build_single_bond_ising(m: int, j: float = 1.0, flipped: int | None = None) -> PauliOperator:
-    """NN Ising ring with a single positive (antiferromagnetic) bond.
-
-    Bond ``b`` couples sites ``b`` and ``b+1 mod 2m``; all bonds carry
-    coefficient -J except the flipped one at +J.  Default flipped bond is
-    the wrap-around bond (2m-1, 0).
-    """
-    n = 2 * m
-    if n < 4:
-        raise ValidationError("need at least 4 sites")
-    if flipped is None:
-        flipped = n - 1
-    if not (0 <= flipped < n):
-        raise ValidationError("flipped bond index out of range")
-    terms = []
-    for b in range(n):
-        i, k = b, (b + 1) % n
-        a, c = min(i, k), max(i, k)
-        coeff = j if b == flipped else -j
-        terms.append((coeff, _two_site_term(n, a, c, "Z")))
-    return PauliOperator(n, tuple(terms))
-
-
-def build_ferromagnetic_ring(m: int, j: float = 1.0) -> PauliOperator:
-    """All-negative-bond control variant of the NN Ising ring."""
-    n = 2 * m
-    terms = []
-    for b in range(n):
-        i, k = b, (b + 1) % n
-        terms.append((-j, _two_site_term(n, min(i, k), max(i, k), "Z")))
-    return PauliOperator(n, tuple(terms))
+    def __post_init__(self):
+        super().__post_init__()
+        if not (0 <= self.s <= self.plaquettes):
+            raise ValidationError("s out of range")
 
 
 def _site(L: int, x: int, y: int) -> int:
@@ -254,60 +158,13 @@ def shastry_sutherland_diagonals(L: int):
     Family A joins (2i, 2j) with (2i+1, 2j+1); family B joins (2i, 2j+1)
     with (2i-1, 2j+2).  Site index is x + L*y.
     """
-    if L % 2 != 0 or L < 4:
-        raise ValidationError("L must be even and at least 4")
-
+    _check_lattice(L)
     pairs = []
     for i in range(L // 2):
         for jj in range(L // 2):
             pairs.append((_site(L, 2 * i, 2 * jj), _site(L, 2 * i + 1, 2 * jj + 1)))
             pairs.append((_site(L, 2 * i, 2 * jj + 1), _site(L, 2 * i - 1, 2 * jj + 2)))
     return pairs
-
-
-def build_shastry_sutherland(L: int, j1: float, j2: float) -> PauliOperator:
-    """Shastry-Sutherland lattice: NN Heisenberg J1 plus dimer diagonals J2."""
-    pairs = shastry_sutherland_diagonals(L)
-    n = L * L
-
-    terms = []
-    seen = set()
-    for x in range(L):
-        for y in range(L):
-            for dx, dy in ((1, 0), (0, 1)):
-                a, b = _site(L, x, y), _site(L, x + dx, y + dy)
-                key = (min(a, b), max(a, b))
-                if key in seen:
-                    continue
-                seen.add(key)
-                for p in "XYZ":
-                    terms.append((j1, _two_site_term(n, key[0], key[1], p)))
-    for a, b in pairs:
-        key = (min(a, b), max(a, b))
-        for p in "XYZ":
-            terms.append((j2, _two_site_term(n, key[0], key[1], p)))
-    return PauliOperator(n, tuple(terms))
-
-
-def rvb_sector_hamiltonian(n_plaquettes: int, s: int) -> PauliOperator:
-    """Effective plaquette-label Hamiltonian (W - s)^2, constants dropped.
-
-    Each plaquette is a two-level label with |0> = horizontal pair and
-    |1> = vertical pair; W counts vertical plaquettes.  The expansion gives
-    pair terms (1/2) Z_p Z_q and field terms -(n - 2s)/2 Z_p, whose ground
-    manifold is exactly the W = s sector.
-    """
-    if not (0 <= s <= n_plaquettes):
-        raise ValidationError("s out of range")
-    terms = []
-    for p in range(n_plaquettes):
-        for q in range(p + 1, n_plaquettes):
-            terms.append((0.5, _two_site_term(n_plaquettes, p, q, "Z")))
-    field = -(n_plaquettes - 2 * s) / 2.0
-    if field != 0.0:
-        for p in range(n_plaquettes):
-            terms.append((field, _one_site_term(n_plaquettes, p, "Z")))
-    return PauliOperator(n_plaquettes, tuple(terms))
 
 
 def dimer_product_state(num_sites: int, pairs) -> StateVector:
@@ -359,24 +216,73 @@ def mg_dimer_states(m: int):
     return tuple(dimer_product_state(n, pairs) for pairs in mg_dimer_pairs(m))
 
 
+def _bonds(n: int, coeff: float, groups, letters: str = "XYZ") -> list:
+    """The terms (coeff, string) that put each letter on every site of
+    each group of sites (a pair, or a 1-tuple for a field term)."""
+    terms = []
+    for group in groups:
+        for p in letters:
+            s = ["I"] * n
+            for i in group:
+                s[i] = p
+            terms.append((coeff, "".join(s)))
+    return terms
+
+
 def build_model(spec: ModelSpec) -> PauliOperator:
-    """The Hamiltonian of a model spec."""
+    """The Hamiltonian of a model spec, constants dropped, with J = 1,
+    sigma the Pauli matrices and S = sum_i sigma^z_i.
+
+    - IsingGasLR: (J/2m)(S - 2m*lambda)^2 on 2m sites, which expands to
+      pair terms (J/m) Z_i Z_j and field terms -2*J*lambda Z_i;
+      "unfrustrated" sets J = -1.
+    - HeisenbergGasLR: (J/2m) sum over all pairs of sigma_i . sigma_j.
+    - MajumdarGhosh: ring of nearest-neighbour sigma . sigma at J plus
+      next-nearest neighbours at J/2.  On 4 sites the two NNN bonds are
+      each visited twice going around the ring; canonicalization merges
+      them, which keeps the dimer pair in the ground space as expected.
+    - SingleBondIsing: NN Ising ring whose bond b couples sites b and
+      b+1 mod 2m at -J, except the wrap-around bond (2m-1, 0) at +J (the
+      flipped bond); "unfrustrated" keeps it at -J, the ferromagnetic ring.
+    - ShastrySutherland: NN sigma . sigma at J1 on the L x L torus plus
+      the dimer diagonals of ``shastry_sutherland_diagonals`` at J2.
+    - RVBPlaquette: the effective label Hamiltonian (W - s)^2 on one
+      two-level label per plaquette, |0> = horizontal pair and |1> =
+      vertical pair, where W counts vertical plaquettes.  It expands to
+      pair terms (1/2) Z_p Z_q and field terms -(n - 2s)/2 Z_p, whose
+      ground manifold is exactly the W = s sector.
+
+    A field of exactly 0 (lambda = 0, or n = 2s) leaves no terms, since
+    ``PauliOperator`` drops exact zeros.
+    """
     match spec:
         case IsingGasLR(m, lam, sign):
-            return build_ising_gas(m, lam, 1.0 if sign == "frustrated" else -1.0)
+            n, j = 2 * m, 1.0 if sign == "frustrated" else -1.0
+            terms = (_bonds(n, j / m, itertools.combinations(range(n), 2), "Z")
+                     + _bonds(n, -2.0 * j * lam, [(i,) for i in range(n)], "Z"))
         case HeisenbergGasLR(m):
-            return build_heisenberg_gas(m)
+            n = 2 * m
+            terms = _bonds(n, 1.0 / n, itertools.combinations(range(n), 2))
         case MajumdarGhosh(m):
-            return build_mg_chain(m)
-        case SingleBondIsing(m, "frustrated"):
-            return build_single_bond_ising(m)
-        case SingleBondIsing(m):
-            return build_ferromagnetic_ring(m)
+            n = 2 * m
+            terms = (_bonds(n, 1.0, [(i, (i + 1) % n) for i in range(n)])
+                     + _bonds(n, 0.5, [(i, (i + 2) % n) for i in range(n)]))
+        case SingleBondIsing(m, sign):
+            n = 2 * m
+            wrap = 1.0 if sign == "frustrated" else -1.0
+            terms = (_bonds(n, -1.0, [(b, b + 1) for b in range(n - 1)], "Z")
+                     + _bonds(n, wrap, [(n - 1, 0)], "Z"))
         case ShastrySutherland(L, j1, j2):
-            return build_shastry_sutherland(L, j1, j2)
-        case RVBPlaquette(plaquettes, s):
-            return rvb_sector_hamiltonian(plaquettes, s)
-    raise ValidationError(f"no builder for {spec.kind}")
+            n = L * L
+            nn = [(_site(L, x, y), _site(L, x + dx, y + dy))
+                  for x in range(L) for y in range(L) for dx, dy in ((1, 0), (0, 1))]
+            terms = _bonds(n, j1, nn) + _bonds(n, j2, shastry_sutherland_diagonals(L))
+        case RVBPlaquette(n, s):
+            terms = (_bonds(n, 0.5, itertools.combinations(range(n), 2), "Z")
+                     + _bonds(n, -(n - 2 * s) / 2.0, [(p,) for p in range(n)], "Z"))
+        case _:
+            raise ValidationError(f"no builder for {spec.kind}")
+    return PauliOperator(n, tuple(terms))
 
 
 def default_initial_state(spec: ModelSpec) -> StateVector:

@@ -17,13 +17,14 @@ from frustra.spin_core import (
     product_state,
 )
 from frustra.models import (
-    build_heisenberg_gas,
-    build_ising_gas,
-    build_mg_chain,
-    build_shastry_sutherland,
-    build_single_bond_ising,
+    HeisenbergGasLR,
+    IsingGasLR,
+    MajumdarGhosh,
+    RVBPlaquette,
+    ShastrySutherland,
+    SingleBondIsing,
+    build_model,
     mg_dimer_states,
-    rvb_sector_hamiltonian,
 )
 from frustra.cooling import cool, maximize_cooled_entropy
 from frustra.frustration import (
@@ -35,7 +36,7 @@ from frustra.frustration import (
 from frustra.closed_forms import (
     heisenberg_gas_bound,
     heisenberg_gas_schmidt_state,
-    ising_gas_rho_k,
+    ising_gas_spectra,
     mg_bounds,
     rvb_cut_plaquette_entropy,
     rvb_plaquette_entropy,
@@ -102,11 +103,11 @@ def test_criterion_03_ising_gas_oracle():
         h_cache = {}
         for j in range(m + 1):
             lam = j / m
-            h = build_ising_gas(m, lam)
+            h = build_model(IsingGasLR(m, lam))
             cooled = cool(h, product_state([(0.6, 0.8)] * 2 * m))
             for k in range(1, 2 * m):
                 e_ed = block_entropy(cooled.state, Bipartition.contiguous(k))
-                e_cf = ising_gas_rho_k(m, lam, k).entropy()
+                e_cf = ising_gas_spectra(m, lam, [k])[0].entropy()
                 worst = max(worst, abs(e_ed - e_cf))
     ok = worst < 1e-8
     verdict(3, ok, f"max |ED - closed form| = {worst:.2e} over m=2..5, full grid")
@@ -120,7 +121,7 @@ def test_criterion_04_log_divergence():
     bad = []
     for lam in (0.0, 0.5):
         ks = [16 * 2**i for i in range(9)]  # 16 .. 4096
-        es = [ising_gas_rho_k(n_sites // 2, lam, k).entropy() for k in ks]
+        es = [ising_gas_spectra(n_sites // 2, lam, [k])[0].entropy() for k in ks]
         for k, d in zip(ks, np.diff(es)):
             slope = 0.5 + 0.5 * math.log2((n_sites - 2 * k) / (n_sites - k))
             if not abs(d - slope) <= 0.05:
@@ -135,7 +136,7 @@ def test_criterion_04_log_divergence():
 def test_criterion_05_ferromagnetic_control():
     worst = 0.0
     for m in range(2, 7):
-        h = build_ising_gas(m, 0.0, j=-1.0)
+        h = build_model(IsingGasLR(m, 0.0, "unfrustrated"))
         cooled = cool(h, product_state([(1, 1)] * 2 * m))
         for k in range(1, 2 * m):
             e = block_entropy(cooled.state, Bipartition.contiguous(k))
@@ -149,7 +150,7 @@ def test_criterion_06_heisenberg_bound_and_saturation():
     spec_err = 0.0
     for m in (2, 3):
         n = 2 * m
-        h = build_heisenberg_gas(m)
+        h = build_model(HeisenbergGasLR(m))
         init = product_state(
             [(1, 0)] * m + [(1, 1)] * m
         )
@@ -191,7 +192,7 @@ def test_criterion_07_rvb_mean_field_convergence():
 
 
 def test_criterion_08_rvb_initial_state_independence():
-    h = rvb_sector_hamiltonian(9, 3)
+    h = build_model(RVBPlaquette(9, 3))
     rng = np.random.default_rng(8)
     states = []
     for _ in range(20):
@@ -213,16 +214,16 @@ def test_criterion_09_frustration_degrees():
     for m in range(2, 7):
         for j in range(3):
             lam = j / m
-            f = frustration_degree(build_ising_gas(m, lam)).value
+            f = frustration_degree(build_model(IsingGasLR(m, lam))).value
             worst1 = max(worst1, abs(f - ising_gas_frustration_formula(m, lam)))
     errs["case1"] = worst1
     worst6 = 0.0
     for m in range(2, 7):
-        f = frustration_degree(build_single_bond_ising(m)).value
+        f = frustration_degree(build_model(SingleBondIsing(m))).value
         worst6 = max(worst6, abs(f - single_bond_frustration_formula(m)))
     errs["case6"] = worst6
-    errs["mg"] = abs(frustration_degree(build_mg_chain(4)).value - 0.5)
-    f_ss = frustration_degree(build_shastry_sutherland(4, 0.4, 1.0)).value
+    errs["mg"] = abs(frustration_degree(build_model(MajumdarGhosh(4))).value - 0.5)
+    f_ss = frustration_degree(build_model(ShastrySutherland(4, 0.4, 1.0))).value
     closed = shastry_sutherland_frustration_formula(0.4, 1.0)
     errs["shastry_rel"] = abs(f_ss - closed) / closed
     # "exact" here means exact up to double rounding in the config average

@@ -549,6 +549,10 @@ def test_no_partial_output_on_error(tmp_path):
         ["bounds-check", "--model", "mg", "--n", "6", "--samples", "0"],
         ["bounds-check", "--model", "heisenberg-gas", "--n", "4", "--samples", "5"],
         ["interference", "--model", "heisenberg-gas", "--m", "3", "--k", "6"],
+        ["interference", "--model", "heisenberg-gas", "--m", "0"],
+        ["interference", "--model", "heisenberg-gas", "--m", "-1"],
+        ["interference", "--model", "heisenberg-gas", "--n", "0"],
+        ["cool", "--model", "single-bond", "--n", "-2", "--sign", "unfrustrated"],
     ],
     ids=["range-step-0", "interference-step-0", "fig1-step-0",
          "interference-step-negative", "fig1-step-negative", "threshold-abc",
@@ -557,7 +561,9 @@ def test_no_partial_output_on_error(tmp_path):
          "interference-rvb-m", "interference-heisenberg-gas-shape",
          "frustration-ising-gas-j1", "scaling-analytic-unfrustrated",
          "bounds-check-samples-negative", "bounds-check-samples-0",
-         "bounds-check-heisenberg-gas-samples", "interference-heisenberg-gas-k-2m"],
+         "bounds-check-heisenberg-gas-samples", "interference-heisenberg-gas-k-2m",
+         "interference-heisenberg-gas-m-0", "interference-heisenberg-gas-m-negative",
+         "interference-heisenberg-gas-n-0", "cool-single-bond-unfrustrated-n-negative"],
 )
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -572,6 +578,14 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
         assert list(tmp_path.iterdir()) == [out]
     else:
         assert not out.exists()
+
+
+@pytest.mark.parametrize("sign", ["frustrated", "unfrustrated"])
+@pytest.mark.parametrize("argv", [["cool"], ["scaling", "--k", "1"], ["frustration"]],
+                         ids=["cool", "scaling", "frustration"])
+def test_single_bond_ring_needs_four_sites_for_either_sign(capsys, argv, sign):
+    assert run(argv + ["--model", "single-bond", "--n", "2", "--sign", sign]) == 2
+    assert capsys.readouterr().err == "error: need at least 4 sites\n"
 
 
 def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):

@@ -18,9 +18,7 @@ from frustra.models import (
     HeisenbergGasLR,
     IsingGasLR,
     SingleBondIsing,
-    build_heisenberg_gas,
     build_model,
-    build_single_bond_ising,
     default_initial_state,
 )
 from frustra.cooling import cool
@@ -30,7 +28,6 @@ from frustra.closed_forms import (
     heisenberg_gas_bound,
     heisenberg_gas_schmidt_state,
     ising_gas_asymptote,
-    ising_gas_rho_k,
     ising_gas_spectra,
     ising_gas_stirling_weights,
     mg_bounds,
@@ -51,14 +48,14 @@ from reference import dicke_weights, fidelity, partial_trace, shastry_dimer_stat
 
 
 def test_dicke_small_spectrum():
-    spec = ising_gas_rho_k(2, 0.0, 2)
+    spec = ising_gas_spectra(2, 0.0, [2])[0]
     np.testing.assert_allclose(spec.weights, [1 / 6, 2 / 3, 1 / 6], atol=1e-15)
     assert spec.entropy() == pytest.approx(1.2516, abs=1e-4)
 
 
 def test_pure_dicke_spectrum_entropy_is_positive_zero():
     # lambda = 1 fixes every spin, so the block is pure: +0.0, not -0.0
-    e = ising_gas_rho_k(3, 1.0, 2).entropy()
+    e = ising_gas_spectra(3, 1.0, [2])[0].entropy()
     assert e == 0.0 and math.copysign(1.0, e) == 1.0
 
 
@@ -83,7 +80,7 @@ def test_dicke_weights_equal_fraction_reference(data):
     m = data.draw(st.integers(1, 60), label="m")
     lam = data.draw(st.integers(-m, m), label="j") / m
     for k in range(2 * m + 1):
-        assert ising_gas_rho_k(m, lam, k).weights == dicke_weights(m, lam, k)
+        assert ising_gas_spectra(m, lam, [k])[0].weights == dicke_weights(m, lam, k)
 
 
 @given(data=st.data())
@@ -146,37 +143,37 @@ def test_dicke_scan_checks_every_cut_first(monkeypatch):
 @pytest.mark.parametrize("lam", [0.0, 0.5, 0.999])
 def test_dicke_weights_equal_fraction_reference_at_m_1000(lam):
     for k in range(1, 101):
-        assert ising_gas_rho_k(1000, lam, k).weights == dicke_weights(1000, lam, k)
+        assert ising_gas_spectra(1000, lam, [k])[0].weights == dicke_weights(1000, lam, k)
 
 
 def test_dicke_weights_sum_to_one():
     for m, lam, k in [(3, 0.0, 2), (4, 0.25, 5), (2000, 0.0, 37)]:
-        w = ising_gas_rho_k(m, lam, k).weights
+        w = ising_gas_spectra(m, lam, [k])[0].weights
         assert sum(w) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dicke_entropy_symmetric_in_k():
     for m, lam in [(4, 0.0), (4, 0.5)]:
         for k in range(1, 2 * m):
-            a = ising_gas_rho_k(m, lam, k).entropy()
-            b = ising_gas_rho_k(m, lam, 2 * m - k).entropy()
+            a = ising_gas_spectra(m, lam, [k])[0].entropy()
+            b = ising_gas_spectra(m, lam, [2 * m - k])[0].entropy()
             assert a == pytest.approx(b, abs=1e-10)
 
 
 def test_dicke_polarized_sector_is_pure():
     # lambda = 1 puts every site in |0>, so any block is pure
-    assert ising_gas_rho_k(3, 1.0, 2).entropy() == 0.0
+    assert ising_gas_spectra(3, 1.0, [2])[0].entropy() == 0.0
 
 
 def test_dicke_rejects_off_grid_lambda():
     with pytest.raises(ValidationError):
-        ising_gas_rho_k(3, 0.1, 2)
+        ising_gas_spectra(3, 0.1, [2])[0]
 
 
 def test_dicke_log_divergence_regime():
     # E - (1/2) log2 k stays bounded and slowly varying at large m
     offsets = [
-        ising_gas_rho_k(2000, 0.0, k).entropy() - 0.5 * math.log2(k)
+        ising_gas_spectra(2000, 0.0, [k])[0].entropy() - 0.5 * math.log2(k)
         for k in (50, 100, 200)
     ]
     assert max(offsets) - min(offsets) < 0.05
@@ -194,7 +191,7 @@ def test_asymptote_against_exact():
     # The leading term misses the additive constant of the binomial-shaped
     # spectrum, (1/2) log2(pi e / 2) ~ 1.047 bits.  Tolerance frozen from
     # direct evaluation at m = 10^4.
-    exact = ising_gas_rho_k(10_000, 0.0, 100).entropy()
+    exact = ising_gas_spectra(10_000, 0.0, [100])[0].entropy()
     asym = ising_gas_asymptote(100, 0.0)
     assert exact - asym == pytest.approx(0.5 * math.log2(math.pi * math.e / 2), abs=0.01)
 
@@ -212,7 +209,7 @@ def test_stirling_weights_small_entropy():
 
 def test_stirling_weights_close_to_exact():
     e_binom = shannon_entropy(ising_gas_stirling_weights(20, 0.0))
-    e_exact = ising_gas_rho_k(2000, 0.0, 20).entropy()
+    e_exact = ising_gas_spectra(2000, 0.0, [20])[0].entropy()
     assert abs(e_binom - e_exact) < 0.05
 
 
@@ -243,7 +240,7 @@ def test_schmidt_spectrum_is_uniform():
 
 def test_schmidt_spectrum_matches_ed():
     m = 2
-    h = build_heisenberg_gas(m)
+    h = build_model(HeisenbergGasLR(m))
     spec = HeisenbergGasLR(m)
     cooled = cool(h, default_initial_state(spec))
     rho = partial_trace(cooled.state, Bipartition((0,)))
@@ -377,7 +374,7 @@ def test_single_bond_state_support():
 
 def test_single_bond_state_matches_ed_cooling():
     for m in (2, 3):
-        h = build_single_bond_ising(m)
+        h = build_model(SingleBondIsing(m))
         spec = SingleBondIsing(m)
         cooled = cool(h, default_initial_state(spec))
         assert fidelity(cooled.state, single_bond_cooled_state(m)) >= 1 - 1e-10
@@ -410,7 +407,7 @@ def test_ising_gas_cooled_entropies_equal_dicke_closed_form(m, j):
     cooled = cool(build_model(spec), default_initial_state(spec))
     for k in range(1, 2 * m):
         e = block_entropy(cooled.state, Bipartition.contiguous(k))
-        assert e == pytest.approx(ising_gas_rho_k(m, j / m, k).entropy(), abs=1e-10)
+        assert e == pytest.approx(ising_gas_spectra(m, j / m, [k])[0].entropy(), abs=1e-10)
 
 
 @pytest.mark.parametrize("m", range(2, 7))

@@ -25,13 +25,11 @@ from frustra.models import (
     MajumdarGhosh,
     RVBPlaquette,
     SingleBondIsing,
-    build_ising_gas,
-    build_mg_chain,
     build_model,
     default_initial_state,
     mg_dimer_states,
 )
-from frustra.closed_forms import ising_gas_rho_k
+from frustra.closed_forms import ising_gas_spectra
 from frustra.cooling import (
     GROUND,
     EntropyReport,
@@ -59,7 +57,7 @@ def uniform_state(n):
 
 
 def test_cool_ferromagnet_gives_ghz():
-    h = build_ising_gas(2, 0.0, j=-1.0)
+    h = build_model(IsingGasLR(2, 0.0, "unfrustrated"))
     cooled = cool(h, uniform_state(4))
     expected = np.zeros(16)
     expected[0] = expected[15] = 1 / np.sqrt(2)
@@ -68,7 +66,7 @@ def test_cool_ferromagnet_gives_ghz():
 
 
 def test_cool_af_gives_dicke_independent_of_alpha_beta():
-    h = build_ising_gas(2, 0.0)
+    h = build_model(IsingGasLR(2, 0.0))
     ref = None
     for alpha, beta in [(1, 1), (0.6, 0.8), (0.3, 0.95)]:
         init = product_state([(alpha, beta)] * 4)
@@ -82,27 +80,27 @@ def test_cool_af_gives_dicke_independent_of_alpha_beta():
 
 
 def test_cool_orthogonal_initial_state():
-    h = build_ising_gas(2, 0.0)
+    h = build_model(IsingGasLR(2, 0.0))
     with pytest.raises(OrthogonalInitialStateError):
         cool(h, basis_state(4, 0))
 
 
 def test_cool_idempotent():
-    h = build_ising_gas(3, 0.0)
+    h = build_model(IsingGasLR(3, 0.0))
     cooled = cool(h, uniform_state(6))
     again = cool(h, cooled.state)
     assert fidelity(again.state, cooled.state) >= 1 - 1e-12
 
 
 def test_cool_z_monotone_in_threshold():
-    h = build_ising_gas(2, 0.0)
+    h = build_model(IsingGasLR(2, 0.0))
     init = uniform_state(4)
     zs = [cool(h, init, threshold=t).z for t in (-0.9, 0.1, 3.1)]
     assert zs == sorted(zs)
 
 
 def test_cool_z_decomposes_over_retained_manifolds():
-    h = build_ising_gas(2, 0.5)
+    h = build_model(IsingGasLR(2, 0.5))
     init = product_state([(0.6, 0.8)] * 4)
     cooled = cool(h, init, threshold=10.0)
     diag = h.diagonal()
@@ -116,7 +114,7 @@ def test_cool_z_decomposes_over_retained_manifolds():
 def test_cool_diagonal_fast_path_is_a_projection():
     # the fast path must keep ground-sector amplitudes proportional to the
     # initial ones and zero out everything else
-    h = build_ising_gas(2, 0.0)
+    h = build_model(IsingGasLR(2, 0.0))
     init = product_state([(0.7, 0.5)] * 4)
     fast = cool(h, init)
     diag = h.diagonal()
@@ -127,7 +125,7 @@ def test_cool_diagonal_fast_path_is_a_projection():
 
 
 def test_cool_excited_one_manifold_is_ground_cool():
-    h = build_ising_gas(2, 0.0)
+    h = build_model(IsingGasLR(2, 0.0))
     init = uniform_state(4)
     a = cool(h, init)
     b = cool_excited(h, init, 1)
@@ -135,7 +133,7 @@ def test_cool_excited_one_manifold_is_ground_cool():
 
 
 def test_cool_excited_two_manifolds_sectors():
-    h = build_ising_gas(2, 0.0)
+    h = build_model(IsingGasLR(2, 0.0))
     cooled = cool_excited(h, uniform_state(4), 2)
     support = np.flatnonzero(np.abs(cooled.state.amplitudes) > 1e-12)
     sectors = {sum(1 - 2 * ((b >> i) & 1) for i in range(4)) for b in support}
@@ -143,7 +141,7 @@ def test_cool_excited_two_manifolds_sectors():
 
 
 def test_cool_excited_all_manifolds_returns_initial():
-    h = build_ising_gas(2, 0.0)
+    h = build_model(IsingGasLR(2, 0.0))
     init = product_state([(0.6, 0.8)] * 4)
     cooled = cool_excited(h, init, 99)
     assert fidelity(cooled.state, init) >= 1 - 1e-12
@@ -153,8 +151,8 @@ def test_cool_excited_all_manifolds_returns_initial():
 @pytest.mark.parametrize(
     "h,initial",
     [
-        (build_mg_chain(3), default_initial_state(MajumdarGhosh(3))),
-        (build_ising_gas(3, 0.0), uniform_state(6)),
+        (build_model(MajumdarGhosh(3)), default_initial_state(MajumdarGhosh(3))),
+        (build_model(IsingGasLR(3, 0.0)), uniform_state(6)),
     ],
     ids=["mg-ring", "ising-gas"],
 )
@@ -174,8 +172,8 @@ def test_cool_excited_is_cool_at_the_second_level(h, initial):
 @pytest.mark.parametrize(
     "h,initial",
     [
-        (build_mg_chain(3), default_initial_state(MajumdarGhosh(3))),
-        (build_ising_gas(3, 0.0), uniform_state(6)),
+        (build_model(MajumdarGhosh(3)), default_initial_state(MajumdarGhosh(3))),
+        (build_model(IsingGasLR(3, 0.0)), uniform_state(6)),
     ],
     ids=["mg-ring", "ising-gas"],
 )
@@ -186,11 +184,13 @@ def test_threshold_below_ground_raises(diagonalize_calls, h, initial):
     assert len(diagonalize_calls) == (0 if h.is_diagonal() else 1)
 
 
-@given(m=st.integers(1, 4), j=st.integers(-4, 4), thr=st.floats(-10.0, 10.0))
-def test_diagonal_spectrum_sorts_only_the_kept_prefix(m, j, thr):
+@given(m=st.integers(1, 4), j=st.integers(-4, 4), thr=st.floats(-10.0, 10.0),
+       sign=st.sampled_from(["frustrated", "unfrustrated"]))
+def test_diagonal_spectrum_sorts_only_the_kept_prefix(m, j, thr, sign):
     # the ground threshold from the diagonal's min and max, and the
-    # retained manifolds from the prefix of the full sort
-    h = build_ising_gas(m, j / 4)
+    # retained manifolds from the prefix of the full sort; lambda < 0 has
+    # the spectrum of -lambda (a global spin flip), so |j| covers it
+    h = build_model(IsingGasLR(m, abs(j) / 4, sign))
     energies = np.sort(h.diagonal())
     tol = degeneracy_tol(energies)
     initial = uniform_state(2 * m)
@@ -206,7 +206,7 @@ def test_diagonal_spectrum_sorts_only_the_kept_prefix(m, j, thr):
 
 
 def test_threshold_on_a_level_retains_it():
-    h = build_ising_gas(2, 0.0)
+    h = build_model(IsingGasLR(2, 0.0))
     init = uniform_state(4)
     diag = h.diagonal()
     level = float(np.unique(diag)[1])
@@ -222,7 +222,7 @@ def test_maximize_cooled_entropy_diagonalizes_nothing(diagonalize_calls):
     [(e, pairs)] = maximize_cooled_entropy(3, [cut], restarts=1)
     assert diagonalize_calls == []
     assert pairs.shape == (6, 2)
-    cooled = cool(build_mg_chain(3), product_state(pairs))
+    cooled = cool(build_model(MajumdarGhosh(3)), product_state(pairs))
     assert e == pytest.approx(block_entropy(cooled.state, cut), abs=1e-12)
 
 
@@ -376,7 +376,7 @@ def test_cool_keeps_real_states_real(spec, alpha, beta):
 
 def test_case1_cooled_matches_dicke_construction():
     # ground sector of the lambda = 1/2, m = 2 gas has 3 zeros per bitstring
-    h = build_ising_gas(2, 0.5)
+    h = build_model(IsingGasLR(2, 0.5))
     for alpha, beta in [(1, 1), (0.6, 0.8)]:
         cooled = cool(h, product_state([(alpha, beta)] * 4))
         amps = np.zeros(16)
@@ -388,10 +388,10 @@ def test_case1_cooled_matches_dicke_construction():
 
 
 def test_ising_gas_n20_cool_matches_closed_form():
-    cooled = cool(build_ising_gas(10, 0.5), product_state([(0.6, 0.8)] * 20))
+    cooled = cool(build_model(IsingGasLR(10, 0.5)), product_state([(0.6, 0.8)] * 20))
     for k in range(1, 6):
         e = block_entropy(cooled.state, Bipartition.contiguous(k))
-        assert e == pytest.approx(ising_gas_rho_k(10, 0.5, k).entropy(), abs=1e-9)
+        assert e == pytest.approx(ising_gas_spectra(10, 0.5, [k])[0].entropy(), abs=1e-9)
 
 
 def test_entropy_scan_rows_and_csv(diagonalize_calls):
@@ -473,11 +473,11 @@ def _dm_ring(n):
 
 # (name, operator, ground-manifold dimension)
 MANIFOLD_CASES = [
-    ("mg4", build_mg_chain(2), 2),
-    ("mg6", build_mg_chain(3), 2),
-    ("mg8", build_mg_chain(4), 2),
+    ("mg4", build_model(MajumdarGhosh(2)), 2),
+    ("mg6", build_model(MajumdarGhosh(3)), 2),
+    ("mg8", build_model(MajumdarGhosh(4)), 2),
     ("heisenberg-gas6", build_model(HeisenbergGasLR(3)), 5),
-    ("ising-gas6", build_ising_gas(3, 1 / 3), 15),
+    ("ising-gas6", build_model(IsingGasLR(3, 1 / 3)), 15),
     ("dm-ring6", _dm_ring(6), 2),
 ]
 
@@ -569,7 +569,7 @@ def test_span_objective_matches_cooled_state(m, k, offset, order, x):
     x = np.array(x)[:, :2 * n]
     es, zs = _span_entropy(mg_dimer_states(m), cut)(x)
     assert es.shape == zs.shape == (len(x),)
-    h = build_mg_chain(m)
+    h = build_model(MajumdarGhosh(m))
     with mock.patch.object(frustra.cooling, "diagonalize", _cached_diagonalize):
         expected = [_reference_entropy(h, cut, angles) for angles in x]
     for e, z, want in zip(es, zs, expected):
@@ -623,7 +623,7 @@ def test_optimiser_steps_build_no_state(monkeypatch):
     assert calls["rows"] > 1000
     monkeypatch.undo()
     for cut, (e, pairs) in zip(cuts, results):
-        cooled = cool(build_mg_chain(3), product_state(pairs))
+        cooled = cool(build_model(MajumdarGhosh(3)), product_state(pairs))
         assert e == pytest.approx(block_entropy(cooled.state, cut), abs=1e-12)
 
 

@@ -6,15 +6,12 @@ from hypothesis import given, strategies as st
 
 from frustra.spin_core import PauliOperator, _term_masks, popcount
 from frustra.models import (
+    HeisenbergGasLR,
     IsingGasLR,
     MajumdarGhosh,
+    ShastrySutherland,
     SingleBondIsing,
-    build_heisenberg_gas,
-    build_ising_gas,
-    build_mg_chain,
-    build_shastry_sutherland,
-    build_single_bond_ising,
-    build_ferromagnetic_ring,
+    build_model,
 )
 from frustra.frustration import (
     frustration_degree,
@@ -50,39 +47,39 @@ def test_ising_limit_replaces_letters_without_triple():
 
 
 def test_frustration_af_ising_gas():
-    rep = frustration_degree(build_ising_gas(4, 0.0))
+    rep = frustration_degree(build_model(IsingGasLR(4, 0.0)))
     assert rep.value == pytest.approx(0.75, abs=1e-12)
     assert rep.num_ground_configs == math.comb(8, 4)
 
 
 def test_frustration_single_bond_ring():
-    rep = frustration_degree(build_single_bond_ising(3))
+    rep = frustration_degree(build_model(SingleBondIsing(3)))
     assert rep.value == pytest.approx(0.2, abs=1e-12)
     assert rep.num_ground_configs == 12
 
 
 def test_frustration_ferromagnet_is_zero():
-    rep = frustration_degree(build_ising_gas(3, 0.0, j=-1.0))
+    rep = frustration_degree(build_model(IsingGasLR(3, 0.0, "unfrustrated")))
     assert rep.value == 0.0
-    rep = frustration_degree(build_ferromagnetic_ring(3))
+    rep = frustration_degree(build_model(SingleBondIsing(3, "unfrustrated")))
     assert rep.value == 0.0
 
 
 def test_frustration_mg_point():
-    rep = frustration_degree(build_mg_chain(4))
+    rep = frustration_degree(build_model(MajumdarGhosh(4)))
     assert rep.value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_frustration_heisenberg_gas_m2():
     # Ising limit coincides with the lambda = 0 gas, so F = 1 - 1/m = 1/2
-    rep = frustration_degree(build_heisenberg_gas(2))
+    rep = frustration_degree(build_model(HeisenbergGasLR(2)))
     assert rep.value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_case1_formula_exact_over_grid():
     for m in range(2, 7):
         for lam in (0.0, 1.0 / m, 2.0 / m):
-            rep = frustration_degree(build_ising_gas(m, lam))
+            rep = frustration_degree(build_model(IsingGasLR(m, lam)))
             assert rep.value == pytest.approx(
                 ising_gas_frustration_formula(m, lam), abs=1e-12
             )
@@ -90,7 +87,7 @@ def test_case1_formula_exact_over_grid():
 
 def test_ising_gas_n22_matches_formula():
     # 170,544 ground configurations
-    rep = frustration_degree(build_ising_gas(11, 4.0 / 11.0))
+    rep = frustration_degree(build_model(IsingGasLR(11, 4.0 / 11.0)))
     assert rep.num_ground_configs == 170_544
     assert rep.value == pytest.approx(
         ising_gas_frustration_formula(11, 4.0 / 11.0), abs=1e-12
@@ -100,14 +97,14 @@ def test_ising_gas_n22_matches_formula():
 def test_shastry_sutherland_dimer_regime():
     # in the regime where the diagonal bonds win classically, the L=4
     # enumeration lands on the closed form
-    rep = frustration_degree(build_shastry_sutherland(4, 0.4, 1.0))
+    rep = frustration_degree(build_model(ShastrySutherland(4, 0.4, 1.0)))
     closed = shastry_sutherland_frustration_formula(0.4, 1.0)
     assert closed == pytest.approx(4.0 / 9.0)
     assert abs(rep.value - closed) / closed < 0.10
 
 
 def test_scaling_invariance():
-    op = build_single_bond_ising(3)
+    op = build_model(SingleBondIsing(3))
     a = frustration_degree(op).value
     b = frustration_degree(scaled(op, 7.5)).value
     assert a == pytest.approx(b, abs=1e-12)
@@ -197,8 +194,9 @@ def test_frustration_degree_nonnegative(op):
 
 @pytest.mark.parametrize("m", range(1, 12))
 def test_unfrustrated_models_give_exact_zero(m):
-    assert frustration_degree(build_ferromagnetic_ring(m)).value == 0.0
-    assert frustration_degree(build_ising_gas(m, 0.0, j=-1.0)).value == 0.0
+    if m >= 2:  # the ring needs 4 sites
+        assert frustration_degree(build_model(SingleBondIsing(m, "unfrustrated"))).value == 0.0
+    assert frustration_degree(build_model(IsingGasLR(m, 0.0, "unfrustrated"))).value == 0.0
 
 
 def test_frustration_degree_model_attaches_closed_forms():

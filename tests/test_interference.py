@@ -172,7 +172,7 @@ def test_frustrated_vs_unfrustrated_case1():
     frus = IsingGasLR(4, sign="frustrated")
     ferro = IsingGasLR(4, sign="unfrustrated")
     ratio = frustrated_vs_unfrustrated_ratio(frus, ferro, Bipartition.contiguous(4))
-    from frustra.closed_forms import ising_gas_rho_k
+    from frustra.closed_forms import ising_gas_spectra
 
-    assert ratio == pytest.approx(ising_gas_rho_k(4, 0.0, 4).entropy(), abs=1e-8)
+    assert ratio == pytest.approx(ising_gas_spectra(4, 0.0, [4])[0].entropy(), abs=1e-8)
     assert ratio > 1.0

@@ -60,3 +60,31 @@ def test_tracer_bindings_exist():
             f"frustra.{module}.{function}"
     for module in ast.literal_eval(assigned["_AGGREGATED"]):
         importlib.import_module(f"frustra.{module}")
+
+
+def _perfbench_frustra_imports():
+    """(module, name) for each ``from frustra.<mod> import <name>`` in
+    ``perfbench/*.py``, and (module, None) for each ``import frustra.<mod>``,
+    read with ``ast`` wherever it sits, inside a job function too."""
+    directory = os.path.join(ROOT, "perfbench")
+    for filename in sorted(f for f in os.listdir(directory) if f.endswith(".py")):
+        with open(os.path.join(directory, filename)) as fh:
+            tree = ast.parse(fh.read(), filename)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from ((alias.name, None) for alias in node.names
+                            if alias.name.split(".")[0] == "frustra")
+            elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.split(".")[0] == "frustra"):
+                yield from ((node.module, alias.name) for alias in node.names)
+
+
+def test_perfbench_imports_from_frustra_resolve():
+    # a name that src/ drops must fail here, not in the benchmark run
+    imports = list(_perfbench_frustra_imports())
+    assert ("frustra.closed_forms", "single_bond_cooled_state") in imports
+    assert ("frustra.cli", None) in imports
+    for module, name in imports:
+        imported = importlib.import_module(module)
+        if name is not None:
+            assert hasattr(imported, name), f"{module}.{name}"

@@ -12,14 +12,14 @@ from hypothesis import assume, given, strategies as st
 
 from frustra.cooling import cool, cooled_entropy_scan
 from frustra.models import (
+    HeisenbergGasLR,
+    IsingGasLR,
     MajumdarGhosh,
-    build_heisenberg_gas,
-    build_ising_gas,
-    build_mg_chain,
-    build_single_bond_ising,
+    RVBPlaquette,
+    SingleBondIsing,
+    build_model,
     default_initial_state,
     mg_dimer_states,
-    rvb_sector_hamiltonian,
 )
 from frustra.spin_core import (
     Bipartition,
@@ -98,19 +98,19 @@ def assert_blocks_equal_oracle(op):
 
 
 MODELS = {
-    "ising-gas-m2": build_ising_gas(2, 0.0),
-    "ising-gas-m3-field": build_ising_gas(3, 1.0 / 3.0),
-    "ising-gas-m4-field": build_ising_gas(4, 0.5),
-    "heisenberg-gas-m2": build_heisenberg_gas(2),
-    "heisenberg-gas-m3": build_heisenberg_gas(3),
-    "heisenberg-gas-m4": build_heisenberg_gas(4),
-    "mg-m2": build_mg_chain(2),
-    "mg-m3": build_mg_chain(3),
-    "mg-m4": build_mg_chain(4),
-    "single-bond-m2": build_single_bond_ising(2),
-    "single-bond-m4": build_single_bond_ising(4),
-    "rvb-labels-4-2": rvb_sector_hamiltonian(4, 2),
-    "rvb-labels-7-3": rvb_sector_hamiltonian(7, 3),
+    "ising-gas-m2": build_model(IsingGasLR(2, 0.0)),
+    "ising-gas-m3-field": build_model(IsingGasLR(3, 1.0 / 3.0)),
+    "ising-gas-m4-field": build_model(IsingGasLR(4, 0.5)),
+    "heisenberg-gas-m2": build_model(HeisenbergGasLR(2)),
+    "heisenberg-gas-m3": build_model(HeisenbergGasLR(3)),
+    "heisenberg-gas-m4": build_model(HeisenbergGasLR(4)),
+    "mg-m2": build_model(MajumdarGhosh(2)),
+    "mg-m3": build_model(MajumdarGhosh(3)),
+    "mg-m4": build_model(MajumdarGhosh(4)),
+    "single-bond-m2": build_model(SingleBondIsing(2)),
+    "single-bond-m4": build_model(SingleBondIsing(4)),
+    "rvb-labels-4-2": build_model(RVBPlaquette(4, 2)),
+    "rvb-labels-7-3": build_model(RVBPlaquette(7, 3)),
     "ferro-heisenberg-ring-6": heisenberg_ring(6, -1.0),
     "ferro-heisenberg-ring-8": heisenberg_ring(8, -1.0),
 }

@@ -28,10 +28,10 @@ from frustra.spin_core import (
 import frustra.cooling
 from frustra.cooling import cool
 from frustra.models import (
+    HeisenbergGasLR,
+    IsingGasLR,
     MajumdarGhosh,
-    build_heisenberg_gas,
-    build_ising_gas,
-    build_mg_chain,
+    build_model,
     default_initial_state,
     mg_dimer_states,
 )
@@ -77,7 +77,7 @@ def test_build_dense_zz():
 def test_build_dense_matches_classical_ising_gas():
     # (J/2m)S^2 evaluated on bitstrings, constant included by hand
     m = 2
-    h = build_dense(build_ising_gas(m, 0.0))
+    h = build_dense(build_model(IsingGasLR(m, 0.0)))
     diag = np.real(np.diag(h))
     for b in range(16):
         s = sum(1 - 2 * ((b >> i) & 1) for i in range(4))
@@ -144,7 +144,7 @@ def test_diagonalize_refuses_n16_sectors_before_enumerating(forbid):
     # even the float64 sector eigenvectors, C(32, 16) of them, need 4.5 GiB
     calls = forbid("_sector_triplets", "_scatter_block")
     with pytest.raises(SizeLimitError):
-        diagonalize(build_heisenberg_gas(8))
+        diagonalize(build_model(HeisenbergGasLR(8)))
     assert calls == []
 
 
@@ -163,7 +163,7 @@ def test_diagonalize_admits_n14_sector_blocks(forbid):
     # 3432 x 3432 block, so it passes both checks and reaches _scatter_block
     calls = forbid("_scatter_block")
     with pytest.raises(AssertionError, match="_scatter_block called"):
-        diagonalize(build_mg_chain(7))
+        diagonalize(build_model(MajumdarGhosh(7)))
     assert calls == ["_scatter_block"]
 
 
@@ -179,7 +179,7 @@ def _traced_peak(fn):
 def test_sector_assembly_peak_stays_near_one_block():
     # n=14 Heisenberg gas: the triplets of all 15 sectors plus the one
     # block being filled, the 3432 x 3432 middle one at most (89.9 MiB)
-    op = build_heisenberg_gas(7)
+    op = build_model(HeisenbergGasLR(7))
     sizes = []
 
     def assemble():
@@ -204,7 +204,7 @@ def test_diagonalize_holds_one_block_at_a_time(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     sizes = [8 * math.comb(14, k) ** 2 for k in range(15)]
     floor = max(sum(sizes[:k]) + 2 * sizes[k] for k in range(15))
-    peak = _traced_peak(lambda: diagonalize(build_heisenberg_gas(7)))
+    peak = _traced_peak(lambda: diagonalize(build_model(HeisenbergGasLR(7))))
     assert floor <= peak <= 1.02 * floor
 
 
@@ -224,7 +224,7 @@ def test_cool_above_every_level_fits_the_sector_budget(monkeypatch):
     # 512 kB, but the projection works on the sector blocks in place, so a
     # threshold above the spectrum fits and returns the initial state
     monkeypatch.setattr(spin_core, "_DENSE_BYTES", 300_000)
-    h = build_mg_chain(4)
+    h = build_model(MajumdarGhosh(4))
     initial = default_initial_state(MajumdarGhosh(4))
     assert cool(h, initial).num_retained == 2
     cooled = cool(h, initial, threshold=1000)
@@ -261,7 +261,7 @@ def test_diagonalize_single_site():
 
 
 def test_diagonalize_ferromagnetic_ground_manifold():
-    dec = diagonalize(build_ising_gas(2, 0.0, j=-1.0))
+    dec = diagonalize(build_model(IsingGasLR(2, 0.0, "unfrustrated")))
     g = ground_manifold(dec)
     assert g.shape[1] == 2
     # spanned by |0000> and |1111>
@@ -270,13 +270,13 @@ def test_diagonalize_ferromagnetic_ground_manifold():
 
 
 def test_diagonalize_af_ground_manifold():
-    dec = diagonalize(build_ising_gas(2, 0.0))
+    dec = diagonalize(build_model(IsingGasLR(2, 0.0)))
     _, start, stop = manifolds(dec.eigenvalues, degeneracy_tol(dec.eigenvalues))[0]
     assert stop - start == 6  # all 2-up/2-down bitstrings
 
 
 def test_diagonalize_reconstruction():
-    op = build_ising_gas(2, 0.5)
+    op = build_model(IsingGasLR(2, 0.5))
     h = build_dense(op)
     dec = diagonalize(op)
     vecs = eigenvectors(dec)
@@ -434,7 +434,7 @@ def z_operators(draw):
 @example(PauliOperator(5, ()))
 @example(PauliOperator(1, ((2.0, "I"), (-0.5, "Z"))))
 @example(PauliOperator(7, ((1.0, "ZZZIIIZ"), (0.5, "IIIZZZZ"), (0.25, "IIIIIII"))))
-@example(build_ising_gas(5, 0.4))
+@example(build_model(IsingGasLR(5, 0.4)))
 def test_diagonal_matches_per_term_reference(op):
     scale = max(1.0, sum(abs(c) for c, _ in op.terms))
     np.testing.assert_allclose(
