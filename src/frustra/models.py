@@ -63,8 +63,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class IsingGasLR(ModelSpec):
-    """Long-range Ising gas on 2m >= 2 sites; "unfrustrated" flips the
-    pair sign."""
+    """Long-range Ising gas on 2m >= 2 sites; "unfrustrated" flips the pair sign."""
 
     m: int
     lam: float = 0.0
@@ -105,8 +104,7 @@ class MajumdarGhosh(ModelSpec):
 
 @dataclass(frozen=True)
 class SingleBondIsing(ModelSpec):
-    """Ising ring on 2m >= 4 sites with one flipped bond, none if
-    "unfrustrated"."""
+    """Ising ring on 2m >= 4 sites with one flipped bond, none if "unfrustrated"."""
 
     m: int
     sign: str = "frustrated"
@@ -135,8 +133,7 @@ class ShastrySutherland(ModelSpec):
 
 @dataclass(frozen=True)
 class RVBPlaquette(ModelSpec):
-    """Plaquette labels whose ground manifold has s vertical plaquettes,
-    0 <= s <= plaquettes."""
+    """Plaquette labels whose ground manifold has s vertical plaquettes."""
 
     plaquettes: int
     s: int
