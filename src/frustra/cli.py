@@ -20,8 +20,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__, models
-from .spin_core import Bipartition, ValidationError, span_blocks, span_entropies
-from .models import ModelSpec, default_initial_state, mg_dimer_states
+from .spin_core import Bipartition, ValidationError, span_entropies
+from .models import ModelSpec, default_initial_state, mg_span_blocks
 from .cooling import (
     GROUND,
     cooled_entropy_scan,
@@ -49,9 +49,15 @@ _MODELS = {
 }
 
 
+# the most values a range or a density grid may hold: a million ints or
+# floats take about 36 MB as a list
+_MAX_VALUES = 1_000_000
+
+
 def parse_range(text: str) -> list:
     """Parse "a", "a..b", or "a..b..step" (a <= b, step > 0) into an
-    inclusive integer list."""
+    inclusive integer list; more than ``_MAX_VALUES`` values are refused
+    before the list is built."""
     parts = text.split("..")
     try:
         nums = [int(p) for p in parts]
@@ -63,6 +69,8 @@ def parse_range(text: str) -> list:
         nums.append(1)
     if len(nums) == 3 and nums[0] <= nums[1] and nums[2] > 0:
         a, b, step = nums
+        if (b - a) // step >= _MAX_VALUES:
+            raise ValidationError(f"range {text!r} has more than {_MAX_VALUES} values")
         return list(range(a, b + 1, step))
     raise ValidationError(f"bad range {text!r}")
 
@@ -145,7 +153,6 @@ def cmd_scaling(args) -> int:
         for k in ks:
             if not (0 < k < n):
                 raise ValidationError(f"cut k={k} invalid for {n} sites")
-        cuts = [Bipartition.contiguous(k) for k in ks]
         bounds = [("", "")] * len(ks)
         if args.source == "analytic":
             if args.sign == "unfrustrated":
@@ -157,9 +164,10 @@ def cmd_scaling(args) -> int:
             else:
                 raise ValidationError(f"no analytic source for model {args.model}")
         elif args.model == "mg":
-            es = [e for e, _ in maximize_cooled_entropy(spec.m, cuts, seed=args.seed)]
+            es = [e for e, _, _ in maximize_cooled_entropy(spec, ks)]
             bounds = [tuple(f"{b:.12g}" for b in mg_bounds(k, n)) for k in ks]
         else:
+            cuts = [Bipartition.contiguous(k) for k in ks]
             reports = cooled_entropy_scan(spec, default_initial_state(spec), GROUND, cuts)
             es = [r.entropy for r in reports]
         for k, e, (lower, upper) in zip(ks, es, bounds):
@@ -216,11 +224,14 @@ def _d_grid(args):
     lo = 0.02 if args.d_min is None else args.d_min
     hi = 0.98 if args.d_max is None else args.d_max
     step = 0.02 if args.d_step is None else args.d_step
-    if step <= 0:
+    if not step > 0:
         raise ValidationError("--d-step must be positive")
     if hi < lo:
         raise ValidationError("--d-max must not be below --d-min")
-    n = int((hi - lo) / step + 1e-9)
+    steps = (hi - lo) / step
+    if not steps < _MAX_VALUES:  # also NaN and inf, before the grid is built
+        raise ValidationError(f"--d-step {step:g} gives more than {_MAX_VALUES} densities")
+    n = int(steps + 1e-9)
     return [lo + i * step for i in range(n + 1)]
 
 
@@ -249,8 +260,7 @@ def cmd_bounds_check(args) -> int:
         samples = 20 if args.samples is None else args.samples
         if samples < 1:
             raise ValidationError("--samples must be at least 1")
-        states = mg_dimer_states(spec.m)
-        setups = [span_blocks(states, Bipartition.contiguous(k)) for k in range(1, n)]
+        setups = mg_span_blocks(spec, range(1, n))
         # the stream of a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
         # drawn sample by sample
         x = rng.normal(size=(samples, 2, 2))

@@ -356,7 +356,7 @@ def mg_bounds(k: int, num_sites: int | None = None):
 
     Even k: (2, log2 5); odd k: (1, 2).
 
-    The manifold is span(G+, G-) (``mg_dimer_states``).  The upper bounds
+    The manifold is span(G+, G-) (``mg_span_blocks``).  The upper bounds
     hold for every state a G+ + b G- of it: an even cut splits no singlet
     of G+ and two of G- (Schmidt rank <= 1 + 4), an odd cut splits one
     singlet of each (rank <= 2 + 2).  The odd-k lower bound of 1 also

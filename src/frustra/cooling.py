@@ -9,16 +9,18 @@ build eigenvectors, so Ising-type models cool well beyond the dense
 memory budget of ``diagonalize``; every other operator must fit it, and
 projects one diagonalized block at a time.  ``cooled_entropy_scan`` cools
 once and splits the state at every cut; ``maximize_cooled_entropy``
-searches the Majumdar-Ghosh ground manifold for the product initial
-state of largest cooled entropy.
+searches the directions of the Majumdar-Ghosh ground manifold for the
+cooled state of largest entropy, with a product initial state that
+cools to it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import build_model, mg_dimer_pairs, mg_dimer_states
+from .models import MajumdarGhosh, build_model, mg_span_blocks
 from .spin_core import (
     OrthogonalInitialStateError,
     PauliOperator,
@@ -29,7 +31,6 @@ from .spin_core import (
     degeneracy_tol,
     diagonalize,
     manifolds,
-    span_blocks,
     span_entropies,
 )
 
@@ -168,164 +169,88 @@ def cooled_entropy_scan(spec, initial, threshold, cuts) -> list:
     ]
 
 
-def _angle_pairs(x: np.ndarray) -> np.ndarray:
-    """Unit local states (cos t_i, e^{i phi_i} sin t_i) of the angles
-    x = (..., t_0, phi_0, t_1, phi_1, ...), one row per site: an (n, 2)
-    array for one point, (B, n, 2) for B of them."""
-    t, ph = x[..., 0::2], x[..., 1::2]
-    pairs = np.empty(t.shape + (2,), complex)
-    pairs[..., 0] = np.cos(t)
-    pairs[..., 1] = np.exp(1j * ph) * np.sin(t)
-    return pairs
+def _golden_section(f, a: float, b: float):
+    """The point of [a, b] where the scalar function ``f`` is largest, and
+    its value, by golden-section search down to a bracket of 1e-9.  Near a
+    smooth maximum the value is then off by about 1e-18 times the
+    curvature, below the rounding of ``f``."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - g * (b - a), a + g * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > 1e-9:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + g * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - g * (b - a)
+            f1 = f(x1)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def _span_entropy(states, cut):
-    """``entropy(x)``: for each row of the angles ``x`` (B x 2n), the block
-    entropy across ``cut``, and z, of that product state cooled onto the
-    span of the Majumdar-Ghosh dimer coverings ``states`` (G+, G-) of
-    ``mg_dimer_states``; the entropy is 0 below the z floor.  Returns two
-    arrays of B values.
+def _witness(m: int, direction: np.ndarray, overlap: np.ndarray) -> np.ndarray:
+    """Real local states (cos t_i, sin t_i), an (n, 2) array, of a product
+    state whose cooled state on the 2m-ring lies along the span
+    ``direction`` (see ``maximize_cooled_entropy``)."""
+    u, v = overlap @ direction
+    sign = -1.0 if m % 2 else 1.0
+    alpha = math.atan2(sign * u, sign * u - 2.0 * v)
+    t = alpha + np.pi / 4 + np.pi / 2 * np.arange(-2, 2 * m - 2)
+    t[:2] = 0.0, alpha
+    return np.stack([np.cos(t), np.sin(t)], axis=1)
 
-    The overlaps g = (<G+|psi>, <G-|psi>) of a product state psi are
-    products of the two-site singlet overlaps over the pairs of
-    ``mg_dimer_pairs``, O(n) per row.  The cooled state's coordinates in
-    the span are c = S^-1 g, with S the overlap matrix of G+ and G-, and
-    z = g^H S^-1 g; the rows above the z floor go to ``span_entropies`` as
-    c / sqrt(z).  No call forms a 2^n state.
+
+# grid points over the directions [0, pi) before the golden-section step
+_GRID = 64
+
+
+def maximize_cooled_entropy(spec: MajumdarGhosh, ks) -> list:
+    """Maximize the cooled block entropy of the Majumdar-Ghosh ring of
+    ``spec`` over product initial states, for each contiguous cut [0, k)
+    of ``ks``.  Returns, per cut, the entropy, the maximising span
+    direction c = (cos t, sin t) and a witness: the (n, 2) real local
+    states of a product state that cools to it.
+
+    The ground manifold is span(G+, G-), so a product state psi cools to
+    the span state c = S^-1 g, g = (<G+|psi>, <G-|psi>), with S the
+    overlap of the coverings; its entropy depends on psi only through
+    the direction of c.  The search runs over the real directions: a
+    grid of ``_GRID`` angles t on [0, pi) (c and -c are one state), then
+    a golden-section search between the best angle's two neighbours,
+    on the blocks of ``mg_span_blocks`` and ``span_entropies``.  No 2^n
+    vector is formed, and nothing is random.
+
+    Every real direction is reached by a real product state.  With local
+    states (cos t_i, sin t_i), a singlet (i, j) has overlap
+    sin(t_j - t_i)/sqrt(2).  Take t_0 = 0, t_1 = alpha, t_2 = alpha +
+    pi/4 and steps of pi/2 from there: every singlet then has overlap
+    1/sqrt(2) in size except G+'s (0, 1), sin(alpha)/sqrt(2), G-'s
+    (1, 2), 1/2, and G-'s wrap (2m-1, 0), (-1)^(m+1) cos(alpha +
+    pi/4)/sqrt(2).  So g- / g+ = (-1)^(m+1) cos(alpha + pi/4) /
+    (sqrt(2) sin alpha), which runs continuously over the whole real
+    line as alpha runs over (0, pi), and alpha = 0 gives g+ = 0.  Since
+    S is invertible, c = S^-1 g then turns through every real direction
+    too.  The witness takes alpha = atan2(s u, s u - 2v), s = (-1)^m,
+    which makes g parallel to (u, v) = S c; ``cool`` with
+    ``build_model(spec)`` of its ``product_state`` gives the entropy.
+    Complex directions are not searched; a grid over the complex sphere
+    found none above the real maximum at n <= 16.
     """
-    first, second = np.array(mg_dimer_pairs(states[0].num_sites // 2)).transpose(2, 0, 1)
-    blocks, overlap = span_blocks(states, cut)
-    # the adjugate: np.linalg.inv would add LAPACK's gesv pages (0.2 MB) to peak RSS
-    (s00, s01), (s10, s11) = overlap
-    inverse = np.array([[s11, -s01], [-s10, s00]]) / (s00 * s11 - s01 * s10)
-
-    def entropy(x):
-        pairs = _angle_pairs(x)
-        a, b = pairs[:, first], pairs[:, second]
-        # <(|0_i 1_j> - |1_i 0_j>)/sqrt(2) | a b>, the sign of dimer_product_state
-        pair = (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]) / np.sqrt(2.0)
-        # elementwise only, one factor at a time: prod and @ round by batch
-        # shape, and a row's value must not depend on the rows beside it
-        g = pair[..., 0]
-        for j in range(1, pair.shape[-1]):
-            g = g * pair[..., j]
-        coeffs = g[:, :1] * inverse[:, 0] + g[:, 1:] * inverse[:, 1]
-        z = np.einsum("sa,sa->s", g.conj(), coeffs).real
-        kept = z >= _Z_FLOOR
-        es = np.zeros(len(x))
-        es[kept] = span_entropies(blocks, coeffs[kept] / np.sqrt(z[kept])[:, None])
-        return es, z
-
-    return entropy
-
-
-# (xbar, worst) coefficients of the expansion, outside and inside contraction
-_NM_POINTS = np.array([[3.0, -2.0], [1.5, -0.5], [0.5, 0.5]])
-
-
-def _nelder_mead(f, x0: np.ndarray):
-    """Minimize ``f`` from every row of ``x0`` (restarts x N) in lockstep.
-
-    Each row takes the steps of scipy's Nelder-Mead (adaptive=False) with
-    maxiter 3000, xatol 1e-8 and fatol 1e-10: the same initial simplex,
-    coefficients, branch tests and per-row ``argsort``.  ``f`` maps (B, N)
-    points to B values, and no call gets more points than there are rows:
-    an iteration evaluates the reflections, then the expansion or
-    contraction points, then, on a shrink, the new vertices in chunks of
-    that size.  A row that has converged or used its iterations is
-    frozen.  Returns the best vertex, its value, and the
-    iterations and evaluations of every row.
-    """
-    count, n = x0.shape
-    s = np.repeat(x0[:, None], n + 1, axis=1)
-    d = np.arange(n)
-    s[:, d + 1, d] = np.where(x0 != 0, 1.05 * x0, 0.00025)
-
-    def evaluate(pts):
-        return np.concatenate([f(pts[i:i + count]) for i in range(0, len(pts), count)])
-
-    fs = evaluate(s.reshape(-1, n)).reshape(count, n + 1)
-    sim, fsim = np.empty_like(s), np.empty_like(fs)
-    nit = np.empty(count, int)
-    nfev = np.full(count, n + 1)
-    idx = np.arange(count)  # the rows still moving; s and fs hold only them
-
-    def ordered(s, fs):
-        order = np.argsort(fs, axis=1)
-        rows = np.arange(len(fs))[:, None]
-        return s[rows, order], fs[rows, order]
-
-    # scipy sorts the first simplex twice, which can reorder ties
-    s, fs = ordered(*ordered(s, fs))
-    it = 1
-    while True:
-        done = (it >= 3000) | (
-            (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= 1e-8)
-            & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= 1e-10)
-        )
-        if done.any():
-            sim[idx[done]], fsim[idx[done]], nit[idx[done]] = s[done], fs[done], it
-            idx, s, fs = idx[~done], s[~done], fs[~done]
-            if not idx.size:
-                return sim[:, 0], fsim[:, 0], nit, nfev
-        xbar = np.add.reduce(s[:, :-1], 1) / n
-        worst = s[:, -1]
-        xr = 2 * xbar - worst
-        fxr = f(xr)
-        expand = fxr < fs[:, 0]
-        contract = ~expand & (fxr >= fs[:, -2])
-        outside = contract & (fxr < fs[:, -1])
-        two = np.flatnonzero(expand | contract)
-        coef = _NM_POINTS[np.where(expand, 0, np.where(outside, 1, 2))[two]]
-        pts = coef[:, :1] * xbar[two] + coef[:, 1:] * worst[two]
-        fpts = f(pts) if two.size else fxr[two]
-        take = np.where(
-            expand[two], fpts < fxr[two],
-            np.where(outside[two], fpts <= fxr[two], fpts < fs[two, -1]),
-        )
-        xr[two[take]], fxr[two[take]] = pts[take], fpts[take]
-        shrink = np.zeros(len(idx), bool)
-        shrink[two[~take]] = contract[two[~take]]
-        s[~shrink, -1], fs[~shrink, -1] = xr[~shrink], fxr[~shrink]
-        k = np.flatnonzero(shrink)
-        if k.size:
-            s[k, 1:] = s[k, :1] + 0.5 * (s[k, 1:] - s[k, :1])
-            fs[k, 1:] = evaluate(s[k, 1:].reshape(-1, n)).reshape(len(k), n)
-        nfev[idx] += 1 + (expand | contract) + n * shrink
-        it += 1
-        s, fs = ordered(s, fs)
-
-
-def maximize_cooled_entropy(
-    m: int,
-    cuts,
-    seed: int = 0,
-    restarts: int = 8,
-) -> list:
-    """Maximize the cooled block entropy of the Majumdar-Ghosh ring on 2m
-    sites over product initial states, for each of ``cuts``.
-
-    Each site's local state is parametrized by two angles.  Per cut, the
-    ``restarts`` Nelder-Mead searches from seeded random angles run in
-    lockstep (``_nelder_mead``), so each step makes one batched call of
-    the objective for all of them.  The ground manifold is the span of the
-    dimer coverings (``mg_dimer_states``), so the objective
-    (``_span_entropy``) takes no spectrum.  Every cut's search starts from
-    ``seed``, so its result does not depend on the other cuts.  Returns,
-    per cut, the best entropy found and the (n, 2) local states of its
-    initial product state, the first restart on ties; ``cool`` with
-    ``build_model(MajumdarGhosh(m))`` of their ``product_state`` gives
-    that entropy.
-    """
-    n = 2 * m
-    for cut in cuts:
-        cut.validate(n)
-    states = mg_dimer_states(m)
     out = []
-    for cut in cuts:
-        entropy = _span_entropy(states, cut)
-        x0 = np.random.default_rng(seed).uniform(0.0, np.pi, (restarts, 2 * n))
-        x, fun, _, _ = _nelder_mead(lambda pts: -entropy(pts)[0], x0)
-        best = int(np.argmin(fun))
-        out.append((-fun[best], _angle_pairs(x[best])))
+    for blocks, overlap in mg_span_blocks(spec, ks):
+        def entropy(t):
+            c = np.stack([np.cos(t), np.sin(t)], axis=-1).reshape(-1, 2)
+            c /= np.sqrt(np.einsum("sa,ab,sb->s", c, overlap, c))[:, None]
+            return span_entropies(blocks, c)
+
+        step = np.pi / _GRID
+        grid = entropy(step * np.arange(_GRID))
+        best = int(np.argmax(grid))
+        t, e = _golden_section(lambda t: float(entropy(t)[0]), step * (best - 1),
+                               step * (best + 1))
+        if e < grid[best]:
+            t, e = step * best, float(grid[best])
+        direction = np.array([np.cos(t % np.pi), np.sin(t % np.pi)])
+        out.append((e, direction, _witness(spec.m, direction, overlap)))
     return out

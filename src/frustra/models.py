@@ -191,26 +191,101 @@ def dimer_product_state(num_sites: int, pairs) -> StateVector:
     return StateVector(num_sites, amps)
 
 
-def mg_dimer_pairs(m: int):
-    """The singlet pairs of the Majumdar-Ghosh dimer coverings G+ and G-
-    of the 2m-ring: (2i, 2i+1), and (2i+1, 2i+2 mod 2m)."""
-    n = 2 * m
-    return ([(2 * i, 2 * i + 1) for i in range(m)],
-            [((2 * i + 1) % n, (2 * i + 2) % n) for i in range(m)])
+def _mg_site_transfers(norm: float):
+    """The 16 x 16 transfer matrices sum_s A^s (x) A^s of an even and of an
+    odd site of the direct sum of the Majumdar-Ghosh dimer coverings G+
+    and G-, bond dimension 2 + 2 (real tensors, so no conjugate), with the
+    singlet norm ``norm`` (1/sqrt(2)) in the site that closes a singlet.
+
+    A singlet (i, j), in the sign of ``dimer_product_state``, is the
+    matrix product state A_i^s = e_s^T, A_j^s = eps[:, s]/sqrt(2) with
+    eps = [[0, 1], [-1, 0]], so that A_i^s A_j^t = eps[s, t]/sqrt(2).
+    Padded to 2 x 2, a site that opens a singlet uses only row 0 of its
+    left bond and one that closes it only column 0 of its right bond.  G+
+    opens its singlets (2i, 2i+1) on the even sites and G- its singlets
+    (2i+1, 2i+2 mod 2m) on the odd ones; its wrap singlet (2m-1, 0)
+    closes on site 0 through the trace.
+    """
+    eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    opens, closes = np.zeros((2, 2, 2)), np.zeros((2, 2, 2))
+    for s in range(2):
+        opens[s, 0, s] = 1.0
+        closes[s, :, 0] = eps[:, s] * norm
+
+    def transfer(plus, minus):
+        a = np.zeros((2, 4, 4))
+        a[:, :2, :2], a[:, 2:, 2:] = plus, minus
+        return np.einsum("sij,skl->ikjl", a, a).reshape(16, 16)
+
+    return transfer(opens, closes), transfer(closes, opens)
 
 
-def mg_dimer_states(m: int):
-    """The two Majumdar-Ghosh dimer coverings G+ and G- of the 2m-ring,
-    which span its ground manifold.  Raises SizeLimitError before building
-    either when they and the peak of ``span_blocks`` on them exceed the
-    dense memory budget: seven 2^n float64 arrays, the two coverings and,
-    at the middle cut, the Gram matrix, the copy ``eigh`` factors and the
-    eigenvectors it returns (one each) and its workspace (two)."""
-    n = 2 * m
-    if n < 4:
-        raise ValidationError("need at least 4 sites")
-    _check_dense_bytes(56 << n)
-    return tuple(dimer_product_state(n, pairs) for pairs in mg_dimer_pairs(m))
+def mg_span_blocks(spec: MajumdarGhosh, ks) -> list:
+    """The setup of ``span_entropies`` for the span of the Majumdar-Ghosh
+    dimer coverings G+ and G- (Majumdar and Ghosh, J. Math. Phys. 10, 1388
+    (1969)) cut at sites [0, k), for each k of ``ks``: per cut, the r x r
+    blocks K (r <= 5) and the overlap S[a, b] = <G_a|G_b> = tr K[b, a].
+    No 2^n vector is formed.
+
+    Each covering is a matrix product state of bond dimension 2 (Fannes,
+    Nachtergaele and Werner, Commun. Math. Phys. 144, 443 (1992)), and a
+    state of the span is their direct sum (``_mg_site_transfers``).  Cut
+    at k, covering a is sum_p |L_p>|R_p> over the index pairs p = (wrap
+    bond, cut bond) of its half of the bonds, with L the product of sites
+    0..k-1 and R that of sites k..n-1.  The Gram matrices N_pq =
+    <L_p|L_q> and X_pq = <R_q|R_p> are entries of products of the
+    transfer matrices.  With N = V Lambda V^T less its null space and W
+    = Lambda^1/2 V^T, the state sum_a c_a G_a has the reduced spectrum of
+    sum_ab c_a conj(c_b) K_ab, K_ab = W P_a X P_b W^T, where P_a keeps
+    the pairs of covering a.  The nonzero eigenvalues of N measured at
+    least 2 - sqrt(3) of the largest (every k < 60, n up to 10^6), and
+    its zero ones (the unused bond indices, and the vector of G+ that G-
+    spans at k = 2) about 1e-16 of it, so a relative cutoff of 1e-8
+    splits them.
+
+    The sites repeat with period 2, so the products are powers of the
+    two-site transfer matrix T: T^(k//2) before the cut and T^((n-k)//2)
+    after it, with one more site at the cut for odd k.  Over two sites
+    each covering closes one singlet in each copy of the transfer
+    matrix, so every entry of T carries norm^2 = 1/2 once: T is half the
+    product of the transfers with norm 1, and its entries and those of
+    its powers are dyadic and exact.  With 1/sqrt(2) rounded into each
+    site, T's eigenvalue 1 would be off by about eps and T^(n/2) by about
+    n eps (2e-7 at n = 2 * 10^9).  The powers are taken in increasing
+    order, each from the last by ``matrix_power`` of the gap: O(n)
+    products for every cut of the ring, O(log n) for one.  Raises
+    ValidationError for a k outside 0 < k < n, and SizeLimitError,
+    before any product, when every cut's two powers and blocks (5 KiB a
+    cut) exceed the dense memory budget.
+    """
+    n = 2 * spec.m
+    _check_dense_bytes(5120 * len(ks))
+    for k in ks:
+        if not 0 < k < n:
+            raise ValidationError(f"cut k={k} invalid for {n} sites")
+    even, odd = _mg_site_transfers(1.0)
+    pair = even @ odd / 2.0
+    even, odd = _mg_site_transfers(math.sqrt(0.5))
+    powers, power, last = {}, np.eye(16), 0
+    for j in sorted({k // 2 for k in ks} | {(n - k) // 2 for k in ks}):
+        power = power @ np.linalg.matrix_power(pair, j - last)
+        powers[j], last = power, j
+    p = np.arange(8)
+    wrap, bond = p // 2, p % 2 + 2 * (p // 4)
+    gram_at = 4 * wrap[:, None] + wrap, 4 * bond[:, None] + bond
+    x_at = 4 * bond + bond[:, None], 4 * wrap + wrap[:, None]
+    halves = np.stack([p < 4, p >= 4])[:, None]
+    setups = []
+    for k in ks:
+        left, right = powers[k // 2], powers[(n - k) // 2]
+        if k % 2:
+            left, right = left @ even, odd @ right
+        w, v = np.linalg.eigh(left[gram_at])
+        keep = w > w[-1] * 1e-8
+        parts = np.sqrt(w[keep])[:, None] * v[:, keep].T * halves
+        blocks = (parts @ right[x_at])[:, None] @ parts.transpose(0, 2, 1)
+        setups.append((blocks, np.trace(blocks, axis1=2, axis2=3).T))
+    return setups
 
 
 def _bonds(n: int, coeff: float, groups, letters: str = "XYZ") -> list:

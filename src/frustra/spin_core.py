@@ -506,40 +506,10 @@ def block_entropy(state: StateVector, cut: Bipartition) -> float:
     return _entropy_bits(np.concatenate(weights))
 
 
-def span_blocks(states, cut: Bipartition):
-    """The per-cut setup of ``span_entropies`` for the span of the few
-    fixed ``states``: the reduced blocks K, and their overlap matrix S,
-    S[a, b] = <states[a]|states[b]>.
-
-    The Schmidt matrices A_a of the states are taken with the smaller
-    side of the cut, s, as rows (views of the states for a contiguous cut
-    from site 0).  U is an orthonormal basis of the span of their columns
-    (rank r): the eigenvectors of the s x s Gram matrix sum_a A_a A_a^H
-    whose eigenvalues exceed its largest times len(states) * (columns of
-    A_a) * eps.  R_a = U^H A_a and K[a, b] = R_a R_b^H, r x r each.  No
-    stacked copy and no SVD of the A_a is made: beside the states the
-    setup holds the Gram matrix and, in ``eigh``, its copy, its
-    eigenvectors (s^2 <= 2^n elements each) and a workspace of about
-    2 s^2.  The columns of every A_a lie in the span of U, so tr K[b, a] =
-    tr A_b A_a^H = S[a, b].
-    """
-    mats = [schmidt_matrix(st, cut) for st in states]
-    if mats[0].shape[0] > mats[0].shape[1]:
-        mats = [a.T for a in mats]
-    gram = mats[0] @ mats[0].conj().T
-    for a in mats[1:]:
-        gram += a @ a.conj().T
-    w, v = np.linalg.eigh(gram)
-    u = v[:, w > w[-1] * len(mats) * mats[0].shape[1] * np.finfo(float).eps]
-    reduced = np.stack([u.conj().T @ a for a in mats])
-    blocks = np.einsum("aie,bje->abij", reduced, reduced.conj())
-    return blocks, np.trace(blocks, axis1=2, axis2=3).T
-
-
 def span_entropies(blocks, coords) -> np.ndarray:
     """Block entropies, in bits, of the states sum_a coords[s, a] states[a],
-    one for each row s of ``coords``, from the ``blocks`` K of
-    ``span_blocks``.
+    one for each row s of ``coords``, from the ``blocks`` K of a span of
+    a few fixed states (``models.mg_span_blocks``).
 
     Row s has the r x r reduced density matrix sum_ab c_sa conj(c_sb) K_ab.
     All rows go through one batched ``eigvalsh``, in O(rows r^2) memory.

@@ -22,7 +22,15 @@ of a model and its sign-flipped control.
 re-running its Pauli terms over the block's basis, beside the library's
 one-pass triplet assembly, which must match them bit for bit.
 ``manifold_entropy`` is the optimiser's former objective, in the
-coordinates of ED ground columns, beside ``cool`` and ``block_entropy``.  ``cool_excited``, ``normalized``, ``basis_state``, ``fidelity`` and
+coordinates of ED ground columns, beside ``cool`` and ``block_entropy``.
+``span_blocks`` is the dense route to the span blocks of a few fixed
+states, on the 2^n vectors of the Majumdar-Ghosh coverings
+(``mg_dimer_states``), beside the library's transfer matrices
+(``mg_span_blocks``).  ``product_search`` is the former optimiser, a
+lockstep Nelder-Mead (``nelder_mead``, equal to scipy row by row) over
+the angles of product states on ``span_objective``, beside the
+library's search over span directions (``maximize_cooled_entropy``).
+``cool_excited``, ``normalized``, ``basis_state``, ``fidelity`` and
 ``shastry_dimer_state`` are small helpers that only tests use.
 """
 import itertools
@@ -31,9 +39,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from frustra.cooling import cool
+from frustra.cooling import _Z_FLOOR, cool
 from frustra.interference import IncomparableError, InterferenceReport, make_report
 from frustra.models import (
+    MajumdarGhosh,
     build_model,
     default_initial_state,
     dimer_product_state,
@@ -45,6 +54,7 @@ from frustra.spin_core import (
     SpectralDecomposition,
     StateVector,
     ValidationError,
+    _check_dense_bytes,
     _dtype,
     _entropy_bits,
     _schmidt_axes,
@@ -56,6 +66,7 @@ from frustra.spin_core import (
     manifolds,
     popcount,
     schmidt_matrix,
+    span_entropies,
 )
 
 
@@ -346,3 +357,200 @@ def manifold_entropy(v: np.ndarray, cut: Bipartition):
         return np.where(empty, 0.0, _entropy_bits(weights, axis=-1)), z
 
     return entropy
+
+
+def span_blocks(states, cut: Bipartition):
+    """The per-cut setup of ``span_entropies`` for the span of the few
+    fixed ``states``, from their 2^n amplitudes: the reduced blocks K, and
+    their overlap matrix S, S[a, b] = <states[a]|states[b]>.  The dense
+    oracle of ``models.mg_span_blocks``, for any cut.
+
+    The Schmidt matrices A_a of the states are taken with the smaller
+    side of the cut, s, as rows.  U is an orthonormal basis of the span
+    of their columns (rank r): the eigenvectors of the s x s Gram matrix
+    sum_a A_a A_a^H whose eigenvalues exceed its largest times
+    len(states) * (columns of A_a) * eps.  R_a = U^H A_a and K[a, b] =
+    R_a R_b^H, r x r each.  The columns of every A_a lie in the span of U,
+    so tr K[b, a] = tr A_b A_a^H = S[a, b].
+    """
+    mats = [schmidt_matrix(st, cut) for st in states]
+    if mats[0].shape[0] > mats[0].shape[1]:
+        mats = [a.T for a in mats]
+    gram = mats[0] @ mats[0].conj().T
+    for a in mats[1:]:
+        gram += a @ a.conj().T
+    w, v = np.linalg.eigh(gram)
+    u = v[:, w > w[-1] * len(mats) * mats[0].shape[1] * np.finfo(float).eps]
+    reduced = np.stack([u.conj().T @ a for a in mats])
+    blocks = np.einsum("aie,bje->abij", reduced, reduced.conj())
+    return blocks, np.trace(blocks, axis1=2, axis2=3).T
+
+
+def mg_dimer_pairs(m: int):
+    """The singlet pairs of the Majumdar-Ghosh dimer coverings G+ and G-
+    of the 2m-ring: (2i, 2i+1), and (2i+1, 2i+2 mod 2m)."""
+    n = 2 * m
+    return ([(2 * i, 2 * i + 1) for i in range(m)],
+            [((2 * i + 1) % n, (2 * i + 2) % n) for i in range(m)])
+
+
+def mg_dimer_states(m: int):
+    """The two Majumdar-Ghosh dimer coverings G+ and G- of the 2m-ring as
+    2^n vectors, which span its ground manifold.  The spec checks m.
+    Raises SizeLimitError before building either when they and the peak
+    of ``span_blocks`` on them exceed the dense memory budget: seven 2^n
+    float64 arrays, the two coverings and, at the middle cut, the Gram
+    matrix, the copy ``eigh`` factors and the eigenvectors it returns
+    (one each) and its workspace (two)."""
+    n = 2 * MajumdarGhosh(m).m
+    _check_dense_bytes(56 << n)
+    return tuple(dimer_product_state(n, pairs) for pairs in mg_dimer_pairs(m))
+
+
+def angle_pairs(x: np.ndarray) -> np.ndarray:
+    """Unit local states (cos t_i, e^{i phi_i} sin t_i) of the angles
+    x = (..., t_0, phi_0, t_1, phi_1, ...), one row per site: an (n, 2)
+    array for one point, (B, n, 2) for B of them."""
+    t, ph = x[..., 0::2], x[..., 1::2]
+    pairs = np.empty(t.shape + (2,), complex)
+    pairs[..., 0] = np.cos(t)
+    pairs[..., 1] = np.exp(1j * ph) * np.sin(t)
+    return pairs
+
+
+def span_objective(states, cut):
+    """``entropy(x)``: for each row of the angles ``x`` (B x 2n), the block
+    entropy across ``cut``, and z, of that product state cooled onto the
+    span of the Majumdar-Ghosh dimer coverings ``states`` (G+, G-) of
+    ``mg_dimer_states``; the entropy is 0 below the z floor.  Returns two
+    arrays of B values.  The objective of the product-state search.
+
+    The overlaps g = (<G+|psi>, <G-|psi>) of a product state psi are
+    products of the two-site singlet overlaps over the pairs of
+    ``mg_dimer_pairs``, O(n) per row.  The cooled state's coordinates in
+    the span are c = S^-1 g, with S the overlap matrix of G+ and G-, and
+    z = g^H S^-1 g; the rows above the z floor go to ``span_entropies`` as
+    c / sqrt(z).  A row's value does not depend on the rows beside it.
+    """
+    first, second = np.array(mg_dimer_pairs(states[0].num_sites // 2)).transpose(2, 0, 1)
+    blocks, overlap = span_blocks(states, cut)
+    (s00, s01), (s10, s11) = overlap
+    inverse = np.array([[s11, -s01], [-s10, s00]]) / (s00 * s11 - s01 * s10)
+
+    def entropy(x):
+        pairs = angle_pairs(x)
+        a, b = pairs[:, first], pairs[:, second]
+        # <(|0_i 1_j> - |1_i 0_j>)/sqrt(2) | a b>, the sign of dimer_product_state
+        pair = (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]) / np.sqrt(2.0)
+        # elementwise only, one factor at a time: prod and @ round by batch
+        # shape, and a row's value must not depend on the rows beside it
+        g = pair[..., 0]
+        for j in range(1, pair.shape[-1]):
+            g = g * pair[..., j]
+        coeffs = g[:, :1] * inverse[:, 0] + g[:, 1:] * inverse[:, 1]
+        z = np.einsum("sa,sa->s", g.conj(), coeffs).real
+        kept = z >= _Z_FLOOR
+        es = np.zeros(len(x))
+        es[kept] = span_entropies(blocks, coeffs[kept] / np.sqrt(z[kept])[:, None])
+        return es, z
+
+    return entropy
+
+
+# (xbar, worst) coefficients of the expansion, outside and inside contraction
+_NM_POINTS = np.array([[3.0, -2.0], [1.5, -0.5], [0.5, 0.5]])
+
+
+def nelder_mead(f, x0: np.ndarray):
+    """Minimize ``f`` from every row of ``x0`` (restarts x N) in lockstep.
+
+    Each row takes the steps of scipy's Nelder-Mead (adaptive=False) with
+    maxiter 3000, xatol 1e-8 and fatol 1e-10: the same initial simplex,
+    coefficients, branch tests and per-row ``argsort``.  ``f`` maps (B, N)
+    points to B values, and no call gets more points than there are rows:
+    an iteration evaluates the reflections, then the expansion or
+    contraction points, then, on a shrink, the new vertices in chunks of
+    that size.  A row that has converged or used its iterations is
+    frozen.  Returns the best vertex, its value, and the
+    iterations and evaluations of every row.
+    """
+    count, n = x0.shape
+    s = np.repeat(x0[:, None], n + 1, axis=1)
+    d = np.arange(n)
+    s[:, d + 1, d] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+
+    def evaluate(pts):
+        return np.concatenate([f(pts[i:i + count]) for i in range(0, len(pts), count)])
+
+    fs = evaluate(s.reshape(-1, n)).reshape(count, n + 1)
+    sim, fsim = np.empty_like(s), np.empty_like(fs)
+    nit = np.empty(count, int)
+    nfev = np.full(count, n + 1)
+    idx = np.arange(count)  # the rows still moving; s and fs hold only them
+
+    def ordered(s, fs):
+        order = np.argsort(fs, axis=1)
+        rows = np.arange(len(fs))[:, None]
+        return s[rows, order], fs[rows, order]
+
+    # scipy sorts the first simplex twice, which can reorder ties
+    s, fs = ordered(*ordered(s, fs))
+    it = 1
+    while True:
+        done = (it >= 3000) | (
+            (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= 1e-8)
+            & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= 1e-10)
+        )
+        if done.any():
+            sim[idx[done]], fsim[idx[done]], nit[idx[done]] = s[done], fs[done], it
+            idx, s, fs = idx[~done], s[~done], fs[~done]
+            if not idx.size:
+                return sim[:, 0], fsim[:, 0], nit, nfev
+        xbar = np.add.reduce(s[:, :-1], 1) / n
+        worst = s[:, -1]
+        xr = 2 * xbar - worst
+        fxr = f(xr)
+        expand = fxr < fs[:, 0]
+        contract = ~expand & (fxr >= fs[:, -2])
+        outside = contract & (fxr < fs[:, -1])
+        two = np.flatnonzero(expand | contract)
+        coef = _NM_POINTS[np.where(expand, 0, np.where(outside, 1, 2))[two]]
+        pts = coef[:, :1] * xbar[two] + coef[:, 1:] * worst[two]
+        fpts = f(pts) if two.size else fxr[two]
+        take = np.where(
+            expand[two], fpts < fxr[two],
+            np.where(outside[two], fpts <= fxr[two], fpts < fs[two, -1]),
+        )
+        xr[two[take]], fxr[two[take]] = pts[take], fpts[take]
+        shrink = np.zeros(len(idx), bool)
+        shrink[two[~take]] = contract[two[~take]]
+        s[~shrink, -1], fs[~shrink, -1] = xr[~shrink], fxr[~shrink]
+        k = np.flatnonzero(shrink)
+        if k.size:
+            s[k, 1:] = s[k, :1] + 0.5 * (s[k, 1:] - s[k, :1])
+            fs[k, 1:] = evaluate(s[k, 1:].reshape(-1, n)).reshape(len(k), n)
+        nfev[idx] += 1 + (expand | contract) + n * shrink
+        it += 1
+        s, fs = ordered(s, fs)
+
+
+def product_search(m: int, cuts, seed: int = 0, restarts: int = 8) -> list:
+    """The search over product initial states that ``maximize_cooled_entropy``
+    replaced: for each of ``cuts`` of the MG ring on 2m sites, the largest
+    cooled entropy that ``restarts`` lockstep Nelder-Mead searches
+    (``nelder_mead``) find from seeded random angles (2 per site) on
+    ``span_objective``, and the (n, 2) local states of its product state,
+    the first restart on ties.  Every cut's search starts from ``seed``.
+    """
+    n = 2 * m
+    for cut in cuts:
+        cut.validate(n)
+    states = mg_dimer_states(m)
+    out = []
+    for cut in cuts:
+        entropy = span_objective(states, cut)
+        x0 = np.random.default_rng(seed).uniform(0.0, np.pi, (restarts, 2 * n))
+        x, fun, _, _ = nelder_mead(lambda pts: -entropy(pts)[0], x0)
+        best = int(np.argmin(fun))
+        out.append((-fun[best], angle_pairs(x[best])))
+    return out

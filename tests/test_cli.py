@@ -11,7 +11,8 @@ import tracemalloc
 import pytest
 
 from frustra import cli, cooling, models, spin_core
-from frustra.cli import build_parser, main, parse_range
+from frustra.cli import _MAX_VALUES, build_parser, main, parse_range
+from frustra.closed_forms import mg_bounds
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -29,6 +30,44 @@ def test_parse_range():
     assert parse_range("4") == [4]
     assert parse_range("2..5") == [2, 3, 4, 5]
     assert parse_range("6..12..2") == [6, 8, 10, 12]
+
+
+def test_ranges_hold_at_most_a_million_values():
+    # the cap is on the count, taken before the list is built
+    assert len(parse_range(f"1..{_MAX_VALUES}")) == _MAX_VALUES
+    assert parse_range(f"0..{10 * _MAX_VALUES - 1}..10")[-1] == 10 * _MAX_VALUES - 10
+    grid = cli._d_grid(argparse.Namespace(d_min=None, d_max=None, d_step=0.001))
+    assert len(grid) == 961 and grid[-1] == pytest.approx(0.98)
+    from frustra.spin_core import ValidationError
+
+    with pytest.raises(ValidationError, match="more than 1000000 values"):
+        parse_range(f"1..{_MAX_VALUES + 1}")
+    with pytest.raises(ValidationError, match="more than 1000000 densities"):
+        cli._d_grid(argparse.Namespace(d_min=0.0, d_max=1.0, d_step=1e-6))
+
+
+@pytest.mark.parametrize("argv", [
+    "scaling --model ising-gas --source analytic --m 10 --k 1..100000000",
+    "scaling --model ising-gas --source analytic --m 1..100000000 --k 1",
+    "scaling --model mg --n 8 --k 1..1000000000000000000000000",
+    "interference --model rvb --d-step 1e-9",
+    "fig1 --d-step 1e-9",
+    "fig1 --d-step 5e-324",
+], ids=["k", "m", "k-past-int64", "interference", "fig1", "fig1-step-underflows"])
+def test_oversized_range_is_refused_before_allocating(tmp_path, capsys, argv):
+    # the count is checked before the list or grid is built
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = run(argv.split() + ["--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "more than 1000000" in err[0]
+    assert peak < 64 << 20
+    assert not out.exists()
 
 
 def test_parse_range_rejects_garbage():
@@ -128,12 +167,14 @@ def test_cool_refuses_a_bad_cut_before_the_spectrum(tmp_path, capsys, diagonaliz
 
 
 @pytest.mark.parametrize("argv", [
-    "bounds-check --model mg --n 64 --samples 1",
+    "bounds-check --model mg --n 1000000 --samples 1",
     "cool --model ising-gas --n 64 --k 1",
     "cool --model single-bond --n 64 --k 1",
 ], ids=["bounds-check-mg", "cool-ising-gas", "cool-single-bond"])
 def test_oversized_state_is_refused_before_allocating(tmp_path, capsys, argv):
-    # a 2^64 state: refused by the dense budget before numpy is asked for it
+    # a 2^64 state, or the MG span setup of a million cuts (two 16 x 16
+    # powers and the blocks of each, 4.77 GiB): refused by the dense budget
+    # before numpy is asked for it
     out = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -150,86 +191,86 @@ def test_oversized_state_is_refused_before_allocating(tmp_path, capsys, argv):
 
 def test_scaling_mg_diagonalizes_nothing_and_shares_the_span_setup(
         tmp_path, monkeypatch, diagonalize_calls):
-    # the optimiser and bounds-check reach the one per-cut span setup of
-    # spin_core, and neither takes a spectrum
+    # the optimiser and bounds-check reach the one span kernel of models,
+    # one call each for all their cuts, and neither takes a spectrum
     setups = []
-    span_blocks = spin_core.span_blocks
-    assert cooling.span_blocks is cli.span_blocks is span_blocks
+    mg_span_blocks = models.mg_span_blocks
+    assert cooling.mg_span_blocks is cli.mg_span_blocks is mg_span_blocks
 
     def spy(caller):
-        def counting(states, cut):
-            setups.append((caller, cut.system_sites))
-            return span_blocks(states, cut)
+        def counting(spec, ks):
+            setups.append((caller, spec.m, tuple(ks)))
+            return mg_span_blocks(spec, ks)
 
         return counting
 
     monkeypatch.setattr(spin_core, "diagonalize", lambda *args: pytest.fail("diagonalize"))
-    monkeypatch.setattr(cooling, "span_blocks", spy("scaling"))
-    monkeypatch.setattr(cli, "span_blocks", spy("bounds-check"))
+    monkeypatch.setattr(cooling, "mg_span_blocks", spy("scaling"))
+    monkeypatch.setattr(cli, "mg_span_blocks", spy("bounds-check"))
     out = tmp_path / "mg.csv"
-    argv = ["scaling", "--model", "mg", "--n", "8", "--k", "4", "--source", "ed", "--seed", "5"]
+    argv = ["scaling", "--model", "mg", "--n", "8", "--k", "3..4", "--source", "ed", "--seed", "5"]
     assert run(argv + ["--output", str(out)]) == 0
-    assert len(read(out).splitlines()) == 2
+    assert len(read(out).splitlines()) == 3
     assert run(["bounds-check", "--model", "mg", "--n", "8", "--samples", "1",
                 "--output", str(tmp_path / "mg.json")]) == 0
     assert diagonalize_calls == []
-    assert setups == [("scaling", (0, 1, 2, 3))] + [
-        ("bounds-check", tuple(range(k))) for k in range(1, 8)]
+    assert setups == [("scaling", 4, (3, 4)), ("bounds-check", 4, tuple(range(1, 8)))]
 
 
 @pytest.mark.parametrize("argv", [
-    "bounds-check --model mg --n 26 --samples 1",
-    "scaling --model mg --n 26 --k 13",
+    "bounds-check --model mg --n 64 --samples 20",
+    "scaling --model mg --n 1000 --k 2..40",
 ], ids=["bounds-check", "scaling"])
-def test_mg_span_past_budget_builds_no_covering(tmp_path, monkeypatch, capsys, argv):
-    # each 2^26 covering fits the 1 GiB budget alone (512 MiB), but the two
-    # with the middle cut's Gram matrix and eigh need 3.5 GiB: refused
-    # before the first covering is built
+def test_mg_span_at_any_size_builds_no_covering(tmp_path, monkeypatch, argv):
+    # the transfer matrices need no 2^n vector, so sizes far past the dense
+    # budget run, and every row lies within the bounds
     monkeypatch.setattr(models, "dimer_product_state",
                         lambda *args: pytest.fail("dimer_product_state called"))
     out = tmp_path / "out"
-    assert run(argv.split() + ["--output", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: dense work needs 3.5 GiB, over the limit of 1 GiB"]
-    assert not out.exists()
+    assert run(argv.split() + ["--output", str(out)]) == 0
+    if argv.startswith("bounds-check"):
+        assert json.loads(read(out)) == {"all_ok": True, "checked": 20 * 63, "model": "mg",
+                                         "violations": []}
+        return
+    rows = [line.split(",") for line in read(out).splitlines()[1:]]
+    assert [int(r[1]) for r in rows] == list(range(2, 41))
+    for size, k, e, source, lower, upper in rows:
+        assert (size, source) == ("1000", "ed")
+        assert (float(lower), float(upper)) == pytest.approx(mg_bounds(int(k), 1000), abs=1e-11)
+        assert float(lower) - 1e-9 <= float(e) <= float(upper) + 1e-9
 
 
 # VmHWM, not ru_maxrss: a child's ru_maxrss starts at its parent's RSS at fork
 _PEAK_RSS = """
 import sys
-from frustra import cli, models
-counted = []
-check = models._check_dense_bytes
-models._check_dense_bytes = lambda needed: counted.append(needed) or check(needed)
+from frustra import cli
 assert cli.main(sys.argv[1:]) == 0
 with open("/proc/self/status") as fh:
-    peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-print(peak * 1024, max(counted))
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) * 1024)
 """
 
 
-def _peak_rss(tmp_path, n):
-    """(peak RSS in bytes, the largest budget check) of an MG bounds-check
-    run in a fresh process on one BLAS thread."""
+def _peak_rss(tmp_path, argv):
+    """Peak RSS in bytes of one CLI run in a fresh process on one BLAS
+    thread."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([os.path.dirname(os.path.dirname(cli.__file__)),
                                           os.environ.get("PYTHONPATH", "")]))
-    argv = ["bounds-check", "--model", "mg", "--n", str(n), "--samples", "1",
-            "--output", str(tmp_path / f"n{n}.json")]
+    argv = argv.split() + ["--output", str(tmp_path / "out")]
     out = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=env,
                          capture_output=True, text=True, check=True, timeout=300)
-    return tuple(int(v) for v in out.stdout.split())
+    return int(out.stdout)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
-@pytest.mark.parametrize("n", [18, 20])
-def test_mg_span_peak_memory_stays_within_its_count(tmp_path, n):
-    # the budget of mg_dimer_states covers what span_blocks really holds:
-    # the growth of peak RSS over a small run stays under the counted bytes
-    base, _ = _peak_rss(tmp_path, 8)
-    peak, counted = _peak_rss(tmp_path, n)
-    assert counted == 56 << n
-    assert 0 < peak - base < counted
+@pytest.mark.parametrize("argv, small", [
+    ("bounds-check --model mg --n 64 --samples 20", "bounds-check --model mg --n 8 --samples 20"),
+    ("scaling --model mg --n 1000 --k 2..40", "scaling --model mg --n 8 --k 2..4"),
+], ids=["bounds-check", "scaling"])
+def test_mg_span_peak_rss_stays_near_a_small_run(tmp_path, argv, small):
+    # the kernel holds a few 16 x 16 matrices and small blocks per cut:
+    # the peak RSS of a large ring grows by less than 32 MB over n = 8
+    assert _peak_rss(tmp_path, argv) - _peak_rss(tmp_path, small) < 32 << 20
 
 
 def test_scaling_mg_n16_lies_within_the_bounds(tmp_path):

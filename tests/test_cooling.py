@@ -17,7 +17,6 @@ from frustra.spin_core import (
     diagonalize,
     manifolds,
     product_state,
-    span_blocks,
 )
 from frustra.models import (
     HeisenbergGasLR,
@@ -27,28 +26,30 @@ from frustra.models import (
     SingleBondIsing,
     build_model,
     default_initial_state,
-    mg_dimer_states,
 )
 from frustra.closed_forms import ising_gas_spectra
 from frustra.cooling import (
     GROUND,
     EntropyReport,
-    _angle_pairs,
-    _nelder_mead,
-    _span_entropy,
     cool,
     cooled_entropy_scan,
     maximize_cooled_entropy,
     reports_to_csv,
 )
 
+import reference
 from reference import (
+    angle_pairs,
     basis_state,
     cool_excited,
     fidelity,
     ground_manifold,
     manifold_entropy,
+    mg_dimer_states,
+    nelder_mead,
+    product_search,
     project_by_columns,
+    span_objective,
 )
 
 
@@ -217,18 +218,18 @@ def test_threshold_on_a_level_retains_it():
 
 def test_maximize_cooled_entropy_diagonalizes_nothing(diagonalize_calls):
     # the ground manifold is span(G+, G-), so the search takes no spectrum;
-    # ED cooling of the returned initial state gives the entropy it reports
-    cut = Bipartition.contiguous(2)
-    [(e, pairs)] = maximize_cooled_entropy(3, [cut], restarts=1)
+    # ED cooling of the returned witness gives the entropy it reports
+    [(e, direction, pairs)] = maximize_cooled_entropy(MajumdarGhosh(3), [2])
     assert diagonalize_calls == []
-    assert pairs.shape == (6, 2)
+    assert direction.shape == (2,) and pairs.shape == (6, 2) and pairs.dtype == float
     cooled = cool(build_model(MajumdarGhosh(3)), product_state(pairs))
-    assert e == pytest.approx(block_entropy(cooled.state, cut), abs=1e-12)
+    assert e == pytest.approx(block_entropy(cooled.state, Bipartition.contiguous(2)), abs=1e-12)
 
 
 def test_maximize_cooled_entropy_refuses_fewer_than_4_sites():
+    # the spec holds the one size rule of the ring
     with pytest.raises(ValidationError, match="need at least 4 sites"):
-        maximize_cooled_entropy(1, [Bipartition.contiguous(1)])
+        maximize_cooled_entropy(MajumdarGhosh(1), [1])
 
 
 def _bond(n, i, j, letters):
@@ -450,7 +451,7 @@ def test_entropy_scan_case6_decreasing_in_size(single_bond_entropy):
 def test_mg_scan_golden_value():
     # E_{4:rest} of the 2m=8 Majumdar-Ghosh chain, with the initial product
     # state chosen to maximize the cooled entropy
-    [(e, pairs)] = maximize_cooled_entropy(4, [Bipartition.contiguous(4)], seed=11, restarts=4)
+    [(e, _, pairs)] = maximize_cooled_entropy(MajumdarGhosh(4), [4])
     assert e == pytest.approx(2.314, abs=0.01)
     spec = MajumdarGhosh(4)
     reports = cooled_entropy_scan(
@@ -559,7 +560,7 @@ def _drawn_cut(n, k, offset, order):
 @example(k=11, offset=0, order=list(range(11, -1, -1)), x=[_SOME_ANGLES])
 @example(k=2, offset=0, order=None, x=[_SOME_ANGLES])
 def test_span_objective_matches_cooled_state(m, k, offset, order, x):
-    # the optimiser's objective on the dimer span against the ED route
+    # the product search's objective on the dimer span against the ED route
     # (cool and block_entropy) row by row: k = 11 pins the cut k = n - 1,
     # all angles 0 (every spin up) is a row below the z floor.  A singlet
     # state's single site is fully mixed, so k = 1 and k = n - 1 cannot
@@ -567,7 +568,7 @@ def test_span_objective_matches_cooled_state(m, k, offset, order, x):
     n = 2 * m
     cut = _drawn_cut(n, k, offset, order)
     x = np.array(x)[:, :2 * n]
-    es, zs = _span_entropy(mg_dimer_states(m), cut)(x)
+    es, zs = span_objective(mg_dimer_states(m), cut)(x)
     assert es.shape == zs.shape == (len(x),)
     h = build_model(MajumdarGhosh(m))
     with mock.patch.object(frustra.cooling, "diagonalize", _cached_diagonalize):
@@ -585,7 +586,7 @@ def test_manifold_entropy_of_no_ground_support_is_zero_without_warning():
     # singlet manifold; its row gives entropy 0, with no 0/0 in the
     # coordinates, beside a row that has support
     up = np.zeros(8)
-    entropy = _span_entropy(mg_dimer_states(2), Bipartition.contiguous(2))
+    entropy = span_objective(mg_dimer_states(2), Bipartition.contiguous(2))
     es, zs = entropy(np.stack([up, 0.4 * np.arange(8)]))
     assert zs[0] < frustra.cooling._Z_FLOOR and es[0] == 0.0
     assert zs[1] > 1e-3 and es[1] > 0.0
@@ -594,37 +595,38 @@ def test_manifold_entropy_of_no_ground_support_is_zero_without_warning():
 
 
 def test_optimiser_steps_build_no_state(monkeypatch):
-    # the two coverings are the only states the search builds, once for all
-    # cuts, with one span setup per cut; the objective sees at most one row
-    # per restart a call
-    calls = {"states": 0, "span_blocks": 0, "rows": 0}
+    # the search builds no state: one span setup serves every cut, and
+    # per cut the objective sees the grid in one call, then one row a call
+    calls = {"states": 0, "setups": [], "rows": []}
     post_init = StateVector.__post_init__
+    mg_span_blocks = frustra.cooling.mg_span_blocks
     span_entropies = frustra.cooling.span_entropies
 
     def counting_post_init(self):
         calls["states"] += 1
         post_init(self)
 
-    def counting_blocks(states, cut):
-        calls["span_blocks"] += 1
-        return span_blocks(states, cut)
+    def counting_blocks(spec, ks):
+        calls["setups"].append(list(ks))
+        return mg_span_blocks(spec, ks)
 
     def counting_entropies(blocks, coords):
-        assert 1 <= len(coords) <= 2
-        calls["rows"] += len(coords)
+        calls["rows"].append(len(coords))
         return span_entropies(blocks, coords)
 
     monkeypatch.setattr(StateVector, "__post_init__", counting_post_init)
-    monkeypatch.setattr(frustra.cooling, "span_blocks", counting_blocks)
+    monkeypatch.setattr(frustra.cooling, "mg_span_blocks", counting_blocks)
     monkeypatch.setattr(frustra.cooling, "span_entropies", counting_entropies)
-    cuts = [Bipartition.contiguous(2), Bipartition.contiguous(3)]
-    results = maximize_cooled_entropy(3, cuts, restarts=2)
-    assert calls["states"] == 2 and calls["span_blocks"] == 2
-    assert calls["rows"] > 1000
+    results = maximize_cooled_entropy(MajumdarGhosh(3), [2, 3])
+    assert calls["states"] == 0 and calls["setups"] == [[2, 3]]
+    grid = frustra.cooling._GRID
+    assert calls["rows"].count(grid) == 2 and set(calls["rows"]) == {1, grid}
+    # golden-section from a bracket of 2 pi / 64 down to 1e-9: about 40 steps
+    assert 2 * 30 < len(calls["rows"]) - 2 < 2 * 50
     monkeypatch.undo()
-    for cut, (e, pairs) in zip(cuts, results):
+    for k, (e, _, pairs) in zip([2, 3], results):
         cooled = cool(build_model(MajumdarGhosh(3)), product_state(pairs))
-        assert e == pytest.approx(block_entropy(cooled.state, cut), abs=1e-12)
+        assert e == pytest.approx(block_entropy(cooled.state, Bipartition.contiguous(k)), abs=1e-12)
 
 
 def _rosenbrock(x):
@@ -640,7 +642,7 @@ def _plateaus(x):
     return np.floor(4.0 * _trig(x)) / 4.0
 
 
-def _scipy_nelder_mead(f, x0):
+def _scipynelder_mead(f, x0):
     from scipy.optimize import minimize
 
     return minimize(lambda y: float(f(y)), x0, method="Nelder-Mead",
@@ -659,9 +661,9 @@ def test_lockstep_nelder_mead_equals_scipy_row_by_row(objective, n):
     x0 = np.random.default_rng(n).uniform(-2.0, 2.0, (8, n))
     x0[0, 0] = 0.0
     x0[1] = 1.0
-    x, fun, nit, nfev = _nelder_mead(objective, x0)
+    x, fun, nit, nfev = nelder_mead(objective, x0)
     for r in range(8):
-        res = _scipy_nelder_mead(objective, x0[r])
+        res = _scipynelder_mead(objective, x0[r])
         assert np.array_equal(x[r], res.x), r
         assert (fun[r], nit[r], nfev[r]) == (res.fun, res.nit, res.nfev), r
     if n == 12 and objective is not _plateaus:
@@ -682,8 +684,8 @@ def test_lockstep_nelder_mead_freezes_stopped_rows():
         seen.append(len(pts))
         return _rosenbrock(pts)
 
-    x, fun, nit, nfev = _nelder_mead(recording, x0)
-    runs = [_scipy_nelder_mead(_rosenbrock, row) for row in x0]
+    x, fun, nit, nfev = nelder_mead(recording, x0)
+    runs = [_scipynelder_mead(_rosenbrock, row) for row in x0]
     assert nit[1] < nit.min(initial=3000, where=np.arange(4) != 1)
     assert sum(seen) == nfev.sum() == sum(res.nfev for res in runs)
     assert max(seen) <= 4
@@ -693,18 +695,18 @@ def test_lockstep_nelder_mead_freezes_stopped_rows():
 
 @pytest.mark.parametrize("m, k, seed", [(3, 2, 7), (4, 3, 1)])
 def test_lockstep_search_equals_serial_scipy_on_the_span_objective(m, k, seed):
-    # the optimiser's own search: every restart takes the steps serial
-    # scipy takes on the same objective, because a row's value does not
-    # depend on the rows it is batched with
+    # the product search, the oracle of the direction search: every
+    # restart takes the steps serial scipy takes on the same objective,
+    # because a row's value does not depend on the rows it is batched with
     cut = Bipartition.contiguous(k)
-    entropy = _span_entropy(mg_dimer_states(m), cut)
+    entropy = span_objective(mg_dimer_states(m), cut)
     x0 = np.random.default_rng(seed).uniform(0.0, np.pi, (8, 4 * m))
-    x, fun, nit, nfev = _nelder_mead(lambda pts: -entropy(pts)[0], x0)
+    x, fun, nit, nfev = nelder_mead(lambda pts: -entropy(pts)[0], x0)
     for r in range(8):
-        res = _scipy_nelder_mead(lambda y: -entropy(y[None])[0][0], x0[r])
+        res = _scipynelder_mead(lambda y: -entropy(y[None])[0][0], x0[r])
         assert np.array_equal(x[r], res.x), r
         assert (fun[r], nit[r], nfev[r]) == (res.fun, res.nit, res.nfev), r
-    [(best, _)] = maximize_cooled_entropy(m, [cut], seed=seed)
+    [(best, _)] = product_search(m, [cut], seed=seed)
     assert best == -fun.min()
 
 
@@ -722,7 +724,7 @@ def test_span_objective_is_batch_invariant(m, k, offset, order, x, zero):
     x = x[:, :2 * n].copy()
     if zero:
         x[len(x) // 2] = 0.0
-    entropy = _span_entropy(mg_dimer_states(m), cut)
+    entropy = span_objective(mg_dimer_states(m), cut)
     es, zs = entropy(x)
     for r in range(len(x)):
         for part in (x[r:r + 1], x[:r + 1]):
@@ -733,19 +735,19 @@ def test_span_objective_is_batch_invariant(m, k, offset, order, x, zero):
 def test_best_restart_is_the_first_lowest(monkeypatch):
     # rows 1 and 2 tie at the lowest value: the first of them wins, as the
     # strict > of the serial restarts chose
-    nelder_mead = frustra.cooling._nelder_mead
+    search = reference.nelder_mead
     found = []
 
     def tied(f, x0):
-        x, fun, nit, nfev = nelder_mead(f, x0)
+        x, fun, nit, nfev = search(f, x0)
         found.append(x)
         return x, np.array([-1.0, -1.5, -1.5, -0.5]), nit, nfev
 
-    monkeypatch.setattr(frustra.cooling, "_nelder_mead", tied)
+    monkeypatch.setattr(reference, "nelder_mead", tied)
     cut = Bipartition.contiguous(2)
-    [(e, pairs)] = maximize_cooled_entropy(3, [cut], seed=2, restarts=4)
+    [(e, pairs)] = product_search(3, [cut], seed=2, restarts=4)
     assert e == 1.5
-    assert np.array_equal(pairs, _angle_pairs(found[0][1]))
+    assert np.array_equal(pairs, angle_pairs(found[0][1]))
 
 
 def test_restart_angles_are_the_sequential_draws():

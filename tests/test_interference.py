@@ -1,7 +1,7 @@
 import pytest
 
 from frustra.spin_core import Bipartition, ValidationError, block_entropy, shannon_entropy
-from frustra.models import IsingGasLR, SingleBondIsing, mg_dimer_states
+from frustra.models import IsingGasLR, SingleBondIsing
 from frustra.closed_forms import BoundaryPath, heisenberg_gas_schmidt_state, rvb_plaquette_entropy
 from frustra.interference import (
     IncomparableError,
@@ -17,6 +17,7 @@ from reference import (
     covering_interference_by_enumeration,
     frustrated_vs_unfrustrated_ratio,
     heisenberg_covering_states,
+    mg_dimer_states,
     superposition_vs_average,
 )
 

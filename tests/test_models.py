@@ -18,11 +18,15 @@ from frustra.models import (
     build_model,
     default_initial_state,
     dimer_product_state,
-    mg_dimer_states,
     shastry_sutherland_diagonals,
 )
 
-from reference import ground_manifold, heisenberg_covering_states, shastry_dimer_state
+from reference import (
+    ground_manifold,
+    heisenberg_covering_states,
+    mg_dimer_states,
+    shastry_dimer_state,
+)
 
 
 MODEL_TERMS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "model_terms.json")

@@ -19,7 +19,6 @@ from frustra.models import (
     SingleBondIsing,
     build_model,
     default_initial_state,
-    mg_dimer_states,
 )
 from frustra.spin_core import (
     Bipartition,
@@ -33,7 +32,7 @@ from frustra.spin_core import (
     product_state,
 )
 
-from reference import eigenvectors, ground_manifold, sector_bases, sector_block
+from reference import eigenvectors, ground_manifold, mg_dimer_states, sector_bases, sector_block
 
 PAULI = {
     "I": np.eye(2),

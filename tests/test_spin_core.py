@@ -21,7 +21,6 @@ from frustra.spin_core import (
     manifolds,
     popcount,
     product_state,
-    span_blocks,
     span_entropies,
     _entropy_bits,
 )
@@ -33,11 +32,12 @@ from frustra.models import (
     MajumdarGhosh,
     build_model,
     default_initial_state,
-    mg_dimer_states,
 )
 
 from reference import (
     basis_state,
+    mg_dimer_states,
+    span_blocks,
     eigenvectors,
     ground_manifold,
     partial_trace,
