@@ -164,7 +164,7 @@ def cmd_scaling(args) -> int:
             else:
                 raise ValidationError(f"no analytic source for model {args.model}")
         elif args.model == "mg":
-            es = [e for e, _, _ in maximize_cooled_entropy(spec, ks)]
+            es = [e for e, _ in maximize_cooled_entropy(spec, ks)]
             bounds = [tuple(f"{b:.12g}" for b in mg_bounds(k, n)) for k in ks]
         else:
             cuts = [Bipartition.contiguous(k) for k in ks]
@@ -260,16 +260,12 @@ def cmd_bounds_check(args) -> int:
         samples = 20 if args.samples is None else args.samples
         if samples < 1:
             raise ValidationError("--samples must be at least 1")
-        setups = mg_span_blocks(spec, range(1, n))
         # the stream of a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
         # drawn sample by sample
         x = rng.normal(size=(samples, 2, 2))
         coords = x[:, 0] + 1j * x[:, 1]
-        norms = np.einsum("sa,ab,sb->s", coords.conj(), setups[0][1], coords).real
-        if norms.min() < 1e-28:
-            raise ValidationError("cannot normalize a zero state")
-        coords /= np.sqrt(norms)[:, None]
-        entropies = [span_entropies(blocks, coords) for blocks, _ in setups]
+        entropies = [span_entropies(blocks, coords)
+                     for blocks in mg_span_blocks(spec, range(1, n))]
         for s in range(samples):
             for k, es in enumerate(entropies, start=1):
                 e = float(es[s])

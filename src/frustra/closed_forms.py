@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .models import dimer_product_state, shastry_sutherland_diagonals
+from .models import SingleBondIsing, dimer_product_state, shastry_sutherland_diagonals
 from .spin_core import (
     StateVector,
     ValidationError,
@@ -386,11 +386,9 @@ def single_bond_cooled_state(m: int) -> StateVector:
     bitstrings in total, superposed with equal weight 1/(2 sqrt(m)).
 
     Its block entropies, with no state built, are
-    ``single_bond_block_entropy``.
+    ``single_bond_block_entropy``.  ``SingleBondIsing`` checks m.
     """
-    n = 2 * m
-    if n < 4:
-        raise ValidationError("need at least 4 sites")
+    n = 2 * SingleBondIsing(m).m
     configs = {0, (1 << n) - 1}
     for b in range(n - 1):
         # sites 0..b flipped relative to the rest; walls at bonds b and 2m-1
@@ -414,11 +412,9 @@ def single_bond_block_entropy(m: int, k: int) -> float:
     [[n-k+3, 2 sqrt(k-1)], [2 sqrt(k-1), k-1]]:
     l+/- = ((n+2) +/- sqrt((n-2k+4)^2 + 16(k-1)))/2.  The Schmidt rank is
     at most 4, so the entropy is at most 2 for every k (an area law); at
-    fixed k it tends to 1 as m grows.
+    fixed k it tends to 1 as m grows.  ``SingleBondIsing`` checks m.
     """
-    n = 2 * m
-    if n < 4:
-        raise ValidationError("need at least 4 sites")
+    n = 2 * SingleBondIsing(m).m
     if not (0 < k < n):
         raise ValidationError(f"cut k={k} invalid for {n} sites")
     root = math.sqrt((n - 2 * k + 4) ** 2 + 16 * (k - 1))

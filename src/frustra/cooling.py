@@ -10,8 +10,7 @@ memory budget of ``diagonalize``; every other operator must fit it, and
 projects one diagonalized block at a time.  ``cooled_entropy_scan`` cools
 once and splits the state at every cut; ``maximize_cooled_entropy``
 searches the directions of the Majumdar-Ghosh ground manifold for the
-cooled state of largest entropy, with a product initial state that
-cools to it.
+cooled state of largest entropy.
 """
 from __future__ import annotations
 
@@ -189,18 +188,6 @@ def _golden_section(f, a: float, b: float):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def _witness(m: int, direction: np.ndarray, overlap: np.ndarray) -> np.ndarray:
-    """Real local states (cos t_i, sin t_i), an (n, 2) array, of a product
-    state whose cooled state on the 2m-ring lies along the span
-    ``direction`` (see ``maximize_cooled_entropy``)."""
-    u, v = overlap @ direction
-    sign = -1.0 if m % 2 else 1.0
-    alpha = math.atan2(sign * u, sign * u - 2.0 * v)
-    t = alpha + np.pi / 4 + np.pi / 2 * np.arange(-2, 2 * m - 2)
-    t[:2] = 0.0, alpha
-    return np.stack([np.cos(t), np.sin(t)], axis=1)
-
-
 # grid points over the directions [0, pi) before the golden-section step
 _GRID = 64
 
@@ -208,9 +195,8 @@ _GRID = 64
 def maximize_cooled_entropy(spec: MajumdarGhosh, ks) -> list:
     """Maximize the cooled block entropy of the Majumdar-Ghosh ring of
     ``spec`` over product initial states, for each contiguous cut [0, k)
-    of ``ks``.  Returns, per cut, the entropy, the maximising span
-    direction c = (cos t, sin t) and a witness: the (n, 2) real local
-    states of a product state that cools to it.
+    of ``ks``.  Returns, per cut, the entropy and the maximising span
+    direction c = (cos t, sin t).
 
     The ground manifold is span(G+, G-), so a product state psi cools to
     the span state c = S^-1 g, g = (<G+|psi>, <G-|psi>), with S the
@@ -221,28 +207,25 @@ def maximize_cooled_entropy(spec: MajumdarGhosh, ks) -> list:
     on the blocks of ``mg_span_blocks`` and ``span_entropies``.  No 2^n
     vector is formed, and nothing is random.
 
-    Every real direction is reached by a real product state.  With local
-    states (cos t_i, sin t_i), a singlet (i, j) has overlap
-    sin(t_j - t_i)/sqrt(2).  Take t_0 = 0, t_1 = alpha, t_2 = alpha +
-    pi/4 and steps of pi/2 from there: every singlet then has overlap
-    1/sqrt(2) in size except G+'s (0, 1), sin(alpha)/sqrt(2), G-'s
-    (1, 2), 1/2, and G-'s wrap (2m-1, 0), (-1)^(m+1) cos(alpha +
-    pi/4)/sqrt(2).  So g- / g+ = (-1)^(m+1) cos(alpha + pi/4) /
-    (sqrt(2) sin alpha), which runs continuously over the whole real
-    line as alpha runs over (0, pi), and alpha = 0 gives g+ = 0.  Since
-    S is invertible, c = S^-1 g then turns through every real direction
-    too.  The witness takes alpha = atan2(s u, s u - 2v), s = (-1)^m,
-    which makes g parallel to (u, v) = S c; ``cool`` with
-    ``build_model(spec)`` of its ``product_state`` gives the entropy.
-    Complex directions are not searched; a grid over the complex sphere
-    found none above the real maximum at n <= 16.
+    Every real direction is reached by a real product state, so searching
+    the directions is enough.  With local states (cos t_i, sin t_i), a
+    singlet (i, j) has overlap sin(t_j - t_i)/sqrt(2).  Take t_0 = 0, t_1
+    = alpha, t_2 = alpha + pi/4 and steps of pi/2 from there: every
+    singlet then has overlap 1/sqrt(2) in size except G+'s (0, 1),
+    sin(alpha)/sqrt(2), G-'s (1, 2), 1/2, and G-'s wrap (2m-1, 0),
+    (-1)^(m+1) cos(alpha + pi/4)/sqrt(2).  So g- / g+ = (-1)^(m+1)
+    cos(alpha + pi/4) / (sqrt(2) sin alpha), which runs continuously over
+    the whole real line as alpha runs over (0, pi), and alpha = 0 gives
+    g+ = 0.  Since S is invertible, c = S^-1 g then turns through every
+    real direction too: alpha = atan2(s u, s u - 2v), s = (-1)^m, makes g
+    parallel to (u, v) = S c.  Complex directions are not searched; a
+    grid over the complex sphere found none above the real maximum at
+    n <= 16.
     """
     out = []
-    for blocks, overlap in mg_span_blocks(spec, ks):
+    for blocks in mg_span_blocks(spec, ks):
         def entropy(t):
-            c = np.stack([np.cos(t), np.sin(t)], axis=-1).reshape(-1, 2)
-            c /= np.sqrt(np.einsum("sa,ab,sb->s", c, overlap, c))[:, None]
-            return span_entropies(blocks, c)
+            return span_entropies(blocks, np.stack([np.cos(t), np.sin(t)], axis=-1).reshape(-1, 2))
 
         step = np.pi / _GRID
         grid = entropy(step * np.arange(_GRID))
@@ -251,6 +234,5 @@ def maximize_cooled_entropy(spec: MajumdarGhosh, ks) -> list:
                                step * (best + 1))
         if e < grid[best]:
             t, e = step * best, float(grid[best])
-        direction = np.array([np.cos(t % np.pi), np.sin(t % np.pi)])
-        out.append((e, direction, _witness(spec.m, direction, overlap)))
+        out.append((e, np.array([np.cos(t % np.pi), np.sin(t % np.pi)])))
     return out

@@ -223,9 +223,9 @@ def _mg_site_transfers(norm: float):
 def mg_span_blocks(spec: MajumdarGhosh, ks) -> list:
     """The setup of ``span_entropies`` for the span of the Majumdar-Ghosh
     dimer coverings G+ and G- (Majumdar and Ghosh, J. Math. Phys. 10, 1388
-    (1969)) cut at sites [0, k), for each k of ``ks``: per cut, the r x r
-    blocks K (r <= 5) and the overlap S[a, b] = <G_a|G_b> = tr K[b, a].
-    No 2^n vector is formed.
+    (1969)) cut at sites [0, k), for each k of ``ks``: per cut, the
+    (2, 2, r, r) array of the blocks K (r <= 5), whose traces give the
+    overlap S[a, b] = <G_a|G_b> = tr K[b, a].  No 2^n vector is formed.
 
     Each covering is a matrix product state of bond dimension 2 (Fannes,
     Nachtergaele and Werner, Commun. Math. Phys. 144, 443 (1992)), and a
@@ -275,7 +275,7 @@ def mg_span_blocks(spec: MajumdarGhosh, ks) -> list:
     gram_at = 4 * wrap[:, None] + wrap, 4 * bond[:, None] + bond
     x_at = 4 * bond + bond[:, None], 4 * wrap + wrap[:, None]
     halves = np.stack([p < 4, p >= 4])[:, None]
-    setups = []
+    out = []
     for k in ks:
         left, right = powers[k // 2], powers[(n - k) // 2]
         if k % 2:
@@ -283,9 +283,8 @@ def mg_span_blocks(spec: MajumdarGhosh, ks) -> list:
         w, v = np.linalg.eigh(left[gram_at])
         keep = w > w[-1] * 1e-8
         parts = np.sqrt(w[keep])[:, None] * v[:, keep].T * halves
-        blocks = (parts @ right[x_at])[:, None] @ parts.transpose(0, 2, 1)
-        setups.append((blocks, np.trace(blocks, axis1=2, axis2=3).T))
-    return setups
+        out.append((parts @ right[x_at])[:, None] @ parts.transpose(0, 2, 1))
+    return out
 
 
 def _bonds(n: int, coeff: float, groups, letters: str = "XYZ") -> list:

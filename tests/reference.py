@@ -30,8 +30,12 @@ states, on the 2^n vectors of the Majumdar-Ghosh coverings
 lockstep Nelder-Mead (``nelder_mead``, equal to scipy row by row) over
 the angles of product states on ``span_objective``, beside the
 library's search over span directions (``maximize_cooled_entropy``).
-``cool_excited``, ``normalized``, ``basis_state``, ``fidelity`` and
-``shastry_dimer_state`` are small helpers that only tests use.
+``mg_witness`` builds a real product state that cools to a given span
+direction, the construction that shows every direction the library
+searches is reachable.  ``apply`` is the matrix-free action H @ psi on
+the library's Pauli-action kernel.  ``cool_excited``, ``normalized``,
+``basis_state``, ``fidelity`` and ``shastry_dimer_state`` are small
+helpers that only tests use.
 """
 import itertools
 import math
@@ -46,6 +50,7 @@ from frustra.models import (
     build_model,
     default_initial_state,
     dimer_product_state,
+    mg_span_blocks,
     shastry_sutherland_diagonals,
 )
 from frustra.spin_core import (
@@ -59,6 +64,7 @@ from frustra.spin_core import (
     _entropy_bits,
     _schmidt_axes,
     _term_masks,
+    _triplets,
     _z_energies,
     block_entropy,
     degeneracy_tol,
@@ -159,6 +165,18 @@ def matrix_elements(op: PauliOperator, cols: np.ndarray):
         for weight, mask in group:
             values += weight * (1.0 - 2.0 * (popcount(cols & mask) & 1))
         yield flip, values
+
+
+def apply(op: PauliOperator, psi: np.ndarray) -> np.ndarray:
+    """Matrix-free action H @ psi on a dense amplitude array, summed from
+    the triplets of ``spin_core._triplets``."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (1 << op.num_sites,):
+        raise ValidationError("state dimension mismatch")
+    out = np.zeros_like(psi)
+    for rows, cols, values in _triplets(op):
+        out[rows] += values * psi[cols]
+    return out
 
 
 def sector_block(op: PauliOperator, basis: np.ndarray) -> np.ndarray:
@@ -362,8 +380,8 @@ def manifold_entropy(v: np.ndarray, cut: Bipartition):
 def span_blocks(states, cut: Bipartition):
     """The per-cut setup of ``span_entropies`` for the span of the few
     fixed ``states``, from their 2^n amplitudes: the reduced blocks K, and
-    their overlap matrix S, S[a, b] = <states[a]|states[b]>.  The dense
-    oracle of ``models.mg_span_blocks``, for any cut.
+    the Gram matrix of the states, S[a, b] = <states[a]|states[b]>.  The
+    dense oracle of ``models.mg_span_blocks``, for any cut.
 
     The Schmidt matrices A_a of the states are taken with the smaller
     side of the cut, s, as rows.  U is an orthonormal basis of the span
@@ -383,7 +401,8 @@ def span_blocks(states, cut: Bipartition):
     u = v[:, w > w[-1] * len(mats) * mats[0].shape[1] * np.finfo(float).eps]
     reduced = np.stack([u.conj().T @ a for a in mats])
     blocks = np.einsum("aie,bje->abij", reduced, reduced.conj())
-    return blocks, np.trace(blocks, axis1=2, axis2=3).T
+    return blocks, np.array([[np.vdot(a.amplitudes, b.amplitudes) for b in states]
+                             for a in states])
 
 
 def mg_dimer_pairs(m: int):
@@ -405,6 +424,23 @@ def mg_dimer_states(m: int):
     n = 2 * MajumdarGhosh(m).m
     _check_dense_bytes(56 << n)
     return tuple(dimer_product_state(n, pairs) for pairs in mg_dimer_pairs(m))
+
+
+def mg_witness(m: int, direction: np.ndarray) -> np.ndarray:
+    """Real local states (cos t_i, sin t_i), an (n, 2) array, of a product
+    state whose cooled state on the 2m-ring lies along the real span
+    ``direction``, as in the reachability argument of
+    ``maximize_cooled_entropy``: t_0 = 0, t_1 = alpha, then alpha + pi/4
+    and steps of pi/2, with alpha = atan2(s u, s u - 2v), s = (-1)^m, which
+    makes the overlaps g parallel to (u, v) = S direction.  S is the trace
+    of the transfer-matrix blocks of any cut."""
+    overlap = np.trace(mg_span_blocks(MajumdarGhosh(m), [1])[0], axis1=2, axis2=3).T
+    u, v = overlap @ direction
+    sign = -1.0 if m % 2 else 1.0
+    alpha = math.atan2(sign * u, sign * u - 2.0 * v)
+    t = alpha + np.pi / 4 + np.pi / 2 * np.arange(-2, 2 * m - 2)
+    t[:2] = 0.0, alpha
+    return np.stack([np.cos(t), np.sin(t)], axis=1)
 
 
 def angle_pairs(x: np.ndarray) -> np.ndarray:

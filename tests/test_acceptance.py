@@ -59,7 +59,7 @@ def verdict(num, ok, detail):
 
 def test_criterion_01_mg_golden_value():
     t0 = time.perf_counter()
-    [(e, _, _)] = maximize_cooled_entropy(MajumdarGhosh(4), [4])
+    [(e, _)] = maximize_cooled_entropy(MajumdarGhosh(4), [4])
     elapsed = time.perf_counter() - t0
     ok = abs(e - 2.314) <= 0.01 and elapsed < 10.0
     verdict(1, ok, f"E_4:rest = {e:.4f} (target 2.314 +/- 0.01) in {elapsed:.1f} s")
@@ -87,7 +87,7 @@ def test_criterion_02_mg_bounds():
                 if not (lo - 1e-9 <= e <= up + 1e-9):
                     violations.append((n, k, round(e, 4), lo, round(up, 4)))
     for k in (2, 4):
-        [(e, _, _)] = maximize_cooled_entropy(MajumdarGhosh(3), [k])
+        [(e, _)] = maximize_cooled_entropy(MajumdarGhosh(3), [k])
         lo, up = mg_bounds(k, 6)
         checked += 1
         if not (lo - 1e-9 <= e <= up + 1e-9):

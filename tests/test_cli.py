@@ -266,10 +266,12 @@ def _peak_rss(tmp_path, argv):
 @pytest.mark.parametrize("argv, small", [
     ("bounds-check --model mg --n 64 --samples 20", "bounds-check --model mg --n 8 --samples 20"),
     ("scaling --model mg --n 1000 --k 2..40", "scaling --model mg --n 8 --k 2..4"),
-], ids=["bounds-check", "scaling"])
+    ("scaling --model mg --n 1000000 --k 2..40", "scaling --model mg --n 8 --k 2..4"),
+], ids=["bounds-check", "scaling", "scaling-million"])
 def test_mg_span_peak_rss_stays_near_a_small_run(tmp_path, argv, small):
-    # the kernel holds a few 16 x 16 matrices and small blocks per cut:
-    # the peak RSS of a large ring grows by less than 32 MB over n = 8
+    # the kernel holds a few 16 x 16 matrices and small blocks per cut, and
+    # the search builds nothing of the ring's size: the peak RSS of a large
+    # ring grows by less than 32 MB over n = 8
     assert _peak_rss(tmp_path, argv) - _peak_rss(tmp_path, small) < 32 << 20
 
 

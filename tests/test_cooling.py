@@ -46,6 +46,7 @@ from reference import (
     ground_manifold,
     manifold_entropy,
     mg_dimer_states,
+    mg_witness,
     nelder_mead,
     product_search,
     project_by_columns,
@@ -218,9 +219,10 @@ def test_threshold_on_a_level_retains_it():
 
 def test_maximize_cooled_entropy_diagonalizes_nothing(diagonalize_calls):
     # the ground manifold is span(G+, G-), so the search takes no spectrum;
-    # ED cooling of the returned witness gives the entropy it reports
-    [(e, direction, pairs)] = maximize_cooled_entropy(MajumdarGhosh(3), [2])
+    # ED cooling of the witness of the returned direction gives the entropy
+    [(e, direction)] = maximize_cooled_entropy(MajumdarGhosh(3), [2])
     assert diagonalize_calls == []
+    pairs = mg_witness(3, direction)
     assert direction.shape == (2,) and pairs.shape == (6, 2) and pairs.dtype == float
     cooled = cool(build_model(MajumdarGhosh(3)), product_state(pairs))
     assert e == pytest.approx(block_entropy(cooled.state, Bipartition.contiguous(2)), abs=1e-12)
@@ -451,11 +453,11 @@ def test_entropy_scan_case6_decreasing_in_size(single_bond_entropy):
 def test_mg_scan_golden_value():
     # E_{4:rest} of the 2m=8 Majumdar-Ghosh chain, with the initial product
     # state chosen to maximize the cooled entropy
-    [(e, _, pairs)] = maximize_cooled_entropy(MajumdarGhosh(4), [4])
+    [(e, direction)] = maximize_cooled_entropy(MajumdarGhosh(4), [4])
     assert e == pytest.approx(2.314, abs=0.01)
     spec = MajumdarGhosh(4)
     reports = cooled_entropy_scan(
-        spec, product_state(pairs), GROUND, [Bipartition.contiguous(4)]
+        spec, product_state(mg_witness(4, direction)), GROUND, [Bipartition.contiguous(4)]
     )
     assert reports[0].entropy == pytest.approx(e, abs=1e-9)
 
@@ -624,8 +626,8 @@ def test_optimiser_steps_build_no_state(monkeypatch):
     # golden-section from a bracket of 2 pi / 64 down to 1e-9: about 40 steps
     assert 2 * 30 < len(calls["rows"]) - 2 < 2 * 50
     monkeypatch.undo()
-    for k, (e, _, pairs) in zip([2, 3], results):
-        cooled = cool(build_model(MajumdarGhosh(3)), product_state(pairs))
+    for k, (e, direction) in zip([2, 3], results):
+        cooled = cool(build_model(MajumdarGhosh(3)), product_state(mg_witness(3, direction)))
         assert e == pytest.approx(block_entropy(cooled.state, Bipartition.contiguous(k)), abs=1e-12)
 
 

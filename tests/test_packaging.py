@@ -88,3 +88,53 @@ def test_perfbench_imports_from_frustra_resolve():
         imported = importlib.import_module(module)
         if name is not None:
             assert hasattr(imported, name), f"{module}.{name}"
+
+
+# Closed forms that encode claims of the paper and serve the tests as
+# oracles; nothing in src/ or perfbench/ calls them.
+_ORACLES = {"ising_gas_asymptote", "ising_gas_stirling_weights", "heisenberg_gas_schmidt_state",
+            "rvb_cut_plaquette_entropy", "shastry_block_entropy"}
+
+
+def _parsed(directory):
+    """(filename, ast tree) of each ``.py`` file of ``directory``."""
+    for filename in sorted(f for f in os.listdir(directory) if f.endswith(".py")):
+        with open(os.path.join(directory, filename)) as fh:
+            yield filename, ast.parse(fh.read(), filename)
+
+
+def _public_definitions(tree):
+    """(qualified name, name) of each public module-level function and
+    class of one module, and of each public method of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_public_definition_has_a_caller():
+    # no code that nothing calls: each public function, class and method of
+    # src/ is named somewhere in src/ or perfbench/ outside its definition
+    # (a re-export in __init__.py does not count), or wrapped by the tracer
+    referenced = {ast.literal_eval(entry.elts[1])
+                  for entry in _tracer_assignments()["_FUNCTIONS"].elts}
+    definitions = []
+    for directory in (PACKAGE, os.path.join(ROOT, "perfbench")):
+        for filename, tree in _parsed(directory):
+            if directory == PACKAGE:
+                if filename == "__init__.py":
+                    continue
+                definitions += [(f"{filename[:-3]}.{q}", name)
+                                for q, name in _public_definitions(tree)]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+    assert definitions
+    uncalled = sorted(q for q, name in definitions
+                      if name not in referenced and name not in _ORACLES)
+    assert not uncalled, f"nothing in src/ or perfbench/ calls {uncalled}"

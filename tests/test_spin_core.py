@@ -491,16 +491,32 @@ def test_span_block_entropies_equal_per_state_block_entropy(m):
             cut = Bipartition.contiguous(k, offset, n)
             expected = [block_entropy(StateVector(n, a), cut) for a in amps]
             blocks, overlap = span_blocks(states, cut)
+            # the reduced traces are the Gram matrix of the states
+            np.testing.assert_allclose(np.trace(blocks, axis1=2, axis2=3).T, overlap,
+                                       rtol=0, atol=1e-14)
             np.testing.assert_allclose(overlap, basis @ basis.T, rtol=0, atol=1e-14)
             got = span_entropies(blocks, coords)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
-def test_span_block_entropies_refuse_unnormalized_row():
+@given(seed=st.integers(0, 2**32 - 1), log_size=st.floats(-6.0, 6.0),
+       phase=st.floats(0.0, 2 * math.pi))
+def test_span_block_entropies_do_not_depend_on_the_row_norm(seed, log_size, phase):
+    # each row is normalized against its own reduced trace, so a row
+    # scaled by any nonzero complex factor gives the same entropies
     states = mg_dimer_states(3)
-    coords = _normalized_mg_coords(states, np.array([[1.0, 0.0], [1.0, 2.0], [0.0, 1.0]]))
+    x = np.random.default_rng(seed).normal(size=(4, 2, 2))
+    coords = np.vstack([[[1, 0], [0, 1], [1, 1], [1, -1]], x[:, 0] + 1j * x[:, 1]])
+    factors = 10.0 ** (log_size * np.linspace(-1, 1, len(coords))) * np.exp(1j * phase)
+    for k in (1, 2, 3):
+        blocks, _ = span_blocks(states, Bipartition.contiguous(k))
+        np.testing.assert_allclose(span_entropies(blocks, coords * factors[:, None]),
+                                   span_entropies(blocks, _normalized_mg_coords(states, coords)),
+                                   rtol=0, atol=1e-12)
+
+
+def test_span_block_entropies_refuse_a_zero_row():
+    states = mg_dimer_states(3)
     blocks, _ = span_blocks(states, Bipartition.contiguous(2))
-    span_entropies(blocks, coords * (1 + 1e-10))
-    coords[1] *= 1 + 1e-6
-    with pytest.raises(ValidationError, match="row 1 must be normalized"):
-        span_entropies(blocks, coords)
+    with pytest.raises(ValidationError, match="cannot normalize a zero state"):
+        span_entropies(blocks, np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 1.0]]))
