@@ -20,6 +20,7 @@ from .models import SingleBondIsing, dimer_product_state, shastry_sutherland_dia
 from .spin_core import (
     StateVector,
     ValidationError,
+    _check_dense_bytes,
     schmidt_weights,
     shannon_entropy,
 )
@@ -386,9 +387,12 @@ def single_bond_cooled_state(m: int) -> StateVector:
     bitstrings in total, superposed with equal weight 1/(2 sqrt(m)).
 
     Its block entropies, with no state built, are
-    ``single_bond_block_entropy``.  ``SingleBondIsing`` checks m.
+    ``single_bond_block_entropy``.  ``SingleBondIsing`` checks m, and
+    SizeLimitError is raised, before allocating, when the 2^n amplitudes
+    exceed the dense memory budget.
     """
     n = 2 * SingleBondIsing(m).m
+    _check_dense_bytes(8 << n)
     configs = {0, (1 << n) - 1}
     for b in range(n - 1):
         # sites 0..b flipped relative to the rest; walls at bonds b and 2m-1

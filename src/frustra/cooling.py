@@ -70,10 +70,12 @@ def cool(
     degeneracy tolerance).  An I/Z-only operator projects by mask on its
     diagonal and never builds eigenvectors.  Any other operator projects
     block by block over ``diagonalize``: a block's kept eigenvectors are
-    the prefix of its columns up to the threshold, and its amplitudes are
-    replaced by their projection onto them, so no column is embedded in
-    the full space.  Both keep the dtype of real amplitudes: the mask
-    copies them, and the eigenvectors of a real operator are real.
+    the prefix of its columns up to the threshold, and the projection of
+    its amplitudes onto them is added to the output at its basis (two
+    blocks may share a basis, the two flip halves of a middle sector), so
+    no column is embedded in the full space.  Both keep the dtype of real
+    amplitudes: the mask copies them, and the eigenvectors of a real
+    operator are real.
 
     Raises OrthogonalInitialStateError when the projection has
     (numerically) zero norm, and SizeLimitError when ``h`` is not I/Z-only
@@ -100,7 +102,7 @@ def cool(
         for basis, values, vectors in dec.blocks:
             v = vectors[:, : np.searchsorted(values, thr, side="right")]
             # conjugating amps, not the kept columns, copies no column
-            out[basis] = v @ (v.T @ amps[basis].conj()).conj()
+            out[basis] += v @ (v.T @ amps[basis].conj()).conj()
         amps = out
     z = float(np.vdot(amps, amps).real)
     if z < _Z_FLOOR:

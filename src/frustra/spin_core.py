@@ -285,8 +285,13 @@ class SpectralDecomposition:
     Each entry of ``blocks`` is ``(basis, values, vectors)``: the basis
     indices the block spans, its ascending eigenvalues, and its
     eigenvectors over those indices, one per column, so the eigenvectors
-    at or below an energy are a prefix of the columns.  ``eigenvalues`` is
-    the merged spectrum in ascending order.
+    at or below an energy are a prefix of the columns.  Blocks need not
+    have distinct bases: two may span the same indices (the flip-even and
+    flip-odd halves of a middle sector), and their columns are then
+    orthogonal.  A block may share its values with another and hold that
+    block's vectors as a view with the rows reversed (a mirror sector of
+    ``diagonalize``), so nothing may write to them.
+    ``eigenvalues`` is the merged spectrum in ascending order.
     """
 
     def __init__(self, blocks, num_sites: int):
@@ -346,6 +351,41 @@ def build_dense(op: PauliOperator) -> np.ndarray:
     return _scatter_block(op, 1 << op.num_sites, _triplets(op))
 
 
+def _flip_symmetric(op: PauliOperator) -> bool:
+    """True when the global spin flip F = X^n commutes with ``op``.  F P F
+    = P exactly when the Pauli string P has an even number of Y plus Z
+    letters, and the canonical terms are distinct strings, so the test
+    reads the terms alone."""
+    return all((s.count("Y") + s.count("Z")) % 2 == 0 for _, s in op.terms)
+
+
+def _sector_eigh(op: PauliOperator, basis: np.ndarray, triplets, middle: bool) -> list:
+    """The blocks ``(basis, values, vectors)`` of one scattered sector.
+
+    A ``middle`` sector (popcount n/2 of a flip-symmetric ``op``) maps to
+    itself under F, which reverses its ascending basis, so its matrix A
+    commutes with the reversal.  With d = len(basis) and h = d / 2, the
+    flip-even vectors are [u; u[::-1]] / sqrt(2) and the flip-odd ones
+    [u; -u[::-1]] / sqrt(2), with u the eigenvectors of the h x h halves
+    A[:h, :h] +- A[:h, d-1-j]: two blocks on the same basis.  The
+    scattered block is freed before the halves' ``eigh``.
+    """
+    a = _scatter_block(op, len(basis), triplets)
+    if not middle:
+        return [(basis, *np.linalg.eigh(a))]
+    h = len(basis) // 2
+    top, cross = a[:h, :h], a[:h, ::-1][:, :h]
+    halves = [top + cross, top - cross]
+    del a, top, cross
+    blocks = []
+    for sign in (1.0, -1.0):
+        values, u = np.linalg.eigh(halves.pop(0))
+        vectors = np.concatenate([u, sign * u[::-1]])
+        vectors /= np.sqrt(2.0)
+        blocks.append((basis, values, vectors))
+    return blocks
+
+
 def diagonalize(op: PauliOperator) -> SpectralDecomposition:
     """Full diagonalization, one total-S^z sector at a time.
 
@@ -354,20 +394,43 @@ def diagonalize(op: PauliOperator) -> SpectralDecomposition:
     float64 unless a term has an odd number of Y letters.  So one block is
     alive at a time, and an S^z-conserving ``op`` never forms a 2^n x 2^n one.
 
+    When ``op`` also commutes with the global spin flip F (every term has
+    an even number of Y plus Z letters; ``_flip_symmetric``), F maps
+    popcount p to n - p and, by complementing every bit, reverses the
+    ascending basis.  So sector n - p is sector p conjugated by the
+    reversal: only sector p < n - p is scattered and diagonalized, and
+    sector n - p gets its eigenvalues and its eigenvectors with the rows
+    reversed, a view that allocates nothing.  The middle sector (p = n/2)
+    splits into a flip-even and a flip-odd block on the same basis
+    (``_sector_eigh``).  Then ``blocks`` holds n + 2 entries for even n
+    and n + 1 for odd n, in popcount order.
+
     The dense memory budget is checked twice, each time before the
-    allocation it guards.  First on the least any split can need, the
-    float64 sector eigenvectors (sum_k C(n, k)^2 = C(2n, n) elements), so
-    large operators are refused without enumerating 2^n indices.  Then on
-    the actual blocks: every kept eigenvector plus the largest block
-    itself.  A refusal raises SizeLimitError.
+    allocation it guards.  First on C(2n, n) float64 elements, the sector
+    eigenvectors without the flip (sum_k C(n, k)^2), so large operators
+    are refused without enumerating 2^n indices.  Then on the actual
+    blocks: every eigenvector held (with the flip, those of the sectors p
+    <= n - p only) plus the largest block itself.  A refusal raises
+    SizeLimitError.
     """
-    _check_dense_bytes(8 * comb(2 * op.num_sites, op.num_sites))
+    n = op.num_sites
+    _check_dense_bytes(8 * comb(2 * n, n))
     bases, triplets = _sector_triplets(op)
+    # at n = 0 the one sector has one state, which the flip leaves alone
+    flip = n > 0 and len(bases) == n + 1 and _flip_symmetric(op)
     sizes = [len(basis) ** 2 for basis in bases]
-    _check_dense_bytes(_dtype(op).itemsize * (sum(sizes) + max(sizes)))
-    blocks = [(basis, *np.linalg.eigh(_scatter_block(op, len(basis), triplets.pop(0))))
-              for basis in bases]
-    return SpectralDecomposition(blocks, op.num_sites)
+    held = sum(sizes[: n // 2 + 1]) if flip else sum(sizes)
+    _check_dense_bytes(_dtype(op).itemsize * (held + max(sizes)))
+    if flip:
+        del triplets[n // 2 + 1:]  # the mirror sectors are never scattered
+    blocks = []
+    for p, basis in enumerate(bases):
+        if flip and 2 * p > n:
+            _, values, vectors = blocks[n - p]
+            blocks.append((basis, values, vectors[::-1]))
+        else:
+            blocks += _sector_eigh(op, basis, triplets.pop(0), flip and 2 * p == n)
+    return SpectralDecomposition(blocks, n)
 
 
 def _schmidt_axes(n: int, cut: Bipartition) -> list:

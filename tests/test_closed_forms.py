@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from frustra.spin_core import (
     Bipartition,
+    SizeLimitError,
     StateVector,
     ValidationError,
     block_entropy,
@@ -378,6 +380,19 @@ def test_single_bond_state_matches_ed_cooling():
         spec = SingleBondIsing(m)
         cooled = cool(h, default_initial_state(spec))
         assert fidelity(cooled.state, single_bond_cooled_state(m)) >= 1 - 1e-10
+
+
+def test_single_bond_state_refuses_past_the_budget_before_allocating():
+    # 2^80 amplitudes: numpy itself would refuse the shape with a plain
+    # ValueError, so only the budget check raises SizeLimitError
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="GiB"):
+            single_bond_cooled_state(40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("m", range(2, 11))

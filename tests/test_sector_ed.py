@@ -81,6 +81,17 @@ def generic_product_state(n, seed=0):
     return product_state([(np.cos(a), np.exp(1j * b) * np.sin(a)) for a, b in zip(t, ph)])
 
 
+def expected_block_count(op):
+    """n + 2 blocks for an S^z-conserving operator that commutes with the
+    global spin flip at even n (the middle sector splits in two), n + 1
+    for any other S^z-conserving one.  The flip complements every bit,
+    which reverses the basis order, so it commutes exactly when the
+    reference matrix equals itself with both axes reversed."""
+    h = reference_matrix(op)
+    flip = np.array_equal(h, h[::-1, ::-1])
+    return op.num_sites + (2 if flip and op.num_sites % 2 == 0 else 1)
+
+
 def assert_blocks_equal_oracle(op):
     """The one-pass triplet assembly gives the oracle's bases and blocks,
     bit for bit and in the same dtypes, so ``eigh`` sees the same input."""
@@ -121,7 +132,7 @@ def test_models_match_reference(name):
     assert_blocks_equal_oracle(op)
     vals, proj, _ = reference_ground(op)
     dec = diagonalize(op)
-    assert len(dec.blocks) == op.num_sites + 1
+    assert len(dec.blocks) == expected_block_count(op)
     np.testing.assert_allclose(dec.eigenvalues, vals, rtol=0, atol=1e-10)
 
     initial = generic_product_state(op.num_sites)
@@ -143,7 +154,9 @@ def test_ferromagnetic_ring_ground_spans_every_sector():
 def test_cross_sector_check_uses_summed_elements():
     xx = PauliOperator(2, ((1.0, "XX"),))
     assert len(diagonalize(xx).blocks) == 1
-    assert len(diagonalize(PauliOperator(2, ((1.0, "XX"), (1.0, "YY")))).blocks) == 3
+    # XX + YY also commutes with the flip: sectors 0 and 2 mirror each
+    # other, and the middle sector splits into its two flip halves
+    assert len(diagonalize(PauliOperator(2, ((1.0, "XX"), (1.0, "YY")))).blocks) == 4
     # an odd Y count makes the matrix complex
     xy = PauliOperator(2, ((1.0, "XY"), (-1.0, "YX")))
     dec = diagonalize(xy)
@@ -154,6 +167,7 @@ def test_cross_sector_check_uses_summed_elements():
 
 
 coefficients = st.integers(-4, 4).map(lambda k: k / 2.0)
+nonzero_coefficients = st.sampled_from([k / 2.0 for k in range(-4, 5) if k])
 
 
 @st.composite
@@ -204,7 +218,7 @@ def check_against_reference(op):
 @given(bond_sums())
 def test_bond_sums_match_reference(op):
     dec = check_against_reference(op)
-    assert len(dec.blocks) == op.num_sites + 1
+    assert len(dec.blocks) == expected_block_count(op)
 
 
 @given(pauli_sums())
@@ -225,3 +239,72 @@ def test_mg_ring_n12_matches_dimer_projection():
     for cut, report in zip(cuts, reports):
         assert report.entropy == pytest.approx(block_entropy(oracle, cut), abs=1e-9)
         assert report.z == pytest.approx(z, abs=1e-12)
+
+
+@st.composite
+def flip_cases(draw):
+    """``(kind, op)``: an S^z-conserving operator on 2 to 7 sites (odd n
+    has no middle sector) of one of three kinds.  "bonds" sums XX + YY
+    and ZZ bonds, real and flip-symmetric; "chiral" adds complex terms
+    c (X_i Y_j Z_k - Y_i X_j Z_k), flip-symmetric too; "field" is a
+    Heisenberg ring in a uniform Z field, which the flip does not leave
+    alone."""
+    kind = draw(st.sampled_from(["bonds", "chiral", "field"]))
+    n = draw(st.integers(3 if kind == "chiral" else 2, 7))
+
+    def string(letters):
+        s = ["I"] * n
+        for site, letter in letters.items():
+            s[site] = letter
+        return "".join(s)
+
+    if kind == "field":
+        field = draw(nonzero_coefficients)
+        terms = heisenberg_ring(n, draw(coefficients)).terms
+        return kind, PauliOperator(n, terms + tuple((field, string({i: "Z"})) for i in range(n)))
+    terms = []
+    pairs = list(itertools.combinations(range(n), 2))
+    for i, j in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6)):
+        jxy, jz = draw(coefficients), draw(coefficients)
+        terms += [(jxy, string({i: "X", j: "X"})), (jxy, string({i: "Y", j: "Y"})),
+                  (jz, string({i: "Z", j: "Z"}))]
+    if kind == "chiral":
+        # i < j and distinct triples, so that no two chiral terms cancel
+        triples = [(i, j, k) for i, j in pairs for k in range(n) if k not in (i, j)]
+        chosen = st.lists(st.sampled_from(triples), min_size=1, max_size=4, unique=True)
+        for i, j, k in draw(chosen):
+            c = draw(nonzero_coefficients)
+            terms += [(c, string({i: "X", j: "Y", k: "Z"})), (-c, string({i: "Y", j: "X", k: "Z"}))]
+    return kind, PauliOperator(n, tuple(terms))
+
+
+@given(flip_cases(), st.integers(0, 2**32 - 1), st.data())
+def test_flip_split_matches_the_sector_oracle(case, seed, data):
+    # the oracle diagonalizes every popcount sector with one plain eigh;
+    # the threshold falls in a drawn gap of its spectrum, so the kept
+    # states reach into the mirror sectors and either flip half
+    kind, op = case
+    assume(op.terms)
+    n = op.num_sites
+    assert expected_block_count(op) == n + (1 if kind == "field" or n % 2 else 2)
+    oracle = [(basis, *np.linalg.eigh(sector_block(op, basis))) for basis in sector_bases(op)]
+    assert len(oracle) == n + 1
+    vals = np.sort(np.concatenate([values for _, values, _ in oracle]))
+    dec = diagonalize(op)
+    assert len(dec.blocks) == expected_block_count(op)
+    assert np.iscomplexobj(dec.blocks[0][2]) == (kind == "chiral")
+    np.testing.assert_allclose(dec.eigenvalues, vals, rtol=0, atol=1e-10)
+
+    gaps = np.flatnonzero(np.diff(vals) > 1e-6)
+    assume(len(gaps))
+    i = data.draw(st.sampled_from(gaps.tolist()))
+    threshold = (vals[i] + vals[i + 1]) / 2
+    initial = generic_product_state(n, seed)
+    want = np.zeros(1 << n, complex)
+    for basis, values, vectors in oracle:
+        v = vectors[:, values <= threshold]
+        want[basis] = v @ (v.conj().T @ initial.amplitudes[basis])
+    norm = np.linalg.norm(want)
+    assume(norm > 1e-6)
+    got = cool(op, initial, threshold).state.amplitudes
+    assert abs(np.vdot(want / norm, got)) ** 2 >= 1 - 1e-10

@@ -194,18 +194,45 @@ def test_sector_assembly_peak_stays_near_one_block():
 
 def test_diagonalize_holds_one_block_at_a_time(monkeypatch):
     # with eigh stubbed by lazily zeroed outputs, the n=14 Heisenberg gas
-    # peaks at the kept eigenvectors of the sectors before some block, plus
-    # that block and its eigenvectors (335.6 MiB); the triplets of the
-    # sectors not yet filled add 0.8%.  A block kept alive past its eigh
-    # adds 10%, triplets kept until the last block is filled 3.6%.
+    # (flip-symmetric) scatters sectors 0..7 only.  It peaks in the middle
+    # sector: the kept eigenvectors of sectors 0..6, plus the 3432 x 3432
+    # block and its two flip halves, or later both halves' d x d/2
+    # vectors with the second half's temporaries (242.9 MiB).  Before
+    # that, each sector p < 7 peaks at the vectors kept before it plus
+    # the block and its eigenvectors.  The triplets of the sectors not
+    # yet filled add 1.2%.  A middle block kept alive past its halves adds
+    # 38%, mirror sectors diagonalized instead of reversed 40%.
     def eigh(h):
         return np.zeros(len(h)), np.zeros(h.shape, h.dtype)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     sizes = [8 * math.comb(14, k) ** 2 for k in range(15)]
-    floor = max(sum(sizes[:k]) + 2 * sizes[k] for k in range(15))
+    floor = max(max(sum(sizes[:k]) + 2 * sizes[k] for k in range(7)),
+                sum(sizes[:7]) + 1.5 * sizes[7])
     peak = _traced_peak(lambda: diagonalize(build_model(HeisenbergGasLR(7))))
     assert floor <= peak <= 1.02 * floor
+
+
+def test_flip_split_holds_one_scattered_block_beside_the_kept_vectors():
+    # the n=12 MG ring commutes with the global spin flip: sectors 7..12
+    # hold reversed views of sectors 5..0, and the middle sector's two
+    # halves hold 924 x 462 vectors each.  So the eigenvectors held are
+    # those of sectors 0..6 (13.6 MiB), and at no time is more than one
+    # 924 x 924 block (6.5 MiB) alive beside them.  Without the flip the
+    # same run held 20.7 MiB and peaked at 23.4 MiB.
+    sizes = [8 * math.comb(12, k) ** 2 for k in range(13)]
+    kept = sum(sizes[:7])
+    tracemalloc.start()
+    try:
+        dec = diagonalize(build_model(MajumdarGhosh(6)))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dec.blocks) == 14
+    for p in range(6):
+        assert np.shares_memory(dec.blocks[p][2], dec.blocks[14 - 1 - p][2])
+    assert kept <= held <= kept + (1 << 20)
+    assert peak <= kept + max(sizes)
 
 
 def test_cli_cool_past_budget_exits_2(forbid, capsys):
@@ -258,6 +285,18 @@ def test_complex_projection_copies_no_columns(monkeypatch, complex_amps):
 def test_diagonalize_single_site():
     dec = diagonalize(PauliOperator(1, ((1.0, "Z"),)))
     np.testing.assert_allclose(dec.eigenvalues, [-1.0, 1.0])
+
+
+def test_diagonalize_flip_symmetric_smallest_sizes():
+    # an operator with no terms commutes with the flip; at n = 0 its one
+    # state is its own mirror and has no flip halves
+    dec = diagonalize(PauliOperator(0, ()))
+    assert len(dec.blocks) == 1
+    np.testing.assert_array_equal(dec.eigenvalues, [0.0])
+    # at n = 1 sector 1 mirrors sector 0
+    dec = diagonalize(PauliOperator(1, ((2.0, "I"),)))
+    assert [basis.tolist() for basis, _, _ in dec.blocks] == [[0], [1]]
+    np.testing.assert_array_equal(dec.eigenvalues, [2.0, 2.0])
 
 
 def test_diagonalize_ferromagnetic_ground_manifold():
