@@ -266,10 +266,10 @@ def cmd_bounds_check(args) -> int:
         coords = x[:, 0] + 1j * x[:, 1]
         entropies = [span_entropies(blocks, coords)
                      for blocks in mg_span_blocks(spec, range(1, n))]
+        bounds = [mg_bounds(k, n) for k in range(1, n)]
         for s in range(samples):
-            for k, es in enumerate(entropies, start=1):
+            for k, es, (lo, up) in zip(range(1, n), entropies, bounds):
                 e = float(es[s])
-                lo, up = mg_bounds(k, n)
                 if k % 2 == 0:
                     # 2 bounds only the maximised entropy; G+ alone gives 0
                     lo = 0.0

@@ -68,12 +68,15 @@ def cool(
     ``threshold`` is either an absolute energy or the string "ground",
     which selects the ground manifold only (the lowest energy plus the
     degeneracy tolerance).  An I/Z-only operator projects by mask on its
-    diagonal and never builds eigenvectors.  Any other operator projects
-    block by block over ``diagonalize``: a block's kept eigenvectors are
-    the prefix of its columns up to the threshold, and the projection of
-    its amplitudes onto them is added to the output at its basis (two
-    blocks may share a basis, the two flip halves of a middle sector), so
-    no column is embedded in the full space.  Both keep the dtype of real
+    diagonal and never builds eigenvectors: the kept configurations where
+    ``initial`` is nonzero are found once, and z, the normalization and
+    the phase fix work on their amplitudes alone before they are
+    scattered into the output.  Any other operator projects block by
+    block over ``diagonalize``: a block's kept eigenvectors are the
+    prefix of its columns up to the threshold, and the projection of its
+    amplitudes onto them is added to the output at its basis (two blocks
+    may share a basis, the two flip halves of a middle sector), so no
+    column is embedded in the full space.  Both keep the dtype of real
     amplitudes: the mask copies them, and the eigenvectors of a real
     operator are real.
 
@@ -95,30 +98,38 @@ def cool(
     energies = h.diagonal() if dec is None else dec.eigenvalues
     tol = degeneracy_tol(energies)
     thr = float(energies.min()) + tol if threshold == GROUND else float(threshold)
+    keep = energies <= thr
+    kept = np.sort(energies[keep])
+    dims = tuple((e, stop - start) for e, start, stop in manifolds(kept, tol))
+    del energies  # the diagonal is not held beside the output
     if dec is None:
-        amps = np.where(energies <= thr, amps, 0.0)
+        # the kept configurations where the initial state is nonzero
+        configs = np.flatnonzero(keep)
+        configs = configs[amps[configs] != 0]
+        psi = amps[configs]
     else:
-        out = np.zeros(len(amps), np.result_type(amps, _dtype(h)))
+        psi = np.zeros(len(amps), np.result_type(amps, _dtype(h)))
         for basis, values, vectors in dec.blocks:
             v = vectors[:, : np.searchsorted(values, thr, side="right")]
             # conjugating amps, not the kept columns, copies no column
-            out[basis] += v @ (v.T @ amps[basis].conj()).conj()
-        amps = out
-    z = float(np.vdot(amps, amps).real)
+            psi[basis] += v @ (v.T @ amps[basis].conj()).conj()
+    z = float(np.vdot(psi, psi).real)
     if z < _Z_FLOOR:
         raise OrthogonalInitialStateError(
             "initial state has no support below the threshold"
         )
-    amps = amps / np.sqrt(z)
-    mag = np.abs(amps)
+    psi = psi / np.sqrt(z)
+    mag = np.abs(psi)
     tied = np.flatnonzero(mag >= mag.max() * (1.0 - 1e-15))
-    phase = amps[tied[0]] / mag[tied[0]]
+    phase = psi[tied[0]] / mag[tied[0]]
     del mag  # no third 2^n array beside the old and new amplitudes
-    amps = amps / phase
-    amps[tied[0]] = np.abs(amps[tied]).max()
-    kept = np.sort(energies[energies <= thr])
-    dims = tuple((e, stop - start) for e, start, stop in manifolds(kept, tol))
-    return CooledState(StateVector(initial.num_sites, amps), thr, z, dims)
+    psi = psi / phase
+    psi[tied[0]] = np.abs(psi[tied]).max()
+    if dec is None:  # the kept amplitudes into the whole space
+        out = np.zeros(len(amps), psi.dtype)
+        out[configs] = psi
+        psi = out
+    return CooledState(StateVector(initial.num_sites, psi), thr, z, dims)
 
 
 @dataclass(frozen=True)

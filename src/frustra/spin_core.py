@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import groupby
 from math import comb
 
 import numpy as np
@@ -68,8 +69,8 @@ class StateVector:
     The dtype follows the data: real amplitudes (bool, int or float) are
     stored as float64 and complex ones as complex128, so a real state keeps
     its Schmidt spectra in real arithmetic.  Nothing writes to
-    ``amplitudes`` in place, so ``norm`` and ``sectors`` are computed once
-    per state.
+    ``amplitudes`` in place, so ``norm``, ``support`` and ``sectors`` are
+    computed once per state.
     """
 
     num_sites: int
@@ -89,12 +90,19 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     @cached_property
+    def support(self) -> np.ndarray:
+        """The ascending basis indices of the nonzero amplitudes, read-only,
+        found in one pass."""
+        out = np.flatnonzero(self.amplitudes)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def sectors(self) -> tuple:
-        """The popcounts (numbers of 1 bits) of the basis states with a
-        nonzero amplitude, ascending: the total-S^z sectors the state
-        touches."""
-        pops = _popcounts(self.num_sites)[self.amplitudes != 0]
-        return tuple(np.flatnonzero(np.bincount(pops, minlength=self.num_sites + 1)).tolist())
+        """The popcounts (numbers of 1 bits) of the ``support``, ascending:
+        the total-S^z sectors the state touches."""
+        pops = np.bincount(popcount(self.support), minlength=self.num_sites + 1)
+        return tuple(np.flatnonzero(pops).tolist())
 
     def is_normalized(self, tol: float = 1e-12) -> bool:
         return abs(self.norm**2 - 1.0) <= tol
@@ -288,9 +296,10 @@ class SpectralDecomposition:
     at or below an energy are a prefix of the columns.  Blocks need not
     have distinct bases: two may span the same indices (the flip-even and
     flip-odd halves of a middle sector), and their columns are then
-    orthogonal.  A block may share its values with another and hold that
-    block's vectors as a view with the rows reversed (a mirror sector of
-    ``diagonalize``), so nothing may write to them.
+    orthogonal.  The basis need not be ascending: a mirror sector of
+    ``diagonalize`` holds its basis in descending order, a view, and
+    shares its values and vectors with another block, so nothing may
+    write to them.
     ``eigenvalues`` is the merged spectrum in ascending order.
     """
 
@@ -399,22 +408,28 @@ def diagonalize(op: PauliOperator) -> SpectralDecomposition:
     popcount p to n - p and, by complementing every bit, reverses the
     ascending basis.  So sector n - p is sector p conjugated by the
     reversal: only sector p < n - p is scattered and diagonalized, and
-    sector n - p gets its eigenvalues and its eigenvectors with the rows
-    reversed, a view that allocates nothing.  The middle sector (p = n/2)
+    sector n - p gets its eigenvalues and its eigenvectors as they are,
+    on its basis in descending order.  That basis is a view, so the
+    mirror allocates nothing, and its vectors stay C-contiguous for the
+    projection's matrix products.  The middle sector (p = n/2)
     splits into a flip-even and a flip-odd block on the same basis
     (``_sector_eigh``).  Then ``blocks`` holds n + 2 entries for even n
     and n + 1 for odd n, in popcount order.
 
     The dense memory budget is checked twice, each time before the
-    allocation it guards.  First on C(2n, n) float64 elements, the sector
-    eigenvectors without the flip (sum_k C(n, k)^2), so large operators
-    are refused without enumerating 2^n indices.  Then on the actual
-    blocks: every eigenvector held (with the flip, those of the sectors p
-    <= n - p only) plus the largest block itself.  A refusal raises
-    SizeLimitError.
+    allocation it guards.  First on the float64 sector eigenvectors that
+    the terms alone promise: sum_{p <= n/2} C(n, p)^2 elements when
+    ``_flip_symmetric`` holds, else C(2n, n) = sum_p C(n, p)^2.  So large
+    operators are refused without enumerating 2^n indices.  Then on the
+    actual blocks: every eigenvector held (with the flip, those of the
+    sectors p <= n - p only) plus the largest block itself.  A refusal
+    raises SizeLimitError.
     """
     n = op.num_sites
-    _check_dense_bytes(8 * comb(2 * n, n))
+    if _flip_symmetric(op):
+        _check_dense_bytes(8 * sum(comb(n, p) ** 2 for p in range(n // 2 + 1)))
+    else:
+        _check_dense_bytes(8 * comb(2 * n, n))
     bases, triplets = _sector_triplets(op)
     # at n = 0 the one sector has one state, which the flip leaves alone
     flip = n > 0 and len(bases) == n + 1 and _flip_symmetric(op)
@@ -427,20 +442,27 @@ def diagonalize(op: PauliOperator) -> SpectralDecomposition:
     for p, basis in enumerate(bases):
         if flip and 2 * p > n:
             _, values, vectors = blocks[n - p]
-            blocks.append((basis, values, vectors[::-1]))
+            blocks.append((basis[::-1], values, vectors))
         else:
             blocks += _sector_eigh(op, basis, triplets.pop(0), flip and 2 * p == n)
     return SpectralDecomposition(blocks, n)
+
+
+def _cut_sides(n: int, cut: Bipartition) -> tuple:
+    """The sites of the row bits and of the column bits of the Schmidt
+    matrix, least significant first: the system sites in cut order, then
+    the environment sites ascending."""
+    cut.validate(n)
+    system = set(cut.system_sites)
+    return cut.system_sites, tuple(s for s in range(n) if s not in system)
 
 
 def _schmidt_axes(n: int, cut: Bipartition) -> list:
     """The axes of amplitudes reshaped to (2,)*n in Schmidt-matrix order,
     most significant bit first: the system sites, last first, then the
     environment sites, last first.  Site s is axis n-1-s."""
-    cut.validate(n)
-    system = set(cut.system_sites)
-    env = [s for s in range(n) if s not in system]
-    return [n - 1 - s for s in reversed(cut.system_sites)] + [n - 1 - s for s in reversed(env)]
+    system, env = _cut_sides(n, cut)
+    return [n - 1 - s for s in reversed(system)] + [n - 1 - s for s in reversed(env)]
 
 
 def schmidt_matrix(state: StateVector, cut: Bipartition) -> np.ndarray:
@@ -519,15 +541,19 @@ def _with_popcount(pops: np.ndarray, wanted: tuple) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _drop_zero_lines(a: np.ndarray) -> np.ndarray:
-    """``a`` less its exactly zero rows and columns, or ``a`` itself when
-    it has none.  The zero test is laid out in C order, so that on the
-    short-side-first Schmidt matrices given here its reductions run along
-    the long side: on a 2 x 2^17 array, numpy's ``any`` over the short
-    contiguous axis is about 200 times slower than over a long one."""
-    nz = np.not_equal(a, 0, order="C")
-    rows, cols = nz.any(axis=1), nz.any(axis=0)
-    return a if rows.all() and cols.all() else a[np.ix_(rows, cols)]
+def _nonzero_lines(support: np.ndarray, sites) -> np.ndarray:
+    """The distinct Schmidt lines, ascending, of the basis indices
+    ``support`` on the side whose bits are ``sites``: bit j of a line is
+    bit ``sites[j]`` of its index.  One shift and mask per run of
+    consecutive sites (along a run, site minus position is constant),
+    then a sort: ``np.unique`` hashes, and took 17 times as long on 10^6
+    random lines."""
+    lines = np.zeros_like(support)
+    for _, run in groupby(enumerate(sites), lambda pair: pair[1] - pair[0]):
+        (j, site), *rest = run
+        lines |= ((support >> site) & ((1 << (1 + len(rest))) - 1)) << j
+    lines.sort()
+    return lines[np.concatenate(([True], lines[1:] != lines[:-1]))]
 
 
 def block_entropy(state: StateVector, cut: Bipartition) -> float:
@@ -536,26 +562,39 @@ def block_entropy(state: StateVector, cut: Bipartition) -> float:
     The reduced density matrix splits by magnetization.  Its Gram matrix
     is block diagonal over the blocks of ``_sector_blocks`` for the
     state's ``sectors``, so the Schmidt weights are the union of the
-    blocks' weights.  Each block, without its exactly zero rows and
-    columns (they add only zero weights), goes through
-    ``schmidt_weights``, which never forms a matrix larger than the
-    smaller side of the block squared.  A state that touches every sector
-    is one block, the whole Schmidt matrix, and gathers nothing.
+    blocks' weights.  Each block goes through ``schmidt_weights``, which
+    never forms a matrix larger than the smaller side of the block
+    squared, without its exactly zero rows and columns (they add only
+    zero weights).  A state whose ``support`` fills its sectors has no
+    zero line, and a block that takes every line is the whole Schmidt
+    matrix, gathered from nothing.  Any other state gathers only the
+    lines its support reaches, read from the bits of the support
+    (``_nonzero_lines``), so no cut scans the 2^n amplitudes.
     """
+    n = state.num_sites
     a = schmidt_matrix(state, cut)
     if abs(state.norm - 1.0) > 1e-8:
         raise ValidationError("state must be normalized")
+    sides = _cut_sides(n, cut)
     if a.shape[0] > a.shape[1]:
-        a = a.T  # same weights, with the short side as rows
-    row_bits, col_bits = (size.bit_length() - 1 for size in a.shape)
+        a, sides = a.T, sides[::-1]  # same weights, with the short side as rows
+    bits = [len(sites) for sites in sides]
+    support = state.support
+    if len(support) == sum(comb(n, p) for p in state.sectors):
+        nonzero = None  # the support fills its sectors: no line is zero
+    else:
+        nonzero = [_nonzero_lines(support, sites) for sites in sides]
     weights = []
-    for rows, cols in _sector_blocks(row_bits, col_bits, state.sectors):
-        if len(rows) + len(cols) < row_bits + col_bits + 2:
-            a_block = a[np.ix_(_with_popcount(_popcounts(row_bits), rows),
-                               _with_popcount(_popcounts(col_bits), cols))]
+    for block in _sector_blocks(*bits, state.sectors):
+        if nonzero is None and sum(map(len, block)) == sum(bits) + 2:
+            a_block = a  # every line: gather nothing
+        elif nonzero is None:
+            a_block = a[np.ix_(*(_with_popcount(_popcounts(b), pops)
+                                 for b, pops in zip(bits, block)))]
         else:
-            a_block = a  # every row and column: gather nothing
-        weights.append(schmidt_weights(_drop_zero_lines(a_block)))
+            a_block = a[np.ix_(*(lines[_with_popcount(popcount(lines), pops)]
+                                 for lines, pops in zip(nonzero, block)))]
+        weights.append(schmidt_weights(a_block))
     return _entropy_bits(np.concatenate(weights))
 
 

@@ -3,6 +3,9 @@ that check the library against them.
 
 ``partial_trace`` and ``von_neumann_entropy`` are the density-matrix route
 to a block entropy, beside the library's one path, ``block_entropy``.
+``scan_block_entropy`` is the former sector split of ``block_entropy``,
+which found the zero rows and columns of each block by scanning it
+(``drop_zero_lines``), beside the library's lines read from the support.
 ``dicke_weights`` is the exact ``Fraction`` route to the Ising-gas block
 weights, beside the library's integer recurrence in ``ising_gas_spectra``.
 ``pauli_to_text``/``pauli_from_text`` are a one-term-per-line text format
@@ -62,7 +65,9 @@ from frustra.spin_core import (
     _check_dense_bytes,
     _dtype,
     _entropy_bits,
+    _popcounts,
     _schmidt_axes,
+    _sector_blocks,
     _term_masks,
     _triplets,
     _z_energies,
@@ -72,6 +77,7 @@ from frustra.spin_core import (
     manifolds,
     popcount,
     schmidt_matrix,
+    schmidt_weights,
     span_entropies,
 )
 
@@ -94,6 +100,33 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     if p.min() < -1e-12:
         raise ValidationError("density matrix is not positive semidefinite")
     return _entropy_bits(p)
+
+
+def drop_zero_lines(a: np.ndarray) -> np.ndarray:
+    """``a`` less its exactly zero rows and columns, or ``a`` itself when
+    it has none, by a scan of every element."""
+    nz = np.not_equal(a, 0, order="C")
+    rows, cols = nz.any(axis=1), nz.any(axis=0)
+    return a if rows.all() and cols.all() else a[np.ix_(rows, cols)]
+
+
+def scan_block_entropy(state: StateVector, cut: Bipartition) -> float:
+    """The block entropy by the former scan split: the Schmidt matrix,
+    short side as rows, is gathered by popcount into the blocks of
+    ``_sector_blocks`` for the popcounts of the nonzero amplitudes, and
+    each block loses its zero rows and columns by ``drop_zero_lines``
+    before its Gram spectrum."""
+    a = schmidt_matrix(state, cut)
+    if a.shape[0] > a.shape[1]:
+        a = a.T
+    row_bits, col_bits = (size.bit_length() - 1 for size in a.shape)
+    sectors = tuple(np.unique(popcount(np.flatnonzero(state.amplitudes))).tolist())
+    weights = []
+    for rows, cols in _sector_blocks(row_bits, col_bits, sectors):
+        a_block = a[np.ix_(np.isin(_popcounts(row_bits), rows),
+                           np.isin(_popcounts(col_bits), cols))]
+        weights.append(schmidt_weights(drop_zero_lines(a_block)))
+    return _entropy_bits(np.concatenate(weights))
 
 
 def dicke_weights(m: int, lam: float, k: int) -> tuple:

@@ -276,7 +276,7 @@ def test_mg_span_peak_rss_stays_near_a_small_run(tmp_path, argv, small):
 
 
 def test_scaling_mg_n16_lies_within_the_bounds(tmp_path):
-    # past the reach of the n=16 spectrum (4.48 GiB of sector eigenvectors)
+    # past the reach of the n=16 spectrum (2.86 GiB of sector eigenvectors)
     out = tmp_path / "mg.csv"
     assert run(["scaling", "--model", "mg", "--n", "16", "--k", "8", "--source", "ed",
                 "--output", str(out)]) == 0

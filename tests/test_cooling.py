@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,7 @@ from frustra.models import (
     build_model,
     default_initial_state,
 )
-from frustra.closed_forms import ising_gas_spectra
+from frustra.closed_forms import ising_gas_spectra, single_bond_cooled_state
 from frustra.cooling import (
     GROUND,
     EntropyReport,
@@ -395,6 +396,27 @@ def test_ising_gas_n20_cool_matches_closed_form():
     for k in range(1, 6):
         e = block_entropy(cooled.state, Bipartition.contiguous(k))
         assert e == pytest.approx(ising_gas_spectra(10, 0.5, [k])[0].entropy(), abs=1e-9)
+
+
+def test_mask_path_works_on_the_kept_configurations():
+    # n = 22 single-bond ring: 44 of the 2^22 configurations are kept.
+    # z, the normalization and the phase fix work on their amplitudes, so
+    # beside the energies and the kept mask only the output is held, once
+    # the energies are freed (a whole-array mask peaked at 3.13 x 8 * 2^n)
+    spec = SingleBondIsing(11)
+    h, initial = build_model(spec), default_initial_state(spec)
+    tracemalloc.start()
+    try:
+        cooled = cool(h, initial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (8 << 22)
+    want = single_bond_cooled_state(11)
+    np.testing.assert_array_equal(cooled.state.support, want.support)
+    np.testing.assert_allclose(cooled.state.amplitudes, want.amplitudes, rtol=0, atol=1e-15)
+    assert cooled.z == pytest.approx(44 / 2**22, rel=1e-15)
+    assert cooled.manifold_dims == ((-20.0, 44),)
 
 
 def test_entropy_scan_rows_and_csv(diagonalize_calls):

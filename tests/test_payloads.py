@@ -1,7 +1,8 @@
-"""Payload regression net: every deterministic quick job of the benchmark
-runs through ``cli.main`` and its payload must equal the recorded golden
-(numbers to the benchmark tolerance; the free-text ``params`` column is not
-compared).  The benchmark's job lists and goldens are read, never written.
+"""Payload regression net: every deterministic job of the benchmark, quick
+and full, runs through ``cli.main`` and its payload must equal the recorded
+golden (numbers to the benchmark tolerance; the free-text ``params`` column
+is not compared).  The benchmark's job lists and goldens are read, never
+written.
 """
 import importlib.util
 import os
@@ -23,12 +24,25 @@ def _load_workloads():
 
 workloads = _load_workloads()
 GOLDENS = workloads.load_goldens()
-JOBS = [cmd for name in workloads.WORKLOADS for cmd in workloads.job_list(name, quick=True)
-        if not workloads.is_seeded(cmd)]
 
 
-@pytest.mark.parametrize("cmd", sorted(set(JOBS)))
-def test_quick_job_payload_equals_golden(tmp_path, cmd):
+def _deterministic_jobs(quick: bool) -> list:
+    return sorted({cmd for name in workloads.WORKLOADS
+                   for cmd in workloads.job_list(name, quick=quick)
+                   if not workloads.is_seeded(cmd)})
+
+
+def _check_payload(tmp_path, cmd):
     out = str(tmp_path / "payload")
     assert main(cmd.split() + ["--output", out]) == 0
     assert workloads.compare(workloads.read_payload(cmd, out), GOLDENS[cmd]) == []
+
+
+@pytest.mark.parametrize("cmd", _deterministic_jobs(quick=True))
+def test_quick_job_payload_equals_golden(tmp_path, cmd):
+    _check_payload(tmp_path, cmd)
+
+
+@pytest.mark.parametrize("cmd", _deterministic_jobs(quick=False))
+def test_full_job_payload_equals_golden(tmp_path, cmd):
+    _check_payload(tmp_path, cmd)

@@ -141,10 +141,30 @@ def test_diagonalize_refuses_n14_whole_space_before_building(forbid, pair):
 
 
 def test_diagonalize_refuses_n16_sectors_before_enumerating(forbid):
-    # even the float64 sector eigenvectors, C(32, 16) of them, need 4.5 GiB
+    # the gas commutes with the flip, and even the float64 eigenvectors of
+    # its sectors p <= 8, sum_p C(16, p)^2 of them, need 2.86 GiB
     calls = forbid("_sector_triplets", "_scatter_block")
     with pytest.raises(SizeLimitError):
         diagonalize(build_model(HeisenbergGasLR(8)))
+    assert calls == []
+
+
+def test_flip_symmetric_first_check_counts_the_held_sectors(monkeypatch, forbid):
+    # the 7-site Heisenberg chain commutes with the flip, so it holds the
+    # vectors of sectors 0..3 only, C(14, 7) / 2 = 1716 elements, beside a
+    # largest block of 35^2 = 1225: 23,528 bytes.  A first check on all
+    # C(14, 7) = 3432 sector elements, 27,456 bytes, would refuse it
+    chain = PauliOperator(7, tuple((1.0, "I" * i + pair + "I" * (5 - i))
+                                   for i in range(6) for pair in ("XX", "YY", "ZZ")))
+    want = diagonalize(chain).eigenvalues
+    monkeypatch.setattr(spin_core, "_DENSE_BYTES", 24_000)
+    np.testing.assert_array_equal(diagonalize(chain).eigenvalues, want)
+    # a Z field breaks the flip: the first check counts every sector again
+    # and refuses before anything is enumerated
+    field = PauliOperator(7, chain.terms + ((0.5, "ZIIIIII"),))
+    calls = forbid("_sector_triplets", "_scatter_block")
+    with pytest.raises(SizeLimitError, match="2.56e-05 GiB"):
+        diagonalize(field)
     assert calls == []
 
 
@@ -215,7 +235,7 @@ def test_diagonalize_holds_one_block_at_a_time(monkeypatch):
 
 def test_flip_split_holds_one_scattered_block_beside_the_kept_vectors():
     # the n=12 MG ring commutes with the global spin flip: sectors 7..12
-    # hold reversed views of sectors 5..0, and the middle sector's two
+    # hold the vectors of sectors 5..0 on reversed bases, and the middle sector's two
     # halves hold 924 x 462 vectors each.  So the eigenvectors held are
     # those of sectors 0..6 (13.6 MiB), and at no time is more than one
     # 924 x 924 block (6.5 MiB) alive beside them.  Without the flip the
@@ -231,6 +251,10 @@ def test_flip_split_holds_one_scattered_block_beside_the_kept_vectors():
     assert len(dec.blocks) == 14
     for p in range(6):
         assert np.shares_memory(dec.blocks[p][2], dec.blocks[14 - 1 - p][2])
+        # row i of a mirror's contiguous vectors is the flip of its
+        # partner's basis state i
+        assert dec.blocks[14 - 1 - p][2].flags.c_contiguous
+        np.testing.assert_array_equal(dec.blocks[14 - 1 - p][0], 4095 - dec.blocks[p][0])
     assert kept <= held <= kept + (1 << 20)
     assert peak <= kept + max(sizes)
 

@@ -7,11 +7,13 @@ index at a time, entropies from a full SVD or from the whole reduced
 density matrix, product states by np.kron.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from frustra.closed_forms import single_bond_block_entropy, single_bond_cooled_state
 from frustra.models import dimer_product_state
 from frustra.spin_core import (
     Bipartition,
@@ -24,7 +26,7 @@ from frustra.spin_core import (
     schmidt_matrix,
 )
 
-from reference import partial_trace, von_neumann_entropy
+from reference import partial_trace, scan_block_entropy, von_neumann_entropy
 
 
 def reference_schmidt(state, sites):
@@ -246,11 +248,17 @@ def sector_states_and_cuts(draw):
     state = _sector_state(n, support, sectors, draw(st.integers(0, 2**32 - 1)),
                           draw(st.booleans()))
     k = draw(st.integers(1, n - 1))
-    shape = draw(st.sampled_from(["0..k-1", "wrapping", "any"]))
+    shape = draw(st.sampled_from(["0..k-1", "wrapping", "runs", "any"]))
     if shape == "0..k-1":
         cut = Bipartition.contiguous(k)
     elif shape == "wrapping":
         cut = Bipartition.contiguous(k, draw(st.integers(0, n - 1)), n)
+    elif shape == "runs":
+        # runs of consecutive sites in shuffled order, such as (5, 6, 0, 1)
+        ring = Bipartition.contiguous(n, draw(st.integers(0, n - 1)), n).system_sites
+        ends = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3)))
+        runs = draw(st.permutations([ring[a:b] for a, b in zip([0, *ends], [*ends, n])]))
+        cut = Bipartition(sum(runs, ())[:k])
     else:
         cut = Bipartition(tuple(draw(st.permutations(range(n)))[:k]))
     return state, cut
@@ -269,14 +277,20 @@ def sector_states_and_cuts(draw):
 @example((_sector_state(10, "sparse", [0, 3, 96, 513, 1023], 7, False),
           Bipartition.contiguous(5)))
 @example((_sector_state(9, "sparse", [5, 130, 511], 8, True), Bipartition((8, 6, 0, 1, 2, 3))))
+@example((_sector_state(10, "sparse", [3, 96, 513, 700, 1023], 11, False),
+          Bipartition((7, 8, 9, 0, 1, 4, 5))))
 # one Schmidt row or column of weight about 1e-8: it must be kept
 @example((_sector_state(8, "one sector", [4], 9, False, tiny=1e-4), Bipartition.contiguous(3)))
 @example((_sector_state(8, "sparse", [1, 6, 200], 10, True, tiny=1e-4),
           Bipartition.contiguous(4)))
 def test_sector_split_entropy_matches_reduced_density_matrix(case):
+    # and the former split, which scanned each block for its zero lines
+    # where the library reads them from the support, one run of
+    # consecutive sites at a time
     state, cut = case
-    want = von_neumann_entropy(partial_trace(state, cut))
-    assert block_entropy(state, cut) == pytest.approx(want, abs=1e-12)
+    got = block_entropy(state, cut)
+    assert got == pytest.approx(von_neumann_entropy(partial_trace(state, cut)), abs=1e-12)
+    assert got == pytest.approx(scan_block_entropy(state, cut), abs=1e-14)
 
 
 @pytest.fixture
@@ -315,6 +329,25 @@ def test_zero_rows_and_columns_never_reach_the_gram(eigvalsh_sizes):
     assert state.sectors == (0, 2, 8, 16)
     block_entropy(state, Bipartition.contiguous(8))
     assert sum(eigvalsh_sizes) <= 5
+
+
+def test_sparse_state_cuts_read_the_support_not_the_amplitudes():
+    # the n = 22 single-bond state has 44 nonzero amplitudes: every cut
+    # takes its Schmidt lines from their indices, so it allocates less
+    # than one byte per amplitude (a scan of each block for zero lines
+    # peaked at 1.0 to 1.5 x 2^n bytes)
+    n = 22
+    state = single_bond_cooled_state(n // 2)
+    for k in range(1, n):
+        tracemalloc.start()
+        try:
+            e = block_entropy(state, Bipartition.contiguous(k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << n, k
+        assert e == pytest.approx(single_bond_block_entropy(n // 2, k), abs=1e-12)
+    assert len(state.support) == 44
 
 
 def test_state_sectors_are_computed_once():
