@@ -103,10 +103,8 @@ def cool(
     dims = tuple((e, stop - start) for e, start, stop in manifolds(kept, tol))
     del energies  # the diagonal is not held beside the output
     if dec is None:
-        # the kept configurations where the initial state is nonzero
-        configs = np.flatnonzero(keep)
-        configs = configs[amps[configs] != 0]
-        psi = amps[configs]
+        keep &= amps != 0  # the kept configurations where the initial state is nonzero
+        psi = amps[keep]
     else:
         psi = np.zeros(len(amps), np.result_type(amps, _dtype(h)))
         for basis, values, vectors in dec.blocks:
@@ -127,7 +125,7 @@ def cool(
     psi[tied[0]] = np.abs(psi[tied]).max()
     if dec is None:  # the kept amplitudes into the whole space
         out = np.zeros(len(amps), psi.dtype)
-        out[configs] = psi
+        out[keep] = psi
         psi = out
     return CooledState(StateVector(initial.num_sites, psi), thr, z, dims)
 

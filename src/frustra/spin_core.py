@@ -426,13 +426,11 @@ def diagonalize(op: PauliOperator) -> SpectralDecomposition:
     raises SizeLimitError.
     """
     n = op.num_sites
-    if _flip_symmetric(op):
-        _check_dense_bytes(8 * sum(comb(n, p) ** 2 for p in range(n // 2 + 1)))
-    else:
-        _check_dense_bytes(8 * comb(2 * n, n))
+    symmetric = _flip_symmetric(op)
+    _check_dense_bytes(8 * sum(comb(n, p) ** 2 for p in range(n // 2 + 1 if symmetric else n + 1)))
     bases, triplets = _sector_triplets(op)
     # at n = 0 the one sector has one state, which the flip leaves alone
-    flip = n > 0 and len(bases) == n + 1 and _flip_symmetric(op)
+    flip = n > 0 and len(bases) == n + 1 and symmetric
     sizes = [len(basis) ** 2 for basis in bases]
     held = sum(sizes[: n // 2 + 1]) if flip else sum(sizes)
     _check_dense_bytes(_dtype(op).itemsize * (held + max(sizes)))
@@ -541,19 +539,30 @@ def _with_popcount(pops: np.ndarray, wanted: tuple) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _nonzero_lines(support: np.ndarray, sites) -> np.ndarray:
-    """The distinct Schmidt lines, ascending, of the basis indices
-    ``support`` on the side whose bits are ``sites``: bit j of a line is
-    bit ``sites[j]`` of its index.  One shift and mask per run of
-    consecutive sites (along a run, site minus position is constant),
-    then a sort: ``np.unique`` hashes, and took 17 times as long on 10^6
-    random lines."""
-    lines = np.zeros_like(support)
+def _line_marks(support: np.ndarray, sites) -> np.ndarray:
+    """A table of the 2^len(sites) Schmidt lines on the nonempty side
+    whose bits are ``sites``, True at the lines that the basis indices
+    ``support`` reach: bit j of a line is bit ``sites[j]`` of its index.
+    One shift and mask per run of consecutive sites (along a run, site
+    minus position is constant), then one scatter: no sort."""
+    lines = 0
     for _, run in groupby(enumerate(sites), lambda pair: pair[1] - pair[0]):
         (j, site), *rest = run
-        lines |= ((support >> site) & ((1 << (1 + len(rest))) - 1)) << j
-    lines.sort()
-    return lines[np.concatenate(([True], lines[1:] != lines[:-1]))]
+        lines = lines | ((support >> site) & ((1 << (1 + len(rest))) - 1)) << j
+    seen = np.zeros(1 << len(sites), bool)
+    seen[lines] = True
+    return seen
+
+
+def _block_lines(lines, bits: int, pops: tuple):
+    """The lines, ascending, of one side of a block: those of ``lines``
+    (every one of the 2^bits lines of the side if None) whose popcount is
+    in ``pops``.  None when that is every line of the side."""
+    if len(pops) == bits + 1:
+        return lines
+    if lines is None:
+        return _with_popcount(_popcounts(bits), pops)
+    return lines[_with_popcount(popcount(lines), pops)]
 
 
 def block_entropy(state: StateVector, cut: Bipartition) -> float:
@@ -566,10 +575,12 @@ def block_entropy(state: StateVector, cut: Bipartition) -> float:
     never forms a matrix larger than the smaller side of the block
     squared, without its exactly zero rows and columns (they add only
     zero weights).  A state whose ``support`` fills its sectors has no
-    zero line, and a block that takes every line is the whole Schmidt
-    matrix, gathered from nothing.  Any other state gathers only the
-    lines its support reaches, read from the bits of the support
-    (``_nonzero_lines``), so no cut scans the 2^n amplitudes.
+    zero line.  Any other state finds its nonzero lines from the bits of
+    its support (``_line_marks``), so no cut of a sparse state scans the
+    2^n amplitudes; a support of over a third of the 2^n indices costs
+    more to read than the amplitudes, and then the Schmidt matrix is
+    scanned for its zero lines instead.  A block that takes every line is
+    the whole Schmidt matrix, gathered from nothing.
     """
     n = state.num_sites
     a = schmidt_matrix(state, cut)
@@ -581,19 +592,22 @@ def block_entropy(state: StateVector, cut: Bipartition) -> float:
     bits = [len(sites) for sites in sides]
     support = state.support
     if len(support) == sum(comb(n, p) for p in state.sectors):
-        nonzero = None  # the support fills its sectors: no line is zero
+        lines = [None, None]  # the support fills its sectors: no line is zero
     else:
-        nonzero = [_nonzero_lines(support, sites) for sites in sides]
+        if 3 * len(support) > 1 << n:
+            nz = np.not_equal(a, 0, order="C")  # reductions along the long side
+            marks = [nz.any(axis=1), nz.any(axis=0)]
+        else:
+            marks = [_line_marks(support, sites) for sites in sides]
+        lines = [None if m.all() else np.flatnonzero(m) for m in marks]
     weights = []
     for block in _sector_blocks(*bits, state.sectors):
-        if nonzero is None and sum(map(len, block)) == sum(bits) + 2:
+        index = [_block_lines(*side) for side in zip(lines, bits, block)]
+        if all(i is None for i in index):
             a_block = a  # every line: gather nothing
-        elif nonzero is None:
-            a_block = a[np.ix_(*(_with_popcount(_popcounts(b), pops)
-                                 for b, pops in zip(bits, block)))]
         else:
-            a_block = a[np.ix_(*(lines[_with_popcount(popcount(lines), pops)]
-                                 for lines, pops in zip(nonzero, block)))]
+            a_block = a[np.ix_(*(np.arange(1 << b) if i is None else i
+                                 for i, b in zip(index, bits)))]
         weights.append(schmidt_weights(a_block))
     return _entropy_bits(np.concatenate(weights))
 

@@ -204,13 +204,15 @@ def test_real_state_entropy_equals_complex_cast(case):
     assert block_entropy(state, cut) == pytest.approx(block_entropy(as_complex, cut), abs=1e-12)
 
 
-SUPPORTS = ("one sector", "two sectors, same parity", "any sectors", "sparse")
+SUPPORTS = ("one sector", "two sectors, same parity", "any sectors", "holes", "sparse")
 
 
 def _sector_state(n, support, sectors, seed, complex_amps, tiny=0.0):
     """A normalized state on ``n`` sites with random amplitudes on the basis
-    states of the popcounts ``sectors``, or, for the "sparse" support, on
-    the basis indices ``sectors``; every other amplitude is an exact zero.
+    states of the popcounts ``sectors`` (for the "holes" support, on about
+    two thirds of them, among them the first), or, for the "sparse"
+    support, on the basis indices ``sectors``; every other amplitude is an
+    exact zero.
     ``tiny`` rescales the first nonzero amplitude, to give one row or
     column of the Schmidt matrix a small but nonzero weight."""
     rng = np.random.default_rng(seed)
@@ -219,6 +221,8 @@ def _sector_state(n, support, sectors, seed, complex_amps, tiny=0.0):
         amps = amps + 1j * rng.normal(size=1 << n)
     idx = np.arange(1 << n)
     keep = np.isin(idx, sectors) if support == "sparse" else np.isin(popcount(idx), sectors)
+    if support == "holes":
+        keep &= (rng.random(1 << n) > 1 / 3) | (idx == np.flatnonzero(keep)[0])
     amps = np.where(keep, amps, 0.0)
     if tiny:
         first = np.flatnonzero(amps)[0]
@@ -229,8 +233,9 @@ def _sector_state(n, support, sectors, seed, complex_amps, tiny=0.0):
 @st.composite
 def sector_states_and_cuts(draw):
     """A state on 2..10 sites supported on one total-S^z sector, on two
-    sectors of the same parity, on any set of sectors, or on a few basis
-    states (so its Schmidt matrices have zero rows and columns); real or
+    sectors of the same parity, on any set of sectors, on about two thirds
+    of the states of any set of sectors, or on a few basis states (so its
+    Schmidt matrices have zero rows and columns); real or
     complex amplitudes; and a cut of k sites, 1 <= k < n (so either side
     of n/2), that is the plain reshape 0..k-1, a wrapping run, or any set
     of sites in any order."""
@@ -241,7 +246,7 @@ def sector_states_and_cuts(draw):
     elif support == "two sectors, same parity":
         low = draw(st.integers(0, n - 2))
         sectors = [low, low + 2]
-    elif support == "any sectors":
+    elif support in ("any sectors", "holes"):
         sectors = sorted(draw(st.sets(st.integers(0, n), min_size=1)))
     else:
         sectors = sorted(draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=6)))
@@ -274,6 +279,11 @@ def sector_states_and_cuts(draw):
 @example((_sector_state(8, "two sectors, same parity", [0, 2], 4, True), Bipartition((3,))))
 @example((_sector_state(10, "any sectors", [1, 4, 5, 9], 5, False), Bipartition((9, 1, 3))))
 @example((_sector_state(7, "any sectors", list(range(8)), 6, True), Bipartition.contiguous(3)))
+# holes in every sector (696 of 1024 states: the zero lines are scanned
+# for) and in two (205 states: they are read from the support)
+@example((_sector_state(10, "holes", list(range(11)), 12, False),
+          Bipartition((5, 6, 0, 1))))
+@example((_sector_state(10, "holes", [2, 5], 13, True), Bipartition((9, 1, 3))))
 @example((_sector_state(10, "sparse", [0, 3, 96, 513, 1023], 7, False),
           Bipartition.contiguous(5)))
 @example((_sector_state(9, "sparse", [5, 130, 511], 8, True), Bipartition((8, 6, 0, 1, 2, 3))))
