@@ -372,6 +372,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        # fig1 writes a directory, and checks its --output itself
+        if args.command != "fig1" and args.output is not None:
+            for path in (args.output, args.output + ".manifest.json"):
+                if os.path.exists(path) and not os.path.isfile(path):
+                    raise ValidationError(f"--output writes {path!r}, which is not a regular file")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,11 +7,11 @@ manifold (lowest eigenvalue plus the degeneracy tolerance).  Operators
 that are diagonal in the computational basis project by mask and never
 build eigenvectors, so Ising-type models cool well beyond the dense
 memory budget of ``diagonalize``; every other operator must fit it, and
-projects one diagonalized block at a time, computing the eigenvectors
-of the blocks it projects onto alone.  ``cooled_entropy_scan`` cools
-once and splits the state at every cut; ``maximize_cooled_entropy``
-searches the directions of the Majumdar-Ghosh ground manifold for the
-cooled state of largest entropy.
+projects onto one ``(basis, values, vectors)`` block of ``diagonalize``
+at a time, calling ``vectors`` only for the blocks it projects onto.
+``cooled_entropy_scan`` cools once and splits the state at every cut;
+``maximize_cooled_entropy`` searches the directions of the
+Majumdar-Ghosh ground manifold for the cooled state of largest entropy.
 """
 from __future__ import annotations
 
@@ -78,9 +78,10 @@ def cool(
     amplitudes onto them is added to the output at its basis (two blocks
     may share a basis, the two flip halves of a middle sector), so no
     column is embedded in the full space.  Only a block that keeps an
-    eigenvalue and on whose basis ``initial`` is nonzero asks for its
-    eigenvectors; the energies, the threshold and the manifolds need
-    the eigenvalues alone.  Both keep the dtype of real
+    eigenvalue and on whose basis ``initial`` is nonzero calls its
+    ``vectors``; the energies (the blocks' values, concatenated, with the
+    kept ones sorted), the threshold and the manifolds need the
+    eigenvalues alone.  Both keep the dtype of real
     amplitudes: the mask copies them, and the eigenvectors of a real
     operator are real.
 
@@ -98,24 +99,24 @@ def cool(
     if h.num_sites != initial.num_sites:
         raise ValidationError("operator and state site counts differ")
     amps = initial.amplitudes
-    dec = None if h.is_diagonal() else diagonalize(h)
-    energies = h.diagonal() if dec is None else dec.eigenvalues
+    blocks = None if h.is_diagonal() else diagonalize(h)
+    energies = h.diagonal() if blocks is None else np.concatenate([v for _, v, _ in blocks])
     tol = degeneracy_tol(energies)
     thr = float(energies.min()) + tol if threshold == GROUND else float(threshold)
     keep = energies <= thr
     kept = np.sort(energies[keep])
     dims = tuple((e, stop - start) for e, start, stop in manifolds(kept, tol))
     del energies  # the diagonal is not held beside the output
-    if dec is None:
+    if blocks is None:
         keep &= amps != 0  # the kept configurations where the initial state is nonzero
         psi = amps[keep]
     else:
         psi = np.zeros(len(amps), np.result_type(amps, _dtype(h)))
-        for b, (basis, values) in enumerate(dec.blocks):
+        for basis, values, vectors in blocks:
             kept = np.searchsorted(values, thr, side="right")
             a = amps[basis]
             if kept and a.any():  # else the block adds exact zeros
-                v = dec.vectors(b)[:, :kept]
+                v = vectors()[:, :kept]
                 # conjugating amps, not the kept columns, copies no column
                 psi[basis] += v @ (v.T @ a.conj()).conj()
     z = float(np.vdot(psi, psi).real)
@@ -130,7 +131,7 @@ def cool(
     del mag  # no third 2^n array beside the old and new amplitudes
     psi = psi / phase
     psi[tied[0]] = np.abs(psi[tied]).max()
-    if dec is None:  # the kept amplitudes into the whole space
+    if blocks is None:  # the kept amplitudes into the whole space
         out = np.zeros(len(amps), psi.dtype)
         out[keep] = psi
         psi = out

@@ -11,7 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 from itertools import groupby
 from math import comb
 
@@ -263,6 +263,13 @@ class PauliOperator:
         every matrix element is real."""
         return self._flags[1]
 
+    def is_flip_symmetric(self) -> bool:
+        """True when the global spin flip F = X^n commutes with the
+        operator.  F P F = P exactly when the Pauli string P has an even
+        number of Y plus Z letters, and the canonical terms are distinct
+        strings, so the test reads the terms alone."""
+        return self._flags[2]
+
     def diagonal(self) -> np.ndarray:
         """Diagonal energies E(b) for an I/Z-only operator: the
         ``_z_energies`` kernel that gives the flip-0 triplet of
@@ -300,40 +307,6 @@ def manifolds(energies: np.ndarray, tol: float) -> list:
     return out
 
 
-class SpectralDecomposition:
-    """Full spectrum of a Hamiltonian, held as separately diagonalized blocks.
-
-    Each entry of ``blocks`` is ``(basis, values)``: the basis indices the
-    block spans and its ascending eigenvalues.  ``vectors(b)`` gives the
-    eigenvectors of block b over its basis, one per column in the order
-    of its values, so the eigenvectors at or below an energy are a prefix
-    of the columns.  They are computed on the first request and kept;
-    ``owners[b]`` names the block whose vectors block b holds (itself, or
-    the flip partner of a mirror sector), and ``solve(owner)`` computes
-    them.  Blocks need not have distinct bases: two may span the same
-    indices (the flip-even and flip-odd halves of a middle sector), and
-    their columns are then orthogonal.  The basis need not be ascending:
-    a mirror sector of ``diagonalize`` holds its basis in descending
-    order, a view, and shares its values and vectors with another block,
-    so nothing may write to them.  ``eigenvalues`` is the merged spectrum
-    in ascending order.
-    """
-
-    def __init__(self, blocks, num_sites: int, owners, solve):
-        self.blocks = tuple(blocks)
-        self.num_sites = num_sites
-        self.eigenvalues = np.sort(np.concatenate([values for _, values in self.blocks]))
-        self._owners = tuple(owners)
-        self._solve = solve
-        self._vectors: dict[int, np.ndarray] = {}
-
-    def vectors(self, b: int) -> np.ndarray:
-        owner = self._owners[b]
-        if owner not in self._vectors:
-            self._vectors[owner] = self._solve(owner)
-        return self._vectors[owner]
-
-
 def _check_dense_bytes(needed: int) -> None:
     if needed > _DENSE_BYTES:
         raise SizeLimitError(
@@ -348,7 +321,7 @@ def _sector_triplets(op: PauliOperator):
     (total S^z) unless a summed element joins two popcounts, then the whole
     space: XX alone couples |00> and |11>; in XX + YY they cancel.
 
-    A ``_flip_symmetric`` ``op`` has triplets for the sectors p <= n/2
+    A flip-symmetric ``op`` has triplets for the sectors p <= n/2
     only, built from the columns of popcount <= n/2: its element (r, c)
     equals (~r, ~c), and one of c and ~c lies in that half, so an element
     that joins two popcounts shows in it.  The other columns are built
@@ -356,7 +329,7 @@ def _sector_triplets(op: PauliOperator):
     """
     n = op.num_sites
     pop = _popcounts(n)
-    half = _flip_symmetric(op)
+    half = op.is_flip_symmetric()
     pieces = list(_triplets(op, np.flatnonzero(pop <= n // 2) if half else None))
     if any(np.any(pop[rows] != pop[cols]) for rows, cols, _ in pieces):
         if half:
@@ -395,97 +368,76 @@ def build_dense(op: PauliOperator) -> np.ndarray:
     return _scatter_block(op, 1 << op.num_sites, _triplets(op))
 
 
-def _flip_symmetric(op: PauliOperator) -> bool:
-    """True when the global spin flip F = X^n commutes with ``op``.  F P F
-    = P exactly when the Pauli string P has an even number of Y plus Z
-    letters, and the canonical terms are distinct strings, so the test
-    reads the terms alone."""
-    return op._flags[2]
-
-
 def _flip_half(a: np.ndarray, sign: float) -> np.ndarray:
     """The h x h matrix A[:h, :h] +- A[:h, d-1-j] of a middle sector's
     d x d matrix A, h = d / 2: ``sign`` +1 for the flip-even half, -1 for
-    the flip-odd one (``_sector_spectra``)."""
+    the flip-odd one."""
     h = len(a) // 2
     top, cross = a[:h, :h], a[:h, ::-1][:, :h]
     return top + cross if sign > 0 else top - cross
 
 
-def _sector_vectors(op: PauliOperator, basis: np.ndarray, triplets, sign) -> np.ndarray:
-    """The eigenvectors of one sector block, scattered again from its
-    ``triplets``: of the whole block if ``sign`` is None, else of its flip
-    half, as [u; sign u[::-1]] / sqrt(2).  The scattered block is freed
-    before the ``eigh``."""
-    a = _scatter_block(op, len(basis), triplets)
-    if sign is None:
-        return np.linalg.eigh(a)[1]
-    a = _flip_half(a, sign)
-    u = np.linalg.eigh(a)[1]
-    del a
-    vectors = np.concatenate([u, sign * u[::-1]])
-    vectors /= np.sqrt(2.0)
-    return vectors
+def _sector_solve(op: PauliOperator, basis: np.ndarray, triplets, sign, vectors: bool):
+    """The ``eigvalsh`` values, or with ``vectors`` the ``eigh`` vectors,
+    of one block scattered from its sector's ``triplets``: the whole
+    sector if ``sign`` is None, else one flip half of a middle sector.
 
-
-def _sector_spectra(op: PauliOperator, basis: np.ndarray, triplets, middle: bool) -> list:
-    """``(values, sign)`` for each block of one scattered sector, with
-    ``values`` from ``eigvalsh`` and ``sign`` the argument that makes
-    ``_sector_vectors`` give the block's eigenvectors.
-
-    A ``middle`` sector (popcount n/2 of a flip-symmetric ``op``) maps to
-    itself under F, which reverses its ascending basis, so its matrix A
-    commutes with the reversal.  With d = len(basis) and h = d / 2, the
-    flip-even vectors are [u; u[::-1]] / sqrt(2) and the flip-odd ones
-    [u; -u[::-1]] / sqrt(2), with u the eigenvectors of the h x h halves
-    (``_flip_half``): two blocks on the same basis.  The scattered block
-    is freed before the halves' ``eigvalsh``.
+    A middle sector (popcount n/2 of a flip-symmetric ``op``) maps to
+    itself under F, which reverses its ascending basis, so its d x d
+    matrix commutes with the reversal.  Its flip-even vectors are [u;
+    u[::-1]] / sqrt(2) and its flip-odd ones [u; -u[::-1]] / sqrt(2), with
+    u those of the d/2 x d/2 ``_flip_half`` of that ``sign``: two blocks
+    on the same basis.  The sector is freed once its half is folded, and
+    the half before the lift.
     """
     a = _scatter_block(op, len(basis), triplets)
-    if not middle:
-        return [(np.linalg.eigvalsh(a), None)]
-    halves = [_flip_half(a, 1.0), _flip_half(a, -1.0)]
+    if sign is not None:
+        a = _flip_half(a, sign)
+    if not vectors:
+        return np.linalg.eigvalsh(a)
+    u = np.linalg.eigh(a)[1]
     del a
-    return [(np.linalg.eigvalsh(halves.pop(0)), sign) for sign in (1.0, -1.0)]
+    if sign is None:
+        return u
+    lifted = np.concatenate([u, sign * u[::-1]])
+    lifted /= np.sqrt(2.0)
+    return lifted
 
 
-def diagonalize(op: PauliOperator) -> SpectralDecomposition:
-    """Full spectrum, one total-S^z sector at a time; eigenvectors on
-    request.
+def diagonalize(op: PauliOperator) -> list:
+    """Full spectrum, one total-S^z sector at a time, as a list of
+    ``(basis, values, vectors)`` blocks: the basis indices a block spans,
+    its ascending eigenvalues, and a function of no arguments that gives
+    its eigenvectors over the basis, one column per value, so those at or
+    below an energy are a prefix of the columns.
 
     Each block (the whole space if ``op`` does not conserve S^z) is one
     scatter of its ``_sector_triplets`` just before its ``eigvalsh``, in
     float64 unless a term has an odd number of Y letters.  So one block is
     alive at a time, and an S^z-conserving ``op`` never forms a 2^n x 2^n
-    one.  The decomposition keeps the triplets, and its ``vectors(b)``
-    scatters block b again for one ``eigh`` on the first request: a
-    caller that reads the vectors of a few blocks pays the ``eigh`` of
-    those alone.
+    one.  ``vectors`` keeps the triplets and scatters its block again for
+    one ``eigh`` on its first call, whose result it keeps.
 
-    When ``op`` also commutes with the global spin flip F (every term has
-    an even number of Y plus Z letters; ``_flip_symmetric``), F maps
-    popcount p to n - p and, by complementing every bit, reverses the
-    ascending basis.  So sector n - p is sector p conjugated by the
-    reversal: only sector p < n - p is built, scattered and diagonalized,
-    and sector n - p gets its eigenvalues and its eigenvectors as they
-    are, on its basis in descending order.  That basis is a view, so the
-    mirror allocates nothing, and the vectors it shares stay C-contiguous
-    for the projection's matrix products.  The middle sector (p = n/2)
-    splits into a flip-even and a flip-odd block on the same basis
-    (``_sector_spectra``).  Then ``blocks`` holds n + 2 entries for even
-    n and n + 1 for odd n, in popcount order.
+    When ``op.is_flip_symmetric()``, the global spin flip F maps popcount
+    p to n - p and, by complementing every bit, reverses the ascending
+    basis.  So only sector p < n - p is built and diagonalized, and sector
+    n - p holds its basis reversed (a view) with the very ``values`` and
+    ``vectors`` of sector p: one C-contiguous eigenvector array, which
+    nothing may write to.  The middle sector splits into a flip-even and
+    a flip-odd block on the same basis (``_sector_solve``).  Then the list
+    holds n + 2 blocks for even n and n + 1 for odd n, in popcount order.
 
     The dense memory budget is checked twice, each time before the
     allocation it guards.  First on the float64 sector eigenvectors that
-    the terms alone promise: sum_{p <= n/2} C(n, p)^2 elements when
-    ``_flip_symmetric`` holds, else C(2n, n) = sum_p C(n, p)^2.  So large
-    operators are refused without enumerating 2^n indices.  Then on the
-    actual blocks: every eigenvector that may be requested (with the flip,
-    those of the sectors p <= n - p only) plus the largest block itself.
-    A refusal raises SizeLimitError.
+    the terms alone promise: sum_{p <= n/2} C(n, p)^2 elements with the
+    flip symmetry, else C(2n, n) = sum_p C(n, p)^2.  So large operators
+    are refused without enumerating 2^n indices.  Then on the actual
+    blocks: every eigenvector that may be requested (with the flip, those
+    of the sectors p <= n - p only) plus the largest block itself.  A
+    refusal raises SizeLimitError.
     """
     n = op.num_sites
-    symmetric = _flip_symmetric(op)
+    symmetric = op.is_flip_symmetric()
     _check_dense_bytes(8 * sum(comb(n, p) ** 2 for p in range(n // 2 + 1 if symmetric else n + 1)))
     bases, triplets = _sector_triplets(op)
     # at n = 0 the one sector has one state, which the flip leaves alone
@@ -493,18 +445,16 @@ def diagonalize(op: PauliOperator) -> SpectralDecomposition:
     sizes = [len(basis) ** 2 for basis in bases]
     held = sum(sizes[: n // 2 + 1]) if flip else sum(sizes)
     _check_dense_bytes(_dtype(op).itemsize * (held + max(sizes)))
-    blocks, owners, sources = [], [], {}
+    blocks = []
     for p, basis in enumerate(bases):
         if flip and 2 * p > n:
-            blocks.append((basis[::-1], blocks[n - p][1]))
-            owners.append(n - p)
+            _, values, vectors = blocks[n - p]
+            blocks.append((basis[::-1], values, vectors))
             continue
-        for values, sign in _sector_spectra(op, basis, triplets[p], flip and 2 * p == n):
-            sources[len(blocks)] = (basis, triplets[p], sign)
-            owners.append(len(blocks))
-            blocks.append((basis, values))
-    return SpectralDecomposition(blocks, n, owners,
-                                 lambda b: _sector_vectors(op, *sources[b]))
+        for sign in (1.0, -1.0) if flip and 2 * p == n else (None,):
+            solve = partial(_sector_solve, op, basis, triplets[p], sign)
+            blocks.append((basis, solve(False), cache(partial(solve, True))))
+    return blocks
 
 
 def _cut_sides(n: int, cut: Bipartition) -> tuple:

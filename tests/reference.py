@@ -10,8 +10,10 @@ which found the zero rows and columns of each block by scanning it
 weights, beside the library's integer recurrence in ``ising_gas_spectra``.
 ``pauli_to_text``/``pauli_from_text`` are a one-term-per-line text format
 for operators, and ``scaled`` multiplies every coefficient; no command
-reads or needs them.  ``columns`` embeds chosen eigenvectors of a
-``SpectralDecomposition`` in the full 2^n space (``eigenvectors`` all of
+reads or needs them.  ``spectrum`` merges the values of the
+``(basis, values, vectors)`` blocks of ``diagonalize`` in ascending
+order.  ``columns`` embeds chosen eigenvectors of those blocks, each
+from its own ``vectors``, in the full 2^n space (``eigenvectors`` all of
 them, ``ground_manifold`` the ground manifold's), and
 ``project_by_columns`` projects onto the embedded columns at or below a
 threshold: the oracle of ``cool``'s block-by-block projection.
@@ -62,7 +64,6 @@ from frustra.models import (
 from frustra.spin_core import (
     Bipartition,
     PauliOperator,
-    SpectralDecomposition,
     StateVector,
     ValidationError,
     _check_dense_bytes,
@@ -246,32 +247,38 @@ def sector_eigh(op: PauliOperator) -> list:
     return [(basis, *np.linalg.eigh(sector_block(op, basis))) for basis in sector_bases(op)]
 
 
-def columns(dec: SpectralDecomposition, select) -> np.ndarray:
+def spectrum(blocks) -> np.ndarray:
+    """Every eigenvalue of the ``diagonalize`` blocks, ascending."""
+    return np.sort(np.concatenate([values for _, values, _ in blocks]))
+
+
+def columns(blocks, select) -> np.ndarray:
     """Eigenvectors at positions ``select`` (a slice, mask or index array)
-    of ``dec.eigenvalues``, embedded in the full space, one per column.
+    of ``spectrum(blocks)``, embedded in the full space, one per column.
     Only the blocks that own a picked column are asked for vectors."""
-    order = np.argsort(np.concatenate([values for _, values in dec.blocks]), kind="stable")
+    order = np.argsort(np.concatenate([values for _, values, _ in blocks]), kind="stable")
     picked = order[select]
-    starts = np.cumsum([0] + [len(values) for _, values in dec.blocks])
+    starts = np.cumsum([0] + [len(values) for _, values, _ in blocks])
     owner = np.searchsorted(starts, picked, side="right") - 1
-    dtype = np.result_type(float, *(dec.vectors(b) for b in np.unique(owner)))
-    out = np.zeros((1 << dec.num_sites, len(picked)), dtype)
+    dtype = np.result_type(float, *(blocks[b][2]() for b in np.unique(owner)))
+    out = np.zeros((starts[-1], len(picked)), dtype)
     for b in np.unique(owner):
-        basis, _ = dec.blocks[b]
+        basis, _, vectors = blocks[b]
         sel = np.flatnonzero(owner == b)
-        out[np.ix_(basis, sel)] = dec.vectors(b)[:, picked[sel] - starts[b]]
+        out[np.ix_(basis, sel)] = vectors()[:, picked[sel] - starts[b]]
     return out
 
 
-def eigenvectors(dec: SpectralDecomposition) -> np.ndarray:
-    """Every eigenvector of ``dec`` as one 2^n x 2^n array."""
-    return columns(dec, slice(None))
+def eigenvectors(blocks) -> np.ndarray:
+    """Every eigenvector of the blocks as one 2^n x 2^n array."""
+    return columns(blocks, slice(None))
 
 
-def ground_manifold(dec: SpectralDecomposition) -> np.ndarray:
-    """Columns spanning the ground manifold of ``dec``."""
-    _, start, stop = manifolds(dec.eigenvalues, degeneracy_tol(dec.eigenvalues))[0]
-    return columns(dec, slice(start, stop))
+def ground_manifold(blocks) -> np.ndarray:
+    """Columns spanning the ground manifold of the blocks."""
+    energies = spectrum(blocks)
+    _, start, stop = manifolds(energies, degeneracy_tol(energies))[0]
+    return columns(blocks, slice(start, stop))
 
 
 def project_by_columns(h: PauliOperator, initial: StateVector, threshold):
@@ -280,11 +287,11 @@ def project_by_columns(h: PauliOperator, initial: StateVector, threshold):
     with the kept columns embedded in the full space: the threshold, the
     projected amplitudes, unnormalized, their squared norm z, and the
     (energy, multiplicity) of every retained manifold."""
-    dec = diagonalize(h)
-    energies = dec.eigenvalues
+    blocks = diagonalize(h)
+    energies = spectrum(blocks)
     tol = degeneracy_tol(energies)
     thr = energies[0] + tol if threshold == "ground" else float(threshold)
-    v = columns(dec, energies <= thr)
+    v = columns(blocks, energies <= thr)
     coeffs = v.conj().T @ initial.amplitudes
     dims = tuple((e, stop - start) for e, start, stop in manifolds(energies[energies <= thr], tol))
     return thr, v @ coeffs, float(np.vdot(coeffs, coeffs).real), dims
@@ -358,7 +365,7 @@ def cool_excited(h: PauliOperator, initial: StateVector, manifold_count: int):
     (all of them when there are fewer)."""
     if manifold_count < 1:
         raise ValidationError("manifold_count must be >= 1")
-    energies = np.sort(h.diagonal() if h.is_diagonal() else diagonalize(h).eigenvalues)
+    energies = np.sort(h.diagonal() if h.is_diagonal() else spectrum(diagonalize(h)))
     tol = degeneracy_tol(energies)
     levels = manifolds(energies, tol)
     return cool(h, initial, levels[min(manifold_count, len(levels)) - 1][0] + tol)

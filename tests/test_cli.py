@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -488,6 +489,37 @@ def test_interference_grid_stops_at_d_max(tmp_path):
     assert code == 0
     ds = [float(line.split("\t")[0]) for line in read(out).strip().splitlines()[1:]]
     assert ds == pytest.approx([0.1, 0.25, 0.4])
+
+
+_OUTPUT_COMMANDS = {
+    "scaling": "scaling --model ising-gas --source analytic --m 4 --k 2",
+    "cool": "cool --model mg --n 6 --k 2",
+    "frustration": "frustration --model mg --n 6",
+    "interference": "interference --model heisenberg-gas --m 2",
+    "bounds-check": "bounds-check --model mg --n 6",
+}
+
+
+@pytest.mark.parametrize("name", ["out", "out.manifest.json"])
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
+@pytest.mark.parametrize("command", sorted(_OUTPUT_COMMANDS))
+def test_non_regular_output_is_refused_before_any_computation(tmp_path, monkeypatch, capsys,
+                                                              command, kind, name):
+    # every subcommand but fig1, which writes a directory, exits 2 before
+    # its command runs when its output or the manifest beside it is not a
+    # regular file, and leaves the path as it was
+    for cmd in _OUTPUT_COMMANDS:
+        monkeypatch.setattr(cli, "cmd_" + cmd.replace("-", "_"), lambda args: pytest.fail("ran"))
+    path = tmp_path / name
+    if kind == "directory":
+        path.mkdir()
+    else:
+        os.mkfifo(path)
+    assert run(_OUTPUT_COMMANDS[command].split() + ["--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --output writes {str(path)!r}, which is not a regular file"]
+    assert path.is_dir() if kind == "directory" else stat.S_ISFIFO(path.stat().st_mode)
+    assert os.listdir(tmp_path) == [name]
 
 
 def test_fig1_grid_stops_at_d_max(tmp_path):

@@ -138,3 +138,23 @@ def test_every_public_definition_has_a_caller():
     uncalled = sorted(q for q, name in definitions
                       if name not in referenced and name not in _ORACLES)
     assert not uncalled, f"nothing in src/ or perfbench/ calls {uncalled}"
+
+
+def test_every_private_function_has_a_caller_in_src():
+    # a private module-level function of src/ is named somewhere in src/
+    # outside its own definition (an import does not count), so no helper
+    # is left that only the tests call
+    names_by_statement = []  # (module, top-level statement, names read in it)
+    for filename, tree in _parsed(PACKAGE):
+        for node in tree.body:
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            names_by_statement.append((filename, node, names))
+    private = [(filename, node) for filename, node, _ in names_by_statement
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not node.name.startswith("__")]
+    assert private
+    orphans = sorted(f"{filename[:-3]}.{node.name}" for filename, node in private
+                     if not any(node.name in names for _, other, names in names_by_statement
+                                if other is not node))
+    assert not orphans, f"nothing in src/ calls {orphans}"

@@ -39,6 +39,7 @@ from reference import (
     sector_bases,
     sector_block,
     sector_eigh,
+    spectrum,
 )
 
 PAULI = {
@@ -145,9 +146,9 @@ def test_models_match_reference(name):
     op = MODELS[name]
     assert_blocks_equal_oracle(op)
     vals, proj, _ = reference_ground(op)
-    dec = diagonalize(op)
-    assert len(dec.blocks) == expected_block_count(op)
-    np.testing.assert_allclose(dec.eigenvalues, vals, rtol=0, atol=1e-10)
+    blocks = diagonalize(op)
+    assert len(blocks) == expected_block_count(op)
+    np.testing.assert_allclose(spectrum(blocks), vals, rtol=0, atol=1e-10)
 
     initial = generic_product_state(op.num_sites)
     want = proj @ initial.amplitudes
@@ -167,16 +168,16 @@ def test_ferromagnetic_ring_ground_spans_every_sector():
 
 def test_cross_sector_check_uses_summed_elements():
     xx = PauliOperator(2, ((1.0, "XX"),))
-    assert len(diagonalize(xx).blocks) == 1
+    assert len(diagonalize(xx)) == 1
     # XX + YY also commutes with the flip: sectors 0 and 2 mirror each
     # other, and the middle sector splits into its two flip halves
-    assert len(diagonalize(PauliOperator(2, ((1.0, "XX"), (1.0, "YY")))).blocks) == 4
+    assert len(diagonalize(PauliOperator(2, ((1.0, "XX"), (1.0, "YY"))))) == 4
     # an odd Y count makes the matrix complex
     xy = PauliOperator(2, ((1.0, "XY"), (-1.0, "YX")))
-    dec = diagonalize(xy)
-    assert len(dec.blocks) == 3
-    assert np.iscomplexobj(eigenvectors(dec))
-    np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(reference_matrix(xy)),
+    blocks = diagonalize(xy)
+    assert len(blocks) == 3
+    assert np.iscomplexobj(eigenvectors(blocks))
+    np.testing.assert_allclose(spectrum(blocks), np.linalg.eigvalsh(reference_matrix(xy)),
                                atol=1e-12)
 
 
@@ -222,17 +223,16 @@ def check_against_reference(op):
     assume(op.terms)
     vals, proj, gap = reference_ground(op)
     assume(gap > 1e-6)
-    dec = diagonalize(op)
-    np.testing.assert_allclose(dec.eigenvalues, vals, rtol=0, atol=1e-10)
-    ground = ground_manifold(dec)
+    blocks = diagonalize(op)
+    np.testing.assert_allclose(spectrum(blocks), vals, rtol=0, atol=1e-10)
+    ground = ground_manifold(blocks)
     np.testing.assert_allclose(ground @ ground.conj().T, proj, rtol=0, atol=1e-9)
-    return dec
+    return blocks
 
 
 @given(bond_sums())
 def test_bond_sums_match_reference(op):
-    dec = check_against_reference(op)
-    assert len(dec.blocks) == expected_block_count(op)
+    assert len(check_against_reference(op)) == expected_block_count(op)
 
 
 @given(pauli_sums())
@@ -313,12 +313,12 @@ def check_cool_against_the_sector_oracle(kind, op, seed, data):
     oracle = sector_eigh(op)
     assert len(oracle) == (1 if whole else n + 1)
     vals = np.sort(np.concatenate([values for _, values, _ in oracle]))
-    dec = diagonalize(op)
-    assert len(dec.blocks) == (1 if whole else n + (1 if kind == "field" or n % 2 else 2))
+    blocks = diagonalize(op)
+    assert len(blocks) == (1 if whole else n + (1 if kind == "field" or n % 2 else 2))
     if not whole:
-        assert len(dec.blocks) == expected_block_count(op)
-    assert np.iscomplexobj(dec.vectors(0)) == (kind == "chiral")
-    np.testing.assert_allclose(dec.eigenvalues, vals, rtol=0, atol=1e-10)
+        assert len(blocks) == expected_block_count(op)
+    assert np.iscomplexobj(blocks[0][2]()) == (kind == "chiral")
+    np.testing.assert_allclose(spectrum(blocks), vals, rtol=0, atol=1e-10)
 
     gaps = np.flatnonzero(np.diff(vals) > 1e-6)
     assume(len(gaps))

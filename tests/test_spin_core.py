@@ -38,6 +38,7 @@ from reference import (
     basis_state,
     mg_dimer_states,
     span_blocks,
+    spectrum,
     eigenvectors,
     ground_manifold,
     partial_trace,
@@ -156,9 +157,9 @@ def test_flip_symmetric_first_check_counts_the_held_sectors(monkeypatch, forbid)
     # C(14, 7) = 3432 sector elements, 27,456 bytes, would refuse it
     chain = PauliOperator(7, tuple((1.0, "I" * i + pair + "I" * (5 - i))
                                    for i in range(6) for pair in ("XX", "YY", "ZZ")))
-    want = diagonalize(chain).eigenvalues
+    want = spectrum(diagonalize(chain))
     monkeypatch.setattr(spin_core, "_DENSE_BYTES", 24_000)
-    np.testing.assert_array_equal(diagonalize(chain).eigenvalues, want)
+    np.testing.assert_array_equal(spectrum(diagonalize(chain)), want)
     # a Z field breaks the flip: the first check counts every sector again
     # and refuses before anything is enumerated
     field = PauliOperator(7, chain.terms + ((0.5, "ZIIIIII"),))
@@ -223,19 +224,17 @@ def _triplet_bytes(op):
 def test_diagonalize_holds_one_block_at_a_time(monkeypatch):
     # with eigvalsh stubbed, the n=14 Heisenberg gas (flip-symmetric)
     # scatters sectors 0..7 only and holds no eigenvector.  It peaks in
-    # the middle sector: the 3432 x 3432 block and its two flip halves
-    # (134.8 MiB), beside the triplets that the decomposition keeps for
-    # its vectors on request (7.1 MiB).  Every other sector holds one
-    # block of at most 3003 x 3003 (68.8 MiB).  Holding every sector's
-    # eigenvectors, as the all-eigh layout did, peaked at 242.9 MiB;
-    # building the columns of popcount > 7 too adds 4.5 MiB (3.2%).
+    # the middle sector, which is scattered once per flip half: the 3432 x
+    # 3432 block and one 1716 x 1716 half (112.3 MiB), beside the triplets
+    # that the blocks keep for their vectors on request (7.1 MiB).  Every
+    # other sector holds one block of at most 3003 x 3003 (68.8 MiB).
     def eigvalsh(h):
         return np.zeros(len(h))
 
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     monkeypatch.setattr(np.linalg, "eigh", lambda h: pytest.fail("eigh"))
     op = build_model(HeisenbergGasLR(7))
-    floor = 1.5 * 8 * math.comb(14, 7) ** 2 + _triplet_bytes(op)
+    floor = 1.25 * 8 * math.comb(14, 7) ** 2 + _triplet_bytes(op)
     peak = _traced_peak(lambda: diagonalize(op))
     assert floor <= peak <= 1.02 * floor
 
@@ -243,14 +242,12 @@ def test_diagonalize_holds_one_block_at_a_time(monkeypatch):
 def test_flip_split_holds_one_scattered_block_beside_the_kept_vectors(monkeypatch):
     # the n=12 MG ring commutes with the global spin flip.  diagonalize
     # holds the triplets of sectors 0..6 (0.5 MiB) and no eigenvector; at
-    # no time is more than a 924 x 924 block (6.5 MiB) and its halves
-    # alive beside them.  Asked for every
-    # block's vectors, sectors 7..12 share those of sectors 5..0 on
-    # reversed bases, and the middle sector's two halves hold 924 x 462
-    # vectors each: the vectors of sectors 0..6 (13.6 MiB) with at most
-    # one scattered block beside them, from one eigh per block of the
-    # sectors p <= 6.  Without the flip the same run held 20.7 MiB and
-    # peaked at 23.4 MiB.
+    # no time is more than a 924 x 924 block (6.5 MiB) and one of its
+    # halves alive beside them.  Asked for every block's vectors, sectors
+    # 7..12 share those of sectors 5..0 on reversed bases, and the middle
+    # sector's two halves hold 924 x 462 vectors each: the vectors of
+    # sectors 0..6 (13.6 MiB) with at most one scattered block beside
+    # them, from one eigh per block of the sectors p <= 6.
     eigh = np.linalg.eigh
     calls = []
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(len(h)) or eigh(h))
@@ -259,18 +256,18 @@ def test_flip_split_holds_one_scattered_block_beside_the_kept_vectors(monkeypatc
     kept = sum(sizes[:7])
     tracemalloc.start()
     try:
-        dec = diagonalize(op)
+        blocks = diagonalize(op)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert calls == []
     assert held <= _triplet_bytes(op) + (1 << 20)
     # the scatter casts a block's int32 positions to intp (0.2 MiB)
-    assert peak <= held + 1.5 * max(sizes) + (1 << 19)
-    assert len(dec.blocks) == 14
+    assert peak <= held + 1.25 * max(sizes) + (1 << 19)
+    assert len(blocks) == 14
     tracemalloc.start()
     try:
-        vectors = [dec.vectors(b) for b in range(14)]
+        vectors = [block[2]() for block in blocks]
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -280,11 +277,11 @@ def test_flip_split_holds_one_scattered_block_beside_the_kept_vectors(monkeypatc
         # row i of a mirror's contiguous vectors is the flip of its
         # partner's basis state i
         assert vectors[p].flags.c_contiguous
-        np.testing.assert_array_equal(dec.blocks[14 - 1 - p][0], 4095 - dec.blocks[p][0])
+        np.testing.assert_array_equal(blocks[14 - 1 - p][0], 4095 - blocks[p][0])
     assert kept <= held <= kept + (1 << 20)
     assert peak <= kept + max(sizes)
     # the vectors are computed once
-    assert dec.vectors(13) is vectors[0] and len(calls) == 8
+    assert blocks[13][2]() is vectors[0] and len(calls) == 8
 
 
 def test_cli_cool_past_budget_exits_2(forbid, capsys):
@@ -320,9 +317,9 @@ def test_complex_projection_copies_no_columns(monkeypatch, complex_amps):
     # block's vectors are taken before tracing, so the trace holds the
     # projection and the phase fix
     h = _pair_chain(10, "XY")
-    dec = diagonalize(h)
-    dec.vectors(0)
-    monkeypatch.setattr(frustra.cooling, "diagonalize", lambda op: dec)
+    blocks = diagonalize(h)
+    blocks[0][2]()
+    monkeypatch.setattr(frustra.cooling, "diagonalize", lambda op: blocks)
     pairs = [(1.0, 0.5j if complex_amps else 0.5)] * 10
     initial = product_state(pairs)
     tracemalloc.start()
@@ -337,25 +334,23 @@ def test_complex_projection_copies_no_columns(monkeypatch, complex_amps):
 
 
 def test_diagonalize_single_site():
-    dec = diagonalize(PauliOperator(1, ((1.0, "Z"),)))
-    np.testing.assert_allclose(dec.eigenvalues, [-1.0, 1.0])
+    np.testing.assert_allclose(spectrum(diagonalize(PauliOperator(1, ((1.0, "Z"),)))), [-1.0, 1.0])
 
 
 def test_diagonalize_flip_symmetric_smallest_sizes():
     # an operator with no terms commutes with the flip; at n = 0 its one
     # state is its own mirror and has no flip halves
-    dec = diagonalize(PauliOperator(0, ()))
-    assert len(dec.blocks) == 1
-    np.testing.assert_array_equal(dec.eigenvalues, [0.0])
+    blocks = diagonalize(PauliOperator(0, ()))
+    assert len(blocks) == 1
+    np.testing.assert_array_equal(spectrum(blocks), [0.0])
     # at n = 1 sector 1 mirrors sector 0
-    dec = diagonalize(PauliOperator(1, ((2.0, "I"),)))
-    assert [basis.tolist() for basis, _ in dec.blocks] == [[0], [1]]
-    np.testing.assert_array_equal(dec.eigenvalues, [2.0, 2.0])
+    blocks = diagonalize(PauliOperator(1, ((2.0, "I"),)))
+    assert [basis.tolist() for basis, _, _ in blocks] == [[0], [1]]
+    np.testing.assert_array_equal(spectrum(blocks), [2.0, 2.0])
 
 
 def test_diagonalize_ferromagnetic_ground_manifold():
-    dec = diagonalize(build_model(IsingGasLR(2, 0.0, "unfrustrated")))
-    g = ground_manifold(dec)
+    g = ground_manifold(diagonalize(build_model(IsingGasLR(2, 0.0, "unfrustrated"))))
     assert g.shape[1] == 2
     # spanned by |0000> and |1111>
     weight = np.abs(g[0, :]) ** 2 + np.abs(g[15, :]) ** 2
@@ -363,19 +358,19 @@ def test_diagonalize_ferromagnetic_ground_manifold():
 
 
 def test_diagonalize_af_ground_manifold():
-    dec = diagonalize(build_model(IsingGasLR(2, 0.0)))
-    _, start, stop = manifolds(dec.eigenvalues, degeneracy_tol(dec.eigenvalues))[0]
+    energies = spectrum(diagonalize(build_model(IsingGasLR(2, 0.0))))
+    _, start, stop = manifolds(energies, degeneracy_tol(energies))[0]
     assert stop - start == 6  # all 2-up/2-down bitstrings
 
 
 def test_diagonalize_reconstruction():
     op = build_model(IsingGasLR(2, 0.5))
     h = build_dense(op)
-    dec = diagonalize(op)
-    vecs = eigenvectors(dec)
+    blocks = diagonalize(op)
+    vecs, energies = eigenvectors(blocks), spectrum(blocks)
     for i in range(h.shape[0]):
         v = vecs[:, i]
-        assert np.vdot(v, h @ v).real == pytest.approx(dec.eigenvalues[i], abs=1e-9)
+        assert np.vdot(v, h @ v).real == pytest.approx(energies[i], abs=1e-9)
 
 
 def test_partial_trace_product_state():
