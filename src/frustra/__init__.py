@@ -16,7 +16,7 @@ from .spin_core import (
     diagonalize,
     product_state,
 )
-from .models import ModelSpec, build_model, default_initial_state
+from .models import ModelSpec, build_model, default_initial_pairs
 from .cooling import CooledState, EntropyReport, cool, cooled_entropy_scan
 from .frustration import frustration_degree, frustration_degree_model, ising_limit
 from .interference import InterferenceReport, rvb_interference_curve
@@ -38,7 +38,7 @@ __all__ = [
     "build_model",
     "cool",
     "cooled_entropy_scan",
-    "default_initial_state",
+    "default_initial_pairs",
     "diagonalize",
     "frustration_degree",
     "frustration_degree_model",

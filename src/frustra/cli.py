@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, models
 from .spin_core import Bipartition, ValidationError, span_entropies
-from .models import ModelSpec, default_initial_state, mg_span_blocks
+from .models import ModelSpec, default_initial_pairs, mg_span_blocks
 from .cooling import (
     GROUND,
     cooled_entropy_scan,
@@ -30,9 +30,10 @@ from .cooling import (
 )
 from .frustration import InternalConsistencyError, frustration_degree_model
 from .closed_forms import (
+    heisenberg_gas_block_entropy,
+    heisenberg_gas_bound,
     ising_gas_spectra,
     mg_bounds,
-    heisenberg_gas_bound,
     single_bond_block_entropy,
 )
 from .interference import covering_interference, curve_to_tsv, rvb_interference_curve
@@ -161,6 +162,8 @@ def cmd_scaling(args) -> int:
                 es = [d.entropy() for d in ising_gas_spectra(spec.m, spec.lam, ks)]
             elif args.model == "single-bond":
                 es = [single_bond_block_entropy(spec.m, k) for k in ks]
+            elif args.model == "heisenberg-gas":
+                es = [heisenberg_gas_block_entropy(spec.m, k) for k in ks]
             else:
                 raise ValidationError(f"no analytic source for model {args.model}")
         elif args.model == "mg":
@@ -168,7 +171,7 @@ def cmd_scaling(args) -> int:
             bounds = [tuple(f"{b:.12g}" for b in mg_bounds(k, n)) for k in ks]
         else:
             cuts = [Bipartition.contiguous(k) for k in ks]
-            reports = cooled_entropy_scan(spec, default_initial_state(spec), GROUND, cuts)
+            reports = cooled_entropy_scan(spec, default_initial_pairs(spec), GROUND, cuts)
             es = [r.entropy for r in reports]
         for k, e, (lower, upper) in zip(ks, es, bounds):
             rows.append(f"{n},{k},{e:.12g},{args.source},{lower},{upper}")
@@ -178,11 +181,11 @@ def cmd_scaling(args) -> int:
 
 def cmd_cool(args) -> int:
     spec = _spec_from_args(args)
-    initial = default_initial_state(spec)
+    pairs = default_initial_pairs(spec)
     threshold = GROUND if args.threshold is None else args.threshold
-    ks = parse_range(args.k) if args.k else [initial.num_sites // 2]
+    ks = parse_range(args.k) if args.k else [len(pairs) // 2]
     cuts = [Bipartition.contiguous(k) for k in ks]
-    reports = cooled_entropy_scan(spec, initial, threshold, cuts)
+    reports = cooled_entropy_scan(spec, pairs, threshold, cuts)
     _emit(args, reports_to_csv(reports))
     return 0
 
@@ -280,7 +283,7 @@ def cmd_bounds_check(args) -> int:
     elif spec.kind == "HeisenbergGasLR":
         _refuse(args, ["samples"])
         cuts = [Bipartition.contiguous(k) for k in range(1, n)]
-        reports = cooled_entropy_scan(spec, default_initial_state(spec), GROUND, cuts)
+        reports = cooled_entropy_scan(spec, default_initial_pairs(spec), GROUND, cuts)
         for cut, r in zip(cuts, reports):
             blacks = sum(1 for s in cut.system_sites if s < spec.m)
             up = heisenberg_gas_bound(blacks, r.k - blacks)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -166,33 +165,20 @@ def heisenberg_gas_bound(b: int, w: int) -> float:
     return math.log2((b + 1) * (w + 1))
 
 
-def heisenberg_gas_schmidt_state(m: int, k: int):
-    """Angular-momentum coupling coefficients of the single-color cut.
+def heisenberg_gas_block_entropy(m: int, k: int) -> float:
+    """Entropy, in bits, of the sites 0..k-1 of the cooled Heisenberg gas
+    on 2m sites, black sites 0..m-1 first: log2(min(k, 2m - k) + 1).
 
-    For a block of k same-color sites out of 2m, the cooled state couples
-    the block's symmetric spin-k/2 with the rest.  Using integer labels
-    a = M + k/2 (block) and b = p + m/2 (total black magnetization), the
-    squared coefficient is C(k,a) C(m-k, b-a) / C(m, b) / (m+1).
-
-    Returns (coefficients dict {(a, b): value}, reduced spectrum list over a).
+    The cooled state of a product state with one pair on every black site
+    and one on every white site is the one singlet of spin m/2 (blacks)
+    tensor spin m/2 (whites).  The block, or its complement, holds
+    c = min(k, 2m - k) sites of one colour, whose reduced state is
+    uniform over their symmetric subspace of c + 1 levels (the Schur's
+    lemma argument of ``interference.covering_interference``).
     """
-    if not (0 <= k <= m):
+    if not (1 <= k < 2 * m):
         raise ValidationError("k out of range")
-    coeffs = {}
-    spectrum = []
-    for a in range(k + 1):
-        lam_a = Fraction(0)
-        for b in range(m + 1):
-            if not (0 <= b - a <= m - k):
-                continue
-            c2 = Fraction(
-                math.comb(k, a) * math.comb(m - k, b - a), math.comb(m, b)
-            ) / (m + 1)
-            sign = -1.0 if b % 2 else 1.0
-            coeffs[(a, b)] = sign * math.sqrt(float(c2))
-            lam_a += c2
-        spectrum.append(float(lam_a))
-    return coeffs, spectrum
+    return math.log2(min(k, 2 * m - k) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ build eigenvectors, so Ising-type models cool well beyond the dense
 memory budget of ``diagonalize``; every other operator must fit it, and
 projects onto one ``(basis, values, vectors)`` block of ``diagonalize``
 at a time, calling ``vectors`` only for the blocks it projects onto.
-``cooled_entropy_scan`` cools once and splits the state at every cut;
-``maximize_cooled_entropy`` searches the directions of the
+``cooled_entropy_scan`` cools once and splits the state at every cut,
+or reads every cut from the known ground manifold of the Majumdar-Ghosh
+ring or the Heisenberg gas; ``maximize_cooled_entropy`` searches the directions of the
 Majumdar-Ghosh ground manifold for the cooled state of largest entropy.
 """
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import MajumdarGhosh, build_model, mg_span_blocks
+from .closed_forms import heisenberg_gas_block_entropy
+from .models import HeisenbergGasLR, MajumdarGhosh, build_model, mg_span_blocks
 from .spin_core import (
     OrthogonalInitialStateError,
     PauliOperator,
@@ -31,12 +33,20 @@ from .spin_core import (
     degeneracy_tol,
     diagonalize,
     manifolds,
+    product_state,
+    site_pairs,
     span_entropies,
 )
 
 GROUND = "ground"
 
 _Z_FLOOR = 1e-14
+
+# a singlet overlap |u0 v1 - u1 v0| of two unit pairs at or below this is zero
+_SINGLET_ZERO = 1e-14
+
+# log2 of the smallest normal float64: a z below it would lose digits
+_LOG2_TINY = math.log2(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -81,9 +91,11 @@ def cool(
     eigenvalue and on whose basis ``initial`` is nonzero calls its
     ``vectors``; the energies (the blocks' values, concatenated, with the
     kept ones sorted), the threshold and the manifolds need the
-    eigenvalues alone.  Both keep the dtype of real
-    amplitudes: the mask copies them, and the eigenvectors of a real
-    operator are real.
+    eigenvalues alone.  A threshold at or above every level keeps every
+    state: the projection is the identity, so the initial amplitudes are
+    renormalized as the mask path does, and no block calls its
+    ``vectors``.  Both keep the dtype of real amplitudes: the mask copies
+    them, and the eigenvectors of a real operator are real.
 
     Raises OrthogonalInitialStateError when the projection has
     (numerically) zero norm, and SizeLimitError when ``h`` is not I/Z-only
@@ -107,7 +119,8 @@ def cool(
     kept = np.sort(energies[keep])
     dims = tuple((e, stop - start) for e, start, stop in manifolds(kept, tol))
     del energies  # the diagonal is not held beside the output
-    if blocks is None:
+    masked = blocks is None or keep.all()  # an I/Z operator, or the identity projection
+    if masked:
         keep &= amps != 0  # the kept configurations where the initial state is nonzero
         psi = amps[keep]
     else:
@@ -131,7 +144,7 @@ def cool(
     del mag  # no third 2^n array beside the old and new amplitudes
     psi = psi / phase
     psi[tied[0]] = np.abs(psi[tied]).max()
-    if blocks is None:  # the kept amplitudes into the whole space
+    if masked:  # the kept amplitudes into the whole space
         out = np.zeros(len(amps), psi.dtype)
         out[keep] = psi
         psi = out
@@ -165,25 +178,134 @@ def reports_to_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _singlet_log_overlaps(pairs, i, j):
+    """log2 |d| and the phase d / |d| of d = u0 v1 - u1 v0, the singlet
+    overlap times sqrt(2), of each pair of sites i[t], j[t], with the unit
+    pairs u = pairs[i[t]] and v = pairs[j[t]]; None when one d is zero."""
+    d = pairs[i, 0] * pairs[j, 1] - pairs[i, 1] * pairs[j, 0]
+    size = np.abs(d)
+    if np.any(size <= _SINGLET_ZERO):
+        return None
+    return np.log2(size), d / size
+
+
+def _check_log2_z(log2_z: float) -> None:
+    """Refuse a projection weight z below float64's smallest normal number."""
+    if log2_z < _LOG2_TINY:
+        raise ValidationError(
+            f"the projection weight z = 2^{log2_z:.6g} is below the smallest "
+            f"normal float64 (2^{_LOG2_TINY:g})")
+
+
+def _mg_ground(spec: MajumdarGhosh, pairs, ks):
+    """Threshold, z and the entropy of each cut [0, k) of ``ks`` for the
+    Majumdar-Ghosh product state of unit ``pairs`` cooled to the ground
+    manifold span(G+, G-), from ``mg_span_blocks`` alone.
+
+    G+ pairs the sites (2i, 2i+1) and G- the sites (2i+1, 2i+2 mod n)
+    in singlets, so g_a = <G_a|psi> is the product of the n/2 singlet
+    overlaps d/sqrt(2) of covering a, kept as log2 |g_a| and a phase so
+    that no n underflows it.  The projection of psi is sum_a c_a G_a with
+    c = S^-1 g, S the overlap of the coverings (the traces of the span
+    blocks), and z = g^H S^-1 g.  Both g_a are scaled by 2 to the minus
+    their larger log2 before the solve, and c to a largest entry of 1
+    before ``span_entropies``, which divides by the norm itself.  The
+    ground energy is -3n/2 and the spectral spread 3n.
+    """
+    n = 2 * spec.m
+    even = np.arange(0, n, 2)
+    logs, phases = [], []
+    for i in (even, even + 1):  # G+, G-
+        found = _singlet_log_overlaps(pairs, i, (i + 1) % n)
+        logs.append(-np.inf if found is None else float(found[0].sum()) - spec.m / 2.0)
+        phases.append(0.0 if found is None else np.prod(found[1]))
+    top = max(logs)
+    if top == -np.inf:
+        raise OrthogonalInitialStateError("initial state has no support below the threshold")
+    g = np.array(phases) * np.exp2(np.array(logs) - top)
+    blocks = mg_span_blocks(spec, ks)
+    c = np.linalg.solve(np.einsum("baii->ab", blocks[0]), g)
+    weight = float(np.vdot(g, c).real)
+    _check_log2_z(2.0 * top + math.log2(weight))
+    coords = (c / np.abs(c).max())[None]
+    entropies = [float(span_entropies(b, coords)[0]) for b in blocks]
+    return -1.5 * n + 1e-9 * 3.0 * n, weight * 2.0 ** (2.0 * top), entropies
+
+
+def _gas_ground(spec: HeisenbergGasLR, pairs, ks):
+    """Threshold, z and the entropy of each cut [0, k) of ``ks`` for the
+    Heisenberg-gas product state of unit ``pairs`` cooled to the ground
+    manifold (total spin 0), or None unless every black site (0..m-1)
+    holds one pair u and every white site one pair v.
+
+    Then psi lies in Sym^m tensor Sym^m, spin m/2 tensor spin m/2, which
+    holds one singlet, so psi cools to it whatever u and v are, with the
+    entropies of ``heisenberg_gas_block_entropy`` and z = |u0 v1 -
+    u1 v0|^(2m)/(m + 1).  The ground energy is -3/2 and the spectral
+    spread m + 1.
+    """
+    m = spec.m
+    u, v = pairs[0], pairs[m]
+    if not ((pairs[:m] == u).all() and (pairs[m:] == v).all()):
+        return None
+    found = _singlet_log_overlaps(pairs, 0, m)
+    if found is None:
+        raise OrthogonalInitialStateError("initial state has no support below the threshold")
+    log2_d = float(found[0])
+    _check_log2_z(2 * m * log2_d - math.log2(m + 1))
+    z = 2.0 ** (2 * m * log2_d) / (m + 1)
+    return -1.5 + 1e-9 * (m + 1), z, [heisenberg_gas_block_entropy(m, k) for k in ks]
+
+
+# the specs whose ground manifold ``cooled_entropy_scan`` knows
+_KNOWN_GROUNDS = {MajumdarGhosh: _mg_ground, HeisenbergGasLR: _gas_ground}
+
+
 def cooled_entropy_scan(spec, initial, threshold, cuts) -> list:
     """Cool once and report the block entropy for every cut, one row per
-    cut in the order given.  Every cut is validated before ``cool`` takes
-    the spectrum."""
-    h = build_model(spec)
-    for cut in cuts:
-        cut.validate(h.num_sites)
-    cooled = cool(h, initial, threshold)
+    cut in the order given.  Every cut is validated before the initial
+    state and the spectrum are built.
+
+    ``initial`` is a ``StateVector`` or the per-site amplitude pairs of a
+    product state (``spin_core.site_pairs``).  Pairs cooled to the
+    ``GROUND`` of a ``MajumdarGhosh`` or ``HeisenbergGasLR`` spec, cut
+    only at [0, k), take the known ground manifold (``_mg_ground``, or
+    ``_gas_ground`` when the pairs allow it): no spectrum and no 2^n
+    vector.  There z is refused only when it is zero (an exactly
+    orthogonal singlet overlap) or below float64's smallest normal
+    number, not under the 1e-14 floor of ``cool``, which absorbs
+    eigenvector rounding.  Every other input goes through ``cool`` and
+    ``block_entropy``, pairs as ``product_state(pairs)``.
+    """
+    result = None
+    if not isinstance(initial, StateVector):
+        pairs = site_pairs(initial)
+        for cut in cuts:
+            cut.validate(len(pairs))
+        ground = _KNOWN_GROUNDS.get(type(spec))
+        if (threshold == GROUND and ground is not None and len(pairs) == 2 * spec.m
+                and all(c.system_sites == tuple(range(len(c.system_sites))) for c in cuts)):
+            result = ground(spec, pairs, [len(cut.system_sites) for cut in cuts])
+        if result is None:
+            initial = product_state(pairs)
+    if result is None:
+        h = build_model(spec)
+        for cut in cuts:
+            cut.validate(h.num_sites)
+        cooled = cool(h, initial, threshold)
+        result = cooled.threshold, cooled.z, [block_entropy(cooled.state, cut) for cut in cuts]
+    thr, z, entropies = result
     return [
         EntropyReport(
             model=spec.kind,
             params=spec.to_json().replace(",", ";"),
-            threshold=cooled.threshold,
+            threshold=thr,
             k=len(cut.system_sites),
             cut_spec="+".join(str(s) for s in cut.system_sites),
-            entropy=block_entropy(cooled.state, cut),
-            z=cooled.z,
+            entropy=e,
+            z=z,
         )
-        for cut in cuts
+        for cut, e in zip(cuts, entropies)
     ]
 
 

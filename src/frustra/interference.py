@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .spin_core import ValidationError
-from .closed_forms import BoundaryPath, rvb_boundary_entropy
+from .closed_forms import BoundaryPath, heisenberg_gas_block_entropy, rvb_boundary_entropy
 
 VERDICT_TOL = 1e-6
 
@@ -96,7 +96,8 @@ def covering_interference(m: int, k: int) -> InterferenceReport:
 
     The components are the m! coverings that pair each black site 0..m-1
     with a white site m..2m-1 by a singlet; the cut takes sites 0..k-1.
-    With c = min(k, 2m - k), e_super = log2(c + 1) and e_avg = c.
+    With c = min(k, 2m - k), e_super = log2(c + 1)
+    (``closed_forms.heisenberg_gas_block_entropy``) and e_avg = c.
 
     Superposition.  A permutation of the blacks, or of the whites, maps
     the set of coverings onto itself, so their sum is symmetric among the
@@ -117,7 +118,5 @@ def covering_interference(m: int, k: int) -> InterferenceReport:
     white outside the block; for k > m each of the 2m - k whites outside
     pairs with a black inside.  Every covering splits exactly c singlets.
     """
-    if not (1 <= k < 2 * m):
-        raise ValidationError("k out of range")
-    c = min(k, 2 * m - k)
-    return make_report(math.log2(c + 1), float(c))
+    e_super = heisenberg_gas_block_entropy(m, k)
+    return make_report(e_super, float(min(k, 2 * m - k)))

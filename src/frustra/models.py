@@ -1,6 +1,6 @@
 """The six prototype spin models: one frozen spec per model, the
-Hamiltonian of a spec (``build_model``) and its default initial product
-state.
+Hamiltonian of a spec (``build_model``) and the per-site pairs of its
+default initial product state (``default_initial_pairs``).
 
 Every Hamiltonian is a :class:`~frustra.spin_core.PauliOperator` on ``2m``
 (chains/gases), ``L*L`` (lattices) or one site per plaquette (RVB labels).
@@ -22,7 +22,6 @@ from .spin_core import (
     StateVector,
     ValidationError,
     _check_dense_bytes,
-    product_state,
 )
 
 def _check_sign(sign) -> None:
@@ -356,8 +355,9 @@ def build_model(spec: ModelSpec) -> PauliOperator:
     return PauliOperator(n, tuple(terms))
 
 
-def default_initial_state(spec: ModelSpec) -> StateVector:
-    """The per-model initial product state used for cooling.
+def default_initial_pairs(spec: ModelSpec) -> list:
+    """The per-site amplitude pairs of the model's initial product state
+    for cooling, one (amplitude of |0>, amplitude of |1>) per site.
 
     IsingGasLR and SingleBondIsing use the uniform product of |+> =
     (|0> + |1>)/sqrt(2).  MajumdarGhosh uses the alternating |0>|1>
@@ -368,14 +368,11 @@ def default_initial_state(spec: ModelSpec) -> StateVector:
     plus = (1.0 / math.sqrt(2.0),) * 2
     match spec:
         case IsingGasLR(m) | SingleBondIsing(m):
-            return product_state([plus] * (2 * m))
+            return [plus] * (2 * m)
         case RVBPlaquette(plaquettes):
-            return product_state([plus] * plaquettes)
+            return [plus] * plaquettes
         case MajumdarGhosh(m):
-            per_site = []
-            for i in range(2 * m - 2):
-                per_site.append((1.0, 0.0) if i % 2 == 0 else (0.0, 1.0))
-            return product_state(per_site + [plus, plus])
+            return [(1.0, 0.0), (0.0, 1.0)] * (m - 1) + [plus, plus]
         case HeisenbergGasLR(m):
-            return product_state([(1.0, 0.0)] * m + [plus] * m)
+            return [(1.0, 0.0)] * m + [plus] * m
     raise ValidationError(f"no default initial state for {spec.kind}")

@@ -650,23 +650,19 @@ def shannon_entropy(weights) -> float:
     return _entropy_bits(p)
 
 
-def product_state(per_site) -> StateVector:
-    """Normalized tensor product of single-site amplitude pairs.
-
-    ``per_site[i]`` gives (amplitude of |0>, amplitude of |1>) for site i;
-    an (n, 2) array works as well as a list of pairs.  The state is
-    float64 when every pair is real and complex128 when any pair is
-    complex; then every pair is cast to complex before it is normalized.
-    Raises SizeLimitError, before allocating, when the 2^n amplitudes
-    exceed the dense memory budget.
+def site_pairs(per_site) -> np.ndarray:
+    """The (n, 2) array of the single-site amplitude pairs ``per_site``
+    (a list of pairs or an (n, 2) array), each normalized: float64 when
+    every pair is real and complex128 when any pair is complex; then every
+    pair is cast to complex before it is normalized.  Raises
+    ValidationError naming the first site whose pair is malformed or zero.
     """
     try:
         dtype = _amplitude_array(per_site).dtype
     except (TypeError, ValueError):
         # ragged or non-numeric input: the loop names the first bad site
         dtype = np.dtype(complex)
-    _check_dense_bytes(dtype.itemsize << len(per_site))
-    psi = np.ones(1, dtype)
+    out = np.empty((len(per_site), 2), dtype)
     for i, pair in enumerate(per_site):
         try:
             v = np.asarray(pair, dtype=dtype)
@@ -675,7 +671,22 @@ def product_state(per_site) -> StateVector:
         norm = np.linalg.norm(v)
         if v.shape != (2,) or norm < 1e-14:
             raise ValidationError(f"site {i} local state is zero or malformed")
-        v = v / norm
+        out[i] = v / norm
+    return out
+
+
+def product_state(per_site) -> StateVector:
+    """Normalized tensor product of single-site amplitude pairs.
+
+    ``per_site[i]`` gives (amplitude of |0>, amplitude of |1>) for site i,
+    and ``site_pairs`` checks and normalizes them.  Raises SizeLimitError,
+    before allocating the 2^n amplitudes, when they exceed the dense
+    memory budget.
+    """
+    pairs = site_pairs(per_site)
+    _check_dense_bytes(pairs.dtype.itemsize << len(pairs))
+    psi = np.ones(1, pairs.dtype)
+    for v in pairs:
         # site i becomes bit i: the new factor is the more significant bit
         psi = (v[:, None] * psi).ravel()
-    return StateVector(len(per_site), psi)
+    return StateVector(len(pairs), psi)

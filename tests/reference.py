@@ -43,7 +43,11 @@ direction, the construction that shows every direction the library
 searches is reachable.  ``apply`` is the matrix-free action H @ psi on
 the library's Pauli-action kernel.  ``cool_excited``, ``normalized``,
 ``basis_state``, ``fidelity`` and ``shastry_dimer_state`` are small
-helpers that only tests use.
+helpers that only tests use, and so is ``default_initial_state``, the
+2^n product state of ``models.default_initial_pairs``.
+``heisenberg_gas_schmidt_state`` is the exact ``Fraction`` route to the
+Heisenberg gas's single-colour block spectrum, beside the library's
+closed form ``heisenberg_gas_block_entropy``.
 """
 import itertools
 import math
@@ -56,7 +60,7 @@ from frustra.interference import IncomparableError, InterferenceReport, make_rep
 from frustra.models import (
     MajumdarGhosh,
     build_model,
-    default_initial_state,
+    default_initial_pairs,
     dimer_product_state,
     mg_span_blocks,
     shastry_sutherland_diagonals,
@@ -80,6 +84,7 @@ from frustra.spin_core import (
     diagonalize,
     manifolds,
     popcount,
+    product_state,
     schmidt_matrix,
     schmidt_weights,
     span_entropies,
@@ -642,3 +647,40 @@ def product_search(m: int, cuts, seed: int = 0, restarts: int = 8) -> list:
         best = int(np.argmin(fun))
         out.append((-fun[best], angle_pairs(x[best])))
     return out
+
+
+def default_initial_state(spec) -> StateVector:
+    """The model's default initial product state as a 2^n vector."""
+    return product_state(default_initial_pairs(spec))
+
+
+def heisenberg_gas_schmidt_state(m: int, k: int):
+    """Angular-momentum coupling coefficients of the single-color cut.
+
+    For a block of k same-color sites out of 2m, the cooled state couples
+    the block's symmetric spin-k/2 with the rest.  Using integer labels
+    a = M + k/2 (block) and b = p + m/2 (total black magnetization), the
+    squared coefficient is C(k,a) C(m-k, b-a) / C(m, b) / (m+1).
+
+    Returns (coefficients dict {(a, b): value}, reduced spectrum list over a).
+    The spectrum is uniform, 1/(k + 1): the library's closed form is
+    ``closed_forms.heisenberg_gas_block_entropy``.
+    """
+    if not (0 <= k <= m):
+        raise ValidationError("k out of range")
+    coeffs = {}
+    spectrum = []
+    for a in range(k + 1):
+        lam_a = Fraction(0)
+        for b in range(m + 1):
+            if not (0 <= b - a <= m - k):
+                continue
+            c2 = Fraction(
+                math.comb(k, a) * math.comb(m - k, b - a), math.comb(m, b)
+            ) / (m + 1)
+            sign = -1.0 if b % 2 else 1.0
+            coeffs[(a, b)] = sign * math.sqrt(float(c2))
+            lam_a += c2
+        spectrum.append(float(lam_a))
+    return coeffs, spectrum
+

@@ -34,7 +34,6 @@ from frustra.frustration import (
 )
 from frustra.closed_forms import (
     heisenberg_gas_bound,
-    heisenberg_gas_schmidt_state,
     ising_gas_spectra,
     mg_bounds,
     rvb_cut_plaquette_entropy,
@@ -46,6 +45,7 @@ from frustra.interference import covering_interference, rvb_interference_curve
 from reference import (
     covering_interference_by_enumeration,
     fidelity,
+    heisenberg_gas_schmidt_state,
     mg_dimer_states,
     normalized,
     partial_trace,

@@ -364,17 +364,17 @@ def test_scaling_mg_odd_cut_within_upper_bound(tmp_path):
     assert float(row[2]) <= float(row[5]) + 1e-9
 
 
-def test_scaling_ed_cools_once_per_size(tmp_path, monkeypatch):
-    import frustra.cooling
-
+def test_scaling_ed_cools_once_per_size(tmp_path, monkeypatch, diagonalize_calls):
+    # one scan per size for all its cuts, which cools the gas through its
+    # known ground manifold: no spectrum
     calls = []
-    diagonalize = frustra.cooling.diagonalize
+    scan = cli.cooled_entropy_scan
 
-    def counting(op):
-        calls.append(op.num_sites)
-        return diagonalize(op)
+    def counting(spec, *args):
+        calls.append(2 * spec.m)
+        return scan(spec, *args)
 
-    monkeypatch.setattr(frustra.cooling, "diagonalize", counting)
+    monkeypatch.setattr(cli, "cooled_entropy_scan", counting)
     out = tmp_path / "hg.csv"
     code = run(
         ["scaling", "--model", "heisenberg-gas", "--n", "4..6..2", "--k", "1..3",
@@ -382,6 +382,7 @@ def test_scaling_ed_cools_once_per_size(tmp_path, monkeypatch):
     )
     assert code == 0
     assert calls == [4, 6]
+    assert diagonalize_calls == []
     rows = [line.split(",") for line in read(out).strip().splitlines()[1:]]
     assert [(int(r[0]), int(r[1])) for r in rows] == [(n, k) for n in (4, 6) for k in (1, 2, 3)]
     # the same entropies as cool on the same cuts
@@ -427,9 +428,14 @@ def test_cool_builds_hamiltonian_once(tmp_path, monkeypatch):
     monkeypatch.setattr(models, "build_model", counting)
     monkeypatch.setattr(cooling, "build_model", counting)
     out = tmp_path / "cool.csv"
-    assert run(["cool", "--model", "mg", "--n", "6", "--k", "2", "--output", str(out)]) == 0
+    # above the ground: the ground run cools through the known manifold
+    # and builds no Hamiltonian
+    assert run(["cool", "--model", "mg", "--n", "6", "--k", "2", "--threshold", "0",
+                "--output", str(out)]) == 0
     assert len(calls) == 1
     assert len(read(out).strip().splitlines()) == 2
+    assert run(["cool", "--model", "mg", "--n", "6", "--k", "2", "--output", str(out)]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -684,7 +690,9 @@ def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(frustra.cooling, "diagonalize", out_of_memory)
     out = tmp_path / "mg.csv"
-    code = run(["cool", "--model", "mg", "--n", "6", "--k", "2", "--output", str(out)])
+    # above the ground, where the MG ring takes the dense spectrum
+    code = run(["cool", "--model", "mg", "--n", "6", "--k", "2", "--threshold", "0",
+                "--output", str(out)])
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")

@@ -21,14 +21,12 @@ from frustra.models import (
     IsingGasLR,
     SingleBondIsing,
     build_model,
-    default_initial_state,
 )
 from frustra.cooling import cool
 from frustra.closed_forms import (
     BoundaryPath,
     DickeSpectrum,
     heisenberg_gas_bound,
-    heisenberg_gas_schmidt_state,
     ising_gas_asymptote,
     ising_gas_spectra,
     ising_gas_stirling_weights,
@@ -43,7 +41,14 @@ from frustra.closed_forms import (
     single_bond_cooled_state,
 )
 
-from reference import dicke_weights, fidelity, partial_trace, shastry_dimer_state
+from reference import (
+    default_initial_state,
+    dicke_weights,
+    fidelity,
+    heisenberg_gas_schmidt_state,
+    partial_trace,
+    shastry_dimer_state,
+)
 
 
 # ---------------------------------------------------------------- Case 1

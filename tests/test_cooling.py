@@ -27,7 +27,6 @@ from frustra.models import (
     RVBPlaquette,
     SingleBondIsing,
     build_model,
-    default_initial_state,
 )
 from frustra.closed_forms import ising_gas_spectra, single_bond_cooled_state
 from frustra.cooling import (
@@ -44,6 +43,7 @@ from reference import (
     angle_pairs,
     basis_state,
     cool_excited,
+    default_initial_state,
     fidelity,
     ground_manifold,
     manifold_entropy,
@@ -421,16 +421,16 @@ def test_mask_path_works_on_the_kept_configurations():
     assert cooled.manifold_dims == ((-20.0, 44),)
 
 
-@pytest.mark.parametrize("model", ["mg", "heisenberg-gas"])
-def test_ground_cooling_computes_the_vectors_of_one_block(tmp_path, monkeypatch, model):
+@pytest.mark.parametrize("spec", [MajumdarGhosh(5), HeisenbergGasLR(5)], ids=["mg", "heisenberg-gas"])
+def test_ground_cooling_computes_the_vectors_of_one_block(monkeypatch, spec):
     # at n = 10 both MG ground states, and all 42 kept Heisenberg-gas
     # states, lie in one 126 x 126 flip half of the middle sector: every
     # other block gives its eigenvalues alone
+    h, initial = build_model(spec), default_initial_state(spec)
     eigh = np.linalg.eigh
     sizes = []
     monkeypatch.setattr(np.linalg, "eigh", lambda h: sizes.append(len(h)) or eigh(h))
-    assert main(["cool", "--model", model, "--n", "10", "--k", "1..9",
-                 "--output", str(tmp_path / "cool.csv")]) == 0
+    cool(h, initial)
     assert sizes == [126]
 
 

@@ -16,13 +16,13 @@ from frustra.models import (
     ShastrySutherland,
     SingleBondIsing,
     build_model,
-    default_initial_state,
     dimer_product_state,
     shastry_sutherland_diagonals,
 )
 
 from reference import (
     apply,
+    default_initial_state,
     ground_manifold,
     heisenberg_covering_states,
     mg_dimer_states,

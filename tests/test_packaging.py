@@ -92,7 +92,7 @@ def test_perfbench_imports_from_frustra_resolve():
 
 # Closed forms that encode claims of the paper and serve the tests as
 # oracles; nothing in src/ or perfbench/ calls them.
-_ORACLES = {"ising_gas_asymptote", "ising_gas_stirling_weights", "heisenberg_gas_schmidt_state",
+_ORACLES = {"ising_gas_asymptote", "ising_gas_stirling_weights",
             "rvb_cut_plaquette_entropy", "shastry_block_entropy"}
 
 

@@ -52,7 +52,9 @@ def test_full_job_payload_equals_golden(tmp_path, cmd):
 
 # sha1 of stdout, recorded with the all-eigh layout of ``diagonalize`` (every
 # block's eigenvectors computed; ``reference.sector_eigh`` is its oracle),
-# at the ground threshold and at a threshold inside a gap of the spectrum
+# at the ground threshold and at a threshold inside a gap of the spectrum.
+# The MG and Heisenberg-gas ground runs now take the known ground
+# manifold, and must print the same bytes
 DENSE_STDOUT_SHA1 = {
     "cool --model mg --n 6 --k 1..5": "d38acda7c4dadb3f91ddafb061542d13a06273cf",
     "cool --model mg --n 6 --k 1..5 --threshold -1.234": "7683390b0432e5a9380876835b13c0d3a9d640f7",
@@ -77,6 +79,20 @@ DENSE_STDOUT_SHA1 = {
     "bounds-check --model heisenberg-gas --n 8": "917ff2e7a9b22fdf622873e743944ce9c78f40e4",
     "scaling --model heisenberg-gas --n 4..8..2 --k 2 --source ed":
         "8ac17d0c9a5ffcbfb6fd9a7c9526d30f37d2387f",
+    # above every level, where the projection is the identity: the initial
+    # product state renormalized, so most cuts print an exact 0
+    "cool --model mg --n 6 --k 1..5 --threshold 1000": "f36a631d3ed7890604a181b1953f0f5ab8ef10e7",
+    "cool --model mg --n 8 --k 1..7 --threshold 1000": "acb6f18b7b1867eb4998e76186e98c3164d1fe95",
+    "cool --model mg --n 10 --k 1..9 --threshold 1000": "599a41faddd8b77ce5bc7159e05efef549422423",
+    "cool --model mg --n 12 --k 1..11 --threshold 1000": "bb12ca06a9f192eacf0df59bca65eee0000383c4",
+    "cool --model heisenberg-gas --n 6 --k 1..5 --threshold 1000":
+        "40cb662931d0b6bd290edb51de921638628eaa90",
+    "cool --model heisenberg-gas --n 8 --k 1..7 --threshold 1000":
+        "6cef2ba4efeb80921e189c64ed44a4341c6556ff",
+    "cool --model heisenberg-gas --n 10 --k 1..9 --threshold 1000":
+        "52639679fb173cdb74ad3c38151525331b4094b2",
+    "cool --model heisenberg-gas --n 12 --k 1..11 --threshold 1000":
+        "5d842e8ae47f6fa8892e2020013932b0b0c26436",
 }
 
 

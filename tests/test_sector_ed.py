@@ -18,7 +18,6 @@ from frustra.models import (
     RVBPlaquette,
     SingleBondIsing,
     build_model,
-    default_initial_state,
 )
 from frustra.spin_core import (
     Bipartition,
@@ -33,6 +32,7 @@ from frustra.spin_core import (
 )
 
 from reference import (
+    default_initial_state,
     eigenvectors,
     ground_manifold,
     mg_dimer_states,

@@ -31,19 +31,20 @@ from frustra.models import (
     IsingGasLR,
     MajumdarGhosh,
     build_model,
-    default_initial_state,
 )
 
 from reference import (
     basis_state,
-    mg_dimer_states,
-    span_blocks,
-    spectrum,
+    default_initial_state,
     eigenvectors,
     ground_manifold,
+    mg_dimer_states,
     partial_trace,
     pauli_from_text,
     pauli_to_text,
+    project_by_columns,
+    span_blocks,
+    spectrum,
     von_neumann_entropy,
 )
 
@@ -286,7 +287,8 @@ def test_flip_split_holds_one_scattered_block_beside_the_kept_vectors(monkeypatc
 
 def test_cli_cool_past_budget_exits_2(forbid, capsys):
     forbid("_sector_triplets", "_scatter_block")
-    code = main(["cool", "--model", "heisenberg-gas", "--n", "16", "--k", "2"])
+    # above the ground, where the gas takes the dense spectrum
+    code = main(["cool", "--model", "heisenberg-gas", "--n", "16", "--k", "2", "--threshold", "0"])
     assert code == 2
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
@@ -297,8 +299,9 @@ def test_cli_cool_past_budget_exits_2(forbid, capsys):
 def test_cool_above_every_level_fits_the_sector_budget(monkeypatch):
     # the n=8 MG ring's sector eigenvectors plus its largest block need
     # 142 kB; all 256 of its columns embedded in the full space would need
-    # 512 kB, but the projection works on the sector blocks in place, so a
-    # threshold above the spectrum fits and returns the initial state
+    # 512 kB, but a threshold above the spectrum makes the projection the
+    # identity, which needs no eigenvector: it fits and returns the
+    # initial state
     monkeypatch.setattr(spin_core, "_DENSE_BYTES", 300_000)
     h = build_model(MajumdarGhosh(4))
     initial = default_initial_state(MajumdarGhosh(4))
@@ -312,25 +315,30 @@ def test_cool_above_every_level_fits_the_sector_budget(monkeypatch):
 @pytest.mark.parametrize("complex_amps", [False, True])
 def test_complex_projection_copies_no_columns(monkeypatch, complex_amps):
     # the XY chain is complex and couples |00> to |11>, so it is one block;
-    # threshold 1000 keeps all 1024 of its columns (16 MiB), and projecting
-    # onto all of them returns the state itself.  The spectrum and the
-    # block's vectors are taken before tracing, so the trace holds the
-    # projection and the phase fix
+    # a threshold under its top manifold keeps 992 of its 1024 columns
+    # (16 MiB).  The spectrum and the block's vectors are
+    # taken before tracing, so the trace holds the projection and the
+    # phase fix
     h = _pair_chain(10, "XY")
     blocks = diagonalize(h)
     blocks[0][2]()
     monkeypatch.setattr(frustra.cooling, "diagonalize", lambda op: blocks)
+    values = blocks[0][1]
+    top, kept, _ = manifolds(values, degeneracy_tol(values))[-1]
+    threshold = (values[kept - 1] + top) / 2
     pairs = [(1.0, 0.5j if complex_amps else 0.5)] * 10
     initial = product_state(pairs)
     tracemalloc.start()
     try:
-        cooled = cool(h, initial, 1000.0)
+        cooled = cool(h, initial, threshold)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    np.testing.assert_allclose(cooled.state.amplitudes, initial.amplitudes, atol=1e-12)
-    assert cooled.z == pytest.approx(1.0, abs=1e-12)
+    assert cooled.num_retained == kept == 992
+    _, psi, z, _ = project_by_columns(h, initial, threshold)
+    assert cooled.z == pytest.approx(z, abs=1e-12) and z < 1 - 1e-6
+    assert abs(np.vdot(psi, cooled.state.amplitudes)) ** 2 / z == pytest.approx(1.0, abs=1e-12)
 
 
 def test_diagonalize_single_site():
