@@ -197,6 +197,12 @@ def _check_log2_z(log2_z: float) -> None:
             f"normal float64 (2^{_LOG2_TINY:g})")
 
 
+def _ground_threshold(e0: float, spread: float) -> float:
+    """The ``GROUND`` threshold of ``cool`` for a spectrum from ``e0`` to
+    ``e0 + spread``."""
+    return e0 + degeneracy_tol(np.array([e0, e0 + spread]))
+
+
 def _mg_ground(spec: MajumdarGhosh, pairs, ks):
     """Threshold, z and the entropy of each cut [0, k) of ``ks`` for the
     Majumdar-Ghosh product state of unit ``pairs`` cooled to the ground
@@ -229,7 +235,7 @@ def _mg_ground(spec: MajumdarGhosh, pairs, ks):
     _check_log2_z(2.0 * top + math.log2(weight))
     coords = (c / np.abs(c).max())[None]
     entropies = [float(span_entropies(b, coords)[0]) for b in blocks]
-    return -1.5 * n + 1e-9 * 3.0 * n, weight * 2.0 ** (2.0 * top), entropies
+    return _ground_threshold(-1.5 * n, 3.0 * n), weight * 2.0 ** (2.0 * top), entropies
 
 
 def _gas_ground(spec: HeisenbergGasLR, pairs, ks):
@@ -254,45 +260,38 @@ def _gas_ground(spec: HeisenbergGasLR, pairs, ks):
     log2_d = float(found[0])
     _check_log2_z(2 * m * log2_d - math.log2(m + 1))
     z = 2.0 ** (2 * m * log2_d) / (m + 1)
-    return -1.5 + 1e-9 * (m + 1), z, [heisenberg_gas_block_entropy(m, k) for k in ks]
+    return _ground_threshold(-1.5, m + 1.0), z, [heisenberg_gas_block_entropy(m, k) for k in ks]
 
 
 # the specs whose ground manifold ``cooled_entropy_scan`` knows
 _KNOWN_GROUNDS = {MajumdarGhosh: _mg_ground, HeisenbergGasLR: _gas_ground}
 
 
-def cooled_entropy_scan(spec, initial, threshold, cuts) -> list:
-    """Cool once and report the block entropy for every cut, one row per
-    cut in the order given.  Every cut is validated before the initial
-    state and the spectrum are built.
+def cooled_entropy_scan(spec, pairs, threshold, cuts) -> list:
+    """Cool the product state of the per-site amplitude ``pairs``
+    (``spin_core.site_pairs``) once and report the block entropy for every
+    cut, one row per cut in the order given.  Every cut is validated
+    before the spectrum is built.
 
-    ``initial`` is a ``StateVector`` or the per-site amplitude pairs of a
-    product state (``spin_core.site_pairs``).  Pairs cooled to the
-    ``GROUND`` of a ``MajumdarGhosh`` or ``HeisenbergGasLR`` spec, cut
-    only at [0, k), take the known ground manifold (``_mg_ground``, or
-    ``_gas_ground`` when the pairs allow it): no spectrum and no 2^n
-    vector.  There z is refused only when it is zero (an exactly
-    orthogonal singlet overlap) or below float64's smallest normal
-    number, not under the 1e-14 floor of ``cool``, which absorbs
-    eigenvector rounding.  Every other input goes through ``cool`` and
-    ``block_entropy``, pairs as ``product_state(pairs)``.
+    Pairs cooled to the ``GROUND`` of a ``MajumdarGhosh`` or
+    ``HeisenbergGasLR`` spec, cut only at [0, k), take the known ground
+    manifold (``_mg_ground``, or ``_gas_ground`` when the pairs allow it):
+    no spectrum and no 2^n vector.  There z is refused only when it is
+    zero (an exactly orthogonal singlet overlap) or below float64's
+    smallest normal number, not under the 1e-14 floor of ``cool``, which
+    absorbs eigenvector rounding.  Every other input goes through ``cool``
+    on ``product_state(pairs)`` and ``block_entropy``.
     """
+    pairs = site_pairs(pairs)
+    for cut in cuts:
+        cut.validate(len(pairs))
+    ground = _KNOWN_GROUNDS.get(type(spec))
     result = None
-    if not isinstance(initial, StateVector):
-        pairs = site_pairs(initial)
-        for cut in cuts:
-            cut.validate(len(pairs))
-        ground = _KNOWN_GROUNDS.get(type(spec))
-        if (threshold == GROUND and ground is not None and len(pairs) == 2 * spec.m
-                and all(c.system_sites == tuple(range(len(c.system_sites))) for c in cuts)):
-            result = ground(spec, pairs, [len(cut.system_sites) for cut in cuts])
-        if result is None:
-            initial = product_state(pairs)
+    if (threshold == GROUND and ground is not None and len(pairs) == 2 * spec.m
+            and all(c.system_sites == tuple(range(len(c.system_sites))) for c in cuts)):
+        result = ground(spec, pairs, [len(cut.system_sites) for cut in cuts])
     if result is None:
-        h = build_model(spec)
-        for cut in cuts:
-            cut.validate(h.num_sites)
-        cooled = cool(h, initial, threshold)
+        cooled = cool(build_model(spec), product_state(pairs), threshold)
         result = cooled.threshold, cooled.z, [block_entropy(cooled.state, cut) for cut in cuts]
     thr, z, entropies = result
     return [

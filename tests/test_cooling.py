@@ -27,6 +27,7 @@ from frustra.models import (
     RVBPlaquette,
     SingleBondIsing,
     build_model,
+    default_initial_pairs,
 )
 from frustra.closed_forms import ising_gas_spectra, single_bond_cooled_state
 from frustra.cooling import (
@@ -438,13 +439,13 @@ def test_entropy_scan_rows_and_csv(diagonalize_calls):
     # one row per cut, each the entropy of one cool, with one spectrum for
     # the scan: the I/Z single-bond ring at the ground, the MG ring above it
     for spec, threshold, spectra in [(SingleBondIsing(3), GROUND, 0), (MajumdarGhosh(3), 0.5, 1)]:
-        init = default_initial_state(spec)
+        pairs = default_initial_pairs(spec)
         cuts = [Bipartition.contiguous(k) for k in (1, 2, 3)]
         diagonalize_calls.clear()
-        reports = cooled_entropy_scan(spec, init, threshold, cuts)
+        reports = cooled_entropy_scan(spec, pairs, threshold, cuts)
         assert len(diagonalize_calls) == spectra
         assert [r.k for r in reports] == [1, 2, 3]
-        expected = cool(build_model(spec), init, threshold)
+        expected = cool(build_model(spec), product_state(pairs), threshold)
         for report, cut in zip(reports, cuts):
             assert report.threshold == expected.threshold
             assert report.z == expected.z
@@ -459,10 +460,9 @@ def test_entropy_scan_case6_constant_in_k(single_bond_entropy):
     # most four eigenvalues, so E <= 2 for every k; E tends to the same
     # value for every k only as m -> infinity
     spec = SingleBondIsing(4)
-    init = default_initial_state(spec)
     ks = (1, 2, 3, 4)
     cuts = [Bipartition.contiguous(k) for k in ks]
-    reports = cooled_entropy_scan(spec, init, GROUND, cuts)
+    reports = cooled_entropy_scan(spec, default_initial_pairs(spec), GROUND, cuts)
     es = [r.entropy for r in reports]
     for k, e in zip(ks, es):
         assert e == pytest.approx(single_bond_entropy(8, k), abs=1e-10)
@@ -477,7 +477,7 @@ def test_entropy_scan_case6_decreasing_in_size(single_bond_entropy):
         spec = SingleBondIsing(m)
         reports = cooled_entropy_scan(
             spec,
-            default_initial_state(spec),
+            default_initial_pairs(spec),
             GROUND,
             [Bipartition.contiguous(2)],
         )
@@ -494,7 +494,7 @@ def test_mg_scan_golden_value():
     assert e == pytest.approx(2.314, abs=0.01)
     spec = MajumdarGhosh(4)
     reports = cooled_entropy_scan(
-        spec, product_state(mg_witness(4, direction)), GROUND, [Bipartition.contiguous(4)]
+        spec, mg_witness(4, direction), GROUND, [Bipartition.contiguous(4)]
     )
     assert reports[0].entropy == pytest.approx(e, abs=1e-9)
 

@@ -129,17 +129,14 @@ def test_gas_with_unequal_black_pairs_takes_the_dense_path(diagonalize_calls):
     assert [r.entropy for r in reports] == want[2]
 
 
-@pytest.mark.parametrize("threshold, cut, initial", [
-    (-1.234, Bipartition.contiguous(2), None),
-    (GROUND, Bipartition((1, 2)), None),
-    (GROUND, Bipartition.contiguous(2), "state"),
-], ids=["threshold", "cut", "state"])
-def test_the_route_needs_the_ground_cuts_from_zero_and_pairs(diagonalize_calls, threshold,
-                                                              cut, initial):
+@pytest.mark.parametrize("threshold, cut", [
+    (-1.234, Bipartition.contiguous(2)),
+    (GROUND, Bipartition((1, 2))),
+], ids=["threshold", "cut"])
+def test_the_route_needs_the_ground_and_cuts_from_zero(diagonalize_calls, threshold, cut):
     spec = MajumdarGhosh(4)
     pairs = default_initial_pairs(spec)
-    initial = pairs if initial is None else product_state(pairs)
-    [report] = cooled_entropy_scan(spec, initial, threshold, [cut])
+    [report] = cooled_entropy_scan(spec, pairs, threshold, [cut])
     assert len(diagonalize_calls) == 1
     cooled = cool(build_model(spec), product_state(pairs), threshold)
     assert (report.threshold, report.z) == (cooled.threshold, cooled.z)

@@ -18,6 +18,7 @@ from frustra.models import (
     RVBPlaquette,
     SingleBondIsing,
     build_model,
+    default_initial_pairs,
 )
 from frustra.spin_core import (
     Bipartition,
@@ -32,7 +33,6 @@ from frustra.spin_core import (
 )
 
 from reference import (
-    default_initial_state,
     eigenvectors,
     ground_manifold,
     mg_dimer_states,
@@ -241,15 +241,18 @@ def test_pauli_sums_match_reference(op):
 
 
 def test_mg_ring_n12_matches_dimer_projection():
+    # the known-ground route of the scan against a QR projection onto the
+    # two dimer coverings
     spec = MajumdarGhosh(6)
-    initial = default_initial_state(spec)
+    pairs = default_initial_pairs(spec)
+    initial = product_state(pairs)
     gp, gm = mg_dimer_states(6)
     q, _ = np.linalg.qr(np.stack([gp.amplitudes, gm.amplitudes], axis=1))
     coeffs = q.conj().T @ initial.amplitudes
     z = float(np.vdot(coeffs, coeffs).real)
     oracle = StateVector(12, (q @ coeffs) / np.sqrt(z))
     cuts = [Bipartition.contiguous(k) for k in range(1, 12)]
-    reports = cooled_entropy_scan(spec, initial, "ground", cuts)
+    reports = cooled_entropy_scan(spec, pairs, "ground", cuts)
     for cut, report in zip(cuts, reports):
         assert report.entropy == pytest.approx(block_entropy(oracle, cut), abs=1e-9)
         assert report.z == pytest.approx(z, abs=1e-12)

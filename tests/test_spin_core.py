@@ -296,20 +296,25 @@ def test_cli_cool_past_budget_exits_2(forbid, capsys):
     assert captured.out == ""
 
 
-def test_cool_above_every_level_fits_the_sector_budget(monkeypatch):
+def test_cool_under_the_top_level_fits_the_sector_budget(monkeypatch):
     # the n=8 MG ring's sector eigenvectors plus its largest block need
     # 142 kB; all 256 of its columns embedded in the full space would need
-    # 512 kB, but a threshold above the spectrum makes the projection the
-    # identity, which needs no eigenvector: it fits and returns the
-    # initial state
-    monkeypatch.setattr(spin_core, "_DENSE_BYTES", 300_000)
+    # 512 kB, but the projection works on the sector blocks in place, so a
+    # threshold under the top manifold, which keeps all but its 9
+    # columns, fits the 300 kB budget
     h = build_model(MajumdarGhosh(4))
     initial = default_initial_state(MajumdarGhosh(4))
+    energies = spectrum(diagonalize(h))
+    top, kept, _ = manifolds(energies, degeneracy_tol(energies))[-1]
+    threshold = (energies[kept - 1] + top) / 2
+    _, psi, z, dims = project_by_columns(h, initial, threshold)
+    monkeypatch.setattr(spin_core, "_DENSE_BYTES", 300_000)
     assert cool(h, initial).num_retained == 2
-    cooled = cool(h, initial, threshold=1000)
-    assert cooled.num_retained == 256
-    assert cooled.z == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(cooled.state.amplitudes, initial.amplitudes, rtol=0, atol=1e-12)
+    cooled = cool(h, initial, threshold)
+    assert cooled.num_retained == kept == 247
+    np.testing.assert_allclose(cooled.manifold_dims, dims, rtol=0, atol=1e-12)
+    assert cooled.z == pytest.approx(z, abs=1e-12) and z < 1 - 1e-6
+    assert abs(np.vdot(psi, cooled.state.amplitudes)) ** 2 / z == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("complex_amps", [False, True])
