@@ -4,9 +4,10 @@ These serve as oracles against exact diagonalization at small sizes and
 extend the same quantities far beyond dense-diagonalization reach.  Exact
 big-integer arithmetic is used where feasible, switching to log-space
 (lgamma) evaluation for very large systems.  The Dicke block weights come
-one scan of cuts at a time (``ising_gas_spectra``), which shares its exact
-work across the cuts: one C(2m, m(1+lam)) to divide every numerator by,
-and each cut's starting numerator stepped from its neighbour's.
+one scan of cuts at a time (``dicke_block_weights``, keyed by the zero
+count), which shares its exact work across the cuts: one C(n, n0) to
+divide every numerator by, and each cut's starting numerator stepped from
+its neighbour's.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .models import SingleBondIsing, dimer_product_state, shastry_sutherland_diagonals
 from .spin_core import (
+    InternalConsistencyError,
     StateVector,
     ValidationError,
     _check_dense_bytes,
@@ -32,6 +34,14 @@ def _lbinom(a: int, b: int) -> float:
     if b < 0 or a < 0 or b > a:
         return -math.inf
     return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+
+
+def log2_binomial(n: int, r: int) -> float:
+    """log2 C(n, r): of the exact integer up to the exact range of the
+    Dicke weights (n <= 2000), where it is cheap, and from lgamma above."""
+    if n <= 2 * _EXACT_M_LIMIT:
+        return math.log2(math.comb(n, r))
+    return _lbinom(n, r) / math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -58,26 +68,11 @@ class DickeSpectrum:
 
 def ising_gas_spectra(m: int, lam: float, ks) -> list:
     """Exact block spectra of the cooled Ising-gas (Dicke) state, one
-    ``DickeSpectrum`` per cut size in ``ks``, in that order.
+    ``DickeSpectrum`` per cut size in ``ks``, in that order: the
+    ``dicke_block_weights`` of n0 = m(1+lam) zeros on 2m sites.
 
     Requires m*(1+lam) to be an integer so the zero count of the Dicke
-    state is well defined.  Weight i is C(k, i) C(2m-k, n0-i) / C(2m, n0)
-    for n0 = m(1+lam) zeros, nonzero for lo <= i <= hi.  Every k is
-    checked before any weight is computed.
-
-    For m <= 1000 the numerators are exact integers.  C(2m, n0) is taken
-    once per scan.  A cut's starting numerator C(2m-k, n0-hi) is C(2m-k,
-    n1) with n1 = 2m - n0 ones, or 1 when 2m-k < n1; from one cut to a
-    neighbour k +- 1 it is stepped by the exact recurrence C(N-1, n1) =
-    C(N, n1)(N-n1)/N, and ``math.comb`` runs only for the first cut and
-    after a jump.  The walk down from i = hi steps both binomials with the
-    exact recurrences C(N, r+1) = C(N, r)(N-r)/(r+1) and C(k, i-1) =
-    C(k, i) i/(k-i+1), from C(k, hi).  The numerators must sum to C(2m, n0)
-    (Vandermonde), and each weight is one int/int division, which Python
-    rounds correctly.  Above m = 1000 the weights are evaluated in
-    log-space, with three ``math.lgamma`` calls per log-binomial; the
-    log of C(2m, n0) is taken once per scan.  Nothing is kept between
-    calls.
+    state is well defined.
     """
     n0f = m * (1.0 + lam)
     n0 = round(n0f)
@@ -85,12 +80,38 @@ def ising_gas_spectra(m: int, lam: float, ks) -> list:
         raise ValidationError(
             "lambda must be on the j/m grid so that m(1+lambda) is an integer"
         )
-    n = 2 * m
+    ks = list(ks)
+    return [DickeSpectrum(k=k, m=m, lam=lam, weights=w)
+            for k, w in zip(ks, dicke_block_weights(2 * m, n0, ks))]
+
+
+def dicke_block_weights(n: int, n0: int, ks) -> list:
+    """Block spectra of the Dicke state of n sites with n0 of them in |0>,
+    one tuple of weights per cut size in ``ks``, in that order.
+
+    Weight i is C(k, i) C(n-k, n0-i) / C(n, n0), the probability of
+    finding i zeros inside a k-site block, nonzero for lo <= i <= hi.
+    Every k is checked before any weight is computed.
+
+    For n <= 2000 the numerators are exact integers.  C(n, n0) is taken
+    once per scan.  A cut's starting numerator C(n-k, n0-hi) is C(n-k,
+    n1) with n1 = n - n0 ones, or 1 when n-k < n1; from one cut to a
+    neighbour k +- 1 it is stepped by the exact recurrence C(N-1, n1) =
+    C(N, n1)(N-n1)/N, and ``math.comb`` runs only for the first cut and
+    after a jump.  The walk down from i = hi steps both binomials with the
+    exact recurrences C(N, r+1) = C(N, r)(N-r)/(r+1) and C(k, i-1) =
+    C(k, i) i/(k-i+1), from C(k, hi).  The numerators must sum to C(n, n0)
+    (Vandermonde), else InternalConsistencyError is raised, and each
+    weight is one int/int division, which Python rounds correctly.  Above
+    n = 2000 the weights are evaluated in log-space, with three
+    ``math.lgamma`` calls per log-binomial; the log of C(n, n0) is taken
+    once per scan.  Nothing is kept between calls.
+    """
     ks = list(ks)
     if not all(0 <= k <= n for k in ks):
         raise ValidationError("k out of range")
     out = []
-    if m <= _EXACT_M_LIMIT:
+    if n <= 2 * _EXACT_M_LIMIT:
         denom = math.comb(n, n0)
         n1, last = n - n0, None  # cr = C(n-k, n0-hi) of the cut k = last
         for k in ks:
@@ -110,7 +131,9 @@ def ising_gas_spectra(m: int, lam: float, ks) -> list:
                 r = n0 - i
                 c = c * (env - r) // (r + 1)
                 ck = ck * i // (k - i + 1)
-            assert sum(nums) == denom
+            if sum(nums) != denom:
+                raise InternalConsistencyError(
+                    f"the Dicke numerators of the {k}-site block do not sum to C({n}, {n0})")
             out.append(tuple(num / denom for num in nums))
     else:
         total = _lbinom(n, n0)
@@ -120,7 +143,7 @@ def ising_gas_spectra(m: int, lam: float, ks) -> list:
             )
             weights = np.where(np.isfinite(lw), np.exp(lw), 0.0)
             out.append(tuple(weights / weights.sum()))
-    return [DickeSpectrum(k=k, m=m, lam=lam, weights=w) for k, w in zip(ks, out)]
+    return out
 
 
 def ising_gas_asymptote(k: int, lam: float) -> float:

@@ -11,8 +11,10 @@ projects onto one ``(basis, values, vectors)`` block of ``diagonalize``
 at a time, calling ``vectors`` only for the blocks it projects onto.
 ``cooled_entropy_scan`` cools once and splits the state at every cut,
 or reads every cut from the known ground manifold of the Majumdar-Ghosh
-ring or the Heisenberg gas; ``maximize_cooled_entropy`` searches the directions of the
-Majumdar-Ghosh ground manifold for the cooled state of largest entropy.
+ring, the Heisenberg gas, the Ising gas or the single-bond ring, with no
+spectrum and no 2^n vector; ``maximize_cooled_entropy`` searches the
+directions of the Majumdar-Ghosh ground manifold for the cooled state of
+largest entropy.
 """
 from __future__ import annotations
 
@@ -21,8 +23,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import heisenberg_gas_block_entropy
-from .models import HeisenbergGasLR, MajumdarGhosh, build_model, mg_span_blocks
+from .closed_forms import (
+    dicke_block_weights,
+    heisenberg_gas_block_entropy,
+    log2_binomial,
+    single_bond_block_entropy,
+)
+from .models import (
+    HeisenbergGasLR,
+    IsingGasLR,
+    MajumdarGhosh,
+    SingleBondIsing,
+    build_model,
+    mg_span_blocks,
+)
 from .spin_core import (
     OrthogonalInitialStateError,
     PauliOperator,
@@ -34,6 +48,7 @@ from .spin_core import (
     diagonalize,
     manifolds,
     product_state,
+    shannon_entropy,
     site_pairs,
     span_entropies,
 )
@@ -44,6 +59,9 @@ _Z_FLOOR = 1e-14
 
 # a singlet overlap |u0 v1 - u1 v0| of two unit pairs at or below this is zero
 _SINGLET_ZERO = 1e-14
+
+# unit-pair magnitudes that differ by at most this count as equal
+_SAME_MAGNITUDE = 1e-14
 
 # log2 of the smallest normal float64: a z below it would lose digits
 _LOG2_TINY = math.log2(np.finfo(float).tiny)
@@ -263,8 +281,64 @@ def _gas_ground(spec: HeisenbergGasLR, pairs, ks):
     return _ground_threshold(-1.5, m + 1.0), z, [heisenberg_gas_block_entropy(m, k) for k in ks]
 
 
+def _ising_ground(spec: IsingGasLR, pairs, ks):
+    """Threshold, z and the entropy of each cut [0, k) of ``ks`` for the
+    Ising-gas product state of unit ``pairs`` cooled to the ground
+    configurations, or None unless they fill one popcount sector and
+    every site's pair has the same magnitudes (|u0|, |u1|).
+
+    The energy depends on S = sum_i Z_i alone: (J/2m)(S^2 - n) -
+    2 J lambda S, over the n + 1 values of S.  With n0 zeros and p ones
+    kept, psi cools to the Dicke state of n0 zeros up to the local phases
+    of the pairs, whose block spectra are ``dicke_block_weights``, and
+    z = C(n, p) |u0|^(2 n0) |u1|^(2p), summed in log2.  A zero magnitude
+    that the sector needs makes z zero, and raises.
+    """
+    n = 2 * spec.m
+    j = 1.0 if spec.sign == "frustrated" else -1.0
+    s = np.arange(n, -n - 1, -2.0)  # S for p = 0..n ones
+    # sum_{i<j} Z_i Z_j = (S^2 - n)/2, at build_model's pair coefficient J/m
+    energies = j / spec.m * ((s * s - n) / 2) - 2.0 * j * spec.lam * s
+    thr = _ground_threshold(energies.min(), np.ptp(energies))
+    kept = np.flatnonzero(energies <= thr)
+    mags = np.abs(pairs)
+    if len(kept) != 1 or np.ptp(mags, axis=0).max() > _SAME_MAGNITUDE:
+        return None
+    p = int(kept[0])
+    counts = [(n - p, float(mags[0, 0])), (p, float(mags[0, 1]))]
+    if any(c and a == 0.0 for c, a in counts):
+        raise OrthogonalInitialStateError("initial state has no support below the threshold")
+    log2_z = log2_binomial(n, p) + sum(2 * c * math.log2(a) for c, a in counts if c)
+    _check_log2_z(log2_z)
+    entropies = [shannon_entropy(w) for w in dicke_block_weights(n, n - p, ks)]
+    return thr, 2.0 ** log2_z, entropies
+
+
+def _single_bond_ground(spec: SingleBondIsing, pairs, ks):
+    """Threshold, z and the entropy of each cut [0, k) of ``ks`` for the
+    frustrated single-bond ring's product state of unit ``pairs`` cooled
+    to its 4m ground configurations, or None for the unfrustrated sign or
+    unless |u0| = |u1| on every site.
+
+    Then every ground configuration has the same amplitude up to the
+    local phases of the pairs, so psi cools to their uniform superposition
+    (``closed_forms.single_bond_cooled_state``), with the entropies of
+    ``single_bond_block_entropy`` and z = 4m prod_i |u_i0|^2, summed in
+    log2.  The ground energy is -(n - 2) and the spectral spread 2n - 4.
+    """
+    n = 2 * spec.m
+    mags = np.abs(pairs)
+    if spec.sign != "frustrated" or np.abs(mags[:, 0] - mags[:, 1]).max() > _SAME_MAGNITUDE:
+        return None
+    log2_z = math.log2(4 * spec.m) + 2.0 * float(np.log2(mags[:, 0]).sum())
+    _check_log2_z(log2_z)
+    return (_ground_threshold(2.0 - n, 2.0 * n - 4), 2.0 ** log2_z,
+            [single_bond_block_entropy(spec.m, k) for k in ks])
+
+
 # the specs whose ground manifold ``cooled_entropy_scan`` knows
-_KNOWN_GROUNDS = {MajumdarGhosh: _mg_ground, HeisenbergGasLR: _gas_ground}
+_KNOWN_GROUNDS = {MajumdarGhosh: _mg_ground, HeisenbergGasLR: _gas_ground,
+                  IsingGasLR: _ising_ground, SingleBondIsing: _single_bond_ground}
 
 
 def cooled_entropy_scan(spec, pairs, threshold, cuts) -> list:
@@ -273,14 +347,19 @@ def cooled_entropy_scan(spec, pairs, threshold, cuts) -> list:
     cut, one row per cut in the order given.  Every cut is validated
     before the spectrum is built.
 
-    Pairs cooled to the ``GROUND`` of a ``MajumdarGhosh`` or
-    ``HeisenbergGasLR`` spec, cut only at [0, k), take the known ground
-    manifold (``_mg_ground``, or ``_gas_ground`` when the pairs allow it):
-    no spectrum and no 2^n vector.  There z is refused only when it is
-    zero (an exactly orthogonal singlet overlap) or below float64's
+    Pairs cooled to the ``GROUND`` of a spec of ``_KNOWN_GROUNDS``, cut
+    only at [0, k), take the known ground manifold: no spectrum and no
+    2^n vector.  ``_mg_ground`` serves every MG input; ``_gas_ground``
+    (one pair on all black sites, one on all white), ``_ising_ground``
+    (one popcount sector kept, the same magnitudes on every site) and
+    ``_single_bond_ground`` (the frustrated sign, |u0| = |u1| on every
+    site) return None for the pairs they do not serve.  On the route z is
+    refused only when it is zero (an exactly orthogonal singlet overlap,
+    or a zero magnitude that the kept sector needs) or below float64's
     smallest normal number, not under the 1e-14 floor of ``cool``, which
     absorbs eigenvector rounding.  Every other input goes through ``cool``
-    on ``product_state(pairs)`` and ``block_entropy``.
+    on ``product_state(pairs)`` and ``block_entropy``, the route's test
+    oracle.
     """
     pairs = site_pairs(pairs)
     for cut in cuts:
@@ -291,7 +370,8 @@ def cooled_entropy_scan(spec, pairs, threshold, cuts) -> list:
             and all(c.system_sites == tuple(range(len(c.system_sites))) for c in cuts)):
         result = ground(spec, pairs, [len(cut.system_sites) for cut in cuts])
     if result is None:
-        cooled = cool(build_model(spec), product_state(pairs), threshold)
+        initial = product_state(pairs)  # an oversized state is refused before the operator
+        cooled = cool(build_model(spec), initial, threshold)
         result = cooled.threshold, cooled.z, [block_entropy(cooled.state, cut) for cut in cuts]
     thr, z, entropies = result
     return [

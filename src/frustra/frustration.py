@@ -23,13 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .models import IsingGasLR, MajumdarGhosh, ShastrySutherland, SingleBondIsing, build_model
-from .spin_core import PauliOperator, ValidationError
+from .spin_core import InternalConsistencyError, PauliOperator, ValidationError
 
 ENUMERATION_CAP = 24
-
-
-class InternalConsistencyError(RuntimeError):
-    """A should-be-impossible numerical condition (vanishing denominator)."""
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,11 @@ class OrthogonalInitialStateError(ValidationError):
     """Raised when an initial state has no support below the cooling threshold."""
 
 
+class InternalConsistencyError(RuntimeError):
+    """A should-be-impossible numerical condition (vanishing denominator,
+    or an exact identity that failed); the CLI exits 3."""
+
+
 def popcount(idx: np.ndarray) -> np.ndarray:
     """Population count of each entry of a nonnegative integer array (as uint8)."""
     return np.bitwise_count(np.asarray(idx, dtype=np.int64))

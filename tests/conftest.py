@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 import frustra.cooling
+from frustra.spin_core import PauliOperator
 
 # Property tests replay the same examples on every run and never time out
 # on a slow machine; pytest --hypothesis-profile selects another profile.
@@ -45,4 +46,19 @@ def diagonalize_calls(monkeypatch):
         return diagonalize(*args, **kwargs)
 
     monkeypatch.setattr(frustra.cooling, "diagonalize", counting_diagonalize)
+    return calls
+
+
+@pytest.fixture
+def diagonal_calls(monkeypatch):
+    """Count the calls made to ``PauliOperator.diagonal``: the mask path
+    of ``cool`` makes one, the known ground configurations none."""
+    calls = []
+    diagonal = PauliOperator.diagonal
+
+    def counting_diagonal(self):
+        calls.append(self)
+        return diagonal(self)
+
+    monkeypatch.setattr(PauliOperator, "diagonal", counting_diagonal)
     return calls

@@ -142,16 +142,22 @@ BLOCK_ENTROPY_GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 @pytest.mark.parametrize("argv, name", [
     ("cool --model ising-gas --n 18 --k 1..17", "cool_ising-gas_n18_k1-17.csv"),
+    ("cool --model ising-gas --n 18 --k 1..17 --threshold -0.999999982",
+     "cool_ising-gas_n18_k1-17.csv"),
     ("cool --model single-bond --n 18 --k 1..17", "cool_single-bond_n18_k1-17.csv"),
+    ("cool --model single-bond --n 18 --k 1..17 --threshold -15.999999968",
+     "cool_single-bond_n18_k1-17.csv"),
     ("cool --model mg --n 12 --k 1..11", "cool_mg_n12_k1-11.csv"),
     ("cool --model heisenberg-gas --n 12 --k 1..11", "cool_heisenberg-gas_n12_k1-11.csv"),
     ("bounds-check --model heisenberg-gas --n 10", "bounds-check_heisenberg-gas_n10.json"),
-], ids=["ising-gas-n18", "single-bond-n18", "mg-n12", "heisenberg-gas-n12",
-        "bounds-check-heisenberg-gas-n10"])
+], ids=["ising-gas-n18", "ising-gas-n18-mask", "single-bond-n18", "single-bond-n18-mask",
+        "mg-n12", "heisenberg-gas-n12", "bounds-check-heisenberg-gas-n10"])
 def test_block_entropy_payload_equals_golden_bytes(tmp_path, argv, name):
     # the goldens were written by the block_entropy that diagonalised the
     # whole Gram matrix of every cut; the sector split must print the
-    # same bytes
+    # same bytes.  The I/Z ground runs take the known ground
+    # configurations; at the threshold they print, the same runs take
+    # the mask path, and must print the same bytes too
     out = tmp_path / name
     assert run(argv.split() + ["--output", str(out)]) == 0
     with open(os.path.join(BLOCK_ENTROPY_GOLDENS, name), "rb") as fh:
@@ -170,17 +176,40 @@ def test_cool_refuses_a_bad_cut_before_the_spectrum(tmp_path, capsys, diagonaliz
 
 @pytest.mark.parametrize("argv", [
     "bounds-check --model mg --n 1000000 --samples 1",
-    "cool --model ising-gas --n 64 --k 1",
-    "cool --model single-bond --n 64 --k 1",
+    "cool --model ising-gas --n 64 --k 1 --threshold 0",
+    "cool --model single-bond --n 64 --k 1 --threshold 0",
 ], ids=["bounds-check-mg", "cool-ising-gas", "cool-single-bond"])
 def test_oversized_state_is_refused_before_allocating(tmp_path, capsys, argv):
     # a 2^64 state, or the MG span setup of a million cuts (two 16 x 16
     # powers and the blocks of each, 4.77 GiB): refused by the dense budget
-    # before numpy is asked for it
+    # before numpy is asked for it.  The cool runs sit above the ground,
+    # which the known ground configurations would serve with no 2^n state
     out = tmp_path / "out"
     tracemalloc.start()
     try:
         code = run(argv.split() + ["--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: dense work needs")
+    assert peak < 64 << 20
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["ising-gas", "heisenberg-gas"])
+def test_oversized_state_is_refused_before_the_operator_is_built(tmp_path, capsys, monkeypatch,
+                                                                 model):
+    # the gases at n = 1000 have 499,500 pair terms of 1000 letters: built
+    # before the 2^1000 state was refused, they took 10 s and 0.7 GB, and
+    # 31 s and 2 GB
+    monkeypatch.setattr(cooling, "build_model", lambda spec: pytest.fail("built the operator"))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = run(["cool", "--model", model, "--n", "1000", "--k", "1", "--threshold", "0",
+                    "--output", str(out)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -405,10 +434,13 @@ def test_cool_subcommand(tmp_path):
     assert len(lines) == 4
 
 
-def test_cool_pure_cuts_print_zero_not_minus_zero(tmp_path):
-    # lambda = 1 cools the m=2 Ising gas onto a product state
+@pytest.mark.parametrize("threshold", [[], ["--threshold", "-4.5"]], ids=["ground", "mask"])
+def test_cool_pure_cuts_print_zero_not_minus_zero(tmp_path, threshold):
+    # lambda = 1 cools the m=2 Ising gas onto a product state, all zeros
+    # at E0 = -5: from its known ground configuration, and on the mask
+    # path under the next level, -4
     out = tmp_path / "cool.csv"
-    argv = ["cool", "--model", "ising-gas", "--m", "2", "--lambda", "1", "--k", "1..3"]
+    argv = ["cool", "--model", "ising-gas", "--m", "2", "--lambda", "1", "--k", "1..3"] + threshold
     assert run(argv + ["--output", str(out)]) == 0
     rows = [line.split(",") for line in read(out).strip().splitlines()[1:]]
     assert [row[-2] for row in rows] == ["0", "0", "0"]

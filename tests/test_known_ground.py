@@ -1,11 +1,16 @@
 """The known-ground route of ``cooled_entropy_scan``: per-site pairs cooled
-to the ground of the Majumdar-Ghosh ring or of the Heisenberg gas, cut at
-[0, k), take the ground manifold itself, with no spectrum and no 2^n
-vector.  The dense path (``cool`` on ``product_state(pairs)``, then
-``block_entropy``) is its oracle.
+to the ground of the Majumdar-Ghosh ring, the Heisenberg gas, the Ising
+gas or the single-bond ring, cut at [0, k), take the ground manifold
+itself, with no spectrum, no diagonal and no 2^n vector.  The dense or
+mask path (``cool`` on ``product_state(pairs)``, then ``block_entropy``)
+is its oracle.
 """
+import cmath
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -14,16 +19,27 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import frustra.cooling
+import frustra.closed_forms
 from frustra.cli import main
-from frustra.closed_forms import heisenberg_gas_block_entropy
+from frustra.closed_forms import heisenberg_gas_block_entropy, single_bond_block_entropy
 from frustra.cooling import GROUND, cool, cooled_entropy_scan
-from frustra.models import HeisenbergGasLR, MajumdarGhosh, build_model, default_initial_pairs
+from frustra.models import (
+    HeisenbergGasLR,
+    IsingGasLR,
+    MajumdarGhosh,
+    SingleBondIsing,
+    build_model,
+    default_initial_pairs,
+)
 from frustra.spin_core import (
     Bipartition,
     OrthogonalInitialStateError,
+    PauliOperator,
     ValidationError,
     block_entropy,
+    degeneracy_tol,
     diagonalize,
+    popcount,
     product_state,
 )
 
@@ -48,9 +64,11 @@ def _dense(spec, pairs):
 
 
 def _route(spec, pairs):
-    """The same from ``cooled_entropy_scan``, which must not diagonalize."""
-    refuse = mock.Mock(side_effect=AssertionError("the route diagonalized"))
-    with mock.patch.object(frustra.cooling, "diagonalize", refuse):
+    """The same from ``cooled_entropy_scan``, which must neither
+    diagonalize nor build a diagonal."""
+    refuse = mock.Mock(side_effect=AssertionError("the route took a spectrum"))
+    with mock.patch.object(frustra.cooling, "diagonalize", refuse), \
+            mock.patch.object(PauliOperator, "diagonal", refuse):
         try:
             reports = cooled_entropy_scan(spec, pairs, GROUND, _cuts(2 * spec.m))
         except OrthogonalInitialStateError:
@@ -64,7 +82,11 @@ def _check_against_dense(spec, pairs):
     # eigenvector rounding moves its entropies by more than 1e-12 is not
     # compared; the route refuses only an exactly zero overlap
     assume(got is None or got[1] > 1e-6)
-    want = _dense(spec, pairs)
+    _assert_close(got, _dense(spec, pairs))
+
+
+def _assert_close(got, want):
+    """Two (threshold, z, entropies) to 1e-12, or both None."""
     assert (got is None) == (want is None)
     if got is None:
         return
@@ -221,3 +243,191 @@ def test_gas_block_entropy_closed_form():
     for k in (0, 6):
         with pytest.raises(ValidationError):
             heisenberg_gas_block_entropy(3, k)
+
+
+# ---------------------------------------------------------------------------
+# the Ising gas and the single-bond ring
+
+
+def _mask(spec, pairs):
+    """(threshold, z, entropies of every cut [0, k)) from
+    ``cooled_entropy_scan``, which must take the mask path: one diagonal
+    and no spectrum; None when it finds no support below the threshold."""
+    diagonal = PauliOperator.diagonal
+    with mock.patch.object(PauliOperator, "diagonal", autospec=True,
+                           side_effect=diagonal) as spy, \
+            mock.patch.object(frustra.cooling, "diagonalize",
+                              side_effect=AssertionError("an I/Z operator diagonalized")):
+        try:
+            reports = cooled_entropy_scan(spec, pairs, GROUND, _cuts(2 * spec.m))
+        except OrthogonalInitialStateError:
+            reports = None
+    assert spy.call_count == 1
+    return None if reports is None else (
+        reports[0].threshold, reports[0].z, [r.entropy for r in reports])
+
+
+def _ground_popcounts(spec):
+    """The popcounts of the ground configurations of an I/Z spec, read
+    from its diagonal with the ``GROUND`` rule of ``cool``."""
+    d = _cached_model(spec).diagonal()
+    return set(popcount(np.flatnonzero(d <= d.min() + degeneracy_tol(d))).tolist())
+
+
+# unit phases, real and complex; a pair (a f0, b f1) has the magnitudes (a, b)
+_phases = st.sampled_from([1.0, -1.0]) | st.floats(0.0, 2 * math.pi).map(
+    lambda t: cmath.exp(1j * t))
+# magnitude pairs (|u0|, |u1|): exact zeros, so that a sector loses its
+# support, beside drawn ones
+_magnitudes = st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (0.8, 0.6)]) | st.floats(
+    0.05, math.pi / 2 - 0.05).map(lambda t: (math.cos(t), math.sin(t)))
+
+
+def _phased(magnitudes, phases):
+    return [(a * f0, b * f1) for (a, b), (f0, f1) in zip(magnitudes, phases)]
+
+
+@st.composite
+def _ising_specs(draw):
+    # lambda on the j/m grid, half-way between its points (two tied
+    # sectors for the frustrated sign), and anywhere; at lambda = 0 the
+    # unfrustrated sign ties all zeros with all ones
+    m = draw(st.integers(2, 7))
+    lam = draw(st.just(0.0) | st.integers(0, 2 * m).map(lambda j: j / (2 * m))
+               | st.floats(0.0, 1.0))
+    return IsingGasLR(m, lam, draw(st.sampled_from(["frustrated", "unfrustrated"])))
+
+
+@given(_ising_specs(), _magnitudes, st.data())
+def test_ising_route_equals_the_mask_path(spec, magnitudes, data):
+    # one magnitude pair on every site, with its own phases per site
+    n = 2 * spec.m
+    phases = data.draw(st.lists(st.tuples(_phases, _phases), min_size=n, max_size=n))
+    pairs = _phased([magnitudes] * n, phases)
+    if len(_ground_popcounts(spec)) == 1:
+        _check_against_dense(spec, pairs)
+    else:
+        _assert_close(_mask(spec, pairs), _dense(spec, pairs))
+
+
+@given(_ising_specs(), st.data())
+def test_ising_pairs_of_unequal_magnitudes_take_the_mask_path(spec, data):
+    n = 2 * spec.m
+    magnitudes = data.draw(st.lists(_magnitudes, min_size=n, max_size=n))
+    assume(max(abs(a - magnitudes[0][0]) for a, _ in magnitudes) > 1e-6)
+    phases = data.draw(st.lists(st.tuples(_phases, _phases), min_size=n, max_size=n))
+    pairs = _phased(magnitudes, phases)
+    _assert_close(_mask(spec, pairs), _dense(spec, pairs))
+
+
+@given(st.integers(2, 7), st.sampled_from(["frustrated", "unfrustrated"]), st.data())
+def test_single_bond_route_equals_the_mask_path(m, sign, data):
+    # |u0| = |u1| on every site, with its own phases per site; only the
+    # frustrated ring takes the route
+    spec = SingleBondIsing(m, sign)
+    phases = data.draw(st.lists(st.tuples(_phases, _phases), min_size=2 * m, max_size=2 * m))
+    pairs = _phased([(2 ** -0.5, 2 ** -0.5)] * (2 * m), phases)
+    if sign == "frustrated":
+        _check_against_dense(spec, pairs)
+    else:
+        _assert_close(_mask(spec, pairs), _dense(spec, pairs))
+
+
+@given(st.integers(2, 7), st.data())
+def test_single_bond_pairs_of_unequal_magnitudes_take_the_mask_path(m, data):
+    spec = SingleBondIsing(m)
+    magnitudes = data.draw(st.lists(_magnitudes, min_size=2 * m, max_size=2 * m))
+    assume(max(abs(a - b) for a, b in magnitudes) > 1e-6)
+    phases = data.draw(st.lists(st.tuples(_phases, _phases), min_size=2 * m, max_size=2 * m))
+    pairs = _phased(magnitudes, phases)
+    _assert_close(_mask(spec, pairs), _dense(spec, pairs))
+
+
+@pytest.mark.parametrize("spec, pairs", [
+    (IsingGasLR(4), [(0.6, 0.8)] * 4 + [(0.8, 0.6)] * 4),
+    (IsingGasLR(4, 0.0, "unfrustrated"), None),
+    (IsingGasLR(3, 0.5), None),
+    (SingleBondIsing(4), [(0.6, 0.8)] + [(2 ** -0.5, 2 ** -0.5)] * 7),
+    (SingleBondIsing(4, "unfrustrated"), None),
+], ids=["ising-unequal-magnitudes", "ising-two-sectors-unfrustrated",
+        "ising-two-sectors-off-grid", "single-bond-unequal-magnitudes",
+        "single-bond-unfrustrated"])
+def test_iz_inputs_the_route_does_not_serve_take_the_mask_path(spec, pairs):
+    pairs = default_initial_pairs(spec) if pairs is None else pairs
+    _assert_close(_mask(spec, pairs), _dense(spec, pairs))
+
+
+@pytest.mark.parametrize("model", ["ising-gas", "single-bond"])
+def test_iz_route_needs_the_ground(capsys, diagonal_calls, model):
+    argv = ["cool", "--model", model, "--n", "8", "--k", "1..7"]
+    assert main(argv) == 0
+    assert diagonal_calls == []
+    ground = capsys.readouterr().out.splitlines()[1].split(",")
+    assert main(argv + ["--threshold", ground[2]]) == 0
+    assert len(diagonal_calls) == 1
+    # the same kept configurations at the threshold the ground run printed
+    above = capsys.readouterr().out.splitlines()[1].split(",")
+    assert above[4:] == ground[4:]
+
+
+@pytest.mark.parametrize("model", ["ising-gas", "single-bond"])
+def test_iz_ground_cooling_reaches_a_thousand_sites(tmp_path, diagonal_calls, diagonalize_calls,
+                                                    model):
+    # the mask path would be refused at n = 1000, before any 2^n array
+    out = tmp_path / "cool.csv"
+    tracemalloc.start()
+    try:
+        code = main(["cool", "--model", model, "--n", "1000", "--k", "1..999",
+                     "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert diagonal_calls == [] and diagonalize_calls == []
+    assert peak < 64 << 20
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [int(r[3]) for r in rows] == list(range(1, 1000))
+    es = [float(r[5]) for r in rows]
+    assert es == es[::-1]
+    if model == "ising-gas":
+        # the half-filled Dicke state: z = C(1000, 500)/2^1000, and S(500)
+        # is the entropy of a Gaussian of the hypergeometric variance
+        assert float(rows[0][6]) == pytest.approx(math.comb(1000, 500) / 2 ** 1000, rel=1e-11)
+        assert es[0] == 1.0
+        assert all(a < b for a, b in zip(es[:499], es[1:500]))
+        variance = 500 * 0.25 * 500 / 999
+        assert es[499] == pytest.approx(0.5 * math.log2(2 * math.pi * math.e * variance), abs=1e-6)
+    else:
+        # an area law: four Schmidt values at every cut
+        assert float(rows[0][6]) == pytest.approx(2000 * 2.0 ** -1000, rel=1e-11)
+        assert es == [float(f"{single_bond_block_entropy(500, k):.12g}") for k in range(1, 1000)]
+        assert max(es) < 2.0
+
+
+@pytest.mark.parametrize("argv", [
+    "cool --model ising-gas --n 10 --k 1..9",
+    "scaling --model ising-gas --n 10 --k 1..3 --source analytic",
+], ids=["route", "analytic"])
+def test_a_broken_dicke_sum_exits_3_under_python_O(argv):
+    # the Vandermonde check of the Dicke weights is the route's one
+    # internal check, and must survive python -O, which strips asserts
+    child = (
+        "import math, sys, types\n"
+        "import frustra.closed_forms as cf\n"
+        "from frustra.cli import main\n"
+        "print(sys.flags.optimize, file=sys.stderr)\n"
+        "cf.math = types.SimpleNamespace(**vars(math))\n"
+        "cf.math.comb = lambda a, b: math.comb(a, b) + (a == 10)\n"
+        "sys.exit(main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(frustra.closed_forms.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-O", "-c", child] + argv.split(),
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    err = done.stderr.splitlines()
+    assert err[0] == "1"
+    assert err[1:] == ["numerical failure: the Dicke numerators of the 1-site block "
+                       "do not sum to C(10, 5)"]
+

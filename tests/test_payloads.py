@@ -93,6 +93,59 @@ DENSE_STDOUT_SHA1 = {
         "52639679fb173cdb74ad3c38151525331b4094b2",
     "cool --model heisenberg-gas --n 12 --k 1..11 --threshold 1000":
         "5d842e8ae47f6fa8892e2020013932b0b0c26436",
+    # the Ising gas and the single-bond ring: recorded on the mask path
+    # (``cool`` on the 2^n product state and its diagonal), before their
+    # ground runs took the known ground configurations; the off-grid
+    # lambda 0.5 at n = 6, 10 and 14 keeps two tied sectors, the
+    # unfrustrated ring two configurations, and both stay on the mask path
+    "cool --model ising-gas --n 6 --k 1..5": "f3a115f02d3333b62f9dd7f944273feca9be52c5",
+    "cool --model ising-gas --n 6 --k 1..5 --lambda 0.5":
+        "b0b420a71a9b535a7b2b07700d44026a07f36d9a",
+    "cool --model ising-gas --n 6 --k 1..5 --lambda 0.3":
+        "a3f33ff48444eb8499716f1c2acdc32b04d33773",
+    "cool --model ising-gas --n 6 --k 1..5 --sign unfrustrated --lambda 0.4":
+        "3ca3a61d5cf526347bdb8fed6df142a42fb82d34",
+    "cool --model ising-gas --n 8 --k 1..7": "08f6abdd52edce6cab0702f7b7499cb11572f4d2",
+    "cool --model ising-gas --n 8 --k 1..7 --lambda 0.5":
+        "28f0ef1cc57346f19fd1370d8f6285ab56c2da05",
+    "cool --model ising-gas --n 8 --k 1..7 --lambda 0.3":
+        "642d5c5732c1e2652e777bba9e29571fd1c5caba",
+    "cool --model ising-gas --n 8 --k 1..7 --sign unfrustrated --lambda 0.4":
+        "a4ae245eadc050da5e3d8068d289d56235257ff3",
+    "cool --model ising-gas --n 10 --k 1..9": "39f622a1d870c8dce0b1eca11b45b00ab4d45161",
+    "cool --model ising-gas --n 10 --k 1..9 --lambda 0.5":
+        "d7cdde68058e0866087b8f6939fbedfa5eea3675",
+    "cool --model ising-gas --n 10 --k 1..9 --lambda 0.3":
+        "c6ff338e5898901a0655cba04b9a00e54b565bd1",
+    "cool --model ising-gas --n 10 --k 1..9 --sign unfrustrated --lambda 0.4":
+        "50e20404600a0e5e24b55103f140918e99df8400",
+    "cool --model ising-gas --n 12 --k 1..11": "298d49373407df321aa08cf1712085d7b6dd394f",
+    "cool --model ising-gas --n 12 --k 1..11 --lambda 0.5":
+        "3360bfacd32c5ed73980261bbc738792c73e2087",
+    "cool --model ising-gas --n 12 --k 1..11 --lambda 0.3":
+        "cb0eb189dc872ab1b07e9ef62b30e05bbf3464bb",
+    "cool --model ising-gas --n 12 --k 1..11 --sign unfrustrated --lambda 0.4":
+        "942d456b0d996cb9d032473d087753f5a3b176d0",
+    "cool --model ising-gas --n 14 --k 1..13": "74cc930d085dd165e0aff3eed3df17bb7c4f0c83",
+    "cool --model ising-gas --n 14 --k 1..13 --lambda 0.5":
+        "bfd72a933e549e32981db0de0548d8e2b661bfb4",
+    "cool --model ising-gas --n 14 --k 1..13 --lambda 0.3":
+        "10f0d778c4eff86866ad16ac8c898d692da4ffc7",
+    "cool --model ising-gas --n 14 --k 1..13 --sign unfrustrated --lambda 0.4":
+        "25c5f9fb45e228d4bb22da05ff0000109c5aefc3",
+    "cool --model single-bond --n 6 --k 1..5": "27140ad7c7f34bf6221fc0d3eb1e368a18b3e6b6",
+    "cool --model single-bond --n 8 --k 1..7": "a69faa361f1d45c2d3ea14e5fb8a0711f177388d",
+    "cool --model single-bond --n 10 --k 1..9": "aa4d29650733b8123735bf962f25522390f866db",
+    "cool --model single-bond --n 12 --k 1..11": "a78f9101df82fbad82292e905704ee8eea8bcdb9",
+    "cool --model single-bond --n 14 --k 1..13": "3fff23d536f30981119203104db6733d37594b7a",
+    "cool --model single-bond --n 6 --k 1..5 --sign unfrustrated":
+        "abcd0463e78641d5b4094bd9aefadd35b5bf190e",
+    "cool --model single-bond --n 10 --k 1..9 --sign unfrustrated":
+        "ecc424d93cad480730558bf67ed6dc08d07c3495",
+    "scaling --model ising-gas --n 4..14..2 --k 1..3 --source ed":
+        "fd1f22364e7d0cfe8cb0993ecd7c94d13099c96c",
+    "scaling --model single-bond --n 4..14..2 --k 1..3 --source ed":
+        "fbb654d77f04da83cc79af70f740edc8b2695ff3",
 }
 
 
