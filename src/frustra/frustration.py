@@ -3,29 +3,63 @@
 The functional works on the Ising limit of the operator: every non-identity
 Pauli letter becomes Z, constants are dropped, and isotropic Heisenberg
 XX+YY+ZZ triples collapse to a single Z...Z term with the shared
-coefficient (the classical collinear-vector reading).  All classical ground
-configurations of the resulting diagonal operator are enumerated; for each,
-the positive-energy terms are the frustrated ones, and
+coefficient (the classical collinear-vector reading).  Over the classical
+ground configurations of the resulting diagonal operator, the
+positive-energy terms are the frustrated ones, and
 
     F = Av over ground configs of (sum of positive term energies)
         / |sum of nonpositive term energies|.
 
 No per-term energies are needed.  A term c s (s = +-1) adds
 (|c| + c s)/2 to the positive sum and (c s - |c|)/2 to the other, so a
-configuration of energy E has ratio (A + E)/(A - E) with A = sum |c|, and
-the energies of all 2^n configurations are the operator's ``diagonal()``.
+configuration of energy E has ratio (A + E)/(A - E) with A = sum |c|.
+A configuration is a ground one when its energy is within the ground
+tolerance 1e-9 * max(max |E|, 1) of the lowest, E0.
+
+``frustration_degree`` enumerates all 2^n energies, the operator's
+``diagonal()``, and averages the ratio over the ground configurations; it
+stops at ENUMERATION_CAP sites.  ``frustration_degree_model`` reads E0 and
+the exact ground count from the model's structure instead, and F is one
+division, (A + E0)/(A - E0):
+
+- the gases have an all-to-all Ising limit, so E depends on the popcount
+  alone and the count is a sum of binomials, in O(n);
+- the rings (Majumdar-Ghosh, the single-bond ring, the Shastry-Sutherland
+  torus cut into rows) take a min-plus transfer over their slices, traced
+  around the ring, in O(n/s 2^(3s)) for slices of s sites.
+
+Ground counts are Python ints; one with more digits than Python converts
+to text is refused.
 """
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import IsingGasLR, MajumdarGhosh, ShastrySutherland, SingleBondIsing, build_model
-from .spin_core import InternalConsistencyError, PauliOperator, ValidationError
+from .models import (
+    HeisenbergGasLR,
+    IsingGasLR,
+    MajumdarGhosh,
+    RVBPlaquette,
+    ShastrySutherland,
+    SingleBondIsing,
+    build_model,
+)
+from .spin_core import (
+    InternalConsistencyError,
+    PauliOperator,
+    ValidationError,
+    _check_dense_bytes,
+    popcount,
+)
 
 ENUMERATION_CAP = 24
+_TO_Z = str.maketrans("XY", "ZZ")
+_TO_BITS = str.maketrans("IZ", "01")
 
 
 @dataclass(frozen=True)
@@ -55,27 +89,21 @@ def ising_limit(op: PauliOperator) -> PauliOperator:
     classical-vector reading) collapses to one Z-string at that shared
     coefficient; every other letter becomes Z.
     """
-    n = op.num_sites
-    buckets: dict[tuple, dict[str, float]] = {}
+    # one bucket per (Z-string, coefficient): the letters of the
+    # single-letter terms with that support and coefficient
+    buckets: dict[tuple, set] = {}
     for coeff, s in op.terms:
-        support = tuple(i for i, ch in enumerate(s) if ch != "I")
-        letters = {s[i] for i in support}
-        if len(letters) == 1 and support:
-            buckets.setdefault((support, coeff), {})[letters.pop()] = coeff
-    terms = []
-    consumed = set()
-    for (support, coeff), by_letter in buckets.items():
-        if set(by_letter) == {"X", "Y", "Z"}:
-            terms.append((coeff, "".join("Z" if i in support else "I" for i in range(n))))
-            for letter in "XYZ":
-                s = "".join(letter if i in support else "I" for i in range(n))
-                consumed.add((coeff, s))
+        letters = set(s) - {"I"}
+        if len(letters) == 1:
+            buckets.setdefault((s.translate(_TO_Z), coeff), set()).update(letters)
+    triples = {key for key, letters in buckets.items() if len(letters) == 3}
+    terms = [(coeff, z) for z, coeff in buckets if (z, coeff) in triples]
     for coeff, s in op.terms:
-        z_string = "".join("Z" if ch != "I" else "I" for ch in s)
-        if (coeff, s) in consumed or set(z_string) == {"I"}:
-            continue  # collapsed into a triple, or a constant term
-        terms.append((coeff, z_string))
-    return PauliOperator(n, tuple(terms))
+        z = s.translate(_TO_Z)
+        if "Z" not in z or ((z, coeff) in triples and len(set(s) - {"I"}) == 1):
+            continue  # a constant term, or collapsed into a triple
+        terms.append((coeff, z))
+    return PauliOperator(op.num_sites, tuple(terms))
 
 
 def frustration_degree(op: PauliOperator) -> FrustrationReport:
@@ -111,6 +139,138 @@ def frustration_degree(op: PauliOperator) -> FrustrationReport:
     )
 
 
+def _check_count_digits(log10_count: float) -> None:
+    """Refuse a ground count of more digits than Python converts to text."""
+    limit = sys.get_int_max_str_digits()
+    if limit and log10_count >= limit:
+        raise ValidationError(
+            f"the ground count has {math.floor(log10_count) + 1} digits, "
+            f"over Python's int-to-str limit of {limit}")
+
+
+def _report(a: float, e0: float, tol: float, count: int, mode: str) -> FrustrationReport:
+    """The report of a ground energy E0 and ground count: one division,
+    f = (A + E0)/(A - E0), and exactly 0 when E0 is within the ground
+    tolerance of -A."""
+    if a == 0.0:
+        raise ValidationError("Ising limit has no terms")
+    if a - e0 < 2e-12:
+        raise InternalConsistencyError("nonpositive-energy sum vanished on a ground configuration")
+    f = 0.0 if a + e0 <= tol else (a + e0) / (a - e0)
+    return FrustrationReport(value=f, num_ground_configs=count, mode=mode)
+
+
+def _gas_frustration(n: int, pair: float, field: float, mode: str) -> FrustrationReport:
+    """The report of pair * sum_{i<j} Z_i Z_j + field * sum_i Z_i on n sites.
+
+    The energy depends on the popcount p alone: with M = n - 2p,
+    E(p) = pair (M^2 - n)/2 + field M.  The ground sectors are the p within
+    the ground tolerance of the lowest E(p), and the count is the sum of
+    C(n, p) over them.  Its digits are checked from lgamma before any
+    binomial is formed.
+    """
+    _check_dense_bytes(48 * (n + 1))
+    m = n - 2 * np.arange(n + 1)
+    e = pair * ((m * m - n) // 2) + field * m
+    e0 = float(e.min())
+    tol = 1e-9 * max(float(np.abs(e).max()), 1.0)
+    ground = np.flatnonzero(e <= e0 + tol).tolist()
+    logs = [math.lgamma(n + 1) - math.lgamma(p + 1) - math.lgamma(n - p + 1) for p in ground]
+    top = max(logs)
+    _check_count_digits((top + math.log(sum(math.exp(x - top) for x in logs))) / math.log(10))
+    count = sum(math.comb(n, p) for p in ground)
+    return _report(math.comb(n, 2) * abs(pair) + n * abs(field), e0, tol, count, mode)
+
+
+def _min_plus(e: np.ndarray, t: np.ndarray, tol=None, c=None):
+    """One transfer step: the minima over k of e[i, k] + t[k, j] and, given
+    the counts c of e, the sums of c[i, k] over the k within tol of each
+    minimum.  The d x d x d sums are formed a block of rows at a time."""
+    rows = max(1, (1 << 20) // t.size)
+    out_e = np.empty_like(e)
+    out_c = None if c is None else np.empty_like(c)
+    for lo in range(0, len(e), rows):
+        q = e[lo:lo + rows, :, None] + t
+        out_e[lo:lo + rows] = low = q.min(axis=1)
+        if c is not None:
+            ties = q <= low[:, None, :] + tol
+            out_c[lo:lo + rows] = np.einsum("ik,ikj->ij", c[lo:lo + rows], ties)
+    return out_e, out_c
+
+
+def _trace(ts: np.ndarray, tol=None, dtype=None):
+    """The min-plus product of the slice matrices around the ring: per
+    state of slice 0, the lowest energy of the configurations that start
+    and end there, and, given tol, their count within tol."""
+    e, c = ts[0], None if tol is None else np.ones(ts[0].shape, dtype)
+    for t in ts[1:]:
+        e, c = _min_plus(e, t, tol, c)
+    return e.diagonal(), None if c is None else c.diagonal()
+
+
+def _slice_terms(h: PauliOperator, width: int):
+    """Each Ising-limit term of h as (weight, link a, sub-mask on slice a,
+    sub-mask on slice a + 1 mod S) for the S = n / width slices of width
+    sites: a term inside one slice has sub-mask 0 on the next.  A term that
+    joins slices 0 and S - 1 sits on the wrap link S - 1, except when S = 2,
+    where both links join the same two slices and it takes link 0."""
+    n = h.num_sites
+    slices, full = n // width, (1 << width) - 1
+    out = []
+    for w, string in h.terms:
+        mask = int(string[::-1].translate(_TO_BITS), 2)
+        first = ((mask & -mask).bit_length() - 1) // width
+        last = (mask.bit_length() - 1) // width
+        hi = mask >> (last * width)
+        if first == last:
+            out.append((w, first, hi, 0))
+        elif last == first + 1:
+            out.append((w, first, (mask >> (first * width)) & full, hi))
+        elif first == 0 and last == slices - 1 and mask == (hi << (last * width)) | (mask & full):
+            out.append((w, last, hi, mask & full))
+        else:
+            raise ValidationError(f"term {string} joins slices that are not neighbours")
+    return out
+
+
+def _ring_frustration(op: PauliOperator, width: int) -> FrustrationReport:
+    """The report of an operator whose Ising limit h lives on a ring of
+    n / width slices, from a min-plus transfer (Kramers and Wannier, Phys.
+    Rev. 60, 252 (1941)) over its 2^width x 2^width slice matrices
+    T_a[x, y], the sum of the terms of link a at slice states x and y.
+
+    A configuration's energy is sum_a T_a[x_a, x_(a+1)], x_S = x_0.  Two
+    float passes give the lowest and the highest energy, hence the ground
+    tolerance; a third counts, per product, the paths within it of each
+    minimum, in int64 while no entry can pass 2^62 and in Python ints
+    beyond.  Raises SizeLimitError, before any matrix is formed, when the
+    slice matrices exceed the dense memory budget.
+    """
+    h = ising_limit(op)
+    n = h.num_sites
+    slices, d = n // width, 1 << width
+    _check_dense_bytes(8 * d * d * (slices + 6))
+    terms = _slice_terms(h, width)
+    w = np.array([t[0] for t in terms])
+    links, lo, hi = (np.array([t[i] for t in terms], dtype=np.int64) for i in (1, 2, 3))
+    lo_u, lo_of = np.unique(lo, return_inverse=True)
+    hi_u, hi_of = np.unique(hi, return_inverse=True)
+    weights = np.zeros((slices, len(lo_u), len(hi_u)))
+    np.add.at(weights, (links, lo_of, hi_of), w)
+    states = np.arange(d)[:, None]
+    signs_lo = 1.0 - 2.0 * (popcount(states & lo_u) & 1)
+    signs_hi = 1.0 - 2.0 * (popcount(states & hi_u) & 1)
+    ts = signs_lo @ weights @ signs_hi.T
+    e_min, e_max = float(_trace(ts)[0].min()), -float(_trace(-ts)[0].min())
+    tol = 1e-9 * max(abs(e_min), abs(e_max), 1.0)
+    e, c = _trace(ts, tol, np.int64 if n - width < 63 else object)
+    e0 = float(e.min())
+    count = sum(int(x) for x in c[e <= e0 + tol])
+    _check_count_digits(math.log10(count))
+    return _report(float(np.abs(w).sum()), e0, tol, count,
+                   "ising" if op.is_diagonal() else "classical-vector")
+
+
 def ising_gas_frustration_formula(m: int, lam: float) -> float:
     """Closed-form F for the long-range Ising gas."""
     return (1.0 + 2.0 * lam - lam * lam - 1.0 / m) / (1.0 + lam) ** 2
@@ -122,20 +282,42 @@ def single_bond_frustration_formula(m: int) -> float:
 
 
 def shastry_sutherland_frustration_formula(j1: float, j2: float) -> float:
-    """Closed-form F = 1/(1 + J2/(2 J1)) for the Shastry-Sutherland lattice
-    (thermodynamic limit).  It describes the dimer regime J1/J2 <= 1/2
-    only: above it the L = 4 enumeration gives J2/(4 J1) instead."""
-    return 1.0 / (1.0 + 0.5 * (j2 / j1))
+    """Closed-form F of the Shastry-Sutherland lattice, piecewise in J1/J2.
+    In the dimer regime J1/J2 <= 1/2 every diagonal is satisfied and the
+    nearest-neighbour bonds cancel, E0 = -J2 n/2, so F = 1/(1 + J2/(2 J1));
+    above it the Neel state wins, E0 = -2 J1 n + J2 n/2, so F = J2/(4 J1).
+    The two agree, at 1/2, at J1/J2 = 1/2."""
+    return 1.0 / (1.0 + 0.5 * (j2 / j1)) if 2 * j1 <= j2 else j2 / (4.0 * j1)
 
 
 MG_FRUSTRATION = 0.5
 
 
 def frustration_degree_model(spec) -> FrustrationReport:
-    """Frustration degree of a model spec, with the closed form attached
-    where one is known to hold (for the Shastry-Sutherland lattice, the
-    dimer regime 2 J1 <= J2), else None."""
-    rep = frustration_degree(build_model(spec))
+    """Frustration degree of a model spec without the 2^n enumeration, with
+    the closed form attached where one is known to hold, else None.
+
+    The gases read the popcount sectors of their all-to-all Ising limit
+    (``_gas_frustration``), as ``build_model`` writes its coefficients; the
+    rings take the transfer over the slices of the built Ising limit
+    (``_ring_frustration``): two sites for the Majumdar-Ghosh ring, one for
+    the single-bond ring, one row of L sites for the Shastry-Sutherland
+    torus.
+    """
+    match spec:
+        case IsingGasLR(m, lam, sign):
+            j = 1.0 if sign == "frustrated" else -1.0
+            rep = _gas_frustration(2 * m, j / m, -2.0 * j * lam, "ising")
+        case HeisenbergGasLR(m):
+            rep = _gas_frustration(2 * m, 1.0 / (2 * m), 0.0, "classical-vector")
+        case RVBPlaquette(n, s):
+            rep = _gas_frustration(n, 0.5, -(n - 2 * s) / 2.0, "ising")
+        case MajumdarGhosh():
+            rep = _ring_frustration(build_model(spec), 2)
+        case SingleBondIsing():
+            rep = _ring_frustration(build_model(spec), 1)
+        case ShastrySutherland(L):
+            rep = _ring_frustration(build_model(spec), L)
     match spec:
         case IsingGasLR(m, lam, "frustrated"):
             closed = ising_gas_frustration_formula(m, lam)
@@ -143,7 +325,7 @@ def frustration_degree_model(spec) -> FrustrationReport:
             closed = single_bond_frustration_formula(m)
         case MajumdarGhosh():
             closed = MG_FRUSTRATION
-        case ShastrySutherland(_, j1, j2) if 2 * j1 <= j2:
+        case ShastrySutherland(_, j1, j2):
             closed = shastry_sutherland_frustration_formula(j1, j2)
         case _:
             closed = None

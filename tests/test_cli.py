@@ -486,6 +486,85 @@ def test_frustration_subcommand(tmp_path, argv, f):
     assert data["closed_form"] == pytest.approx(f, abs=1e-9)
 
 
+_FRUSTRATION_SIZES = {"shastry": "4"}
+
+
+@pytest.mark.parametrize("model", sorted(cli._MODELS))
+def test_frustration_takes_no_diagonal_and_the_gases_build_no_operator(
+        tmp_path, monkeypatch, diagonal_calls, model):
+    # the gases read their popcount sectors from the spec, the rings take
+    # the transfer over the built operator's Ising limit; neither forms the
+    # 2^n energies of the enumeration
+    from frustra import frustration
+
+    built = []
+    build_model = frustration.build_model
+    monkeypatch.setattr(frustration, "build_model", lambda spec: built.append(spec) or build_model(spec))
+    monkeypatch.setattr(frustration, "frustration_degree", lambda op: pytest.fail("enumerated"))
+    out = tmp_path / "f.json"
+    assert run(["frustration", "--model", model, "--n", _FRUSTRATION_SIZES.get(model, "8"),
+                "--output", str(out)]) == 0
+    assert diagonal_calls == []
+    assert len(built) == (0 if model.endswith("-gas") else 1)
+    assert json.loads(read(out))["n_ground_configs"] > 0
+
+
+def test_frustration_shastry_slice_past_the_budget_is_refused_before_allocating(tmp_path, capsys):
+    # slices of one row of 12 sites: twelve 2^12 x 2^12 slice matrices and
+    # six more for the products take 2.25 GiB
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = run(["frustration", "--model", "shastry", "--n", "12", "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: dense work needs 2.25 GiB, over the limit of 1 GiB"]
+    assert peak < 16 << 20
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["ising-gas", "heisenberg-gas"])
+def test_frustration_count_past_the_int_to_str_limit_is_refused_before_the_work(
+        tmp_path, capsys, monkeypatch, model):
+    # C(14400, 7200) has 4,333 digits, past the 4,300 that Python turns
+    # into text; json.dumps would raise ValueError and exit 1 with a
+    # traceback.  The digits come from lgamma, before any binomial.
+    monkeypatch.setattr(math, "comb", lambda *args: pytest.fail("formed a binomial"))
+    out = tmp_path / "out"
+    assert sys.get_int_max_str_digits() == 4300
+    assert run(["frustration", "--model", model, "--n", "14400", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the ground count has 4333 digits, over Python's int-to-str limit of 4300"]
+    assert not out.exists()
+
+
+def test_frustration_count_just_inside_the_int_to_str_limit_is_printed(tmp_path):
+    out = tmp_path / "out"
+    assert run(["frustration", "--model", "ising-gas", "--n", "14000", "--output", str(out)]) == 0
+    count = json.loads(read(out))["n_ground_configs"]
+    assert count == math.comb(14000, 7000) and len(str(count)) == 4213
+
+
+def test_frustration_ring_count_past_the_int_to_str_limit_is_refused(tmp_path, capsys):
+    # the transfer's count is checked before it is printed; the Majumdar-
+    # Ghosh ring on 3100 sites has 648 ground-count digits, past the least
+    # limit Python allows, 640
+    out = tmp_path / "out"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = run(["frustration", "--model", "mg", "--n", "3100", "--output", str(out)])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the ground count has 648 digits, over Python's int-to-str limit of 640"]
+    assert not out.exists()
+
+
 def test_interference_heisenberg_gas_m50_builds_no_coverings(tmp_path):
     # 50! coverings of 2^100 amplitudes each; the closed form needs none
     out = tmp_path / "hg.json"

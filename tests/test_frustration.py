@@ -9,6 +9,7 @@ from frustra.models import (
     HeisenbergGasLR,
     IsingGasLR,
     MajumdarGhosh,
+    RVBPlaquette,
     ShastrySutherland,
     SingleBondIsing,
     build_model,
@@ -103,19 +104,27 @@ def test_shastry_sutherland_dimer_regime():
     assert abs(rep.value - closed) / closed < 0.10
 
 
+@pytest.mark.parametrize("L", [4, 6])
 @pytest.mark.parametrize("j2", [0.5, 1.0, 3.0])
-def test_shastry_closed_form_holds_in_the_dimer_regime_only(j2):
-    # at L = 4 the enumeration equals 1/(1 + J2/(2 J1)) for J1/J2 in
-    # (0, 1/2]; above it f = J2/(4 J1) (0.125 at the CLI default J1 = 1,
-    # J2 = 0.5, where the form would read 0.8), and no form is attached
-    for ratio in np.linspace(0.5, 0.02, 25):
-        rep = frustration_degree_model(ShastrySutherland(4, ratio * j2, j2))
+def test_shastry_closed_form_is_piecewise_in_j1_over_j2(L, j2):
+    # the transfer equals 1/(1 + J2/(2 J1)) for J1/J2 in (0, 1/2] and
+    # J2/(4 J1) above (0.125 at the CLI default J1 = 1, J2 = 0.5), and the
+    # report attaches that form on both sides
+    for ratio in [*np.linspace(0.5, 0.02, 13), 0.5000001, 0.55, 0.6, 1.0, 1.5, 2.0]:
+        rep = frustration_degree_model(ShastrySutherland(L, ratio * j2, j2))
+        closed = (1.0 / (1.0 + 1.0 / (2.0 * ratio)) if ratio <= 0.5 else 1.0 / (4.0 * ratio))
         assert rep.closed_form == shastry_sutherland_frustration_formula(ratio * j2, j2)
+        assert rep.closed_form == pytest.approx(closed, rel=1e-14)
         assert rep.value == pytest.approx(rep.closed_form, rel=0, abs=1e-12)
-    for ratio in (0.5000001, 0.55, 0.6, 1.0, 2.0):
-        rep = frustration_degree_model(ShastrySutherland(4, ratio * j2, j2))
-        assert rep.closed_form is None
-        assert rep.value == pytest.approx(1.0 / (4.0 * ratio), rel=0, abs=1e-6)
+
+
+@pytest.mark.parametrize("ratio", [0.4, 0.5, 0.6])
+def test_shastry_closed_form_holds_on_the_8x8_torus(ratio):
+    # 2^32 ground configurations in the dimer regime, the two Neel states
+    # above it
+    rep = frustration_degree_model(ShastrySutherland(8, ratio, 1.0))
+    assert rep.value == pytest.approx(rep.closed_form, rel=0, abs=1e-12)
+    assert rep.num_ground_configs == {0.4: 2**32, 0.5: 5_652_094_746_834, 0.6: 2}[ratio]
 
 
 def test_scaling_invariance():
@@ -234,3 +243,134 @@ def test_report_json_shape():
     assert d["mode"] == "ising"
     rep = frustration_degree_model(MajumdarGhosh(4))
     assert json.loads(rep.to_json())["mode"] == "classical-vector"
+
+
+# --- the routes without the enumeration -----------------------------------
+
+
+def _assert_route_matches_enumeration(spec):
+    """frustration_degree_model against the enumeration of the built
+    operator: the count exactly, f to 1e-12, the mode and 0 exactly."""
+    rep = frustration_degree_model(spec)
+    want = frustration_degree(build_model(spec))
+    assert rep.num_ground_configs == want.num_ground_configs
+    assert isinstance(rep.num_ground_configs, int)
+    assert rep.value == pytest.approx(want.value, rel=0, abs=1e-12)
+    assert (rep.value == 0.0) == (want.value == 0.0)
+    assert rep.mode == want.mode
+
+
+_signs = st.sampled_from(["frustrated", "unfrustrated"])
+
+
+@st.composite
+def ising_gases(draw):
+    """lambda on the j/m grid, half-way between two of its points, at the
+    tie of m = 3, or anywhere in [0, 1]."""
+    m = draw(st.integers(1, 10))
+    j = draw(st.integers(0, m))
+    lam = draw(st.one_of(
+        st.just(j / m),
+        st.just(min(1.0, (j + 0.5) / m)),
+        st.just(0.5),
+        st.floats(0.0, 1.0, allow_nan=False),
+    ))
+    return IsingGasLR(m, lam, draw(_signs))
+
+
+@given(ising_gases())
+def test_ising_gas_route_matches_enumeration(spec):
+    _assert_route_matches_enumeration(spec)
+
+
+def test_ising_gas_route_counts_two_tied_sectors():
+    # m = 3, lambda = 0.5: E(p) ties at M = 2 and M = 4 (p = 2 and p = 1)
+    rep = frustration_degree_model(IsingGasLR(3, 0.5))
+    assert rep.num_ground_configs == math.comb(6, 2) + math.comb(6, 1) == 21
+    _assert_route_matches_enumeration(IsingGasLR(3, 0.5))
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_heisenberg_gas_route_matches_enumeration(m):
+    _assert_route_matches_enumeration(HeisenbergGasLR(m))
+
+
+@given(st.integers(1, 20).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n))))
+def test_rvb_label_route_matches_enumeration(ns):
+    _assert_route_matches_enumeration(RVBPlaquette(*ns))
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_mg_route_matches_enumeration(m):
+    # m = 2 is a ring of two slices, whose two links join the same slices
+    _assert_route_matches_enumeration(MajumdarGhosh(m))
+
+
+@pytest.mark.parametrize("sign", ["frustrated", "unfrustrated"])
+@pytest.mark.parametrize("m", range(2, 11))
+def test_single_bond_route_matches_enumeration(m, sign):
+    _assert_route_matches_enumeration(SingleBondIsing(m, sign))
+
+
+# J1/J2 on both sides of 1/2, at it, and next to it
+_ratios = st.one_of(
+    st.sampled_from([0.5, 0.5 - 1e-6, 0.5 + 1e-6, 0.25, 1.0, 2.0]),
+    st.floats(0.01, 2.0, allow_nan=False),
+)
+
+
+@given(_ratios, st.floats(0.1, 4.0, allow_nan=False))
+def test_shastry_route_matches_enumeration(ratio, j2):
+    _assert_route_matches_enumeration(ShastrySutherland(4, ratio * j2, j2))
+
+
+def _mg_ground_count(n):
+    """Ground configurations of the Majumdar-Ghosh Ising limit on n sites.
+
+    With bond variables b_i = s_i s_(i+1), the energy is
+    sum_i ((1 + b_i)(1 + b_(i+1)) - 1)/2, so a ground configuration has no
+    two neighbouring ferromagnetic bonds, and an even number of
+    antiferromagnetic ones closes the ring.  A ring of n bonds has
+    n/(n-k) C(n-k, k) such choices with k ferromagnetic bonds (k even for
+    even n), and each gives two spin configurations."""
+    return 2 * sum(n * math.comb(n - k, k) // (n - k) for k in range(0, n // 2 + 1, 2))
+
+
+def test_mg_count_at_1000_sites_is_exact_past_int64():
+    rep = frustration_degree_model(MajumdarGhosh(500))
+    assert rep.num_ground_configs == _mg_ground_count(1000)
+    assert rep.num_ground_configs > 2**63
+    assert str(rep.num_ground_configs).startswith("97194177735908175207")
+    assert len(str(rep.num_ground_configs)) == 209
+    assert rep.value == 0.5
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 7, 10])
+def test_mg_count_closed_form_matches_enumeration(m):
+    assert _mg_ground_count(2 * m) == frustration_degree(build_model(MajumdarGhosh(m))).num_ground_configs
+
+
+def test_transfer_without_the_wrap_link_is_caught(monkeypatch):
+    # a mutant that drops every term of the wrap link, the one that joins
+    # slice S - 1 back to slice 0, must disagree with the enumeration
+    import frustra.frustration as fr
+
+    slice_terms = fr._slice_terms
+
+    def without_wrap(h, width):
+        slices = h.num_sites // width
+        return [t for t in slice_terms(h, width) if not (t[1] == slices - 1 and t[3])]
+
+    monkeypatch.setattr(fr, "_slice_terms", without_wrap)
+    for spec in (SingleBondIsing(3), MajumdarGhosh(4), ShastrySutherland(4, 0.4, 1.0)):
+        with pytest.raises(AssertionError):
+            _assert_route_matches_enumeration(spec)
+
+
+def test_ring_terms_that_skip_a_slice_are_refused():
+    from frustra.frustration import _ring_frustration
+    from frustra.spin_core import ValidationError
+
+    with pytest.raises(ValidationError, match="not neighbours"):
+        _ring_frustration(PauliOperator(6, ((1.0, "ZIIZII"),)), 1)
