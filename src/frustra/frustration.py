@@ -18,18 +18,22 @@ tolerance 1e-9 * max(max |E|, 1) of the lowest, E0.
 
 ``frustration_degree`` enumerates all 2^n energies, the operator's
 ``diagonal()``, and averages the ratio over the ground configurations; it
-stops at ENUMERATION_CAP sites.  ``frustration_degree_model`` reads E0 and
-the exact ground count from the model's structure instead, and F is one
-division, (A + E0)/(A - E0):
+stops at ENUMERATION_CAP sites.  ``frustration_degree_model`` reads E0,
+the exact ground count and F from the model's structure instead:
 
 - the gases have an all-to-all Ising limit, so E depends on the popcount
-  alone and the count is a sum of binomials, in O(n);
+  alone: the count is a sum of binomials over the ground sectors and F
+  their mean ratio, in O(n);
 - the rings (Majumdar-Ghosh, the single-bond ring, the Shastry-Sutherland
   torus cut into rows) take a min-plus transfer over their slices, traced
-  around the ring, in O(n/s 2^(3s)) for slices of s sites.
+  around the ring, in O(n/s 2^(3s)) for slices of s sites, and F is one
+  division, (A + E0)/(A - E0).  The count stands when every tie of the
+  transfer lies far inside the tolerance; levels that split by less than
+  the tolerance are enumerated, or refused past ENUMERATION_CAP sites.
 
 Ground counts are Python ints; one with more digits than Python converts
-to text is refused.
+to text is refused, and so is a transfer past the dense memory budget or
+TRANSFER_SUMS sums.
 """
 from __future__ import annotations
 
@@ -52,12 +56,14 @@ from .models import (
 from .spin_core import (
     InternalConsistencyError,
     PauliOperator,
+    SizeLimitError,
     ValidationError,
     _check_dense_bytes,
     popcount,
 )
 
 ENUMERATION_CAP = 24
+TRANSFER_SUMS = 1 << 30
 _TO_Z = str.maketrans("XY", "ZZ")
 _TO_BITS = str.maketrans("IZ", "01")
 
@@ -148,15 +154,15 @@ def _check_count_digits(log10_count: float) -> None:
             f"over Python's int-to-str limit of {limit}")
 
 
-def _report(a: float, e0: float, tol: float, count: int, mode: str) -> FrustrationReport:
-    """The report of a ground energy E0 and ground count: one division,
-    f = (A + E0)/(A - E0), and exactly 0 when E0 is within the ground
-    tolerance of -A."""
+def _report(a: float, levels, tol: float, count: int, mode: str) -> FrustrationReport:
+    """The report of the ground levels, pairs (E, w) of an energy and its
+    share of the ground count: f is the mean of (A + E)/(A - E) over them,
+    a ratio being exactly 0 when E is within the ground tolerance of -A."""
     if a == 0.0:
         raise ValidationError("Ising limit has no terms")
-    if a - e0 < 2e-12:
+    if any(a - e < 2e-12 for e, _ in levels):
         raise InternalConsistencyError("nonpositive-energy sum vanished on a ground configuration")
-    f = 0.0 if a + e0 <= tol else (a + e0) / (a - e0)
+    f = math.fsum(w * (0.0 if a + e <= tol else (a + e) / (a - e)) for e, w in levels)
     return FrustrationReport(value=f, num_ground_configs=count, mode=mode)
 
 
@@ -165,9 +171,10 @@ def _gas_frustration(n: int, pair: float, field: float, mode: str) -> Frustratio
 
     The energy depends on the popcount p alone: with M = n - 2p,
     E(p) = pair (M^2 - n)/2 + field M.  The ground sectors are the p within
-    the ground tolerance of the lowest E(p), and the count is the sum of
-    C(n, p) over them.  Its digits are checked from lgamma before any
-    binomial is formed.
+    the ground tolerance of the lowest E(p), the count is the sum of
+    C(n, p) over them, and f the mean of the ratio weighted by C(n, p), as
+    the enumeration takes it.  The count's digits are checked from lgamma
+    before any binomial is formed.
     """
     _check_dense_bytes(48 * (n + 1))
     m = n - 2 * np.arange(n + 1)
@@ -178,34 +185,42 @@ def _gas_frustration(n: int, pair: float, field: float, mode: str) -> Frustratio
     logs = [math.lgamma(n + 1) - math.lgamma(p + 1) - math.lgamma(n - p + 1) for p in ground]
     top = max(logs)
     _check_count_digits((top + math.log(sum(math.exp(x - top) for x in logs))) / math.log(10))
-    count = sum(math.comb(n, p) for p in ground)
-    return _report(math.comb(n, 2) * abs(pair) + n * abs(field), e0, tol, count, mode)
+    combs = [math.comb(n, p) for p in ground]
+    count = sum(combs)
+    levels = [(float(e[p]), c / count) for p, c in zip(ground, combs)]
+    return _report(math.comb(n, 2) * abs(pair) + n * abs(field), levels, tol, count, mode)
 
 
 def _min_plus(e: np.ndarray, t: np.ndarray, tol=None, c=None):
     """One transfer step: the minima over k of e[i, k] + t[k, j] and, given
-    the counts c of e, the sums of c[i, k] over the k within tol of each
-    minimum.  The d x d x d sums are formed a block of rows at a time."""
+    the counts c of e and tolerances tol = (fine, wide), the sums of
+    c[i, k] over the k within wide of each minimum, and whether any of
+    those k lies more than fine above it.  The d x d x d sums are formed a
+    block of rows at a time."""
     rows = max(1, (1 << 20) // t.size)
     out_e = np.empty_like(e)
     out_c = None if c is None else np.empty_like(c)
+    split = False
     for lo in range(0, len(e), rows):
         q = e[lo:lo + rows, :, None] + t
         out_e[lo:lo + rows] = low = q.min(axis=1)
         if c is not None:
-            ties = q <= low[:, None, :] + tol
+            ties = q <= low[:, None, :] + tol[1]
+            split = split or np.count_nonzero(ties) != np.count_nonzero(q <= low[:, None, :] + tol[0])
             out_c[lo:lo + rows] = np.einsum("ik,ikj->ij", c[lo:lo + rows], ties)
-    return out_e, out_c
+    return out_e, out_c, split
 
 
 def _trace(ts: np.ndarray, tol=None, dtype=None):
     """The min-plus product of the slice matrices around the ring: per
     state of slice 0, the lowest energy of the configurations that start
-    and end there, and, given tol, their count within tol."""
-    e, c = ts[0], None if tol is None else np.ones(ts[0].shape, dtype)
+    and end there, and, given tol = (fine, wide), their count within wide
+    and whether any product split its ties (``_min_plus``)."""
+    e, c, split = ts[0], None if tol is None else np.ones(ts[0].shape, dtype), False
     for t in ts[1:]:
-        e, c = _min_plus(e, t, tol, c)
-    return e.diagonal(), None if c is None else c.diagonal()
+        e, c, step_split = _min_plus(e, t, tol, c)
+        split |= step_split
+    return e.diagonal(), None if c is None else c.diagonal(), split
 
 
 def _slice_terms(h: PauliOperator, width: int):
@@ -235,21 +250,31 @@ def _slice_terms(h: PauliOperator, width: int):
 
 def _ring_frustration(op: PauliOperator, width: int) -> FrustrationReport:
     """The report of an operator whose Ising limit h lives on a ring of
-    n / width slices, from a min-plus transfer (Kramers and Wannier, Phys.
-    Rev. 60, 252 (1941)) over its 2^width x 2^width slice matrices
+    S = n / width slices, from a min-plus transfer (Kramers and Wannier,
+    Phys. Rev. 60, 252 (1941)) over its 2^width x 2^width slice matrices
     T_a[x, y], the sum of the terms of link a at slice states x and y.
 
     A configuration's energy is sum_a T_a[x_a, x_(a+1)], x_S = x_0.  Two
     float passes give the lowest and the highest energy, hence the ground
     tolerance; a third counts, per product, the paths within it of each
     minimum, in int64 while no entry can pass 2^62 and in Python ints
-    beyond.  Raises SizeLimitError, before any matrix is formed, when the
-    slice matrices exceed the dense memory budget.
+    beyond.  Every ground configuration is among those counted, but
+    excesses under the tolerance at several products could add up past
+    it.  So the count stands only when no product, nor the trace, has a
+    tie more than fine = 1e-4 tol / S above its minimum: then every
+    counted configuration lies within 1e-4 tol of E0, and the count is the
+    enumeration's.  Otherwise the levels near E0 are enumerated up to
+    ENUMERATION_CAP sites and refused beyond.  Raises SizeLimitError,
+    before any matrix is formed, when the slice matrices exceed the dense
+    memory budget or the three passes TRANSFER_SUMS sums.
     """
     h = ising_limit(op)
     n = h.num_sites
     slices, d = n // width, 1 << width
     _check_dense_bytes(8 * d * d * (slices + 6))
+    sums = 3 * (slices - 1) * d**3
+    if sums > TRANSFER_SUMS:
+        raise SizeLimitError(f"the transfer needs {sums:,} sums, over the limit of {TRANSFER_SUMS:,}")
     terms = _slice_terms(h, width)
     w = np.array([t[0] for t in terms])
     links, lo, hi = (np.array([t[i] for t in terms], dtype=np.int64) for i in (1, 2, 3))
@@ -263,11 +288,20 @@ def _ring_frustration(op: PauliOperator, width: int) -> FrustrationReport:
     ts = signs_lo @ weights @ signs_hi.T
     e_min, e_max = float(_trace(ts)[0].min()), -float(_trace(-ts)[0].min())
     tol = 1e-9 * max(abs(e_min), abs(e_max), 1.0)
-    e, c = _trace(ts, tol, np.int64 if n - width < 63 else object)
+    fine = 1e-4 * tol / slices
+    e, c, split = _trace(ts, (fine, tol), np.int64 if n - width < 63 else object)
     e0 = float(e.min())
-    count = sum(int(x) for x in c[e <= e0 + tol])
+    ground = e <= e0 + tol
+    if split or np.count_nonzero(ground) != np.count_nonzero(e <= e0 + fine):
+        if n <= ENUMERATION_CAP:
+            return frustration_degree(op)
+        raise ValidationError(
+            f"the Ising limit has levels within the ground tolerance {tol:.3g} of "
+            f"E0 = {e0!r} that the transfer does not separate, and {n} sites "
+            f"exceeds the enumeration cap of {ENUMERATION_CAP}")
+    count = sum(int(x) for x in c[ground])
     _check_count_digits(math.log10(count))
-    return _report(float(np.abs(w).sum()), e0, tol, count,
+    return _report(float(np.abs(w).sum()), [(e0, 1.0)], tol, count,
                    "ising" if op.is_diagonal() else "classical-vector")
 
 
@@ -308,25 +342,19 @@ def frustration_degree_model(spec) -> FrustrationReport:
         case IsingGasLR(m, lam, sign):
             j = 1.0 if sign == "frustrated" else -1.0
             rep = _gas_frustration(2 * m, j / m, -2.0 * j * lam, "ising")
+            closed = ising_gas_frustration_formula(m, lam) if sign == "frustrated" else None
         case HeisenbergGasLR(m):
-            rep = _gas_frustration(2 * m, 1.0 / (2 * m), 0.0, "classical-vector")
+            rep, closed = _gas_frustration(2 * m, 1.0 / (2 * m), 0.0, "classical-vector"), None
         case RVBPlaquette(n, s):
-            rep = _gas_frustration(n, 0.5, -(n - 2 * s) / 2.0, "ising")
+            rep, closed = _gas_frustration(n, 0.5, -(n - 2 * s) / 2.0, "ising"), None
         case MajumdarGhosh():
-            rep = _ring_frustration(build_model(spec), 2)
-        case SingleBondIsing():
+            rep, closed = _ring_frustration(build_model(spec), 2), MG_FRUSTRATION
+        case SingleBondIsing(m, sign):
             rep = _ring_frustration(build_model(spec), 1)
-        case ShastrySutherland(L):
+            closed = single_bond_frustration_formula(m) if sign == "frustrated" else None
+        case ShastrySutherland(L, j1, j2):
             rep = _ring_frustration(build_model(spec), L)
-    match spec:
-        case IsingGasLR(m, lam, "frustrated"):
-            closed = ising_gas_frustration_formula(m, lam)
-        case SingleBondIsing(m, "frustrated"):
-            closed = single_bond_frustration_formula(m)
-        case MajumdarGhosh():
-            closed = MG_FRUSTRATION
-        case ShastrySutherland(_, j1, j2):
             closed = shastry_sutherland_frustration_formula(j1, j2)
         case _:
-            closed = None
+            raise ValidationError(f"no frustration route for {spec!r}")
     return replace(rep, closed_form=closed)

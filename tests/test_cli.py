@@ -526,6 +526,20 @@ def test_frustration_shastry_slice_past_the_budget_is_refused_before_allocating(
     assert not out.exists()
 
 
+def test_frustration_shastry_transfer_past_the_work_budget_is_refused_before_any_product(
+        tmp_path, capsys, monkeypatch):
+    # one row of 10 sites: the slice matrices fit in 128 MiB, but three
+    # passes of nine products of 1024 x 1024 matrices take 2^30 sums each
+    from frustra import frustration
+
+    monkeypatch.setattr(frustration, "_min_plus", lambda *args: pytest.fail("took a product"))
+    out = tmp_path / "out"
+    assert run(["frustration", "--model", "shastry", "--n", "10", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the transfer needs 28,991,029,248 sums, over the limit of 1,073,741,824"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model", ["ising-gas", "heisenberg-gas"])
 def test_frustration_count_past_the_int_to_str_limit_is_refused_before_the_work(
         tmp_path, capsys, monkeypatch, model):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from frustra.spin_core import PauliOperator, _term_masks, popcount
+from frustra.spin_core import PauliOperator, ValidationError, _term_masks, popcount
 from frustra.models import (
     HeisenbergGasLR,
     IsingGasLR,
@@ -110,7 +110,7 @@ def test_shastry_closed_form_is_piecewise_in_j1_over_j2(L, j2):
     # the transfer equals 1/(1 + J2/(2 J1)) for J1/J2 in (0, 1/2] and
     # J2/(4 J1) above (0.125 at the CLI default J1 = 1, J2 = 0.5), and the
     # report attaches that form on both sides
-    for ratio in [*np.linspace(0.5, 0.02, 13), 0.5000001, 0.55, 0.6, 1.0, 1.5, 2.0]:
+    for ratio in [*np.linspace(0.5, 0.02, 25), 0.5000001, 0.55, 0.6, 1.0, 1.5, 2.0]:
         rep = frustration_degree_model(ShastrySutherland(L, ratio * j2, j2))
         closed = (1.0 / (1.0 + 1.0 / (2.0 * ratio)) if ratio <= 0.5 else 1.0 / (4.0 * ratio))
         assert rep.closed_form == shastry_sutherland_frustration_formula(ratio * j2, j2)
@@ -265,13 +265,15 @@ _signs = st.sampled_from(["frustrated", "unfrustrated"])
 
 @st.composite
 def ising_gases(draw):
-    """lambda on the j/m grid, half-way between two of its points, at the
-    tie of m = 3, or anywhere in [0, 1]."""
+    """lambda on the j/m grid, half-way between two of its points (where
+    two sectors tie), next to half-way (where they split by less than the
+    ground tolerance), at the tie of m = 3, or anywhere in [0, 1]."""
     m = draw(st.integers(1, 10))
     j = draw(st.integers(0, m))
     lam = draw(st.one_of(
         st.just(j / m),
         st.just(min(1.0, (j + 0.5) / m)),
+        st.integers(-100, 100).map(lambda k: min(1.0, (j + 0.5) / m * (1 + k * 1e-11))),
         st.just(0.5),
         st.floats(0.0, 1.0, allow_nan=False),
     ))
@@ -325,6 +327,47 @@ def test_shastry_route_matches_enumeration(ratio, j2):
     _assert_route_matches_enumeration(ShastrySutherland(4, ratio * j2, j2))
 
 
+@given(st.integers(1, 100), st.sampled_from([0.3, 1.0, 3.0]))
+def test_shastry_route_matches_enumeration_just_above_one_half(k, j2):
+    # the levels next to J1/J2 = 1/2 split by a few times
+    # (J1/J2 - 1/2) J2, under the ground tolerance: ties within it at
+    # several products could add up past it
+    _assert_route_matches_enumeration(ShastrySutherland(4, 0.5 * (1 + k * 1e-10) * j2, j2))
+
+
+def test_transfer_that_cannot_separate_the_levels_enumerates_or_refuses(monkeypatch):
+    # the transfer's count stands only when its ties are all within 1e-4
+    # of the tolerance; next to J1/J2 = 1/2 they are not, and the levels
+    # are enumerated on 16 sites and refused on 36
+    import frustra.frustration as fr
+
+    enumerated = []
+    enumerate_ = fr.frustration_degree
+    monkeypatch.setattr(fr, "frustration_degree", lambda op: enumerated.append(op) or enumerate_(op))
+    near = 0.5 * (1 + 20e-10)
+    assert frustration_degree_model(ShastrySutherland(4, near, 1.0)).num_ground_configs == 706
+    assert len(enumerated) == 1
+    for ratio in (0.4, 0.5, 0.5 * (1 + 1e-6), 0.6):
+        frustration_degree_model(ShastrySutherland(4, ratio, 1.0))
+    assert len(enumerated) == 1
+    with pytest.raises(ValidationError, match="does not separate.*36 sites exceeds"):
+        frustration_degree_model(ShastrySutherland(6, near, 1.0))
+
+
+def test_ising_gas_route_averages_sectors_split_inside_the_tolerance():
+    # lambda next to the m = 3 tie splits the two sectors by 2e-9, under
+    # the tolerance of 1.1e-8: both count, and f is their mean ratio, which
+    # is 7e-11 off the ratio at E0
+    spec = IsingGasLR(3, 0.5 * (1 + 1e-9))
+    assert frustration_degree_model(spec).num_ground_configs == 21
+    _assert_route_matches_enumeration(spec)
+
+
+def test_model_without_a_route_is_refused():
+    with pytest.raises(ValidationError, match="no frustration route"):
+        frustration_degree_model("mg")
+
+
 def _mg_ground_count(n):
     """Ground configurations of the Majumdar-Ghosh Ising limit on n sites.
 
@@ -370,7 +413,6 @@ def test_transfer_without_the_wrap_link_is_caught(monkeypatch):
 
 def test_ring_terms_that_skip_a_slice_are_refused():
     from frustra.frustration import _ring_frustration
-    from frustra.spin_core import ValidationError
 
     with pytest.raises(ValidationError, match="not neighbours"):
         _ring_frustration(PauliOperator(6, ((1.0, "ZIIZII"),)), 1)
