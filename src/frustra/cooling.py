@@ -35,7 +35,9 @@ from .models import (
     MajumdarGhosh,
     SingleBondIsing,
     build_model,
+    couplings,
     mg_span_blocks,
+    popcount_energies,
 )
 from .spin_core import (
     OrthogonalInitialStateError,
@@ -115,9 +117,10 @@ def cool(
     ``vectors``.  Both keep the dtype of real amplitudes: the mask copies
     them, and the eigenvectors of a real operator are real.
 
-    Raises OrthogonalInitialStateError when the projection has
-    (numerically) zero norm, and SizeLimitError when ``h`` is not I/Z-only
-    and its diagonalization does not fit the dense memory budget.  The
+    Raises ValidationError for a NaN threshold, OrthogonalInitialStateError
+    when the projection has (numerically) zero norm, and SizeLimitError
+    when ``h`` is not I/Z-only and its diagonalization does not fit the
+    dense memory budget.  The
     global phase is fixed by making the largest amplitude real and
     positive, so repeated runs serialize identically: the amplitude made
     real is the first within 1e-15 of the largest magnitude, and it takes
@@ -128,6 +131,8 @@ def cool(
         raise ValidationError("initial state must be normalized")
     if h.num_sites != initial.num_sites:
         raise ValidationError("operator and state site counts differ")
+    if threshold != GROUND and math.isnan(threshold):
+        raise ValidationError("the threshold is nan")
     amps = initial.amplitudes
     blocks = None if h.is_diagonal() else diagonalize(h)
     energies = h.diagonal() if blocks is None else np.concatenate([v for _, v, _ in blocks])
@@ -287,18 +292,15 @@ def _ising_ground(spec: IsingGasLR, pairs, ks):
     configurations, or None unless they fill one popcount sector and
     every site's pair has the same magnitudes (|u0|, |u1|).
 
-    The energy depends on S = sum_i Z_i alone: (J/2m)(S^2 - n) -
-    2 J lambda S, over the n + 1 values of S.  With n0 zeros and p ones
-    kept, psi cools to the Dicke state of n0 zeros up to the local phases
-    of the pairs, whose block spectra are ``dicke_block_weights``, and
-    z = C(n, p) |u0|^(2 n0) |u1|^(2p), summed in log2.  A zero magnitude
-    that the sector needs makes z zero, and raises.
+    The energy depends on the popcount alone (``popcount_energies`` of
+    the spec's ``couplings``).  With n0 zeros and p ones kept, psi cools
+    to the Dicke state of n0 zeros up to the local phases of the pairs,
+    whose block spectra are ``dicke_block_weights``, and z = C(n, p)
+    |u0|^(2 n0) |u1|^(2p), summed in log2.  A zero magnitude that the
+    sector needs makes z zero, and raises.
     """
-    n = 2 * spec.m
-    j = 1.0 if spec.sign == "frustrated" else -1.0
-    s = np.arange(n, -n - 1, -2.0)  # S for p = 0..n ones
-    # sum_{i<j} Z_i Z_j = (S^2 - n)/2, at build_model's pair coefficient J/m
-    energies = j / spec.m * ((s * s - n) / 2) - 2.0 * j * spec.lam * s
+    n, parts = couplings(spec)
+    energies = popcount_energies(n, parts)
     thr = _ground_threshold(energies.min(), np.ptp(energies))
     kept = np.flatnonzero(energies <= thr)
     mags = np.abs(pairs)

@@ -19,11 +19,13 @@ tolerance 1e-9 * max(max |E|, 1) of the lowest, E0.
 ``frustration_degree`` enumerates all 2^n energies, the operator's
 ``diagonal()``, and averages the ratio over the ground configurations; it
 stops at ENUMERATION_CAP sites.  ``frustration_degree_model`` reads E0,
-the exact ground count and F from the model's structure instead:
+the exact ground count and F from the parts of ``models.couplings``
+instead, whose Ising limit is one Z...Z term per group at the part's
+coefficient, whatever its letters; it builds no operator:
 
-- the gases have an all-to-all Ising limit, so E depends on the popcount
-  alone: the count is a sum of binomials over the ground sectors and F
-  their mean ratio, in O(n);
+- the gases have all-to-all parts, so E depends on the popcount alone
+  (``models.popcount_energies``): the count is a sum of binomials over
+  the ground sectors and F their mean ratio, in O(n);
 - the rings (Majumdar-Ghosh, the single-bond ring, the Shastry-Sutherland
   torus cut into rows) take a min-plus transfer over their slices, traced
   around the ring, in O(n/s 2^(3s)) for slices of s sites, and F is one
@@ -32,8 +34,8 @@ the exact ground count and F from the model's structure instead:
   the tolerance are enumerated, or refused past ENUMERATION_CAP sites.
 
 Ground counts are Python ints; one with more digits than Python converts
-to text is refused, and so is a transfer past the dense memory budget or
-TRANSFER_SUMS sums.
+to text is refused, and so is a transfer past the dense memory budget,
+past TRANSFER_SUMS sums or with a non-finite A or energy.
 """
 from __future__ import annotations
 
@@ -52,6 +54,8 @@ from .models import (
     ShastrySutherland,
     SingleBondIsing,
     build_model,
+    couplings,
+    popcount_energies,
 )
 from .spin_core import (
     InternalConsistencyError,
@@ -59,13 +63,12 @@ from .spin_core import (
     SizeLimitError,
     ValidationError,
     _check_dense_bytes,
-    popcount,
+    _z_energies,
 )
 
 ENUMERATION_CAP = 24
 TRANSFER_SUMS = 1 << 30
 _TO_Z = str.maketrans("XY", "ZZ")
-_TO_BITS = str.maketrans("IZ", "01")
 
 
 @dataclass(frozen=True)
@@ -154,31 +157,37 @@ def _check_count_digits(log10_count: float) -> None:
             f"over Python's int-to-str limit of {limit}")
 
 
-def _report(a: float, levels, tol: float, count: int, mode: str) -> FrustrationReport:
+def _weight(n: int, parts) -> float:
+    """A = sum |c| over the Ising-limit terms: |coefficient| times the
+    number of groups, over the parts."""
+    return sum(abs(c) * (math.comb(n, g) if isinstance(g, int) else len(g)) for c, _, g in parts)
+
+
+def _report(a: float, parts, levels, tol: float, count: int) -> FrustrationReport:
     """The report of the ground levels, pairs (E, w) of an energy and its
     share of the ground count: f is the mean of (A + E)/(A - E) over them,
-    a ratio being exactly 0 when E is within the ground tolerance of -A."""
+    a ratio being exactly 0 when E is within the ground tolerance of -A;
+    the mode is "ising" when every letter of the parts is Z."""
     if a == 0.0:
         raise ValidationError("Ising limit has no terms")
     if any(a - e < 2e-12 for e, _ in levels):
         raise InternalConsistencyError("nonpositive-energy sum vanished on a ground configuration")
     f = math.fsum(w * (0.0 if a + e <= tol else (a + e) / (a - e)) for e, w in levels)
+    mode = "ising" if all(letters == "Z" for _, letters, _ in parts) else "classical-vector"
     return FrustrationReport(value=f, num_ground_configs=count, mode=mode)
 
 
-def _gas_frustration(n: int, pair: float, field: float, mode: str) -> FrustrationReport:
-    """The report of pair * sum_{i<j} Z_i Z_j + field * sum_i Z_i on n sites.
-
-    The energy depends on the popcount p alone: with M = n - 2p,
-    E(p) = pair (M^2 - n)/2 + field M.  The ground sectors are the p within
-    the ground tolerance of the lowest E(p), the count is the sum of
-    C(n, p) over them, and f the mean of the ratio weighted by C(n, p), as
-    the enumeration takes it.  The count's digits are checked from lgamma
+def _gas_frustration(spec) -> FrustrationReport:
+    """The report of a gas, whose parts are all-to-all, from its
+    ``popcount_energies`` E(p).  The ground sectors are the p within the
+    ground tolerance of the lowest E(p), the count is the sum of C(n, p)
+    over them, and f the mean of the ratio weighted by C(n, p), as the
+    enumeration takes it.  The count's digits are checked from lgamma
     before any binomial is formed.
     """
+    n, parts = couplings(spec)
     _check_dense_bytes(48 * (n + 1))
-    m = n - 2 * np.arange(n + 1)
-    e = pair * ((m * m - n) // 2) + field * m
+    e = popcount_energies(n, parts)
     e0 = float(e.min())
     tol = 1e-9 * max(float(np.abs(e).max()), 1.0)
     ground = np.flatnonzero(e <= e0 + tol).tolist()
@@ -188,7 +197,7 @@ def _gas_frustration(n: int, pair: float, field: float, mode: str) -> Frustratio
     combs = [math.comb(n, p) for p in ground]
     count = sum(combs)
     levels = [(float(e[p]), c / count) for p, c in zip(ground, combs)]
-    return _report(math.comb(n, 2) * abs(pair) + n * abs(field), levels, tol, count, mode)
+    return _report(_weight(n, parts), parts, levels, tol, count)
 
 
 def _min_plus(e: np.ndarray, t: np.ndarray, tol=None, c=None):
@@ -223,36 +232,34 @@ def _trace(ts: np.ndarray, tol=None, dtype=None):
     return e.diagonal(), None if c is None else c.diagonal(), split
 
 
-def _slice_terms(h: PauliOperator, width: int):
-    """Each Ising-limit term of h as (weight, link a, sub-mask on slice a,
-    sub-mask on slice a + 1 mod S) for the S = n / width slices of width
-    sites: a term inside one slice has sub-mask 0 on the next.  A term that
-    joins slices 0 and S - 1 sits on the wrap link S - 1, except when S = 2,
-    where both links join the same two slices and it takes link 0."""
-    n = h.num_sites
-    slices, full = n // width, (1 << width) - 1
-    out = []
-    for w, string in h.terms:
-        mask = int(string[::-1].translate(_TO_BITS), 2)
-        first = ((mask & -mask).bit_length() - 1) // width
-        last = (mask.bit_length() - 1) // width
-        hi = mask >> (last * width)
-        if first == last:
-            out.append((w, first, hi, 0))
-        elif last == first + 1:
-            out.append((w, first, (mask >> (first * width)) & full, hi))
-        elif first == 0 and last == slices - 1 and mask == (hi << (last * width)) | (mask & full):
-            out.append((w, last, hi, mask & full))
-        else:
-            raise ValidationError(f"term {string} joins slices that are not neighbours")
-    return out
+def _slice_terms(n: int, parts, width: int) -> list:
+    """The Ising-limit terms of the parts, one per group, as (weight,
+    mask) pairs on each link a of the S = n / width slices of width sites,
+    the mask holding the group's sites on slice a in its high width bits
+    and those on slice a + 1 mod S in its low ones.  A group that joins
+    slices 0 and S - 1 sits on the wrap link S - 1."""
+    slices = n // width
+    links = [[] for _ in range(slices)]
+    for coeff, _, groups in parts:
+        sites = np.array(groups, dtype=np.int64)
+        at, bits = sites // width, 1 << (sites % width)
+        first, last = at.min(axis=1), at.max(axis=1)
+        link = np.where((first == 0) & (last == slices - 1), last, first)
+        on_a, on_next = at == link[:, None], at == (link[:, None] + 1) % slices
+        apart = np.flatnonzero(~(on_a | on_next).all(axis=1))
+        if len(apart):
+            raise ValidationError(f"group {groups[apart[0]]} joins slices that are not neighbours")
+        masks = ((bits * on_a).sum(axis=1) << width) | (bits * on_next).sum(axis=1)
+        for a, mask in zip(link.tolist(), masks.tolist()):
+            links[a].append((coeff, mask))
+    return links
 
 
-def _ring_frustration(op: PauliOperator, width: int) -> FrustrationReport:
-    """The report of an operator whose Ising limit h lives on a ring of
-    S = n / width slices, from a min-plus transfer (Kramers and Wannier,
-    Phys. Rev. 60, 252 (1941)) over its 2^width x 2^width slice matrices
-    T_a[x, y], the sum of the terms of link a at slice states x and y.
+def _ring_frustration(spec, width: int) -> FrustrationReport:
+    """The report of a model whose parts live on a ring of S = n / width
+    slices, from a min-plus transfer (Kramers and Wannier, Phys. Rev. 60,
+    252 (1941)) over its slice matrices T_a[x, y], the ``_z_energies`` of
+    the terms of link a, at slice states x (the high half) and y.
 
     A configuration's energy is sum_a T_a[x_a, x_(a+1)], x_S = x_0.  Two
     float passes give the lowest and the highest energy, hence the ground
@@ -263,30 +270,25 @@ def _ring_frustration(op: PauliOperator, width: int) -> FrustrationReport:
     it.  So the count stands only when no product, nor the trace, has a
     tie more than fine = 1e-4 tol / S above its minimum: then every
     counted configuration lies within 1e-4 tol of E0, and the count is the
-    enumeration's.  Otherwise the levels near E0 are enumerated up to
-    ENUMERATION_CAP sites and refused beyond.  Raises SizeLimitError,
-    before any matrix is formed, when the slice matrices exceed the dense
-    memory budget or the three passes TRANSFER_SUMS sums.
+    enumeration's.  Otherwise the built operator is enumerated up to
+    ENUMERATION_CAP sites and refused beyond.  Raises, before any matrix
+    is formed, SizeLimitError past the dense memory budget or
+    TRANSFER_SUMS sums, and ValidationError for a non-finite A; and
+    ValidationError for non-finite energies, before the count.
     """
-    h = ising_limit(op)
-    n = h.num_sites
+    n, parts = couplings(spec)
     slices, d = n // width, 1 << width
     _check_dense_bytes(8 * d * d * (slices + 6))
     sums = 3 * (slices - 1) * d**3
     if sums > TRANSFER_SUMS:
         raise SizeLimitError(f"the transfer needs {sums:,} sums, over the limit of {TRANSFER_SUMS:,}")
-    terms = _slice_terms(h, width)
-    w = np.array([t[0] for t in terms])
-    links, lo, hi = (np.array([t[i] for t in terms], dtype=np.int64) for i in (1, 2, 3))
-    lo_u, lo_of = np.unique(lo, return_inverse=True)
-    hi_u, hi_of = np.unique(hi, return_inverse=True)
-    weights = np.zeros((slices, len(lo_u), len(hi_u)))
-    np.add.at(weights, (links, lo_of, hi_of), w)
-    states = np.arange(d)[:, None]
-    signs_lo = 1.0 - 2.0 * (popcount(states & lo_u) & 1)
-    signs_hi = 1.0 - 2.0 * (popcount(states & hi_u) & 1)
-    ts = signs_lo @ weights @ signs_hi.T
+    a = _weight(n, parts)
+    if not math.isfinite(a):
+        raise ValidationError(f"the Ising limit's weight A = {a!r} is not finite")
+    ts = np.stack([_z_energies(2 * width, t).reshape(d, d) for t in _slice_terms(n, parts, width)])
     e_min, e_max = float(_trace(ts)[0].min()), -float(_trace(-ts)[0].min())
+    if not math.isfinite(e_max - e_min):
+        raise ValidationError(f"the Ising limit's energies from {e_min!r} to {e_max!r} are not finite")
     tol = 1e-9 * max(abs(e_min), abs(e_max), 1.0)
     fine = 1e-4 * tol / slices
     e, c, split = _trace(ts, (fine, tol), np.int64 if n - width < 63 else object)
@@ -294,15 +296,14 @@ def _ring_frustration(op: PauliOperator, width: int) -> FrustrationReport:
     ground = e <= e0 + tol
     if split or np.count_nonzero(ground) != np.count_nonzero(e <= e0 + fine):
         if n <= ENUMERATION_CAP:
-            return frustration_degree(op)
+            return frustration_degree(build_model(spec))
         raise ValidationError(
             f"the Ising limit has levels within the ground tolerance {tol:.3g} of "
             f"E0 = {e0!r} that the transfer does not separate, and {n} sites "
             f"exceeds the enumeration cap of {ENUMERATION_CAP}")
     count = sum(int(x) for x in c[ground])
     _check_count_digits(math.log10(count))
-    return _report(float(np.abs(w).sum()), [(e0, 1.0)], tol, count,
-                   "ising" if op.is_diagonal() else "classical-vector")
+    return _report(a, parts, [(e0, 1.0)], tol, count)
 
 
 def ising_gas_frustration_formula(m: int, lam: float) -> float:
@@ -324,37 +325,27 @@ def shastry_sutherland_frustration_formula(j1: float, j2: float) -> float:
     return 1.0 / (1.0 + 0.5 * (j2 / j1)) if 2 * j1 <= j2 else j2 / (4.0 * j1)
 
 
-MG_FRUSTRATION = 0.5
-
-
 def frustration_degree_model(spec) -> FrustrationReport:
     """Frustration degree of a model spec without the 2^n enumeration, with
     the closed form attached where one is known to hold, else None.
 
-    The gases read the popcount sectors of their all-to-all Ising limit
-    (``_gas_frustration``), as ``build_model`` writes its coefficients; the
-    rings take the transfer over the slices of the built Ising limit
-    (``_ring_frustration``): two sites for the Majumdar-Ghosh ring, one for
-    the single-bond ring, one row of L sites for the Shastry-Sutherland
-    torus.
+    The gases read the popcount sectors of their parts; the rings take
+    the transfer over slices of two sites (Majumdar-Ghosh), one site
+    (single-bond) or one row of L sites (Shastry-Sutherland).
     """
+    width = closed = None
     match spec:
-        case IsingGasLR(m, lam, sign):
-            j = 1.0 if sign == "frustrated" else -1.0
-            rep = _gas_frustration(2 * m, j / m, -2.0 * j * lam, "ising")
-            closed = ising_gas_frustration_formula(m, lam) if sign == "frustrated" else None
-        case HeisenbergGasLR(m):
-            rep, closed = _gas_frustration(2 * m, 1.0 / (2 * m), 0.0, "classical-vector"), None
-        case RVBPlaquette(n, s):
-            rep, closed = _gas_frustration(n, 0.5, -(n - 2 * s) / 2.0, "ising"), None
+        case IsingGasLR(m, lam, "frustrated"):
+            closed = ising_gas_frustration_formula(m, lam)
+        case IsingGasLR() | HeisenbergGasLR() | RVBPlaquette():
+            pass
         case MajumdarGhosh():
-            rep, closed = _ring_frustration(build_model(spec), 2), MG_FRUSTRATION
+            width, closed = 2, 0.5  # E0 = -A/3 on every ground configuration
         case SingleBondIsing(m, sign):
-            rep = _ring_frustration(build_model(spec), 1)
-            closed = single_bond_frustration_formula(m) if sign == "frustrated" else None
+            width, closed = 1, single_bond_frustration_formula(m) if sign == "frustrated" else None
         case ShastrySutherland(L, j1, j2):
-            rep = _ring_frustration(build_model(spec), L)
-            closed = shastry_sutherland_frustration_formula(j1, j2)
+            width, closed = L, shastry_sutherland_frustration_formula(j1, j2)
         case _:
             raise ValidationError(f"no frustration route for {spec!r}")
+    rep = _gas_frustration(spec) if width is None else _ring_frustration(spec, width)
     return replace(rep, closed_form=closed)

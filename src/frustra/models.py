@@ -1,11 +1,10 @@
 """The six prototype spin models: one frozen spec per model, the
-Hamiltonian of a spec (``build_model``) and the per-site pairs of its
-default initial product state (``default_initial_pairs``).
-
-Every Hamiltonian is a :class:`~frustra.spin_core.PauliOperator` on ``2m``
-(chains/gases), ``L*L`` (lattices) or one site per plaquette (RVB labels).
-Constant shifts are dropped everywhere, so energy thresholds are always
-meant relative to the ground energy of the built operator.
+Hamiltonian of a spec, stated once as its parts (``couplings``) and
+expanded into a :class:`~frustra.spin_core.PauliOperator` by
+``build_model``, and the per-site pairs of its default initial product
+state (``default_initial_pairs``).  Constant shifts are dropped
+everywhere, so energy thresholds are always meant relative to the ground
+energy of the built operator.
 """
 from __future__ import annotations
 
@@ -125,8 +124,8 @@ class ShastrySutherland(ModelSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (self.j1 > 0 and self.j2 > 0):
-            raise ValidationError("ShastrySutherland requires J1, J2 > 0")
+        if not (0 < self.j1 < math.inf and 0 < self.j2 < math.inf):
+            raise ValidationError("ShastrySutherland requires finite J1, J2 > 0")
         _check_lattice(self.L)
 
 
@@ -286,22 +285,12 @@ def mg_span_blocks(spec: MajumdarGhosh, ks) -> list:
     return out
 
 
-def _bonds(n: int, coeff: float, groups, letters: str = "XYZ") -> list:
-    """The terms (coeff, string) that put each letter on every site of
-    each group of sites (a pair, or a 1-tuple for a field term)."""
-    terms = []
-    for group in groups:
-        for p in letters:
-            s = ["I"] * n
-            for i in group:
-                s[i] = p
-            terms.append((coeff, "".join(s)))
-    return terms
-
-
-def build_model(spec: ModelSpec) -> PauliOperator:
-    """The Hamiltonian of a model spec, constants dropped, with J = 1,
-    sigma the Pauli matrices and S = sum_i sigma^z_i.
+def couplings(spec: ModelSpec):
+    """The Hamiltonian of a model spec: its site count n and its parts
+    (coefficient, letters, groups), one term per group and letter, with
+    the letter on every site of the group.  The gases' groups are given by
+    their order, an int (2: every pair, 1: every site), not listed.  With
+    J = 1, sigma the Pauli matrices and S = sum_i sigma^z_i:
 
     - IsingGasLR: (J/2m)(S - 2m*lambda)^2 on 2m sites, which expands to
       pair terms (J/m) Z_i Z_j and field terms -2*J*lambda Z_i;
@@ -321,38 +310,54 @@ def build_model(spec: ModelSpec) -> PauliOperator:
       vertical pair, where W counts vertical plaquettes.  It expands to
       pair terms (1/2) Z_p Z_q and field terms -(n - 2s)/2 Z_p, whose
       ground manifold is exactly the W = s sector.
-
-    A field of exactly 0 (lambda = 0, or n = 2s) leaves no terms, since
-    ``PauliOperator`` drops exact zeros.
     """
     match spec:
         case IsingGasLR(m, lam, sign):
-            n, j = 2 * m, 1.0 if sign == "frustrated" else -1.0
-            terms = (_bonds(n, j / m, itertools.combinations(range(n), 2), "Z")
-                     + _bonds(n, -2.0 * j * lam, [(i,) for i in range(n)], "Z"))
+            j = 1.0 if sign == "frustrated" else -1.0
+            return 2 * m, [(j / m, "Z", 2), (-2.0 * j * lam, "Z", 1)]
         case HeisenbergGasLR(m):
-            n = 2 * m
-            terms = _bonds(n, 1.0 / n, itertools.combinations(range(n), 2))
+            return 2 * m, [(1.0 / (2 * m), "XYZ", 2)]
         case MajumdarGhosh(m):
             n = 2 * m
-            terms = (_bonds(n, 1.0, [(i, (i + 1) % n) for i in range(n)])
-                     + _bonds(n, 0.5, [(i, (i + 2) % n) for i in range(n)]))
+            return n, [(1.0, "XYZ", [(i, (i + 1) % n) for i in range(n)]),
+                       (0.5, "XYZ", [(i, (i + 2) % n) for i in range(n)])]
         case SingleBondIsing(m, sign):
             n = 2 * m
-            wrap = 1.0 if sign == "frustrated" else -1.0
-            terms = (_bonds(n, -1.0, [(b, b + 1) for b in range(n - 1)], "Z")
-                     + _bonds(n, wrap, [(n - 1, 0)], "Z"))
+            return n, [(-1.0, "Z", [(b, b + 1) for b in range(n - 1)]),
+                       (1.0 if sign == "frustrated" else -1.0, "Z", [(n - 1, 0)])]
         case ShastrySutherland(L, j1, j2):
-            n = L * L
             nn = [(_site(L, x, y), _site(L, x + dx, y + dy))
                   for x in range(L) for y in range(L) for dx, dy in ((1, 0), (0, 1))]
-            terms = _bonds(n, j1, nn) + _bonds(n, j2, shastry_sutherland_diagonals(L))
+            return L * L, [(j1, "XYZ", nn), (j2, "XYZ", shastry_sutherland_diagonals(L))]
         case RVBPlaquette(n, s):
-            terms = (_bonds(n, 0.5, itertools.combinations(range(n), 2), "Z")
-                     + _bonds(n, -(n - 2 * s) / 2.0, [(p,) for p in range(n)], "Z"))
-        case _:
-            raise ValidationError(f"no builder for {spec.kind}")
+            return n, [(0.5, "Z", 2), (-(n - 2 * s) / 2.0, "Z", 1)]
+    raise ValidationError(f"no builder for {spec.kind}")
+
+
+def build_model(spec: ModelSpec) -> PauliOperator:
+    """The operator of the ``couplings`` of a spec.  A coefficient of
+    exactly 0 (lambda = 0, or n = 2s) leaves no terms, since
+    ``PauliOperator`` drops exact zeros."""
+    n, parts = couplings(spec)
+    terms = []
+    for coeff, letters, groups in parts:
+        for group in itertools.combinations(range(n), groups) if isinstance(groups, int) else groups:
+            for p in letters:
+                s = ["I"] * n
+                for i in group:
+                    s[i] = p
+                terms.append((coeff, "".join(s)))
     return PauliOperator(n, tuple(terms))
+
+
+def popcount_energies(n: int, parts) -> np.ndarray:
+    """E(p), p = 0..n, of the Ising limit of all-to-all parts on n sites
+    (one Z...Z term per group at the coefficient): with M = n - 2p, E(p)
+    = pair (M^2 - n)/2 + field M, the coefficients of the every-pair and
+    every-site parts."""
+    coeff = {groups: c for c, _, groups in parts}
+    m = n - 2 * np.arange(n + 1)
+    return coeff.get(2, 0.0) * ((m * m - n) // 2) + coeff.get(1, 0.0) * m
 
 
 def default_initial_pairs(spec: ModelSpec) -> list:

@@ -47,7 +47,9 @@ helpers that only tests use, and so is ``default_initial_state``, the
 2^n product state of ``models.default_initial_pairs``.
 ``heisenberg_gas_schmidt_state`` is the exact ``Fraction`` route to the
 Heisenberg gas's single-colour block spectrum, beside the library's
-closed form ``heisenberg_gas_block_entropy``.
+closed form ``heisenberg_gas_block_entropy``.  ``mg_ground_count`` is
+the closed form of the Majumdar-Ghosh ground count, beside the
+frustration transfer.
 """
 import itertools
 import math
@@ -684,3 +686,14 @@ def heisenberg_gas_schmidt_state(m: int, k: int):
         spectrum.append(float(lam_a))
     return coeffs, spectrum
 
+
+def mg_ground_count(n):
+    """Ground configurations of the Majumdar-Ghosh Ising limit on n sites.
+
+    With bond variables b_i = s_i s_(i+1), the energy is
+    sum_i ((1 + b_i)(1 + b_(i+1)) - 1)/2, so a ground configuration has no
+    two neighbouring ferromagnetic bonds, and an even number of
+    antiferromagnetic ones closes the ring.  A ring of n bonds has
+    n/(n-k) C(n-k, k) such choices with k ferromagnetic bonds (k even for
+    even n), and each gives two spin configurations."""
+    return 2 * sum(n * math.comb(n - k, k) // (n - k) for k in range(0, n // 2 + 1, 2))

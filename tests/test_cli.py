@@ -16,6 +16,8 @@ from frustra import cli, cooling, models, spin_core
 from frustra.cli import _MAX_VALUES, build_parser, main, parse_range
 from frustra.closed_forms import mg_bounds
 
+from reference import mg_ground_count
+
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
@@ -492,9 +494,9 @@ _FRUSTRATION_SIZES = {"shastry": "4"}
 @pytest.mark.parametrize("model", sorted(cli._MODELS))
 def test_frustration_takes_no_diagonal_and_the_gases_build_no_operator(
         tmp_path, monkeypatch, diagonal_calls, model):
-    # the gases read their popcount sectors from the spec, the rings take
-    # the transfer over the built operator's Ising limit; neither forms the
-    # 2^n energies of the enumeration
+    # the gases read their popcount sectors from the spec's parts, the
+    # rings take the transfer over the slices of its parts; no model builds
+    # an operator or forms the 2^n energies of the enumeration
     from frustra import frustration
 
     built = []
@@ -505,8 +507,37 @@ def test_frustration_takes_no_diagonal_and_the_gases_build_no_operator(
     assert run(["frustration", "--model", model, "--n", _FRUSTRATION_SIZES.get(model, "8"),
                 "--output", str(out)]) == 0
     assert diagonal_calls == []
-    assert len(built) == (0 if model.endswith("-gas") else 1)
+    assert built == []
     assert json.loads(read(out))["n_ground_configs"] > 0
+
+
+def test_frustration_mg_reaches_8000_sites_without_the_operator(tmp_path, monkeypatch):
+    # the ring route slices the parts, not 6n Pauli strings of n letters
+    from frustra import frustration
+
+    monkeypatch.setattr(frustration, "build_model", lambda spec: pytest.fail("built the operator"))
+    out = tmp_path / "f.json"
+    assert run(["frustration", "--model", "mg", "--n", "8000", "--output", str(out)]) == 0
+    data = json.loads(read(out))
+    assert data["n_ground_configs"] == mg_ground_count(8000)
+    assert data["f"] == 0.5
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["cool", "--model", "mg", "--n", "6", "--threshold", "nan", "--k", "1..3"],
+     "error: the threshold is nan"),
+    (["cool", "--model", "ising-gas", "--n", "6", "--threshold", "nan", "--k", "1..3"],
+     "error: the threshold is nan"),
+    (["frustration", "--model", "shastry", "--n", "4", "--j1", "inf", "--j2", "1"],
+     "error: ShastrySutherland requires finite J1, J2 > 0"),
+    (["frustration", "--model", "shastry", "--n", "4", "--j1", "1e308", "--j2", "1e308"],
+     "error: the Ising limit's weight A = inf is not finite"),
+], ids=["cool-mg-nan", "cool-ising-gas-nan", "shastry-j1-inf", "shastry-1e308"])
+def test_non_finite_threshold_or_couplings_exit_2(tmp_path, capsys, argv, line):
+    out = tmp_path / "out"
+    assert run(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
 
 
 def test_frustration_shastry_slice_past_the_budget_is_refused_before_allocating(tmp_path, capsys):

@@ -190,6 +190,18 @@ def test_threshold_below_ground_raises(diagonalize_calls, h, initial):
     assert len(diagonalize_calls) == (0 if h.is_diagonal() else 1)
 
 
+@pytest.mark.parametrize("spec", [MajumdarGhosh(3), IsingGasLR(3, 0.0)], ids=["mg-ring", "ising-gas"])
+def test_nan_threshold_is_refused_before_any_spectrum(diagonalize_calls, spec):
+    # no energy lies at or below nan: the mask would keep nothing and every
+    # block's searchsorted every column
+    pairs = default_initial_pairs(spec)
+    with pytest.raises(ValidationError, match="threshold is nan"):
+        cool(build_model(spec), product_state(pairs), threshold=float("nan"))
+    with pytest.raises(ValidationError, match="threshold is nan"):
+        cooled_entropy_scan(spec, pairs, np.nan, [Bipartition.contiguous(2)])
+    assert diagonalize_calls == []
+
+
 @given(m=st.integers(1, 4), j=st.integers(-4, 4), thr=st.floats(-10.0, 10.0),
        sign=st.sampled_from(["frustrated", "unfrustrated"]))
 def test_diagonal_spectrum_sorts_only_the_kept_prefix(m, j, thr, sign):

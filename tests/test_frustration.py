@@ -13,6 +13,8 @@ from frustra.models import (
     ShastrySutherland,
     SingleBondIsing,
     build_model,
+    couplings,
+    popcount_energies,
 )
 from frustra.frustration import (
     frustration_degree,
@@ -23,7 +25,7 @@ from frustra.frustration import (
     single_bond_frustration_formula,
 )
 
-from reference import scaled
+from reference import mg_ground_count, scaled
 
 
 def test_ising_limit_collapses_isotropic_triple():
@@ -363,21 +365,9 @@ def test_model_without_a_route_is_refused():
         frustration_degree_model("mg")
 
 
-def _mg_ground_count(n):
-    """Ground configurations of the Majumdar-Ghosh Ising limit on n sites.
-
-    With bond variables b_i = s_i s_(i+1), the energy is
-    sum_i ((1 + b_i)(1 + b_(i+1)) - 1)/2, so a ground configuration has no
-    two neighbouring ferromagnetic bonds, and an even number of
-    antiferromagnetic ones closes the ring.  A ring of n bonds has
-    n/(n-k) C(n-k, k) such choices with k ferromagnetic bonds (k even for
-    even n), and each gives two spin configurations."""
-    return 2 * sum(n * math.comb(n - k, k) // (n - k) for k in range(0, n // 2 + 1, 2))
-
-
 def test_mg_count_at_1000_sites_is_exact_past_int64():
     rep = frustration_degree_model(MajumdarGhosh(500))
-    assert rep.num_ground_configs == _mg_ground_count(1000)
+    assert rep.num_ground_configs == mg_ground_count(1000)
     assert rep.num_ground_configs > 2**63
     assert str(rep.num_ground_configs).startswith("97194177735908175207")
     assert len(str(rep.num_ground_configs)) == 209
@@ -386,7 +376,7 @@ def test_mg_count_at_1000_sites_is_exact_past_int64():
 
 @pytest.mark.parametrize("m", [2, 3, 4, 7, 10])
 def test_mg_count_closed_form_matches_enumeration(m):
-    assert _mg_ground_count(2 * m) == frustration_degree(build_model(MajumdarGhosh(m))).num_ground_configs
+    assert mg_ground_count(2 * m) == frustration_degree(build_model(MajumdarGhosh(m))).num_ground_configs
 
 
 def test_transfer_without_the_wrap_link_is_caught(monkeypatch):
@@ -396,9 +386,9 @@ def test_transfer_without_the_wrap_link_is_caught(monkeypatch):
 
     slice_terms = fr._slice_terms
 
-    def without_wrap(h, width):
-        slices = h.num_sites // width
-        return [t for t in slice_terms(h, width) if not (t[1] == slices - 1 and t[3])]
+    def without_wrap(n, parts, width):
+        links = slice_terms(n, parts, width)
+        return links[:-1] + [[t for t in links[-1] if not t[1] & ((1 << width) - 1)]]
 
     monkeypatch.setattr(fr, "_slice_terms", without_wrap)
     for spec in (SingleBondIsing(3), MajumdarGhosh(4), ShastrySutherland(4, 0.4, 1.0)):
@@ -407,7 +397,86 @@ def test_transfer_without_the_wrap_link_is_caught(monkeypatch):
 
 
 def test_ring_terms_that_skip_a_slice_are_refused():
-    from frustra.frustration import _ring_frustration
+    from frustra.frustration import _slice_terms
 
     with pytest.raises(ValidationError, match="not neighbours"):
-        _ring_frustration(PauliOperator(6, ((1.0, "ZIIZII"),)), 1)
+        _slice_terms(6, [(1.0, "Z", [(0, 3)])], 1)
+
+
+_RING_SPECS = ([(MajumdarGhosh(m), 2) for m in range(2, 11)]
+               + [(SingleBondIsing(m, sign), 1) for m in range(2, 9)
+                  for sign in ("frustrated", "unfrustrated")]
+               + [(ShastrySutherland(L, ratio, 1.0), L) for L in (4, 6)
+                  for ratio in (0.1, 0.4, 0.5, 0.6, 1.7)])
+
+
+@pytest.mark.parametrize("spec,width", _RING_SPECS, ids=str)
+def test_ring_route_reads_the_ising_limit_of_the_built_operator(spec, width):
+    # the route's terms, put back on the whole ring, sum per Z-string to
+    # the Ising limit of the built operator, and its A is that limit's
+    # sum of |c|; MG at m = 2 visits each next-nearest-neighbour bond twice
+    import frustra.frustration as fr
+
+    n, parts = couplings(spec)
+    slices = n // width
+    got = {}
+    for link, terms in enumerate(fr._slice_terms(n, parts, width)):
+        for w, mask in terms:
+            z = ((mask >> width) << (link * width)) | (
+                (mask & ((1 << width) - 1)) << ((link + 1) % slices * width))
+            got[z] = got.get(z, 0.0) + w
+    want = {}
+    for c, string in ising_limit(build_model(spec)).terms:
+        z = _term_masks(string)[2]
+        want[z] = want.get(z, 0.0) + c
+    assert got == want
+    a = math.fsum(abs(c) for c, _ in ising_limit(build_model(spec)).terms)
+    assert fr._weight(n, parts) == pytest.approx(a, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("spec", [IsingGasLR(3, 0.25), IsingGasLR(4, 0.5, "unfrustrated"),
+                                  IsingGasLR(2, 0.0), HeisenbergGasLR(3), RVBPlaquette(5, 2),
+                                  RVBPlaquette(4, 2)])
+def test_gas_parts_are_the_coefficients_of_the_built_operator(spec):
+    # every term of the built operator carries the coefficient of the part
+    # of its order, and the popcount energies are its Ising limit's
+    n, parts = couplings(spec)
+    op = build_model(spec)
+    by_order = {g: c for c, _, g in parts}
+    for c, string in op.terms:
+        assert c == by_order[len(string) - string.count("I")]
+    assert len(op.terms) == sum(len(letters) * math.comb(n, g) for c, letters, g in parts if c != 0.0)
+    np.testing.assert_allclose(popcount_energies(n, parts)[popcount(np.arange(1 << n))],
+                               ising_limit(op).diagonal(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [MajumdarGhosh(5), SingleBondIsing(4), ShastrySutherland(4, 0.4, 1.0),
+                                  IsingGasLR(3, 0.5), HeisenbergGasLR(3), RVBPlaquette(6, 2)])
+def test_routes_build_no_operator_and_take_no_ising_limit(monkeypatch, spec):
+    import frustra.frustration as fr
+
+    monkeypatch.setattr(fr, "build_model", lambda spec: pytest.fail("built the operator"))
+    monkeypatch.setattr(fr, "ising_limit", lambda op: pytest.fail("took the Ising limit"))
+    monkeypatch.setattr(fr, "PauliOperator", None)
+    assert frustration_degree_model(spec).num_ground_configs > 0
+
+
+@pytest.mark.parametrize("j1,j2", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+def test_shastry_refuses_non_finite_couplings(j1, j2):
+    with pytest.raises(ValidationError, match="finite J1, J2 > 0"):
+        ShastrySutherland(4, j1, j2)
+
+
+def test_ring_route_refuses_non_finite_weight_or_energies(monkeypatch):
+    # 40 terms at 1e308 sum past the largest float before any matrix; with
+    # A forced finite, the energies overflow and are refused before the count
+    import frustra.frustration as fr
+
+    spec = ShastrySutherland(4, 1e308, 1e308)
+    with pytest.raises(ValidationError, match="weight A = inf is not finite"):
+        frustration_degree_model(spec)
+    monkeypatch.setattr(fr, "_weight", lambda n, parts: 1.0)
+    monkeypatch.setattr(fr, "_check_count_digits", lambda digits: pytest.fail("counted"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match="energies from .* are not finite"):
+            frustration_degree_model(spec)
