@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -202,18 +202,7 @@ def cmd_interference(args) -> int:
     if args.model == "heisenberg-gas":
         m = _spec_from_args(args).m
         ks = parse_range(args.k) if args.k else list(range(1, m + 1))
-        rows = []
-        for k in ks:
-            rep = covering_interference(m, k)
-            rows.append(
-                {
-                    "k": k,
-                    "e_super": rep.e_super,
-                    "e_avg": rep.e_avg,
-                    "ratio": rep.ratio,
-                    "verdict": rep.verdict,
-                }
-            )
+        rows = [{"k": k, **asdict(covering_interference(m, k))} for k in ks]
         _emit(args, json.dumps(rows, sort_keys=True, indent=2) + "\n")
         return 0
     grid = _d_grid(args)

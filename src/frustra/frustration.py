@@ -259,7 +259,8 @@ def _ring_frustration(spec, width: int) -> FrustrationReport:
     """The report of a model whose parts live on a ring of S = n / width
     slices, from a min-plus transfer (Kramers and Wannier, Phys. Rev. 60,
     252 (1941)) over its slice matrices T_a[x, y], the ``_z_energies`` of
-    the terms of link a, at slice states x (the high half) and y.
+    the terms of link a, at slice states x (the high half) and y.  Links
+    with the same terms share one matrix, formed once per call.
 
     A configuration's energy is sum_a T_a[x_a, x_(a+1)], x_S = x_0.  Two
     float passes give the lowest and the highest energy, hence the ground
@@ -285,7 +286,9 @@ def _ring_frustration(spec, width: int) -> FrustrationReport:
     a = _weight(n, parts)
     if not math.isfinite(a):
         raise ValidationError(f"the Ising limit's weight A = {a!r} is not finite")
-    ts = np.stack([_z_energies(2 * width, t).reshape(d, d) for t in _slice_terms(n, parts, width)])
+    links = [tuple(t) for t in _slice_terms(n, parts, width)]
+    matrices = {t: _z_energies(2 * width, t).reshape(d, d) for t in set(links)}
+    ts = np.stack([matrices[t] for t in links])
     e_min, e_max = float(_trace(ts)[0].min()), -float(_trace(-ts)[0].min())
     if not math.isfinite(e_max - e_min):
         raise ValidationError(f"the Ising limit's energies from {e_min!r} to {e_max!r} are not finite")

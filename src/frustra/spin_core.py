@@ -151,8 +151,6 @@ def _term_masks(string: str):
             my |= 1 << i
         elif ch == "Z":
             mz |= 1 << i
-        elif ch != "I":
-            raise ValidationError(f"invalid Pauli letter {ch!r}")
     return mx, my, mz
 
 

@@ -50,13 +50,22 @@ Heisenberg gas's single-colour block spectrum, beside the library's
 closed form ``heisenberg_gas_block_entropy``.  ``mg_ground_count`` is
 the closed form of the Majumdar-Ghosh ground count, beside the
 frustration transfer.
+``ising_gas_asymptote`` and ``ising_gas_stirling_weights`` are the
+Ising gas's area-law violation, S ~ (1/2) log2 k, and its binomial
+weights, beside the library's Dicke spectra (``ising_gas_spectra``).
+``rvb_cut_plaquette_entropy`` is the exact entropy of a cut through one
+RVB plaquette, from the plaquette-label state ``rvb_state``
+(``RVBState``) and the two plaquette pair states, beside the library's
+mean-field E_pl(d) (``rvb_plaquette_entropy``).
 """
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from frustra.closed_forms import _lbinom
 from frustra.cooling import _Z_FLOOR, cool
 from frustra.interference import IncomparableError, InterferenceReport, make_report
 from frustra.models import (
@@ -89,6 +98,7 @@ from frustra.spin_core import (
     product_state,
     schmidt_matrix,
     schmidt_weights,
+    shannon_entropy,
     span_entropies,
 )
 
@@ -697,3 +707,122 @@ def mg_ground_count(n):
     n/(n-k) C(n-k, k) such choices with k ferromagnetic bonds (k even for
     even n), and each gives two spin configurations."""
     return 2 * sum(n * math.comb(n - k, k) // (n - k) for k in range(0, n // 2 + 1, 2))
+
+
+def ising_gas_asymptote(k: int, lam: float) -> float:
+    """Leading-order block entropy (1/2) log2((1 - lam^2) k).
+
+    Valid only for k << 2m.  The block weights are hypergeometric, with
+    variance k p (1-p) (N-k)/(N-1) for N = 2m sites and p = (1+lam)/2, so
+    at finite N the entropy gain per doubling of k is
+    1/2 + (1/2) log2((N-2k)/(N-k)) rather than 1/2 (0.4126 at k=2048,
+    N=20000).
+    """
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    if not (0.0 <= lam < 1.0):
+        raise ValidationError("lambda must lie in [0, 1)")
+    return 0.5 * math.log2((1.0 - lam * lam) * k)
+
+
+def ising_gas_stirling_weights(k: int, lam: float):
+    """Binomial weights e_i = C(k,i) (1+lam)^i (1-lam)^{k-i} / 2^k."""
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    if not (0.0 <= lam < 1.0):
+        raise ValidationError("lambda must lie in [0, 1)")
+    p = (1.0 + lam) / 2.0
+    lw = np.array(
+        [_lbinom(k, i) + i * math.log(p) + (k - i) * math.log1p(-p) for i in range(k + 1)]
+    )
+    w = np.exp(lw)
+    return w / w.sum()
+
+
+
+@dataclass(frozen=True)
+class RVBState:
+    """Plaquette-label Schmidt data of the fixed-density RVB superposition.
+
+    ``c`` is the coefficient matrix over the orthonormalized system label l
+    (vertical plaquettes among the k system plaquettes) and environment
+    label r.  Its Schmidt weights (squared singular values) give the block
+    entropy in the plaquette-label space.
+    """
+
+    m2: int
+    s: int
+    k: int
+    c: np.ndarray
+
+    def entropy(self) -> float:
+        p = schmidt_weights(self.c)
+        p = p / p.sum()
+        return shannon_entropy(p)
+
+
+def rvb_state(m2: int, d: float, k: int) -> RVBState:
+    """Exact coefficient matrix of the density-d RVB state for a block of
+    k whole plaquettes.
+
+    c_{l,r} is proportional to sqrt(3^l C(k,l)) sqrt(3^r C(m2-k,r))
+    C(m2-l-r, s-l-r), evaluated in log-space and normalized.
+    """
+    sf = d * m2
+    s = round(sf)
+    if abs(sf - s) > 1e-9 or not (0 <= s <= m2):
+        raise ValidationError("d*m2 must be an integer vertical count in range")
+    if not (0 < k < m2):
+        raise ValidationError("k must satisfy 0 < k < m2")
+    lmax = min(s, k)
+    rmax = min(s, m2 - k)
+    logs = np.full((lmax + 1, rmax + 1), -math.inf)
+    for l in range(lmax + 1):
+        for r in range(min(s - l, m2 - k) + 1):
+            logs[l, r] = (
+                0.5 * (l * math.log(3.0) + _lbinom(k, l))
+                + 0.5 * (r * math.log(3.0) + _lbinom(m2 - k, r))
+                + _lbinom(m2 - l - r, s - l - r)
+            )
+    finite = np.isfinite(logs)
+    if not finite.any():
+        raise ValidationError("empty coefficient matrix")
+    c = np.where(finite, np.exp(logs - logs[finite].max()), 0.0)
+    c = c / np.linalg.norm(c)
+    return RVBState(m2=m2, s=s, k=k, c=c)
+
+
+def _plaquette_pair_states():
+    """The two orthonormal 4-spin plaquette states in the physical basis.
+
+    Plaquette sites are ordered TL, TR, BL, BR as bits 0..3.  e0 is the
+    horizontal singlet pair |HH>; e1 completes |VV> to an orthonormal pair
+    via e1 = (2|VV> - |HH>)/sqrt(3), using <HH|VV> = 1/2.
+    """
+    hh = dimer_product_state(4, [(0, 1), (2, 3)]).amplitudes
+    vv = dimer_product_state(4, [(0, 2), (1, 3)]).amplitudes
+    e0 = hh
+    e1 = (2.0 * vv - hh) / math.sqrt(3.0)
+    return e0, e1
+
+
+def rvb_cut_plaquette_entropy(m2: int, d: float) -> float:
+    """Exact entropy of a cut slicing horizontally through one plaquette.
+
+    The system side holds the top half (2 spins) of a single boundary
+    plaquette; everything else, including the plaquette's bottom half, is
+    environment.  As m2 grows this converges to the per-plaquette value
+    E_pl(d) of the mean-field product state.
+
+    When d*m2 is not an integer (odd lattices at d = 1/2) the vertical
+    count is rounded to the nearest admissible sector.
+    """
+    s = min(max(round(d * m2), 0), m2)
+    state = rvb_state(m2, s / m2, 1)
+    e0, e1 = _plaquette_pair_states()
+    # index basis 4-spin vector as [top, bottom] with top = bits 0,1
+    el = np.stack([e0.reshape(4, 4, order="F"), e1.reshape(4, 4, order="F")])
+    a = np.einsum("lr,ltb->tbr", state.c, el).reshape(4, -1)
+    p = schmidt_weights(a)
+    p = p / p.sum()
+    return shannon_entropy(p)

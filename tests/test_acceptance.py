@@ -36,7 +36,6 @@ from frustra.closed_forms import (
     heisenberg_gas_bound,
     ising_gas_spectra,
     mg_bounds,
-    rvb_cut_plaquette_entropy,
     rvb_plaquette_entropy,
     single_bond_cooled_state,
 )
@@ -49,6 +48,7 @@ from reference import (
     mg_dimer_states,
     normalized,
     partial_trace,
+    rvb_cut_plaquette_entropy,
 )
 
 

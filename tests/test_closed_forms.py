@@ -27,15 +27,11 @@ from frustra.closed_forms import (
     BoundaryPath,
     DickeSpectrum,
     heisenberg_gas_bound,
-    ising_gas_asymptote,
     ising_gas_spectra,
-    ising_gas_stirling_weights,
     mg_bounds,
     rvb_boundary_entropy,
-    rvb_cut_plaquette_entropy,
     rvb_plaquette_entropy,
     rvb_q,
-    rvb_state,
     shastry_block_entropy,
     single_bond_block_entropy,
     single_bond_cooled_state,
@@ -46,7 +42,11 @@ from reference import (
     dicke_weights,
     fidelity,
     heisenberg_gas_schmidt_state,
+    ising_gas_asymptote,
+    ising_gas_stirling_weights,
     partial_trace,
+    rvb_cut_plaquette_entropy,
+    rvb_state,
     shastry_dimer_state,
 )
 

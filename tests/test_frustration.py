@@ -396,6 +396,26 @@ def test_transfer_without_the_wrap_link_is_caught(monkeypatch):
             _assert_route_matches_enumeration(spec)
 
 
+@pytest.mark.parametrize("spec,distinct", [
+    (MajumdarGhosh(2), 2), (MajumdarGhosh(3), 1), (MajumdarGhosh(10), 1),
+    (SingleBondIsing(5), 2), (SingleBondIsing(5, "unfrustrated"), 1),
+    (ShastrySutherland(4, 0.4, 1.0), 2), (ShastrySutherland(6, 1.7, 1.0), 2),
+    (ShastrySutherland(8, 0.4, 1.0), 2)], ids=str)
+def test_ring_route_forms_one_slice_matrix_per_distinct_link(monkeypatch, spec, distinct):
+    # links with the same terms share one matrix: MG's links all match
+    # from three slices on (at two, the wrap link takes every group that
+    # joins them), the frustrated ring's wrap link holds the flipped bond,
+    # and the Shastry rows alternate between two diagonal patterns
+    import frustra.frustration as fr
+
+    calls = []
+    z_energies = fr._z_energies
+    monkeypatch.setattr(fr, "_z_energies", lambda n, terms: calls.append(terms) or z_energies(n, terms))
+    report = frustration_degree_model(spec)
+    assert len(calls) == distinct
+    assert report.num_ground_configs > 0
+
+
 def test_ring_terms_that_skip_a_slice_are_refused():
     from frustra.frustration import _slice_terms
 

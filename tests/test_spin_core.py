@@ -66,6 +66,14 @@ def test_pauli_merges_duplicates():
     assert op.terms == ((1.0, "ZZ"),)
 
 
+@pytest.mark.parametrize("string,message", [("ZQ", "invalid Pauli string"),
+                                            ("ZZZ", "does not match 2 sites")])
+def test_pauli_refuses_a_bad_string_on_construction(string, message):
+    # the kernels read the letters without checking them again
+    with pytest.raises(ValidationError, match=message):
+        PauliOperator(2, ((1.0, "ZZ"), (0.5, string)))
+
+
 def test_build_dense_single_z():
     h = build_dense(PauliOperator(1, ((1.0, "Z"),)))
     np.testing.assert_allclose(h, np.diag([1.0, -1.0]))
